@@ -1,22 +1,30 @@
 """Exact rational linear programming.
 
-Two-phase primal simplex over `fractions.Fraction`, dense tableau, Dantzig
-pricing that permanently switches to Bland's rule after a streak of
-degenerate pivots (guaranteeing termination).  Duals are read off the final
-basis through the artificial columns.
+Two-phase primal simplex on a dense tableau of Python ints: each row, the
+objective row included, holds integer numerators over one positive,
+gcd-reduced denominator of its own, so a pivot costs integer multiplications
+and one gcd per updated row instead of a `fractions.Fraction` per entry.
+Inputs become integer rows once, on entry; `Fraction`s reappear only in the
+returned primal, dual and objective.  Pricing is Dantzig's rule, switched
+permanently to Bland's rule after a streak of degenerate pivots
+(guaranteeing termination).  Duals are read off the final basis through the
+artificial columns.
 
-Every optimal solve is verified in-solver: primal feasibility, dual
-feasibility, and exact equality of the primal and dual objectives.  When a
-model has many more constraints than variables it is solved through its
-transposed dual, which produces the same certified primal/dual pair at a
-fraction of the pivot cost.
+Every optimal solve is verified in-solver, in `Fraction` arithmetic against
+the original rows: primal feasibility, dual feasibility, and exact equality
+of the primal and dual objectives.  When a model has many more constraints
+than variables it is solved through its transposed dual, which produces the
+same certified primal/dual pair at a fraction of the pivot cost.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
+
+from .errors import BudgetExceededError
 
 Number = Union[int, float, str, Fraction]
 
@@ -101,36 +109,59 @@ class LPSolution:
     objective: Optional[Fraction] = None
 
 
-class _PivotLimit(RuntimeError):
+class _PivotLimit(BudgetExceededError):
     pass
 
 
-def _pivot(rows: list[list[Fraction]], z: list[Fraction], basis: list[int], r: int, col: int) -> None:
+def _eliminate(
+    row: list[int], den: int, prow: list[int], pden: int, col: int
+) -> tuple[list[int], int]:
+    """row/den minus row[col]/den times prow/pden, whose entry at col is 1.
+
+    Returns the result as gcd-reduced integers over a positive denominator.
+    """
+    f = row[col]
+    g = math.gcd(f, pden)
+    s, t = pden // g, f // g
+    new = [u * s - t * v for u, v in zip(row, prow)]
+    den *= s
+    g = math.gcd(den, *new)
+    if g > 1:
+        return [v // g for v in new], den // g
+    return new, den
+
+
+def _pivot(rows: list[list[int]], dens: list[int], basis: list[int], r: int, col: int) -> None:
+    """Make column `col` basic in row `r`.
+
+    Only rows with a nonzero entry in `col` change, the objective row (kept
+    last in `rows`) included.
+    """
     prow = rows[r]
-    piv = prow[col]
-    if piv != 1:
-        inv = 1 / piv
-        prow = [v * inv for v in prow]
-        rows[r] = prow
+    if prow[col] < 0:
+        prow = [-v for v in prow]
+    g = math.gcd(*prow)
+    if g > 1:
+        prow = [v // g for v in prow]
+    # the row's own denominator cancels: the pivot entry becomes pden/pden
+    pden = prow[col]
+    rows[r] = prow
+    dens[r] = pden
     basis[r] = col
     for i, row in enumerate(rows):
-        if i == r:
-            continue
-        f = row[col]
-        if f:
-            rows[i] = [a - f * b for a, b in zip(row, prow)]
-    f = z[col]
-    if f:
-        z[:] = [a - f * b for a, b in zip(z, prow)]
+        if i != r and row[col]:
+            rows[i], dens[i] = _eliminate(row, dens[i], prow, pden, col)
 
 
-def _run_simplex(
-    rows: list[list[Fraction]],
-    z: list[Fraction],
-    basis: list[int],
-    allowed: int,
-) -> str:
-    """Pivot to optimality; `allowed` is the number of admissible entering columns."""
+def _run_simplex(rows: list[list[int]], dens: list[int], basis: list[int], allowed: int) -> str:
+    """Pivot to optimality on the objective row `rows[-1]`.
+
+    `allowed` is the number of admissible entering columns.  Denominators
+    are positive, so signs, the pricing argmin and the ratio order are read
+    from the integer numerators alone.
+    """
+    z = rows[-1]
+    m = len(basis)
     bland = False
     streak = 0
     for _ in range(MAX_PIVOTS):
@@ -141,33 +172,49 @@ def _run_simplex(
                     enter = j
                     break
         else:
-            best = _ZERO
-            for j in range(allowed):
-                v = z[j]
-                if v < best:
-                    best = v
-                    enter = j
+            best = min(z[:allowed], default=0)
+            if best < 0:
+                enter = z.index(best)
         if enter < 0:
             return "optimal"
-        ratio = None
         leave = -1
-        for i, row in enumerate(rows):
+        for i in range(m):
+            row = rows[i]
             a = row[enter]
             if a > 0:
-                r = row[-1] / a
-                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
-                    ratio = r
-                    leave = i
+                # row[-1]/a against the best ratio, cross-multiplied
+                if leave < 0:
+                    leave, top, bot = i, row[-1], a
+                else:
+                    lhs = row[-1] * bot
+                    rhs = top * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, top, bot = i, row[-1], a
         if leave < 0:
             return "unbounded"
-        if ratio == 0:
+        if top == 0:
             streak += 1
             if streak >= _BLAND_AFTER:
                 bland = True
         else:
             streak = 0
-        _pivot(rows, z, basis, leave, enter)
+        _pivot(rows, dens, basis, leave, enter)
+        z = rows[-1]
     raise _PivotLimit(f"simplex exceeded {MAX_PIVOTS} pivots")
+
+
+def _price_out(
+    rows: list[list[int]], dens: list[int], basis: list[int], cost: list[Union[int, Fraction]]
+) -> None:
+    """Append the objective row for `cost` reduced against the current basis."""
+    zden = math.lcm(*(v.denominator for v in cost))
+    z = [v.numerator * (zden // v.denominator) for v in cost]
+    for i, bi in enumerate(basis):
+        # basic columns are unit columns: this leaves z's other basic entries alone
+        if z[bi]:
+            z, zden = _eliminate(z, zden, rows[i], dens[i], bi)
+    rows.append(z)
+    dens.append(zden)
 
 
 def _core_solve(
@@ -181,34 +228,30 @@ def _core_solve(
     m = len(a)
     k = len(c)
     ncols = k + 2 * m + 1  # x | surplus | artificial | rhs
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
+    dens: list[int] = []
     sign: list[int] = []
     for i in range(m):
         s = 1 if b[i] >= 0 else -1
         sign.append(s)
-        row = [_ZERO] * ncols
         ai = a[i]
-        for j in range(k):
-            v = ai[j]
-            if v:
-                row[j] = v if s == 1 else -v
-        row[k + i] = Fraction(-s)
-        row[k + m + i] = _ONE
-        row[-1] = b[i] if s == 1 else -b[i]
+        den = math.lcm(b[i].denominator, *(v.denominator for v in ai))
+        row = [s * v.numerator * (den // v.denominator) for v in ai]
+        row += [0] * (ncols - k)
+        row[k + i] = -s * den
+        row[k + m + i] = den
+        row[-1] = s * b[i].numerator * (den // b[i].denominator)
         rows.append(row)
+        dens.append(den)
     basis = [k + m + i for i in range(m)]
 
     # phase 1: minimize the artificial total
-    z = [_ZERO] * ncols
-    for row in rows:
-        for j in range(k + m):
-            v = row[j]
-            if v:
-                z[j] -= v
-        z[-1] -= row[-1]
-    _run_simplex(rows, z, basis, k + m)
-    if -z[-1] != 0:
+    _price_out(rows, dens, basis, [0] * (k + m) + [1] * m + [0])
+    _run_simplex(rows, dens, basis, k + m)
+    if rows[-1][-1]:
         return "infeasible", None, None, None
+    rows.pop()  # the phase-1 objective is spent; drive-out pivots skip it
+    dens.pop()
 
     # drive basic artificials out (rows that resist are redundant and inert)
     for i in range(m):
@@ -216,28 +259,22 @@ def _core_solve(
             row = rows[i]
             for j in range(k + m):
                 if row[j]:
-                    _pivot(rows, z, basis, i, j)
+                    _pivot(rows, dens, basis, i, j)
                     break
 
     # phase 2
-    z = [_ZERO] * ncols
-    for j in range(k):
-        z[j] = c[j]
-    for i, bi in enumerate(basis):
-        if bi < k and c[bi]:
-            f = c[bi]
-            row = rows[i]
-            z[:] = [u - f * v for u, v in zip(z, row)]
-    status = _run_simplex(rows, z, basis, k + m)
+    _price_out(rows, dens, basis, list(c) + [0] * (ncols - k))
+    status = _run_simplex(rows, dens, basis, k + m)
     if status == "unbounded":
         return "unbounded", None, None, None
 
     x = [_ZERO] * k
     for i, bi in enumerate(basis):
         if bi < k:
-            x[bi] = rows[i][-1]
-    y = [Fraction(-z[k + m + i]) * sign[i] for i in range(m)]
-    obj = -z[-1]
+            x[bi] = Fraction(rows[i][-1], dens[i])
+    z, zden = rows[-1], dens[-1]
+    y = [Fraction(-z[k + m + i] * sign[i], zden) for i in range(m)]
+    obj = Fraction(-z[-1], zden)
 
     # exact certificate of optimality
     for i in range(m):
@@ -371,7 +408,9 @@ def in_convex_hull(
         return None
     lam = sol.primal
     assert lam is not None
-    assert sum(lam) == 1 and all(v >= 0 for v in lam)
+    if sum(lam) != 1 or any(v < 0 for v in lam):
+        raise AssertionError("convex-hull weights are not a probability vector")
     for t in range(d):
-        assert sum(l * g[t] for l, g in zip(lam, gens)) == p[t]
+        if sum(l * g[t] for l, g in zip(lam, gens)) != p[t]:
+            raise AssertionError("convex-hull weights do not reproduce the point")
     return lam

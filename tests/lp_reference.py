@@ -1,0 +1,167 @@
+"""The dense `Fraction` two-phase simplex that `simplegames.lp` replaced.
+
+Kept verbatim as the reference for the differential tests: the integer-row
+kernel in `simplegames.lp` must make the same pivots and so return equal
+solutions.  Patch `_core_solve` over `simplegames.lp._core_solve` to route
+`solve_lp` (and through it every exact caller) through this kernel.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional
+
+from simplegames.lp import _BLAND_AFTER, MAX_PIVOTS, _PivotLimit
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _pivot(rows: list[list[Fraction]], z: list[Fraction], basis: list[int], r: int, col: int) -> None:
+    prow = rows[r]
+    piv = prow[col]
+    if piv != 1:
+        inv = 1 / piv
+        prow = [v * inv for v in prow]
+        rows[r] = prow
+    basis[r] = col
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[col]
+        if f:
+            rows[i] = [a - f * b for a, b in zip(row, prow)]
+    f = z[col]
+    if f:
+        z[:] = [a - f * b for a, b in zip(z, prow)]
+
+
+def _run_simplex(
+    rows: list[list[Fraction]],
+    z: list[Fraction],
+    basis: list[int],
+    allowed: int,
+) -> str:
+    """Pivot to optimality; `allowed` is the number of admissible entering columns."""
+    bland = False
+    streak = 0
+    for _ in range(MAX_PIVOTS):
+        enter = -1
+        if bland:
+            for j in range(allowed):
+                if z[j] < 0:
+                    enter = j
+                    break
+        else:
+            best = _ZERO
+            for j in range(allowed):
+                v = z[j]
+                if v < best:
+                    best = v
+                    enter = j
+        if enter < 0:
+            return "optimal"
+        ratio = None
+        leave = -1
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                r = row[-1] / a
+                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
+                    ratio = r
+                    leave = i
+        if leave < 0:
+            return "unbounded"
+        if ratio == 0:
+            streak += 1
+            if streak >= _BLAND_AFTER:
+                bland = True
+        else:
+            streak = 0
+        _pivot(rows, z, basis, leave, enter)
+    raise _PivotLimit(f"simplex exceeded {MAX_PIVOTS} pivots")
+
+
+def _core_solve(
+    a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
+) -> tuple[str, Optional[list[Fraction]], Optional[list[Fraction]], Optional[Fraction]]:
+    """min c.x  s.t.  a x >= b, x >= 0.
+
+    Returns (status, x, y, objective) with y >= 0, y^T a <= c and
+    y.b == c.x == objective when optimal (verified exactly).
+    """
+    m = len(a)
+    k = len(c)
+    ncols = k + 2 * m + 1  # x | surplus | artificial | rhs
+    rows: list[list[Fraction]] = []
+    sign: list[int] = []
+    for i in range(m):
+        s = 1 if b[i] >= 0 else -1
+        sign.append(s)
+        row = [_ZERO] * ncols
+        ai = a[i]
+        for j in range(k):
+            v = ai[j]
+            if v:
+                row[j] = v if s == 1 else -v
+        row[k + i] = Fraction(-s)
+        row[k + m + i] = _ONE
+        row[-1] = b[i] if s == 1 else -b[i]
+        rows.append(row)
+    basis = [k + m + i for i in range(m)]
+
+    # phase 1: minimize the artificial total
+    z = [_ZERO] * ncols
+    for row in rows:
+        for j in range(k + m):
+            v = row[j]
+            if v:
+                z[j] -= v
+        z[-1] -= row[-1]
+    _run_simplex(rows, z, basis, k + m)
+    if -z[-1] != 0:
+        return "infeasible", None, None, None
+
+    # drive basic artificials out (rows that resist are redundant and inert)
+    for i in range(m):
+        if basis[i] >= k + m:
+            row = rows[i]
+            for j in range(k + m):
+                if row[j]:
+                    _pivot(rows, z, basis, i, j)
+                    break
+
+    # phase 2
+    z = [_ZERO] * ncols
+    for j in range(k):
+        z[j] = c[j]
+    for i, bi in enumerate(basis):
+        if bi < k and c[bi]:
+            f = c[bi]
+            row = rows[i]
+            z[:] = [u - f * v for u, v in zip(z, row)]
+    status = _run_simplex(rows, z, basis, k + m)
+    if status == "unbounded":
+        return "unbounded", None, None, None
+
+    x = [_ZERO] * k
+    for i, bi in enumerate(basis):
+        if bi < k:
+            x[bi] = rows[i][-1]
+    y = [Fraction(-z[k + m + i]) * sign[i] for i in range(m)]
+    obj = -z[-1]
+
+    # exact certificate of optimality
+    for i in range(m):
+        lhs = sum(a[i][j] * x[j] for j in range(k) if a[i][j])
+        if lhs < b[i]:
+            raise AssertionError("simplex returned a primal-infeasible point")
+        if y[i] < 0:
+            raise AssertionError("simplex returned a negative dual")
+    for j in range(k):
+        red = c[j] - sum(y[i] * a[i][j] for i in range(m) if a[i][j])
+        if red < 0:
+            raise AssertionError("simplex returned a dual-infeasible vector")
+    if sum(y[i] * b[i] for i in range(m)) != obj or sum(c[j] * x[j] for j in range(k)) != obj:
+        raise AssertionError("strong duality failed (primal and dual objectives differ)")
+    return "optimal", x, y, obj

@@ -162,6 +162,11 @@ class TestErrors:
         code, _ = capture("alpha", "--game", "cycle:8", "--budget", "8")
         assert code == 0
 
+    def test_pivot_limit_exits_3(self, capture, monkeypatch):
+        monkeypatch.setattr("simplegames.lp.MAX_PIVOTS", 1)
+        code, out = capture("graph-decide", "--graph", "cycle:8", "--a", "3/2")
+        assert code == 3 and out == ""
+
     def test_unknown_verb_exits_2(self, capture):
         code, _ = capture("frobnicate")
         assert code == 2

@@ -1,11 +1,17 @@
 """Exact LP kernel: status handling, duality, anti-cycling, float cross-check."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from simplegames.lp import EQ, GE, LE, in_convex_hull, make_lp, solve_lp
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_min_x_geq_3():
@@ -160,3 +166,30 @@ class TestConvexHull:
     def test_point_among_generators(self):
         lam = in_convex_hull([F(1, 3), F(2, 3)], [(1, 0), (0, 1)])
         assert lam == (F(1, 3), F(2, 3))
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ("(F(3, 2), F(-1, 2))", "are not a probability vector"),
+            ("(F(1, 4), F(3, 4))", "do not reproduce the point"),
+        ],
+    )
+    def test_certificate_checks_survive_optimize(self, weights, message):
+        # a solver returning wrong weights must be caught even under python -O
+        script = f"""
+from fractions import Fraction as F
+from simplegames import lp
+assert False, "python -O should have stripped this assert"
+lp.solve_lp = lambda model: lp.LPSolution("optimal", {weights}, (), F(0))
+lp.in_convex_hull([F(1, 2), F(1, 2)], [(1, 0), (0, 1)])
+"""
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert f"AssertionError: convex-hull weights {message}" in proc.stderr
