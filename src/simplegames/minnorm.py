@@ -1,27 +1,33 @@
-"""Minimum-norm point of the winning-payoff polyhedron, with an exact certificate.
+"""Exact minimum-norm point of the winning-payoff polyhedron, with a certificate.
 
-Q denotes the payoffs p >= 0 giving every winning coalition at least 1.  The
-unique smallest-norm point p* of Q is approximated by Frank-Wolfe with
-pairwise (away) steps over Q intersected with the unit box; clamping into the
-box preserves feasibility and cannot increase the norm, so the restriction is
-sound.  The linear oracle is an LP solved exactly, and the deliverable is not
-a convergence argument but a certificate: for the returned point p the gap
+Q is the set of payoffs p >= 0 giving every minimal winning coalition at
+least 1; A holds the coalitions' 0/1 incidence rows.  The KKT conditions of
+min ||p||^2 over Q give p* = A^T mu with mu >= 0 and 1^T mu = ||p*||^2, so
+q* = p*/||p*||^2 is a convex combination of the rows with <q*, r> >= ||q*||^2
+for every row r (Fulkerson's blocker, read through the norm): q* is the
+minimum-norm point of conv(rows of A), and p* = q*/||q*||^2.
 
-    <p, p> - min_{q in Q} <p, q>
+q* comes from Wolfe's nearest-point algorithm ("Finding the nearest point in a
+polytope", Math. Prog. 1976) in exact rationals.  The linear oracle scans the
+rows for the least sum of x over a coalition; the affine minimizer of the
+corral S solves the bordered Gram system [[G, -1], [1^T, 0]], G holding the
+intersection sizes in S; minor cycles drop points whose weight reaches 0.  It
+stops when min_r <x, r> >= ||x||^2, compared exactly.  S stays affinely
+independent and ||x|| falls at every major cycle, so the loop is finite.
 
-is computed by one exact LP and bounded by the requested tolerance, which
-also bounds ||p - p*||^2.
+One exact LP certifies p*: the gap <p, p> - min_{q in Q} <p, q> is exactly 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import BudgetExceededError
 from .games import Coalition, SimpleGame, _winning_table
-from .lp import GE, LE, LPRow, LinearProgram, frac, in_convex_hull, solve_lp
+from .lp import GE, LPRow, LinearProgram, frac, in_convex_hull, solve_lp
 
 DEFAULT_TOLERANCE = 1e-6
 MAX_ITERATIONS = 100_000
@@ -42,7 +48,7 @@ class MinNormCertificate:
     lp_value: Fraction  # min over Q of <point, q>
     gap: Fraction
     certified: bool
-    gap_history: tuple[Fraction, ...] = ()  # recorded best-so-far gaps, non-increasing
+    gap_history: tuple[Fraction, ...] = ()  # the one certified gap, (0,) at p*
 
     def to_json_dict(self) -> dict:
         rat = lambda v: f"{v.numerator}/{v.denominator}"
@@ -68,29 +74,113 @@ def is_feasible(game: SimpleGame, payoff: Sequence) -> bool:
     return True
 
 
-def _oracle_lp(game: SimpleGame, box: bool) -> list[LPRow]:
-    n = game.n
-    rows = []
-    for w in game.minimal_winning:
-        coeffs = [_ZERO] * n
-        for i in w.players():
-            coeffs[i - 1] = _ONE
-        rows.append(LPRow(tuple(coeffs), GE, _ONE))
-    if box:
-        for j in range(n):
-            unit = tuple(_ONE if t == j else _ZERO for t in range(n))
-            rows.append(LPRow(unit, LE, _ONE))
-    return rows
-
-
-def _min_over_q(game: SimpleGame, direction: Sequence[Fraction], box: bool):
-    """Exact vertex and value of min <direction, q> over Q (optionally boxed)."""
-    rows = _oracle_lp(game, box)
-    sol = solve_lp(LinearProgram(game.n, tuple(direction), tuple(rows)))
+def _min_over_q(game: SimpleGame, direction: Sequence[Fraction]) -> Fraction:
+    """Exact value of min <direction, q> over Q."""
+    incidence = lambda mask: tuple(_ONE if mask >> j & 1 else _ZERO for j in range(game.n))
+    rows = tuple(LPRow(incidence(w.mask), GE, _ONE) for w in game.minimal_winning)
+    sol = solve_lp(LinearProgram(game.n, tuple(direction), rows))
     if sol.status != "optimal":
         raise AssertionError(f"oracle LP should be optimal, got {sol.status}")
-    assert sol.primal is not None and sol.objective is not None
-    return sol.primal, sol.objective
+    return sol.objective
+
+
+def _affine_minimizer(gram: list[list[int]]) -> tuple[list[int], int]:
+    """Weights of the least-norm point in the affine hull of a corral.
+
+    Solves [[G, -1], [1^T, 0]] [a; c] = [0; 1] for the integer Gram matrix G
+    by fraction-free (Bareiss) elimination with row exchanges and returns the
+    numerators of a over one positive denominator.  Every division is exact:
+    each entry is a minor of the system, and det * a is integral by Cramer's
+    rule.
+    """
+    k = len(gram)
+    size = k + 1
+    m = [row + [-1, 0] for row in gram]
+    m.append([1] * k + [0, 1])
+    prev = 1
+    for c in range(size):
+        r = next((r for r in range(c, size) if m[r][c]), None)
+        if r is None:
+            raise AssertionError("Wolfe corral is affinely dependent (singular bordered Gram system)")
+        m[c], m[r] = m[r], m[c]
+        prow = m[c]
+        p = prow[c]
+        for row in m[c + 1 :]:
+            f = row[c]
+            for j in range(c + 1, size + 1):
+                row[j] = (row[j] * p - f * prow[j]) // prev
+            row[c] = 0
+        prev = p
+    det = prev
+    z = [0] * size
+    for i in range(size - 1, -1, -1):
+        row = m[i]
+        z[i] = (det * row[size] - sum(row[j] * z[j] for j in range(i + 1, size))) // row[i]
+    if det < 0:
+        det, z = -det, [-v for v in z]
+    a = z[:k]
+    g = gcd(det, *a)
+    return [v // g for v in a], det // g
+
+
+def _wolfe(rows: Sequence[int], n: int, max_iterations: int) -> tuple[list[int], int]:
+    """Exact least-norm point of the convex hull of the 0/1 vectors given as
+    bit masks, as integer numerators over one positive denominator.
+
+    Every major cycle (one oracle step) and every minor cycle (one step that
+    drops corral points) counts against max_iterations.
+    """
+    members = [[j for j in range(n) if mask >> j & 1] for mask in rows]
+    first = min(range(len(rows)), key=lambda i: len(members[i]))  # the nearest vertex
+    corral = [first]  # indices into rows, affinely independent
+    gram = [[len(members[first])]]
+    weights, wden = [1], 1  # convex weights of the corral over wden
+    cycles = 0
+
+    def spend() -> None:
+        nonlocal cycles
+        cycles += 1
+        if cycles > max_iterations:
+            raise BudgetExceededError(
+                f"min-norm iteration budget exhausted after {max_iterations} Wolfe cycles"
+            )
+
+    while True:
+        x = [0] * n
+        for i, w in zip(corral, weights):
+            for j in members[i]:
+                x[j] += w
+        # <x, r> >= ||x||^2 for every row r, with x scaled by wden
+        sq = sum(v * v for v in x)
+        values = [sum(x[j] for j in m) for m in members]
+        best = min(range(len(rows)), key=values.__getitem__)
+        if values[best] * wden >= sq:
+            return x, wden
+        spend()
+        gram = [row + [(rows[i] & rows[best]).bit_count()] for row, i in zip(gram, corral)]
+        corral.append(best)
+        gram.append([row[-1] for row in gram] + [len(members[best])])
+        weights.append(0)
+        while True:
+            alpha, aden = _affine_minimizer(gram)
+            if all(a > 0 for a in alpha):
+                weights, wden = alpha, aden
+                break
+            spend()
+            # move from the weights towards alpha until the first weight hits 0:
+            # theta = min over a <= 0 of lam / (lam - a) = num / den
+            num, den = min(
+                ((w * aden, w * aden - a * wden) for w, a in zip(weights, alpha) if a <= 0),
+                key=lambda t: Fraction(*t),
+            )
+            mixed = [num * a * wden + (den - num) * w * aden for w, a in zip(weights, alpha)]
+            keep = [t for t, v in enumerate(mixed) if v > 0]
+            corral = [corral[t] for t in keep]
+            gram = [[gram[s][t] for t in keep] for s in keep]
+            weights = [mixed[t] for t in keep]
+            wden = den * aden * wden
+            g = gcd(wden, *weights)
+            weights, wden = [w // g for w in weights], wden // g
 
 
 def min_norm_point(
@@ -98,141 +188,45 @@ def min_norm_point(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = MAX_ITERATIONS,
 ) -> tuple[tuple[Fraction, ...], MinNormCertificate]:
-    """Certified approximate minimum-norm feasible payoff.
+    """The exact minimum-norm feasible payoff p* and its certificate.
 
-    Returns (point, certificate) with point in Q exactly (a rational convex
-    combination of exactly-feasible vertices) and certificate.gap <= tolerance
-    unless the iteration budget runs out first.
+    Runs Wolfe's algorithm on the minimal winning vectors (see the module
+    docstring) and certifies p* with one exact LP: certificate.gap is exactly
+    0, and certified means gap <= tolerance.  Raises BudgetExceededError when
+    Wolfe's major plus minor cycles exceed max_iterations.
     """
     if game.n > 24:
         raise BudgetExceededError(f"min_norm_point is capped at n <= 24, got {game.n}")
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
-    n = game.n
     tol = Fraction(tolerance) if not isinstance(tolerance, Fraction) else tolerance
-
-    # vertex cache: exact coordinates plus a float copy for the iteration
-    cache: dict[tuple[Fraction, ...], list[float]] = {}
-
-    def oracle(direction: list[float]):
-        d = tuple(frac(max(v, 0.0)) for v in direction)
-        vertex, value = _min_over_q(game, d, box=True)
-        if vertex not in cache:
-            cache[vertex] = [float(v) for v in vertex]
-        return vertex, value
-
-    v0, _ = _min_over_q(game, tuple([_ONE] * n), box=True)
-    cache[v0] = [float(v) for v in v0]
-    weights: dict[tuple[Fraction, ...], float] = {v0: 1.0}
-    x = list(cache[v0])
-
-    def dot(u, v):
-        return sum(a * b for a, b in zip(u, v))
-
-    def inner_descent(iters_left: int) -> int:
-        """Pairwise steps over cached vertices until stall; returns steps used."""
-        used = 0
-        while used < iters_left:
-            s_vtx = min(cache, key=lambda v: (dot(x, cache[v]), v))
-            a_vtx = max(weights, key=lambda v: (dot(x, cache[v]), v))
-            sf, af = cache[s_vtx], cache[a_vtx]
-            d = [a - b for a, b in zip(sf, af)]
-            dd = dot(d, d)
-            xd = dot(x, d)
-            if dd <= 0 or -xd <= 1e-14 * max(1.0, dot(x, x)):
-                break
-            gamma = min(weights[a_vtx], -xd / dd)
-            if gamma <= 0:
-                break
-            weights[a_vtx] -= gamma
-            if weights[a_vtx] <= 1e-18:
-                del weights[a_vtx]
-            weights[s_vtx] = weights.get(s_vtx, 0.0) + gamma
-            for j in range(n):
-                x[j] += gamma * d[j]
-            used += 1
-            if used % 128 == 0:  # drift control
-                for j in range(n):
-                    x[j] = sum(wt * cache[v][j] for v, wt in weights.items())
-        return used
-
-    def exact_point() -> tuple[Fraction, ...]:
-        lams = {v: Fraction(wt).limit_denominator(10**12) for v, wt in weights.items()}
-        total = sum(lams.values())
-        pt = [_ZERO] * n
-        for v, lam in lams.items():
-            if lam <= 0:
-                continue
-            for j in range(n):
-                pt[j] += lam * v[j]
-        return tuple(c / total for c in pt)
-
-    history: list[Fraction] = []
-    best: Optional[tuple[tuple[Fraction, ...], Fraction, Fraction, Fraction]] = None
-
-    def certify() -> bool:
-        nonlocal best
-        pt = exact_point()
-        sq = sum((c * c for c in pt), _ZERO)
-        _, value = _min_over_q(game, pt, box=False)
-        gap = sq - value
-        if best is None or gap < best[3]:
-            best = (pt, sq, value, gap)
-            history.append(gap)
-        return gap <= tol
-
-    it = 0
-    certified = False
-    stalled = False
-    while it < max_iterations:
-        it += inner_descent(max_iterations - it) + 1
-        known = len(cache)
-        vtx, value = oracle(x)
-        float_gap = dot(x, x) - float(value)
-        # a known vertex means the inner pass already stalled at the cache
-        # optimum, so the true gap is tiny; otherwise the fresh vertex lets
-        # the next inner pass make progress
-        if float_gap <= float(tol) * 0.9 or len(cache) == known:
-            if certify():
-                certified = True
-                break
-            if len(cache) == known:
-                if stalled:  # no new vertex twice in a row: no progress left
-                    break
-                stalled = True
-        else:
-            stalled = False
-
-    if not certified:
-        if best is not None and best[3] <= tol:
-            certified = True
-        else:
-            gap_txt = f"{float(best[3]):.3g}" if best is not None else "unknown"
-            raise BudgetExceededError(
-                f"min-norm iteration budget exhausted before tolerance; best gap {gap_txt}"
-            )
-    assert best is not None
-    pt, sq, value, gap = best
-    assert is_feasible(game, pt)
+    # q* = x / xden, so p* = q* / ||q*||^2 = x * xden / ||x||^2
+    x, xden = _wolfe([w.mask for w in game.minimal_winning], game.n, max_iterations)
+    norm = sum(v * v for v in x)
+    pt = tuple(Fraction(v * xden, norm) for v in x)
+    if not is_feasible(game, pt):
+        raise AssertionError("min-norm point is not feasible")
+    sq = Fraction(xden * xden, norm)
+    value = _min_over_q(game, pt)
+    gap = sq - value
     cert = MinNormCertificate(
         point=pt,
         squared_norm=sq,
         lp_value=value,
         gap=gap,
         certified=gap <= tol,
-        gap_history=tuple(history),
+        gap_history=(gap,),
     )
     return pt, cert
 
 
 def strengthened_bound(game: SimpleGame, payoff: Sequence) -> Fraction:
-    """p(N) minus the least <p, q> over feasible q; at the min-norm point this
-    is <p, 1-p> up to the certificate gap and never exceeds n/4."""
+    """p(N) minus the least <p, q> over feasible q; at the min-norm point p*
+    this is exactly <p*, 1-p*>, and it never exceeds n/4 there."""
     p = [frac(v) for v in payoff]
     if not is_feasible(game, p):
         raise ValueError("payoff is not feasible (needs p >= 0 and p(W) >= 1 on winning sets)")
-    _, value = _min_over_q(game, tuple(p), box=False)
-    return sum(p, _ZERO) - value
+    return sum(p, _ZERO) - _min_over_q(game, tuple(p))
 
 
 def _all_coalitions_by_class(game: SimpleGame) -> tuple[list[int], list[int]]:

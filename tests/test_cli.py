@@ -48,6 +48,8 @@ class TestVerbs:
         payload = json.loads(out)
         assert payload["certified"] is True
         validate(payload, "minnorm_certificate.schema.json")
+        assert '"point": ["1/2", "1/2", "1/2", "1/2"]' in out
+        assert '"gap": "0/1"' in out and '"lp_value": "1/1"' in out
 
     def test_tightness_exit_codes(self, capture):
         code, out = capture("tightness", "--game", "cycle:4")

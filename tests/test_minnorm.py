@@ -1,6 +1,10 @@
 """Min-norm point: feasibility, certificates, strengthened bound, tightness."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,7 @@ from simplegames import (
 
 MAJ3 = new_game(3, [[1, 2], [1, 3], [2, 3]])
 DICT3 = new_game(3, [[1]])
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestFeasibility:
@@ -48,7 +53,7 @@ class TestMinNormPoint:
         # symmetric optimum with all pairwise sums active: p = (1/2, 1/2, 1/2)
         pt, cert = min_norm_point(MAJ3)
         assert cert.certified
-        assert max(abs(v - F(1, 2)) for v in pt) < F(1, 10**6)
+        assert pt == (F(1, 2),) * 3
 
     @pytest.mark.parametrize("seed", range(20))
     def test_certificate_contract(self, seed):
@@ -58,6 +63,7 @@ class TestMinNormPoint:
         assert cert.certified
         assert cert.gap == cert.squared_norm - cert.lp_value
         assert cert.gap <= F(1, 10**6)
+        assert cert.gap == 0 and cert.gap_history == (0,)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_gap_history_non_increasing(self, seed):
@@ -74,6 +80,51 @@ class TestMinNormPoint:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             min_norm_point(MAJ3, tolerance=0.0)
+
+    def test_iteration_budget(self):
+        with pytest.raises(BudgetExceededError):
+            min_norm_point(cycle_game(8), max_iterations=1)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_relabel_and_dummy_player(self, seed):
+        # p* is unique, so relabeling players permutes it exactly and a
+        # player in no minimal winning coalition gets exactly 0
+        n = 3 + seed % 6
+        g = random_game(n, 400 + seed, 2 + seed % 7)
+        pt, _ = min_norm_point(g)
+        perm = list(range(1, n + 1))
+        perm = perm[seed % n :] + perm[: seed % n]
+        perm.reverse()
+        relabeled = new_game(n, [[perm[i - 1] for i in w.players()] for w in g.minimal_winning])
+        moved, _ = min_norm_point(relabeled)
+        assert all(moved[perm[i] - 1] == pt[i] for i in range(n))
+        padded, _ = min_norm_point(new_game(n + 1, [w.players() for w in g.minimal_winning]))
+        assert padded == pt + (F(0),)
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ("minnorm.is_feasible = lambda game, payoff: False", "min-norm point is not feasible"),
+            ("minnorm._affine_minimizer([[2, 2], [2, 2]])", "Wolfe corral is affinely dependent"),
+        ],
+    )
+    def test_certificate_checks_survive_optimize(self, patch, message):
+        script = f"""
+from simplegames import cycle_game, minnorm
+assert False, "python -O should have stripped this assert"
+{patch}
+minnorm.min_norm_point(cycle_game(4))
+"""
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert f"AssertionError: {message}" in proc.stderr
 
 
 def dykstra_min_norm(game, iters=6000):
@@ -126,7 +177,7 @@ class TestCertificateEquivalence:
 
         p = (F(1), F(1), F(1))
         assert is_feasible(MAJ3, p)
-        _, value = _min_over_q(MAJ3, p, box=False)
+        value = _min_over_q(MAJ3, p)
         gap = sum(v * v for v in p) - value
         assert gap == F(3, 2)
         assert gap > F(1, 10**6)
@@ -160,6 +211,7 @@ class TestStrengthenedBound:
         # at the certified point the bound telescopes to <p, 1-p> plus the gap
         inner = sum(v * (1 - v) for v in pt)
         assert abs(bound - inner) <= cert.gap
+        assert bound == inner
 
     @pytest.mark.parametrize("seed", range(10))
     def test_upper_bounds_alpha(self, seed):
