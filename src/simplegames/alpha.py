@@ -52,17 +52,17 @@ def compute_alpha_exact(game: SimpleGame, budget: Optional[int] = None) -> Alpha
     nv = n + 1  # payoff entries plus the threshold variable
     rows = []
     for w in game.minimal_winning:
-        coeffs = [_ZERO] * nv
+        coeffs = [0] * nv
         for i in w.players():
-            coeffs[i - 1] = _ONE
-        rows.append(LPRow(tuple(coeffs), GE, _ONE))
+            coeffs[i - 1] = 1
+        rows.append(LPRow(tuple(coeffs), GE, 1))
     for l in losing:
-        coeffs = [_ZERO] * nv
+        coeffs = [0] * nv
         for i in l.players():
-            coeffs[i - 1] = -_ONE
-        coeffs[n] = _ONE
-        rows.append(LPRow(tuple(coeffs), GE, _ZERO))
-    objective = tuple([_ZERO] * n + [_ONE])
+            coeffs[i - 1] = -1
+        coeffs[n] = 1
+        rows.append(LPRow(tuple(coeffs), GE, 0))
+    objective = tuple([0] * n + [1])
     sol = solve_lp(LinearProgram(nv, objective, tuple(rows)))
     if sol.status != "optimal":
         raise AssertionError(f"threshold LP should be feasible and bounded, got {sol.status}")
@@ -71,9 +71,12 @@ def compute_alpha_exact(game: SimpleGame, budget: Optional[int] = None) -> Alpha
     alpha = sol.objective
     tight = tuple(l for l in losing if _coalition_value(payoff, l) == alpha)
     binding = tuple(w for w in game.minimal_winning if _coalition_value(payoff, w) == _ONE)
-    assert all(_coalition_value(payoff, w) >= 1 for w in game.minimal_winning)
-    assert all(_coalition_value(payoff, l) <= alpha for l in losing)
-    assert tight, "the optimum must be attained by some maximal losing coalition"
+    if any(_coalition_value(payoff, w) < 1 for w in game.minimal_winning):
+        raise AssertionError("the payoff gives some minimal winning coalition less than 1")
+    if any(_coalition_value(payoff, l) > alpha for l in losing):
+        raise AssertionError("the payoff gives some maximal losing coalition more than alpha")
+    if not tight:
+        raise AssertionError("the optimum must be attained by some maximal losing coalition")
     return AlphaCertificate(alpha, payoff, tight, binding)
 
 

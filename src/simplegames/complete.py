@@ -85,7 +85,8 @@ def complete_order(game: SimpleGame, budget: Optional[int] = None) -> Optional[C
 
     ordering = tuple(sorted(range(1, n + 1), key=cmp_to_key(cmp)))
     for r in range(n - 1):
-        assert ge[(ordering[r], ordering[r + 1])], "ordering violates desirability"
+        if not ge[(ordering[r], ordering[r + 1])]:
+            raise AssertionError("ordering violates desirability")
     return CompleteGame(game, ordering)
 
 

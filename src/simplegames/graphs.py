@@ -227,9 +227,11 @@ def mwis_bipartite(g: Graph, weights: Sequence) -> WeightedVertexSet:
         if not in_cover:
             chosen |= 1 << (v - 1)
     adj = _adj_masks(g)
-    assert all(adj[v] & chosen == 0 for v in range(n) if chosen >> v & 1)
+    if any(adj[v] & chosen for v in range(n) if chosen >> v & 1):
+        raise AssertionError("the complement of the min cut is not independent")
     weight = sum((w[v] for v in range(n) if chosen >> v & 1), _ZERO)
-    assert weight == sum(w, _ZERO) - flow_value, "Koenig duality check failed"
+    if weight != sum(w, _ZERO) - flow_value:
+        raise AssertionError("Koenig duality check failed")
     return WeightedVertexSet(Coalition(chosen), weight)
 
 
@@ -311,11 +313,11 @@ def alpha_graph(
     nv = n + 1
     rows: list[LPRow] = []
     for u, v in g.edges:
-        coeffs = [_ZERO] * nv
-        coeffs[u - 1] = _ONE
-        coeffs[v - 1] = _ONE
-        rows.append(LPRow(tuple(coeffs), GE, _ONE))
-    objective = tuple([_ZERO] * n + [_ONE])
+        coeffs = [0] * nv
+        coeffs[u - 1] = 1
+        coeffs[v - 1] = 1
+        rows.append(LPRow(tuple(coeffs), GE, 1))
+    objective = tuple([0] * n + [1])
     cuts: list[Coalition] = []
     for _ in range(max_rounds):
         sol = solve_lp(LinearProgram(nv, objective, tuple(rows)))
@@ -329,11 +331,11 @@ def alpha_graph(
         else:
             sep = mwis_exact(g, payoff, budget)
         if sep.weight > ahat:
-            cut = [_ZERO] * nv
+            cut = [0] * nv
             for i in sep.vertices.players():
-                cut[i - 1] = -_ONE
-            cut[n] = _ONE
-            rows.append(LPRow(tuple(cut), GE, _ZERO))
+                cut[i - 1] = -1
+            cut[n] = 1
+            rows.append(LPRow(tuple(cut), GE, 0))
             cuts.append(sep.vertices)
             continue
         value = lambda c: sum((payoff[i - 1] for i in c.players()), _ZERO)
@@ -512,17 +514,17 @@ def decide_alpha_at_most(
     nv = n + 1
     rows: list[LPRow] = []
     for u, v in g.edges:
-        coeffs = [_ZERO] * nv
-        coeffs[u - 1] = _ONE
-        coeffs[v - 1] = _ONE
-        rows.append(LPRow(tuple(coeffs), GE, _ONE))
+        coeffs = [0] * nv
+        coeffs[u - 1] = 1
+        coeffs[v - 1] = 1
+        rows.append(LPRow(tuple(coeffs), GE, 1))
     for m in mis:
-        coeffs = [_ZERO] * nv
+        coeffs = [0] * nv
         for i in m.players():
-            coeffs[i - 1] = -_ONE
-        coeffs[n] = _ONE
-        rows.append(LPRow(tuple(coeffs), GE, _ZERO))
-    objective = tuple([_ZERO] * n + [_ONE])
+            coeffs[i - 1] = -1
+        coeffs[n] = 1
+        rows.append(LPRow(tuple(coeffs), GE, 0))
+    objective = tuple([0] * n + [1])
     sol = solve_lp(LinearProgram(nv, objective, tuple(rows)))
     if sol.status != "optimal":
         raise AssertionError(f"decision LP should be optimal, got {sol.status}")

@@ -1,20 +1,25 @@
 """Exact rational linear programming.
 
 Two-phase primal simplex on a dense tableau of Python ints: each row, the
-objective row included, holds integer numerators over one positive,
-gcd-reduced denominator of its own, so a pivot costs integer multiplications
-and one gcd per updated row instead of a `fractions.Fraction` per entry.
-Inputs become integer rows once, on entry; `Fraction`s reappear only in the
-returned primal, dual and objective.  Pricing is Dantzig's rule, switched
-permanently to Bland's rule after a streak of degenerate pivots
+objective row included, holds integer numerators over one positive
+denominator of its own, so a pivot costs integer multiplications and one gcd
+per updated row instead of a `fractions.Fraction` per entry.  `solve_lp`
+turns the input into integer rows once, on entry: every row in `>=` form,
+right-hand side included, over one common denominator, and the objective
+over another.  The tableau rows start over that shared denominator and are
+gcd-reduced each time a pivot updates them.  `Fraction`s reappear only in
+the returned primal, dual and objective.  Pricing is Dantzig's rule,
+switched permanently to Bland's rule after a streak of degenerate pivots
 (guaranteeing termination).  Duals are read off the final basis through the
 artificial columns.
 
-Every optimal solve is verified in-solver, in `Fraction` arithmetic against
-the original rows: primal feasibility, dual feasibility, and exact equality
-of the primal and dual objectives.  When a model has many more constraints
-than variables it is solved through its transposed dual, which produces the
-same certified primal/dual pair at a fraction of the pivot cost.
+Every optimal solve is verified in-solver, in integers against the input
+rows: primal feasibility and signs, dual signs and feasibility, and exact
+equality of the primal and dual objectives.  When a model has many more
+constraints than variables it is solved through its transposed dual, built
+directly from the same integer rows, which produces the same primal/dual
+pair at a fraction of the pivot cost; the pair is certified against the
+input rows either way.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import Optional, Sequence, Union
 from .errors import BudgetExceededError
 
 Number = Union[int, float, str, Fraction]
+Rational = Union[int, Fraction]
 
 LE = "<="
 GE = ">="
@@ -36,7 +42,6 @@ MAX_PIVOTS = 200_000
 _BLAND_AFTER = 12  # consecutive degenerate pivots before switching rules
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def frac(x: Number) -> Fraction:
@@ -46,9 +51,9 @@ def frac(x: Number) -> Fraction:
 
 @dataclass(frozen=True)
 class LPRow:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rational, ...]
     relation: str
-    rhs: Fraction
+    rhs: Rational
 
     def __post_init__(self) -> None:
         if self.relation not in (LE, GE, EQ):
@@ -64,7 +69,7 @@ class LinearProgram:
     """
 
     num_vars: int
-    objective: tuple[Fraction, ...]
+    objective: tuple[Rational, ...]
     rows: tuple[LPRow, ...]
     sense: str = "min"
     lower: Optional[tuple[Fraction, ...]] = None
@@ -204,11 +209,9 @@ def _run_simplex(rows: list[list[int]], dens: list[int], basis: list[int], allow
 
 
 def _price_out(
-    rows: list[list[int]], dens: list[int], basis: list[int], cost: list[Union[int, Fraction]]
+    rows: list[list[int]], dens: list[int], basis: list[int], z: list[int], zden: int
 ) -> None:
-    """Append the objective row for `cost` reduced against the current basis."""
-    zden = math.lcm(*(v.denominator for v in cost))
-    z = [v.numerator * (zden // v.denominator) for v in cost]
+    """Append the objective row z/zden reduced against the current basis."""
     for i, bi in enumerate(basis):
         # basic columns are unit columns: this leaves z's other basic entries alone
         if z[bi]:
@@ -217,39 +220,43 @@ def _price_out(
     dens.append(zden)
 
 
+# an optimal pair (x, xden, y, yden): integer numerators over positive denominators
+_Solution = tuple[list[int], int, list[int], int]
+
+
 def _core_solve(
-    a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
-) -> tuple[str, Optional[list[Fraction]], Optional[list[Fraction]], Optional[Fraction]]:
+    a: list[list[int]], den: int, c: list[int], cden: int
+) -> tuple[str, Optional[_Solution]]:
     """min c.x  s.t.  a x >= b, x >= 0.
 
-    Returns (status, x, y, objective) with y >= 0, y^T a <= c and
-    y.b == c.x == objective when optimal (verified exactly).
+    Each row of `a` holds integer numerators over the positive `den`: the
+    coefficients, then the right-hand side b.  `c` holds numerators over
+    `cden`.  Returns the status and, when optimal, the basic solution x with
+    the dual y read off the final basis (y >= 0, y^T a <= c, y.b == c.x);
+    `_certify` checks them.
     """
     m = len(a)
     k = len(c)
-    ncols = k + 2 * m + 1  # x | surplus | artificial | rhs
+    pad = [0] * (2 * m)  # surplus | artificial
     rows: list[list[int]] = []
-    dens: list[int] = []
     sign: list[int] = []
-    for i in range(m):
-        s = 1 if b[i] >= 0 else -1
-        sign.append(s)
-        ai = a[i]
-        den = math.lcm(b[i].denominator, *(v.denominator for v in ai))
-        row = [s * v.numerator * (den // v.denominator) for v in ai]
-        row += [0] * (ncols - k)
+    for i, ai in enumerate(a):
+        s = 1 if ai[-1] >= 0 else -1
+        if s < 0:
+            ai = [-v for v in ai]
+        row = ai[:k] + pad + ai[k:]
         row[k + i] = -s * den
         row[k + m + i] = den
-        row[-1] = s * b[i].numerator * (den // b[i].denominator)
         rows.append(row)
-        dens.append(den)
+        sign.append(s)
+    dens = [den] * m
     basis = [k + m + i for i in range(m)]
 
     # phase 1: minimize the artificial total
-    _price_out(rows, dens, basis, [0] * (k + m) + [1] * m + [0])
+    _price_out(rows, dens, basis, [0] * (k + m) + [1] * m + [0], 1)
     _run_simplex(rows, dens, basis, k + m)
     if rows[-1][-1]:
-        return "infeasible", None, None, None
+        return "infeasible", None
     rows.pop()  # the phase-1 objective is spent; drive-out pivots skip it
     dens.pop()
 
@@ -263,54 +270,85 @@ def _core_solve(
                     break
 
     # phase 2
-    _price_out(rows, dens, basis, list(c) + [0] * (ncols - k))
+    _price_out(rows, dens, basis, c + [0] * (2 * m + 1), cden)
     status = _run_simplex(rows, dens, basis, k + m)
     if status == "unbounded":
-        return "unbounded", None, None, None
+        return "unbounded", None
 
-    x = [_ZERO] * k
+    xden = math.lcm(*(dens[i] for i, bi in enumerate(basis) if bi < k))
+    x = [0] * k
     for i, bi in enumerate(basis):
         if bi < k:
-            x[bi] = Fraction(rows[i][-1], dens[i])
+            x[bi] = rows[i][-1] * (xden // dens[i])
     z, zden = rows[-1], dens[-1]
-    y = [Fraction(-z[k + m + i] * sign[i], zden) for i in range(m)]
-    obj = Fraction(-z[-1], zden)
+    return "optimal", (x, xden, [-z[k + m + i] * sign[i] for i in range(m)], zden)
 
-    # exact certificate of optimality
-    for i in range(m):
-        lhs = sum(a[i][j] * x[j] for j in range(k) if a[i][j])
-        if lhs < b[i]:
+
+def _certify(
+    a: list[list[int]],
+    den: int,
+    c: list[int],
+    cden: int,
+    x: list[int],
+    xden: int,
+    y: list[int],
+    yden: int,
+) -> None:
+    """Raise unless x and y are optimal for min c.x, a x >= b, x >= 0 and its dual.
+
+    `a` and `c` are integer rows as `_core_solve` takes them; x holds
+    numerators over `xden` and y over `yden`, all denominators positive.
+    Each inequality is cleared of its denominators, so the check is exact in
+    integers.
+    """
+    k = len(c)
+    if len(x) != k or len(y) != len(a):
+        raise AssertionError("simplex returned a solution of the wrong shape")
+    if min(x, default=0) < 0:
+        raise AssertionError("simplex returned a negative primal")
+    xs = [(j, v) for j, v in enumerate(x) if v]
+    for row, yi in zip(a, y):
+        if sum(row[j] * v for j, v in xs) < row[-1] * xden:
             raise AssertionError("simplex returned a primal-infeasible point")
-        if y[i] < 0:
+        if yi < 0:
             raise AssertionError("simplex returned a negative dual")
-    for j in range(k):
-        red = c[j] - sum(y[i] * a[i][j] for i in range(m) if a[i][j])
-        if red < 0:
+    ys = [(row, yi) for row, yi in zip(a, y) if yi]
+    yta = [0] * k  # y^T a, over yden * den
+    for row, yi in ys:
+        yta = [t + yi * v for t, v in zip(yta, row)]
+    scale = den * yden
+    for cj, t in zip(c, yta):
+        if cj * scale < t * cden:
             raise AssertionError("simplex returned a dual-infeasible vector")
-    if sum(y[i] * b[i] for i in range(m)) != obj or sum(c[j] * x[j] for j in range(k)) != obj:
+    if sum(c[j] * v for j, v in xs) * scale != sum(row[-1] * yi for row, yi in ys) * cden * xden:
         raise AssertionError("strong duality failed (primal and dual objectives differ)")
-    return "optimal", x, y, obj
 
 
 def _solve_core_transposed(
-    a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
-) -> tuple[str, Optional[list[Fraction]], Optional[list[Fraction]], Optional[Fraction]]:
+    a: list[list[int]], den: int, c: list[int], cden: int
+) -> tuple[str, Optional[_Solution]]:
     """Solve min c.x, a x >= b, x >= 0 through its dual max b.y, a^T y <= c."""
-    m = len(a)
-    k = len(c)
-    at = [[-a[i][j] for i in range(m)] for j in range(k)]
-    bt = [-cj for cj in c]
-    ct = [-bi for bi in b]
-    status, yt, xt, objt = _core_solve(at, bt, ct)
+    t = math.lcm(den, cden)
+    sa, sc = t // den, t // cden
+    cols = list(zip(*a))  # the columns of the coefficients, then b
+    # row j of the dual's core: -(column j of a).y >= -c_j, all over t
+    at = [[-v * sa for v in col] + [-cj * sc] for col, cj in zip(cols, c)]
+    status, sol = _core_solve(at, t, [-v for v in cols[-1]], den)
     if status == "optimal":
-        assert yt is not None and xt is not None and objt is not None
+        assert sol is not None
         # the dual program's primal is our dual and vice versa
-        return "optimal", xt, yt, -objt
+        y, yden, x, xden = sol
+        return "optimal", (x, xden, y, yden)
     if status == "unbounded":
         # dual unbounded and feasible: the original program is infeasible
-        return "infeasible", None, None, None
+        return "infeasible", None
     # dual infeasible: original is unbounded or infeasible; caller retries directly
-    return "ambiguous", None, None, None
+    return "ambiguous", None
+
+
+def _numerators(values: Sequence[Rational], den: int) -> list[int]:
+    """Integer numerators of `values` over `den`, a common denominator of them."""
+    return [v.numerator * (den // v.denominator) for v in values]
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
@@ -323,52 +361,56 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     """
     k = lp.num_vars
     minimize = lp.sense == "min"
-    c = list(lp.objective) if minimize else [-v for v in lp.objective]
+    cden = math.lcm(*(v.denominator for v in lp.objective))
+    c = _numerators(lp.objective, cden)
+    if not minimize:
+        c = [-v for v in c]
 
-    rows: list[tuple[tuple[Fraction, ...], str, Fraction]] = [
+    rows: list[tuple[Sequence[Rational], str, Rational]] = [
         (r.coeffs, r.relation, r.rhs) for r in lp.rows
     ]
     n_user = len(rows)
     if lp.lower is not None:
         for j, lb in enumerate(lp.lower):
             if lb > 0:
-                unit = tuple(_ONE if t == j else _ZERO for t in range(k))
-                rows.append((unit, GE, lb))
+                rows.append((tuple(int(t == j) for t in range(k)), GE, lb))
     if lp.upper is not None:
         for j, ub in enumerate(lp.upper):
             if ub is not None:
-                unit = tuple(_ONE if t == j else _ZERO for t in range(k))
-                rows.append((unit, LE, ub))
+                rows.append((tuple(int(t == j) for t in range(k)), LE, ub))
 
-    # canonical core: all rows as >=, equalities split in two
-    a: list[list[Fraction]] = []
-    b: list[Fraction] = []
+    # canonical core: all rows as >=, equalities split in two, each row's
+    # numerators (right-hand side last) over one common denominator
+    den = math.lcm(*(v.denominator for coeffs, _, rhs in rows for v in (*coeffs, rhs)))
+    a: list[list[int]] = []
     origin: list[tuple[int, int]] = []  # (row index, +1/-1 orientation)
     for idx, (coeffs, rel, rhs) in enumerate(rows):
+        row = _numerators((*coeffs, rhs), den)
         if rel in (GE, EQ):
-            a.append(list(coeffs))
-            b.append(rhs)
+            a.append(row)
             origin.append((idx, 1))
         if rel in (LE, EQ):
-            a.append([-v for v in coeffs])
-            b.append(-rhs)
+            a.append([-v for v in row])
             origin.append((idx, -1))
 
-    status, x, ycore, obj = (
-        _solve_core_transposed(a, b, c) if len(a) > k else ("ambiguous", None, None, None)
-    )
+    status, sol = _solve_core_transposed(a, den, c, cden) if len(a) > k else ("ambiguous", None)
     if status == "ambiguous":
-        status, x, ycore, obj = _core_solve(a, b, c)
+        status, sol = _core_solve(a, den, c, cden)
 
     if status != "optimal":
         return LPSolution(status=status)
-    assert x is not None and ycore is not None and obj is not None
+    assert sol is not None
+    x, xden, y, yden = sol
+    # the certificate is checked against these rows whichever program was pivoted
+    _certify(a, den, c, cden, x, xden, y, yden)
+    obj = Fraction(sum(cj * v for cj, v in zip(c, x)), cden * xden)
 
-    duals = [_ZERO] * len(rows)
-    for (idx, orient), yv in zip(origin, ycore):
-        duals[idx] += yv if orient == 1 else -yv
+    folded = [0] * len(rows)
+    for (idx, orient), v in zip(origin, y):
+        folded[idx] += orient * v
+    duals = [Fraction(v, yden) if v else _ZERO for v in folded]
     # check the extended system's dual objective before dropping bound rows
-    if sum(d * r[2] for d, r in zip(duals, rows)) != obj:
+    if sum(d * r[2] for d, r in zip(duals, rows) if d) != obj:
         raise AssertionError("dual objective mismatch on the extended system")
 
     if not minimize:
@@ -376,7 +418,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         duals = [-d for d in duals]
     return LPSolution(
         status="optimal",
-        primal=tuple(x),
+        primal=tuple(Fraction(v, xden) if v else _ZERO for v in x),
         dual=tuple(duals[:n_user]),
         objective=obj,
     )
@@ -388,9 +430,11 @@ def in_convex_hull(
     """Exact convex-combination weights for `point` over `generators`, or None.
 
     Feasibility program: lambda >= 0, sum lambda = 1, sum lambda_i g_i = point.
+    Integer generator entries (the usual 0/1 vectors) stay ints, and the
+    weights are checked in integers over their common denominator.
     """
     p = [frac(v) for v in point]
-    gens = [[frac(v) for v in g] for g in generators]
+    gens = [[v if isinstance(v, int) else frac(v) for v in g] for g in generators]
     d = len(p)
     for g in gens:
         if len(g) != d:
@@ -398,19 +442,19 @@ def in_convex_hull(
     if not gens:
         return None
     m = len(gens)
-    rows: list[tuple[list[Fraction], str, Fraction]] = []
-    for t in range(d):
-        rows.append(([g[t] for g in gens], EQ, p[t]))
-    rows.append(([_ONE] * m, EQ, _ONE))
-    lp = make_lp([0] * m, rows, sense="min")
-    sol = solve_lp(lp)
+    rows = [LPRow(col, EQ, pt) for col, pt in zip(zip(*gens), p)]
+    rows.append(LPRow((1,) * m, EQ, 1))
+    sol = solve_lp(LinearProgram(m, (0,) * m, tuple(rows)))
     if sol.status != "optimal":
         return None
     lam = sol.primal
     assert lam is not None
-    if sum(lam) != 1 or any(v < 0 for v in lam):
+    wden = math.lcm(*(v.denominator for v in lam))
+    w = _numerators(lam, wden)
+    if sum(w) != wden or min(w) < 0:
         raise AssertionError("convex-hull weights are not a probability vector")
-    for t in range(d):
-        if sum(l * g[t] for l, g in zip(lam, gens)) != p[t]:
+    used = [(wi, g) for wi, g in zip(w, gens) if wi]
+    for t, pt in enumerate(p):
+        if sum(wi * g[t] for wi, g in used) * pt.denominator != pt.numerator * wden:
             raise AssertionError("convex-hull weights do not reproduce the point")
     return lam

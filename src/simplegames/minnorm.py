@@ -38,7 +38,6 @@ TIGHTNESS_BUDGET = 20  # tightness_check enumerates all 2^n coalitions
 PayoffVector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -76,8 +75,8 @@ def is_feasible(game: SimpleGame, payoff: Sequence) -> bool:
 
 def _min_over_q(game: SimpleGame, direction: Sequence[Fraction]) -> Fraction:
     """Exact value of min <direction, q> over Q."""
-    incidence = lambda mask: tuple(_ONE if mask >> j & 1 else _ZERO for j in range(game.n))
-    rows = tuple(LPRow(incidence(w.mask), GE, _ONE) for w in game.minimal_winning)
+    incidence = lambda mask: tuple(1 if mask >> j & 1 else 0 for j in range(game.n))
+    rows = tuple(LPRow(incidence(w.mask), GE, 1) for w in game.minimal_winning)
     sol = solve_lp(LinearProgram(game.n, tuple(direction), rows))
     if sol.status != "optimal":
         raise AssertionError(f"oracle LP should be optimal, got {sol.status}")

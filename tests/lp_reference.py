@@ -2,16 +2,17 @@
 
 Kept verbatim as the reference for the differential tests: the integer-row
 kernel in `simplegames.lp` must make the same pivots and so return equal
-solutions.  Patch `_core_solve` over `simplegames.lp._core_solve` to route
+solutions.  Patch `core_solve` over `simplegames.lp._core_solve` to route
 `solve_lp` (and through it every exact caller) through this kernel.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
-from simplegames.lp import _BLAND_AFTER, MAX_PIVOTS, _PivotLimit
+from simplegames.lp import _BLAND_AFTER, MAX_PIVOTS, _numerators, _PivotLimit
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -165,3 +166,25 @@ def _core_solve(
     if sum(y[i] * b[i] for i in range(m)) != obj or sum(c[j] * x[j] for j in range(k)) != obj:
         raise AssertionError("strong duality failed (primal and dual objectives differ)")
     return "optimal", x, y, obj
+
+
+def core_solve(
+    a: list[list[int]], den: int, c: list[int], cden: int
+) -> tuple[str, Optional[tuple[list[int], int, list[int], int]]]:
+    """`_core_solve` on the integer rows that `simplegames.lp` hands its kernel.
+
+    Rebuilds the `Fraction` rows (coefficients, then the right-hand side, over
+    `den`) and the objective (over `cden`), calls the reference kernel, and
+    returns its x and y as integer numerators over a common denominator each,
+    as `simplegames.lp._core_solve` does.
+    """
+    status, x, y, _ = _core_solve(
+        [[Fraction(v, den) for v in row[:-1]] for row in a],
+        [Fraction(row[-1], den) for row in a],
+        [Fraction(v, cden) for v in c],
+    )
+    if status != "optimal":
+        return status, None
+    xden = math.lcm(*(v.denominator for v in x))
+    yden = math.lcm(*(v.denominator for v in y))
+    return status, (_numerators(x, xden), xden, _numerators(y, yden), yden)

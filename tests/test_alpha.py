@@ -19,6 +19,7 @@ from simplegames import (
     verify_conjecture_corpus,
 )
 from simplegames.minnorm import is_feasible
+from test_lp import run_optimized
 
 MAJ3 = new_game(3, [[1, 2], [1, 3], [2, 3]])
 DICT3 = new_game(3, [[1]])
@@ -67,6 +68,28 @@ class TestComputeAlpha:
         payload = compute_alpha_exact(cycle_game(8)).to_json_dict()
         assert payload["alpha"] == "2/1"
         assert json.loads(json.dumps(payload)) == payload
+
+    @pytest.mark.parametrize(
+        "payoff, alpha, message",
+        [
+            ("(0, 0, 0, 0)", "0", "the payoff gives some minimal winning coalition less than 1"),
+            ("(1, 1, 1, 1)", "1", "the payoff gives some maximal losing coalition more than alpha"),
+            ("(1, 1, 1, 1)", "3", "the optimum must be attained by some maximal losing coalition"),
+        ],
+    )
+    def test_certificate_checks_survive_optimize(self, payoff, alpha, message):
+        # a solver returning a wrong optimum must be caught even under python -O
+        script = f"""
+from fractions import Fraction as F
+from simplegames import alpha, cycle_game, lp
+assert False, "python -O should have stripped this assert"
+payoff = tuple(F(v) for v in {payoff})
+alpha.solve_lp = lambda model: lp.LPSolution("optimal", payoff + (F({alpha}),), (), F({alpha}))
+alpha.compute_alpha_exact(cycle_game(4))
+"""
+        proc = run_optimized(script)
+        assert proc.returncode == 1
+        assert f"AssertionError: {message}" in proc.stderr
 
 
 class TestAlphaOfPayoff:

@@ -9,9 +9,22 @@ from pathlib import Path
 
 import pytest
 
+from simplegames import lp
 from simplegames.lp import EQ, GE, LE, in_convex_hull, make_lp, solve_lp
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_optimized(script):
+    """Run `script` under python -O with the package importable."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
 
 
 def test_min_x_geq_3():
@@ -110,6 +123,79 @@ def test_duals_certify_strong_duality():
                 assert d <= 0
 
 
+class TestCertificate:
+    """The in-solver check on hand-made solutions of min x1 + x2, x1 + 2 x2 >= 2.
+
+    The row is given as (2, 4 | 4) over 2 and the objective as (3, 3) over 3;
+    the optimum is x = (0, 1) with dual 1/2 and objective 1.
+    """
+
+    ROW = ([[2, 4, 4]], 2, [3, 3], 3)
+    # min x1 + x2, x1 - x2 >= 1, x1 >= -5: the optimum over x >= 0 is 1
+    SIGNLESS = ([[1, -1, 1], [1, 0, -5]], 1, [1, 1], 1)
+
+    def test_optimal_pair_passes(self):
+        lp._certify(*self.ROW, [0, 1], 1, [1], 2)
+
+    @pytest.mark.parametrize(
+        "rows, x, xden, y, yden, message",
+        [
+            (ROW, [0, 1], 2, [1], 2, "simplex returned a primal-infeasible point"),
+            # every sum of the check holds for these two, objective 3 and -5
+            (ROW, [-1, 2], 1, [1], 2, "simplex returned a negative primal"),
+            (SIGNLESS, [-2, -3], 1, [0, 1], 1, "simplex returned a negative primal"),
+            (ROW, [0, 1], 1, [-1], 2, "simplex returned a negative dual"),
+            (ROW, [0, 1], 1, [3], 2, "simplex returned a dual-infeasible vector"),
+            (ROW, [2, 0], 1, [1], 2, "strong duality failed"),  # x feasible, not optimal
+            (ROW, [0, 1], 1, [1], 4, "strong duality failed"),  # y feasible, not optimal
+            (ROW, [0, 1, 0], 1, [1], 2, "simplex returned a solution of the wrong shape"),
+            (ROW, [0, 1], 1, [], 2, "simplex returned a solution of the wrong shape"),
+            (ROW, [0, 1], 1, [1, 0], 2, "simplex returned a solution of the wrong shape"),
+        ],
+    )
+    def test_each_failure_raises(self, rows, x, xden, y, yden, message):
+        with pytest.raises(AssertionError, match=message):
+            lp._certify(*rows, x, xden, y, yden)
+
+    def test_transposed_negative_primal_is_caught(self, monkeypatch):
+        # three rows over two variables go through the dual; its reduced costs
+        # give x, so only the certificate's sign check keeps x >= 0
+        wrong = ("optimal", ([-2, -3], 1, [0, 1, 0], 1))
+        monkeypatch.setattr(lp, "_solve_core_transposed", lambda a, den, c, cden: wrong)
+        model = make_lp([1, 1], [([1, -1], GE, 1), ([1, 0], GE, -5), ([1, 1], GE, -10)])
+        with pytest.raises(AssertionError, match="simplex returned a negative primal"):
+            solve_lp(model)
+
+    def test_transposed_solve_is_certified_on_the_input_rows(self, monkeypatch):
+        # min x1/2 + x2/3 over three rows goes through its dual; a transposition
+        # that dropped the objective's denominator would return this pair
+        wrong = ("optimal", ([1, 1], 1, [3, 2, 0], 1))
+        monkeypatch.setattr(lp, "_solve_core_transposed", lambda a, den, c, cden: wrong)
+        model = make_lp([F(1, 2), F(1, 3)], [([1, 0], GE, 1), ([0, 1], GE, 1), ([1, 1], GE, 1)])
+        with pytest.raises(AssertionError, match="simplex returned a dual-infeasible vector"):
+            solve_lp(model)
+
+    def test_extended_system_dual_mismatch_raises(self, monkeypatch):
+        # with the certificate off, a dual that disagrees with the objective
+        # on the input rows is still caught
+        wrong = ("optimal", ([0, 1], 1, [3], 2))
+        monkeypatch.setattr(lp, "_certify", lambda *args: None)
+        monkeypatch.setattr(lp, "_core_solve", lambda a, den, c, cden: wrong)
+        with pytest.raises(AssertionError, match="dual objective mismatch on the extended system"):
+            solve_lp(make_lp([1, 1], [([1, 2], GE, 2)]))
+
+    def test_certificate_survives_optimize(self):
+        proc = run_optimized(
+            f"""
+from simplegames import lp
+assert False, "python -O should have stripped this assert"
+lp._certify(*{self.ROW!r}, [0, 1], 1, [3], 2)
+"""
+        )
+        assert proc.returncode == 1
+        assert "AssertionError: simplex returned a dual-infeasible vector" in proc.stderr
+
+
 class TestFloatCrossCheck:
     """Independent floating-point re-solve of random feasible bounded models."""
 
@@ -183,13 +269,6 @@ assert False, "python -O should have stripped this assert"
 lp.solve_lp = lambda model: lp.LPSolution("optimal", {weights}, (), F(0))
 lp.in_convex_hull([F(1, 2), F(1, 2)], [(1, 0), (0, 1)])
 """
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = run_optimized(script)
         assert proc.returncode == 1
         assert f"AssertionError: convex-hull weights {message}" in proc.stderr

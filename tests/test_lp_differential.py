@@ -13,15 +13,20 @@ import pytest
 import lp_reference
 from simplegames import lp
 from simplegames.alpha import compute_alpha_exact
-from simplegames.games import random_game
-from simplegames.graphs import alpha_graph, random_bipartite_graph, random_graph
+from simplegames.games import cycle_game, random_game
+from simplegames.graphs import (
+    alpha_graph,
+    decide_alpha_at_most,
+    random_bipartite_graph,
+    random_graph,
+)
 from simplegames.lp import EQ, GE, LE, make_lp, solve_lp
-from simplegames.minnorm import min_norm_point
+from simplegames.minnorm import min_norm_point, tightness_check
 
 
 def solve_reference(model, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(lp, "_core_solve", lp_reference._core_solve)
+        patch.setattr(lp, "_core_solve", lp_reference.core_solve)
         return solve_lp(model)
 
 
@@ -177,15 +182,22 @@ def test_exact_callers_match_reference(monkeypatch):
     graphs = [random_graph(6 + seed % 3, 9 + seed % 4, seed) for seed in range(12)]
     graphs += [random_bipartite_graph(8, 10, seed) for seed in range(12)]
 
+    hulls = [cycle_game(4), cycle_game(6)] + games[:8]
+
     def answers():
         return (
             [compute_alpha_exact(g) for g in games],
             [min_norm_point(g) for g in games[::3]],
             [alpha_graph(g) for g in graphs],
+            [decide_alpha_at_most(g, F(3, 2)) for g in graphs],
+            [tightness_check(g) for g in hulls],
         )
 
     new = answers()
     with monkeypatch.context() as patch:
-        patch.setattr(lp, "_core_solve", lp_reference._core_solve)
+        patch.setattr(lp, "_core_solve", lp_reference.core_solve)
         old = answers()
     assert new == old
+    # the decisions solve their threshold LP, through the transposed dual
+    assert all(d.branch == "enumeration" for d in new[3])
+    assert any(tight for tight, _ in new[4])  # some hull LPs are feasible
