@@ -5,6 +5,12 @@ winning coalition at least 1.  It is computed by a single exact LP whose
 variables are the payoff entries plus the threshold itself; only minimal
 winning and maximal losing coalitions appear, the rest being redundant by
 monotonicity.  A game is a weighted voting game exactly when alpha < 1.
+
+The threshold LP is written once, in three functions: `threshold_rows`
+builds its rows from winning and losing coalitions, `solve_threshold_lp`
+solves it exactly, and `certify_alpha` checks the optimal payoff against the
+same coalitions.  The graphic-game routines in `graphs` reuse all three, with
+the edges as winning coalitions and independent sets as losing ones.
 """
 
 from __future__ import annotations
@@ -15,12 +21,9 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, UndefinedRatioError
 from .games import Coalition, SimpleGame, maximal_losing, random_game
-from .lp import GE, LPRow, LinearProgram, frac, solve_lp
-
-Number = object  # ints, floats, strings, Fractions; converted via frac()
+from .lp import GE, LPRow, LinearProgram, frac, rat, solve_lp
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -34,50 +37,74 @@ class AlphaCertificate:
 
     def to_json_dict(self) -> dict:
         return {
-            "alpha": f"{self.alpha.numerator}/{self.alpha.denominator}",
-            "payoff": [f"{v.numerator}/{v.denominator}" for v in self.payoff],
+            "alpha": rat(self.alpha),
+            "payoff": [rat(v) for v in self.payoff],
             "tight_losing": [list(c.players()) for c in self.tight_losing],
             "binding_winning": [list(c.players()) for c in self.binding_winning],
         }
 
 
-def _coalition_value(payoff: Sequence[Fraction], c: Coalition) -> Fraction:
+def coalition_value(payoff: Sequence[Fraction], c: Coalition) -> Fraction:
+    """The total payoff of the coalition's players."""
     return sum((payoff[i - 1] for i in c.players()), _ZERO)
+
+
+def threshold_rows(
+    n: int, winning: Iterable[Coalition], losing: Iterable[Coalition]
+) -> list[LPRow]:
+    """Rows p(W) >= 1 per winning and t - p(L) >= 0 per losing coalition.
+
+    The columns are the payoff entries p_1..p_n and the threshold t."""
+    rows = []
+    for w in winning:
+        coeffs = [0] * (n + 1)
+        for i in w.players():
+            coeffs[i - 1] = 1
+        rows.append(LPRow(tuple(coeffs), GE, 1))
+    for l in losing:
+        coeffs = [0] * n + [1]
+        for i in l.players():
+            coeffs[i - 1] = -1
+        rows.append(LPRow(tuple(coeffs), GE, 0))
+    return rows
+
+
+def solve_threshold_lp(n: int, rows: Sequence[LPRow]) -> tuple[tuple[Fraction, ...], Fraction]:
+    """The optimal payoff and threshold of min t over `rows`, exactly."""
+    sol = solve_lp(LinearProgram(n + 1, (0,) * n + (1,), tuple(rows)))
+    if sol.status != "optimal":
+        raise AssertionError(f"threshold LP should be feasible and bounded, got {sol.status}")
+    return sol.primal[:n], sol.objective
+
+
+def certify_alpha(
+    payoff: tuple[Fraction, ...],
+    alpha: Fraction,
+    winning: Iterable[Coalition],
+    losing: Iterable[Coalition],
+) -> AlphaCertificate:
+    """Check an optimal threshold-LP solution and collect its witnesses.
+
+    Raises unless every winning coalition gets at least 1, no losing one gets
+    more than alpha, and some losing one attains alpha."""
+    won = [(w, coalition_value(payoff, w)) for w in winning]
+    lost = [(l, coalition_value(payoff, l)) for l in losing]
+    if any(v < 1 for _, v in won):
+        raise AssertionError("the payoff gives some minimal winning coalition less than 1")
+    if any(v > alpha for _, v in lost):
+        raise AssertionError("the payoff gives some maximal losing coalition more than alpha")
+    tight = tuple(l for l, v in lost if v == alpha)
+    if not tight:
+        raise AssertionError("the optimum must be attained by some maximal losing coalition")
+    binding = tuple(w for w, v in won if v == 1)
+    return AlphaCertificate(alpha, payoff, tight, binding)
 
 
 def compute_alpha_exact(game: SimpleGame, budget: Optional[int] = None) -> AlphaCertificate:
     """Solve the threshold LP exactly and return alpha with witnesses."""
     losing = maximal_losing(game, budget)
-    n = game.n
-    nv = n + 1  # payoff entries plus the threshold variable
-    rows = []
-    for w in game.minimal_winning:
-        coeffs = [0] * nv
-        for i in w.players():
-            coeffs[i - 1] = 1
-        rows.append(LPRow(tuple(coeffs), GE, 1))
-    for l in losing:
-        coeffs = [0] * nv
-        for i in l.players():
-            coeffs[i - 1] = -1
-        coeffs[n] = 1
-        rows.append(LPRow(tuple(coeffs), GE, 0))
-    objective = tuple([0] * n + [1])
-    sol = solve_lp(LinearProgram(nv, objective, tuple(rows)))
-    if sol.status != "optimal":
-        raise AssertionError(f"threshold LP should be feasible and bounded, got {sol.status}")
-    assert sol.primal is not None and sol.objective is not None
-    payoff = sol.primal[:n]
-    alpha = sol.objective
-    tight = tuple(l for l in losing if _coalition_value(payoff, l) == alpha)
-    binding = tuple(w for w in game.minimal_winning if _coalition_value(payoff, w) == _ONE)
-    if any(_coalition_value(payoff, w) < 1 for w in game.minimal_winning):
-        raise AssertionError("the payoff gives some minimal winning coalition less than 1")
-    if any(_coalition_value(payoff, l) > alpha for l in losing):
-        raise AssertionError("the payoff gives some maximal losing coalition more than alpha")
-    if not tight:
-        raise AssertionError("the optimum must be attained by some maximal losing coalition")
-    return AlphaCertificate(alpha, payoff, tight, binding)
+    payoff, alpha = solve_threshold_lp(game.n, threshold_rows(game.n, game.minimal_winning, losing))
+    return certify_alpha(payoff, alpha, game.minimal_winning, losing)
 
 
 def alpha_of_payoff(
@@ -91,10 +118,10 @@ def alpha_of_payoff(
         raise ValueError("payoff entries must be nonnegative")
     if all(v == 0 for v in p):
         raise ValueError("payoff must not be identically zero")
-    den = min(_coalition_value(p, w) for w in game.minimal_winning)
+    den = min(coalition_value(p, w) for w in game.minimal_winning)
     if den == 0:
         raise UndefinedRatioError("some winning coalition has payoff 0; the ratio is undefined")
-    num = max(_coalition_value(p, l) for l in maximal_losing(game, budget))
+    num = max(coalition_value(p, l) for l in maximal_losing(game, budget))
     return num / den
 
 
@@ -124,13 +151,13 @@ class ConjectureReport:
             "entries": [
                 {
                     "seed": e.seed,
-                    "alpha": f"{e.alpha.numerator}/{e.alpha.denominator}",
-                    "bound": f"{e.bound.numerator}/{e.bound.denominator}",
-                    "ratio": f"{e.ratio.numerator}/{e.ratio.denominator}",
+                    "alpha": rat(e.alpha),
+                    "bound": rat(e.bound),
+                    "ratio": rat(e.ratio),
                 }
                 for e in self.entries
             ],
-            "max_ratio": f"{self.max_ratio.numerator}/{self.max_ratio.denominator}",
+            "max_ratio": rat(self.max_ratio),
             "all_within_bound": self.all_within_bound,
         }
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -21,16 +20,12 @@ from . import minnorm as minnorm_mod
 from .errors import BudgetExceededError
 from .games import SimpleGame, cycle_game, game_from_json, game_to_json_dict, random_game
 from .graphs import Graph, graph_from_source, graph_to_json_dict
-from .lp import frac
+from .lp import frac, rat
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
-
-
-def _rat(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
 
 
 def _load_game(source: str, seed: int) -> SimpleGame:
@@ -97,11 +92,11 @@ def _cmd_tightness(args) -> int:
     if tight and hulls is not None:
         lam_w, lam_l = hulls
         payload["winning_hull"] = [
-            [list(c.players()), _rat(w)]
+            [list(c.players()), rat(w)]
             for c, w in minnorm_mod.coalition_weights_nonzero(game, lam_w, losing=False)
         ]
         payload["losing_hull"] = [
-            [list(c.players()), _rat(w)]
+            [list(c.players()), rat(w)]
             for c, w in minnorm_mod.coalition_weights_nonzero(game, lam_l, losing=True)
         ]
     _emit(payload, args.format)

@@ -18,14 +18,14 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Optional
 
-from .alpha import compute_alpha_exact
+from .alpha import coalition_value, compute_alpha_exact
 from .errors import BudgetExceededError
-from .games import Coalition, SimpleGame, _absent_tables, _winning_table, maximal_losing, new_game
+from .games import Coalition, SimpleGame, absent_tables, maximal_losing, new_game, winning_table
+from .lp import rat
 
 DESIRABILITY_BUDGET = 20
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _check_budget(game: SimpleGame, budget: Optional[int]) -> None:
@@ -43,8 +43,8 @@ def desirability_ge(game: SimpleGame, i: int, j: int, budget: Optional[int] = No
     n = game.n
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"players must be distinct and in 1..{n}, got {i}, {j}")
-    w = _winning_table(game)
-    absent = _absent_tables(n)
+    w = winning_table(game)
+    absent = absent_tables(n)
     di, dj = 1 << (i - 1), 1 << (j - 1)
     scope = absent[i - 1] & absent[j - 1]
     bad = (w >> dj) & ~(w >> di) & scope
@@ -96,7 +96,7 @@ def suffix_sizes(cg: CompleteGame) -> tuple[int, tuple[int, ...]]:
     game = cg.game
     n = game.n
     size = 1 << n
-    table = _winning_table(game).to_bytes((size + 7) // 8, "little")
+    table = winning_table(game).to_bytes((size + 7) // 8, "little")
     pos = {p: r for r, p in enumerate(cg.ordering, start=1)}
 
     suffix_mask = 0
@@ -160,7 +160,6 @@ class CsgPayoffReport:
     ratio_within_bound: bool
 
     def to_json_dict(self) -> dict:
-        rat = lambda v: f"{v.numerator}/{v.denominator}"
         return {
             "k": self.k,
             "s": list(self.s),
@@ -192,10 +191,9 @@ def csg_payoff(cg: CompleteGame) -> CsgPayoffReport:
         payoff[player - 1] = Fraction(1, s[min(r, k) - 1])
     pk = Fraction(1, s[k - 1])
 
-    value = lambda c: sum((payoff[i - 1] for i in c.players()), _ZERO)
-    min_winning = min(value(w) for w in game.minimal_winning)
+    min_winning = min(coalition_value(payoff, w) for w in game.minimal_winning)
     losing = maximal_losing(game)
-    max_losing = max(value(l) for l in losing) if losing else _ZERO
+    max_losing = max(coalition_value(payoff, l) for l in losing) if losing else _ZERO
 
     g_bound = greedy_losing_bound(s)
     cap = g_bound + (n - k) * pk
@@ -203,7 +201,7 @@ def csg_payoff(cg: CompleteGame) -> CsgPayoffReport:
     prefix_ok = True
     cap_ok = True
     for l in losing:
-        total = value(l)
+        total = coalition_value(payoff, l)
         prefix_part = sum(
             (payoff[i - 1] for i in l.players() if i in prefix_players), _ZERO
         )
@@ -300,7 +298,6 @@ class CsgCorpusReport:
     all_ratio_within_bound: bool
 
     def to_json_dict(self) -> dict:
-        rat = lambda v: f"{v.numerator}/{v.denominator}"
         return {
             "n": self.n,
             "bound": self.bound,

@@ -171,7 +171,7 @@ def is_winning(game: SimpleGame, s: CoalitionLike) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _absent_tables(n: int) -> tuple[int, ...]:
+def absent_tables(n: int) -> tuple[int, ...]:
     """For each player i, the table flagging every coalition that omits i."""
     size = 1 << n
     out = []
@@ -187,8 +187,9 @@ def _absent_tables(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=256)
-def _winning_table(game: SimpleGame) -> int:
-    absent = _absent_tables(game.n)
+def winning_table(game: SimpleGame) -> int:
+    """The table flagging every winning coalition (the monotone closure)."""
+    absent = absent_tables(game.n)
     w = 0
     for c in game.minimal_winning:
         w |= 1 << c.mask
@@ -221,8 +222,8 @@ def maximal_losing(game: SimpleGame, budget: int | None = None) -> list[Coalitio
     n = game.n
     size = 1 << n
     full_table = (1 << size) - 1
-    absent = _absent_tables(n)
-    w = _winning_table(game)
+    absent = absent_tables(n)
+    w = winning_table(game)
     m = full_table ^ w  # losing
     for i in range(1, n + 1):
         d = 1 << (i - 1)
@@ -243,7 +244,7 @@ def blocker(game: SimpleGame, budget: int | None = None) -> list[Coalition]:
     n = game.n
     size = 1 << n
     full_table = (1 << size) - 1
-    absent = _absent_tables(n)
+    absent = absent_tables(n)
     cover = full_table
     for wc in game.minimal_winning:
         avoid = full_table
@@ -269,7 +270,7 @@ class GameStats:
 
 def game_stats(game: SimpleGame, budget: int | None = None) -> GameStats:
     _check_enum_budget(game, budget)
-    w = _winning_table(game).bit_count()
+    w = winning_table(game).bit_count()
     return GameStats(
         winning=w,
         losing=(1 << game.n) - w,

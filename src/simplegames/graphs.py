@@ -7,6 +7,7 @@ graphs, branch and bound with a greedy clique-cover bound otherwise.  The
 module also builds the two-copy gadget whose threshold is half the
 independence number, searches for induced disjoint-edge families, enumerates
 maximal independent sets, and decides "alpha <= a" for a fixed bound a.
+Both threshold computations build, solve and certify the LP of `alpha`.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .alpha import AlphaCertificate
+from .alpha import AlphaCertificate, certify_alpha, solve_threshold_lp, threshold_rows
 from .errors import BudgetExceededError
 from .games import Coalition, SimpleGame, new_game
-from .lp import GE, LPRow, LinearProgram, frac, solve_lp
+from .lp import frac, rat
+from .lp import solve_lp  # unused here, but bench/test_bench.py reads graphs.solve_lp
 
 MWIS_EXACT_BUDGET = 40
 KP2_BUDGET = 5
@@ -297,7 +299,8 @@ def alpha_graph(
 
     Start from the edge constraints and minimize the threshold; repeatedly ask
     the MWIS oracle for the worst independent set under the current payoff and
-    add its constraint while it is violated.  Everything is exact, so the
+    add its constraint while it is violated.  Everything is exact, and the
+    final payoff is certified against the edges and every oracle set, so the
     returned alpha is the true rational optimum.
     """
     if not g.edges:
@@ -310,42 +313,22 @@ def alpha_graph(
                 f"non-bipartite separation is capped at n <= {cap}, got {g.n}"
             )
     n = g.n
-    nv = n + 1
-    rows: list[LPRow] = []
-    for u, v in g.edges:
-        coeffs = [0] * nv
-        coeffs[u - 1] = 1
-        coeffs[v - 1] = 1
-        rows.append(LPRow(tuple(coeffs), GE, 1))
-    objective = tuple([0] * n + [1])
+    edges = [Coalition.of(u, v) for u, v in g.edges]
+    rows = threshold_rows(n, edges, ())
     cuts: list[Coalition] = []
     for _ in range(max_rounds):
-        sol = solve_lp(LinearProgram(nv, objective, tuple(rows)))
-        if sol.status != "optimal":
-            raise AssertionError(f"cutting-plane LP should stay optimal, got {sol.status}")
-        assert sol.primal is not None and sol.objective is not None
-        payoff = sol.primal[:n]
-        ahat = sol.objective
+        payoff, ahat = solve_threshold_lp(n, rows)
         if color is not None:
             sep = mwis_bipartite(g, payoff)
         else:
             sep = mwis_exact(g, payoff, budget)
         if sep.weight > ahat:
-            cut = [0] * nv
-            for i in sep.vertices.players():
-                cut[i - 1] = -1
-            cut[n] = 1
-            rows.append(LPRow(tuple(cut), GE, 0))
+            rows += threshold_rows(n, (), [sep.vertices])
             cuts.append(sep.vertices)
             continue
-        value = lambda c: sum((payoff[i - 1] for i in c.players()), _ZERO)
-        tight = {c for c in cuts if value(c) == ahat}
-        tight.add(sep.vertices)  # the final optimum attains the maximum
-        tight = tuple(sorted(tight, key=lambda c: c.players()))
-        binding = tuple(
-            Coalition.of(u, v) for u, v in g.edges if payoff[u - 1] + payoff[v - 1] == 1
-        )
-        return AlphaCertificate(ahat, payoff, tight, binding)
+        # the final oracle set attains the maximum; certify_alpha checks it
+        losing = sorted(set(cuts) | {sep.vertices}, key=Coalition.players)
+        return certify_alpha(payoff, ahat, edges, losing)
     raise BudgetExceededError(f"cutting-plane loop exceeded {max_rounds} rounds")
 
 
@@ -460,11 +443,7 @@ class AlphaDecision:
             "independent_set": (
                 None if self.forced_set is None else list(self.forced_set.players())
             ),
-            "alpha": (
-                None
-                if self.alpha is None
-                else f"{self.alpha.numerator}/{self.alpha.denominator}"
-            ),
+            "alpha": None if self.alpha is None else rat(self.alpha),
         }
 
 
@@ -510,26 +489,9 @@ def decide_alpha_at_most(
             forced_set=canonical,
         )
     mis = list(enumerate_mis(g, mis_limit))
-    n = g.n
-    nv = n + 1
-    rows: list[LPRow] = []
-    for u, v in g.edges:
-        coeffs = [0] * nv
-        coeffs[u - 1] = 1
-        coeffs[v - 1] = 1
-        rows.append(LPRow(tuple(coeffs), GE, 1))
-    for m in mis:
-        coeffs = [0] * nv
-        for i in m.players():
-            coeffs[i - 1] = -1
-        coeffs[n] = 1
-        rows.append(LPRow(tuple(coeffs), GE, 0))
-    objective = tuple([0] * n + [1])
-    sol = solve_lp(LinearProgram(nv, objective, tuple(rows)))
-    if sol.status != "optimal":
-        raise AssertionError(f"decision LP should be optimal, got {sol.status}")
-    assert sol.objective is not None
-    return AlphaDecision(answer=sol.objective <= a, branch="enumeration", alpha=sol.objective)
+    edges = [Coalition.of(u, v) for u, v in g.edges]
+    _, alpha = solve_threshold_lp(g.n, threshold_rows(g.n, edges, mis))
+    return AlphaDecision(answer=alpha <= a, branch="enumeration", alpha=alpha)
 
 
 # --- serialization ---------------------------------------------------------

@@ -49,6 +49,11 @@ def frac(x: Number) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def rat(v: Fraction) -> str:
+    """The exact "p/q" string that every JSON output writes for a rational."""
+    return f"{v.numerator}/{v.denominator}"
+
+
 @dataclass(frozen=True)
 class LPRow:
     coeffs: tuple[Rational, ...]

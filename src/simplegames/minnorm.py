@@ -26,8 +26,9 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .errors import BudgetExceededError
-from .games import Coalition, SimpleGame, _winning_table
-from .lp import GE, LPRow, LinearProgram, frac, in_convex_hull, solve_lp
+from .alpha import coalition_value
+from .games import Coalition, SimpleGame, winning_table
+from .lp import GE, LPRow, LinearProgram, frac, in_convex_hull, rat, solve_lp
 
 DEFAULT_TOLERANCE = 1e-6
 MAX_ITERATIONS = 100_000
@@ -50,7 +51,6 @@ class MinNormCertificate:
     gap_history: tuple[Fraction, ...] = ()  # the one certified gap, (0,) at p*
 
     def to_json_dict(self) -> dict:
-        rat = lambda v: f"{v.numerator}/{v.denominator}"
         return {
             "point": [rat(v) for v in self.point],
             "squared_norm": rat(self.squared_norm),
@@ -67,10 +67,7 @@ def is_feasible(game: SimpleGame, payoff: Sequence) -> bool:
         raise ValueError(f"payoff has {len(p)} entries for a {game.n}-player game")
     if any(v < 0 for v in p):
         return False
-    for w in game.minimal_winning:
-        if sum((p[i - 1] for i in w.players()), _ZERO) < 1:
-            return False
-    return True
+    return all(coalition_value(p, w) >= 1 for w in game.minimal_winning)
 
 
 def _min_over_q(game: SimpleGame, direction: Sequence[Fraction]) -> Fraction:
@@ -231,7 +228,7 @@ def strengthened_bound(game: SimpleGame, payoff: Sequence) -> Fraction:
 def _all_coalitions_by_class(game: SimpleGame) -> tuple[list[int], list[int]]:
     """Masks of every winning and every losing coalition, via the subset table."""
     size = 1 << game.n
-    table = _winning_table(game).to_bytes((size + 7) // 8, "little")
+    table = winning_table(game).to_bytes((size + 7) // 8, "little")
     winning, losing = [], []
     for s in range(size):
         if table[s >> 3] >> (s & 7) & 1:

@@ -24,7 +24,9 @@ from simplegames import (
     mwis_bipartite,
     mwis_exact,
 )
+from simplegames import graphs
 from simplegames.graphs import (
+    WeightedVertexSet,
     bipartition,
     graph_from_dimacs,
     kp2_endpoint_set,
@@ -32,6 +34,7 @@ from simplegames.graphs import (
     random_bipartite_graph,
     random_graph,
 )
+from test_lp import run_optimized
 
 C4 = cycle_graph(4)
 C5 = cycle_graph(5)
@@ -177,6 +180,32 @@ class TestAlphaGraph:
         assert all(value(c) == cert.alpha for c in cert.tight_losing)
         assert cert.tight_losing
 
+    def test_lying_oracle_is_caught(self, monkeypatch):
+        # the true MWIS reported with weight 0 ends the loop at alpha = 0,
+        # which the certificate's losing bound must refuse
+        honest = graphs.mwis_bipartite
+        monkeypatch.setattr(
+            graphs, "mwis_bipartite", lambda g, w: WeightedVertexSet(honest(g, w).vertices, F(0))
+        )
+        with pytest.raises(AssertionError, match="losing coalition more than alpha"):
+            alpha_graph(C4)
+
+    def test_lying_oracle_is_caught_optimized(self):
+        script = """
+from fractions import Fraction as F
+from simplegames import graphs
+assert False, "python -O should have stripped this assert"
+honest = graphs.mwis_bipartite
+graphs.mwis_bipartite = lambda g, w: graphs.WeightedVertexSet(honest(g, w).vertices, F(0))
+graphs.alpha_graph(graphs.cycle_graph(4))
+"""
+        proc = run_optimized(script)
+        assert proc.returncode == 1
+        assert (
+            "AssertionError: the payoff gives some maximal losing coalition more than alpha"
+            in proc.stderr
+        )
+
 
 class TestGadget:
     def test_c5_counts(self):
@@ -300,7 +329,10 @@ class TestDecide:
         g = random_graph(n, rng.randint(1, n * (n - 1) // 2), seed)
         alpha = compute_alpha_exact(graphic_game(g)).alpha
         for a in (F(1, 2), F(1), F(3, 2), F(2)):
-            assert decide_alpha_at_most(g, a).answer == (alpha <= a)
+            d = decide_alpha_at_most(g, a)
+            assert d.answer == (alpha <= a)
+            if d.branch == "enumeration":
+                assert d.alpha == alpha
 
     @pytest.mark.parametrize("seed", range(10))
     def test_kp2_branch_forces_value(self, seed):
