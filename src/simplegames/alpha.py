@@ -10,7 +10,9 @@ The threshold LP is written once, in three functions: `threshold_rows`
 builds its rows from winning and losing coalitions, `solve_threshold_lp`
 solves it exactly, and `certify_alpha` checks the optimal payoff against the
 same coalitions.  The graphic-game routines in `graphs` reuse all three, with
-the edges as winning coalitions and independent sets as losing ones.
+the edges as winning coalitions and independent sets as losing ones.  A
+cutting-plane loop, which adds losing rows one at a time, keeps the same LP
+warm in a `ThresholdLP` instead of solving it again from scratch.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, UndefinedRatioError
 from .games import Coalition, SimpleGame, maximal_losing, random_game
-from .lp import GE, LPRow, LinearProgram, frac, rat, solve_lp
+from .lp import GE, LPRow, LinearProgram, _certify, _Tableau, frac, rat, solve_lp
 
 _ZERO = Fraction(0)
 
@@ -77,6 +79,45 @@ def solve_threshold_lp(n: int, rows: Sequence[LPRow]) -> tuple[tuple[Fraction, .
     if sol.status != "optimal":
         raise AssertionError(f"threshold LP should be feasible and bounded, got {sol.status}")
     return sol.primal[:n], sol.objective
+
+
+class ThresholdLP:
+    """The threshold LP of `threshold_rows`, kept warm while losing rows arrive.
+
+    It is solved through its dual max b.y, A^T y <= c, with one dual variable
+    per row and one dual row per column.  Its cost c = e_t is nonnegative, so
+    y = 0 is dual-feasible: phase 1 runs once, at construction, and a new row
+    t - p(L) >= 0 enters as a new dual column of cost 0 that the current dual
+    basis prices and pivots on from where it stands.  Every solve is certified
+    on all the rows added so far.
+    """
+
+    def __init__(self, n: int, winning: Iterable[Coalition]) -> None:
+        self.n = n
+        # integer rows, right-hand side last
+        self._rows = [[*r.coeffs, r.rhs] for r in threshold_rows(n, winning, ())]
+        self._cost = [0] * n + [1]
+        # dual row j: -(column j of A).y >= -c_j; dual cost -b
+        dual = [[-row[j] for row in self._rows] + [-c] for j, c in enumerate(self._cost)]
+        self._tableau = _Tableau(dual, 1, [-row[-1] for row in self._rows], 1)
+        if not self._tableau.feasible:
+            raise AssertionError("the dual of the threshold LP must be feasible at y = 0")
+
+    def add_losing(self, losing: Coalition) -> None:
+        """Add the row t - p(L) >= 0: a dual column of cost 0."""
+        (r,) = threshold_rows(self.n, (), [losing])
+        self._rows.append([*r.coeffs, r.rhs])
+        self._tableau.add_column([-v for v in r.coeffs], 0)
+
+    def solve(self) -> tuple[tuple[Fraction, ...], Fraction]:
+        """The optimal payoff and threshold over the rows so far, certified on all of them."""
+        if self._tableau.run() != "optimal":
+            raise AssertionError("threshold LP should be feasible and bounded, got infeasible")
+        # the dual program's primal is our dual and vice versa
+        y, yden, x, xden = self._tableau.solution()
+        _certify(self._rows, 1, self._cost, 1, x, xden, y, yden)
+        payoff = tuple(Fraction(v, xden) if v else _ZERO for v in x[: self.n])
+        return payoff, Fraction(x[self.n], xden)
 
 
 def certify_alpha(

@@ -2,7 +2,9 @@
 
 One verb per invocation; JSON on standard output (rationals as "p/q"
 strings so exactness survives the pipe).  Exit codes: 0 success, 1 when a
-decision verb answers false, 2 invalid input, 3 budget exhaustion.
+decision verb answers false, 2 invalid input, 3 budget exhaustion, 4 an
+internal error (a failed certificate check or any other unexpected
+exception), so no crash can read as "answered false".
 """
 
 from __future__ import annotations
@@ -26,6 +28,13 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
+
+EXIT_CODES_HELP = (
+    "exit codes: 0 success, 1 decision answered false, 2 invalid input, "
+    "3 budget exhausted, 4 internal error (a failed certificate check or "
+    "any other unexpected exception)"
+)
 
 
 def _load_game(source: str, seed: int) -> SimpleGame:
@@ -158,6 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simplegames",
         description="Critical threshold values of simple games, exactly.",
+        epilog=EXIT_CODES_HELP,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -232,6 +242,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

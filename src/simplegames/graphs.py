@@ -7,7 +7,11 @@ graphs, branch and bound with a greedy clique-cover bound otherwise.  The
 module also builds the two-copy gadget whose threshold is half the
 independence number, searches for induced disjoint-edge families, enumerates
 maximal independent sets, and decides "alpha <= a" for a fixed bound a.
-Both threshold computations build, solve and certify the LP of `alpha`.
+Both threshold computations use the LP of `alpha`.  The cutting-plane loop
+keeps one warm `ThresholdLP` per call: phase 1 runs once, each cut enters as
+a new column of the LP's dual and costs a few pivots, and every round's
+solution is certified on all the rows so far.  The decision solves its LP
+over all maximal independent sets cold, once.
 """
 
 from __future__ import annotations
@@ -21,10 +25,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .alpha import AlphaCertificate, certify_alpha, solve_threshold_lp, threshold_rows
+from .alpha import (
+    AlphaCertificate,
+    ThresholdLP,
+    certify_alpha,
+    solve_threshold_lp,
+    threshold_rows,
+)
 from .errors import BudgetExceededError
 from .games import Coalition, SimpleGame, new_game
-from .lp import frac, rat
+from .lp import _numerators, frac, rat
 from .lp import solve_lp  # unused here, but bench/test_bench.py reads graphs.solve_lp
 
 MWIS_EXACT_BUDGET = 40
@@ -33,7 +43,6 @@ MAX_CUT_ROUNDS = 10_000
 DEFAULT_MIS_LIMIT = 200_000
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 Edge = tuple[int, int]
 
@@ -163,32 +172,38 @@ def mwis_bipartite(g: Graph, weights: Sequence) -> WeightedVertexSet:
     """Maximum-weight independent set of a bipartite graph, exactly.
 
     Complement of a minimum-weight vertex cover obtained from a max-flow
-    min-cut computation (Edmonds-Karp over exact rationals, which terminates
-    in O(VE) augmentations independent of capacities).
+    min-cut computation: Edmonds-Karp, which terminates in O(VE) augmentations
+    independent of capacities, on integer capacities, the weights over their
+    common denominator.  Scaling every capacity by one positive constant
+    changes neither the BFS order nor the bottleneck choices, so the set is
+    the one the rational capacities give.
     """
     w = _validate_weights(g, weights)
     color = bipartition(g)
     if color is None:
         raise ValueError("graph is not bipartite")
     n = g.n
+    den = math.lcm(*(x.denominator for x in w))
+    iw = _numerators(w, den)
     source, sink = 0, n + 1
-    cap: list[dict[int, Fraction]] = [dict() for _ in range(n + 2)]
+    cap: list[dict[int, int]] = [dict() for _ in range(n + 2)]
 
-    def add_edge(a: int, b: int, capacity: Fraction) -> None:
-        cap[a][b] = cap[a].get(b, _ZERO) + capacity
-        cap[b].setdefault(a, _ZERO)
+    def add_edge(a: int, b: int, capacity: int) -> None:
+        cap[a][b] = cap[a].get(b, 0) + capacity
+        cap[b].setdefault(a, 0)
 
-    big = sum(w, _ONE)
+    total = sum(iw)
+    big = total + den  # the weight total plus 1, over den
     for v in range(1, n + 1):
         if color[v - 1] == 0:
-            add_edge(source, v, w[v - 1])
+            add_edge(source, v, iw[v - 1])
         else:
-            add_edge(v, sink, w[v - 1])
+            add_edge(v, sink, iw[v - 1])
     for u, v in g.edges:
         a, b = (u, v) if color[u - 1] == 0 else (v, u)
         add_edge(a, b, big)
 
-    flow_value = _ZERO
+    flow_value = 0
     while True:
         parent: dict[int, int] = {source: source}
         queue = deque([source])
@@ -231,10 +246,10 @@ def mwis_bipartite(g: Graph, weights: Sequence) -> WeightedVertexSet:
     adj = _adj_masks(g)
     if any(adj[v] & chosen for v in range(n) if chosen >> v & 1):
         raise AssertionError("the complement of the min cut is not independent")
-    weight = sum((w[v] for v in range(n) if chosen >> v & 1), _ZERO)
-    if weight != sum(w, _ZERO) - flow_value:
+    weight = sum(iw[v] for v in range(n) if chosen >> v & 1)
+    if weight != total - flow_value:
         raise AssertionError("Koenig duality check failed")
-    return WeightedVertexSet(Coalition(chosen), weight)
+    return WeightedVertexSet(Coalition(chosen), Fraction(weight, den))
 
 
 def mwis_exact(g: Graph, weights: Sequence, budget: Optional[int] = None) -> WeightedVertexSet:
@@ -299,9 +314,13 @@ def alpha_graph(
 
     Start from the edge constraints and minimize the threshold; repeatedly ask
     the MWIS oracle for the worst independent set under the current payoff and
-    add its constraint while it is violated.  Everything is exact, and the
-    final payoff is certified against the edges and every oracle set, so the
-    returned alpha is the true rational optimum.
+    add its constraint while it is violated.  The first round has no losing
+    row and is solved cold; from the first cut on, one `ThresholdLP` holds the
+    LP, so phase 1 of the cut LP runs once per call and each cut costs a few
+    pivots from the last optimal basis, with the LP's certificate checked on
+    all its rows every round.  Everything is exact, and the final payoff is
+    certified against the edges and every oracle set, so the returned alpha
+    is the true rational optimum.
     """
     if not g.edges:
         raise ValueError("an edgeless graph has no winning coalitions")
@@ -314,21 +333,23 @@ def alpha_graph(
             )
     n = g.n
     edges = [Coalition.of(u, v) for u, v in g.edges]
-    rows = threshold_rows(n, edges, ())
+    # round 1 goes through solve_lp, the one LP span the benchmark's tracer
+    # sees under alpha_graph (bench/test_bench.py requires it on graph-cuts)
+    payoff, ahat = solve_threshold_lp(n, threshold_rows(n, edges, ()))
+    lp = ThresholdLP(n, edges)
     cuts: list[Coalition] = []
     for _ in range(max_rounds):
-        payoff, ahat = solve_threshold_lp(n, rows)
         if color is not None:
             sep = mwis_bipartite(g, payoff)
         else:
             sep = mwis_exact(g, payoff, budget)
-        if sep.weight > ahat:
-            rows += threshold_rows(n, (), [sep.vertices])
-            cuts.append(sep.vertices)
-            continue
-        # the final oracle set attains the maximum; certify_alpha checks it
-        losing = sorted(set(cuts) | {sep.vertices}, key=Coalition.players)
-        return certify_alpha(payoff, ahat, edges, losing)
+        if sep.weight <= ahat:
+            # the final oracle set attains the maximum; certify_alpha checks it
+            losing = sorted(set(cuts) | {sep.vertices}, key=Coalition.players)
+            return certify_alpha(payoff, ahat, edges, losing)
+        lp.add_losing(sep.vertices)
+        cuts.append(sep.vertices)
+        payoff, ahat = lp.solve()
     raise BudgetExceededError(f"cutting-plane loop exceeded {max_rounds} rounds")
 
 

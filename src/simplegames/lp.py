@@ -20,6 +20,15 @@ constraints than variables it is solved through its transposed dual, built
 directly from the same integer rows, which produces the same primal/dual
 pair at a fraction of the pivot cost; the pair is certified against the
 input rows either way.
+
+The tableau is a stateful object, `_Tableau`: construction runs phase 1,
+`run` runs phase 2, and `add_column` appends a variable to a solved tableau
+while keeping its basis.  `_core_solve` uses it once and drops it.  A
+cutting-plane loop keeps it instead: a new row of a tall LP is a new column
+of the transposed dual, and when the LP's costs are nonnegative that dual is
+feasible at 0, so the dual basis stays feasible and the next solve only
+prices the column and pivots on from there, with no phase 1.  The caller
+certifies every such solve on all of its input rows (`alpha.ThresholdLP`).
 """
 
 from __future__ import annotations
@@ -229,64 +238,125 @@ def _price_out(
 _Solution = tuple[list[int], int, list[int], int]
 
 
-def _core_solve(
-    a: list[list[int]], den: int, c: list[int], cden: int
-) -> tuple[str, Optional[_Solution]]:
-    """min c.x  s.t.  a x >= b, x >= 0.
+class _Tableau:
+    """The simplex tableau of min c.x  s.t.  a x >= b, x >= 0, kept between solves.
 
     Each row of `a` holds integer numerators over the positive `den`: the
     coefficients, then the right-hand side b.  `c` holds numerators over
-    `cden`.  Returns the status and, when optimal, the basic solution x with
-    the dual y read off the final basis (y >= 0, y^T a <= c, y.b == c.x);
-    `_certify` checks them.
+    `cden`.  The tableau's columns are the k structural ones, the m surplus
+    ones, the m artificial ones and the right-hand side; its rows are the m
+    constraint rows and the objective row, kept last.  Row i enters with sign
+    `sign[i]`, chosen so its right-hand side is nonnegative.
+
+    Construction runs phase 1, drives basic artificials out and prices the
+    phase-2 objective; `feasible` tells whether phase 1 reached 0.  `run`
+    pivots phase 2 to the end.  `add_column` appends a structural column to a
+    feasible tableau without leaving its basis, so `run` continues from there.
     """
-    m = len(a)
-    k = len(c)
-    pad = [0] * (2 * m)  # surplus | artificial
-    rows: list[list[int]] = []
-    sign: list[int] = []
-    for i, ai in enumerate(a):
-        s = 1 if ai[-1] >= 0 else -1
-        if s < 0:
-            ai = [-v for v in ai]
-        row = ai[:k] + pad + ai[k:]
-        row[k + i] = -s * den
-        row[k + m + i] = den
-        rows.append(row)
-        sign.append(s)
-    dens = [den] * m
-    basis = [k + m + i for i in range(m)]
 
-    # phase 1: minimize the artificial total
-    _price_out(rows, dens, basis, [0] * (k + m) + [1] * m + [0], 1)
-    _run_simplex(rows, dens, basis, k + m)
-    if rows[-1][-1]:
+    def __init__(self, a: list[list[int]], den: int, c: list[int], cden: int) -> None:
+        m = len(a)
+        k = len(c)
+        pad = [0] * (2 * m)  # surplus | artificial
+        rows: list[list[int]] = []
+        sign: list[int] = []
+        for i, ai in enumerate(a):
+            s = 1 if ai[-1] >= 0 else -1
+            if s < 0:
+                ai = [-v for v in ai]
+            row = ai[:k] + pad + ai[k:]
+            row[k + i] = -s * den
+            row[k + m + i] = den
+            rows.append(row)
+            sign.append(s)
+        dens = [den] * m
+        basis = [k + m + i for i in range(m)]
+        self.rows, self.dens, self.basis, self.sign = rows, dens, basis, sign
+        self.k, self.m, self.den, self.cden = k, m, den, cden
+
+        # phase 1: minimize the artificial total
+        _price_out(rows, dens, basis, [0] * (k + m) + [1] * m + [0], 1)
+        _run_simplex(rows, dens, basis, k + m)
+        self.feasible = not rows[-1][-1]
+        if not self.feasible:
+            return
+        rows.pop()  # the phase-1 objective is spent; drive-out pivots skip it
+        dens.pop()
+
+        # drive basic artificials out: each row has a surplus column of its own,
+        # so no row of the tableau is zero outside the artificials and all go
+        for i in range(m):
+            if basis[i] >= k + m:
+                row = rows[i]
+                for j in range(k + m):
+                    if row[j]:
+                        _pivot(rows, dens, basis, i, j)
+                        break
+
+        # the phase-2 objective
+        _price_out(rows, dens, basis, c + [0] * (2 * m + 1), cden)
+
+    def run(self) -> str:
+        """Phase 2 from the current basis: "optimal" or "unbounded"."""
+        return _run_simplex(self.rows, self.dens, self.basis, self.k + self.m)
+
+    def add_column(self, col: list[int], cost: int) -> None:
+        """Append a structural column: entries `col` over `den`, one per row, and `cost` over `cden`.
+
+        The column goes in at index k, after the structural ones, so the
+        surplus and artificial columns shift by one.  Its tableau entries are
+        B^-1 col, read in integers off the artificial columns (which hold
+        B^-1) with the row signs applied, and its reduced cost is cost - pi.col,
+        read off the objective row, whose artificial entries are -pi.  The new
+        variable is nonbasic at 0, so the basis and its values stay as they
+        are and remain feasible.
+        """
+        k, m, rows, dens = self.k, self.m, self.rows, self.dens
+        art = k + m
+        signed = [(art + i, s * v) for i, (s, v) in enumerate(zip(self.sign, col)) if v]
+        for r, row in enumerate(rows):
+            num = sum(row[j] * v for j, v in signed)
+            if r == m:  # the objective row: cost/cden + num/(zden * den)
+                num, f = cost * dens[r] * self.den + num * self.cden, self.den * self.cden
+            else:
+                f = self.den
+            # num / f over the row's own denominator; rescale the row when f does not divide
+            g = math.gcd(num, f)
+            if g < f:
+                s = f // g
+                row[:] = [v * s for v in row]
+                dens[r] *= s
+            row.insert(k, num // g)
+        self.basis = [b + (b >= k) for b in self.basis]
+        self.k = k + 1
+
+    def solution(self) -> _Solution:
+        """The basic solution x and the duals y read off the basis through the artificial columns."""
+        rows, dens, basis, k, m = self.rows, self.dens, self.basis, self.k, self.m
+        xden = math.lcm(*(dens[i] for i, bi in enumerate(basis) if bi < k))
+        x = [0] * k
+        for i, bi in enumerate(basis):
+            if bi < k:
+                x[bi] = rows[i][-1] * (xden // dens[i])
+        z, zden = rows[-1], dens[-1]
+        return x, xden, [-z[k + m + i] * s for i, s in enumerate(self.sign)], zden
+
+
+def _core_solve(
+    a: list[list[int]], den: int, c: list[int], cden: int
+) -> tuple[str, Optional[_Solution]]:
+    """min c.x  s.t.  a x >= b, x >= 0, from a fresh `_Tableau`.
+
+    Returns the status and, when optimal, the basic solution x with the dual
+    y read off the final basis (y >= 0, y^T a <= c, y.b == c.x); `_certify`
+    checks them.
+    """
+    tableau = _Tableau(a, den, c, cden)
+    if not tableau.feasible:
         return "infeasible", None
-    rows.pop()  # the phase-1 objective is spent; drive-out pivots skip it
-    dens.pop()
-
-    # drive basic artificials out (rows that resist are redundant and inert)
-    for i in range(m):
-        if basis[i] >= k + m:
-            row = rows[i]
-            for j in range(k + m):
-                if row[j]:
-                    _pivot(rows, dens, basis, i, j)
-                    break
-
-    # phase 2
-    _price_out(rows, dens, basis, c + [0] * (2 * m + 1), cden)
-    status = _run_simplex(rows, dens, basis, k + m)
-    if status == "unbounded":
+    if tableau.run() == "unbounded":
         return "unbounded", None
-
-    xden = math.lcm(*(dens[i] for i, bi in enumerate(basis) if bi < k))
-    x = [0] * k
-    for i, bi in enumerate(basis):
-        if bi < k:
-            x[bi] = rows[i][-1] * (xden // dens[i])
-    z, zden = rows[-1], dens[-1]
-    return "optimal", (x, xden, [-z[k + m + i] * sign[i] for i in range(m)], zden)
+    return "optimal", tableau.solution()
 
 
 def _certify(

@@ -184,3 +184,68 @@ class TestErrors:
         code, out = capture("alpha", "--game", "cycle:4", "--format", "table")
         assert code == 0
         assert "alpha\t1/1" in out
+
+
+class TestInternalErrors:
+    """An unexpected exception exits 4, never 1 ("answered false"), with one stderr line."""
+
+    FAIL = """
+from simplegames import alpha
+def certify_alpha(*args):
+    raise AssertionError("forced certificate failure")
+alpha.certify_alpha = certify_alpha
+"""
+    # the true MWIS reported with weight 0, as in test_graphs' lying oracle
+    LIE = """
+from fractions import Fraction as F
+from simplegames import graphs
+honest = graphs.mwis_bipartite
+graphs.mwis_bipartite = lambda g, w: graphs.WeightedVertexSet(honest(g, w).vertices, F(0))
+"""
+    LOSING = "AssertionError: the payoff gives some maximal losing coalition more than alpha"
+    CASES = [
+        (FAIL, ["alpha", "--game", "cycle:4"], "AssertionError: forced certificate failure"),
+        (LIE, ["graph-alpha", "cycle:6"], LOSING),
+    ]
+
+    def run_failing(self, argv, capsys):
+        code = run(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_failed_certificate_exits_4(self, monkeypatch, capsys):
+        def certify_alpha(*args):
+            raise AssertionError("forced certificate failure")
+
+        monkeypatch.setattr("simplegames.alpha.certify_alpha", certify_alpha)
+        assert self.run_failing(["alpha", "--game", "cycle:4"], capsys) == (
+            4, "", "internal error: AssertionError: forced certificate failure\n"
+        )
+
+    def test_lying_oracle_exits_4(self, monkeypatch, capsys):
+        from fractions import Fraction as F
+
+        from simplegames import graphs
+
+        honest = graphs.mwis_bipartite
+        monkeypatch.setattr(
+            graphs, "mwis_bipartite", lambda g, w: graphs.WeightedVertexSet(honest(g, w).vertices, F(0))
+        )
+        assert self.run_failing(["graph-alpha", "cycle:6"], capsys) == (
+            4, "", f"internal error: {self.LOSING}\n"
+        )
+
+    @pytest.mark.parametrize("patch, argv, message", CASES)
+    def test_exits_4_optimized(self, patch, argv, message):
+        from test_lp import run_optimized
+
+        proc = run_optimized(
+            patch
+            + f"""
+import sys
+from simplegames.cli import run
+assert False, "python -O should have stripped this assert"
+sys.exit(run({argv!r}))
+"""
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", f"internal error: {message}\n")

@@ -121,6 +121,30 @@ class TestMwisBipartite:
         w = [F(rng.randint(0, 9), 1 + rng.randint(0, 4)) for _ in range(g.n)]
         assert mwis_bipartite(g, w).weight == brute_mwis_weight(g, w)
 
+    @pytest.mark.parametrize("seed", range(32))
+    def test_integer_flow_matches_mwis_exact(self, seed):
+        # the flow runs on the weights over their common denominator
+        rng = random.Random(500 + seed)
+        n = 6 + seed % 9
+        g = random_bipartite_graph(n, rng.randint(n // 2, 2 * n), seed)
+        w = [F(rng.randint(0, 12), rng.randint(1, 9)) for _ in range(n)]
+        res = mwis_bipartite(g, w)
+        assert isinstance(res.weight, F)
+        assert res.weight == mwis_exact(g, w).weight
+        assert res.weight == sum((w[v - 1] for v in res.vertices.players()), F(0))
+        assert not any(u in res.vertices and v in res.vertices for u, v in g.edges)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_scaling_the_weights_keeps_the_set(self, seed):
+        # one positive factor on every capacity leaves every BFS and bottleneck choice alone
+        rng = random.Random(600 + seed)
+        g = random_bipartite_graph(10, 16, seed)
+        w = [F(rng.randint(0, 12), rng.randint(1, 9)) for _ in range(g.n)]
+        res = mwis_bipartite(g, w)
+        for factor in (F(1, 7), F(9, 4), F(1000)):
+            scaled = mwis_bipartite(g, [factor * x for x in w])
+            assert scaled == WeightedVertexSet(res.vertices, factor * res.weight)
+
 
 class TestMwisExact:
     def test_c5_unit(self):
@@ -179,6 +203,15 @@ class TestAlphaGraph:
         value = lambda c: sum(cert.payoff[i - 1] for i in c.players())
         assert all(value(c) == cert.alpha for c in cert.tight_losing)
         assert cert.tight_losing
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_relabelling_keeps_alpha(self, seed):
+        rng = random.Random(700 + seed)
+        for g in (build_gadget(random_graph(5, 4 + seed, seed)), random_bipartite_graph(10, 13, seed)):
+            order = list(range(1, g.n + 1))
+            rng.shuffle(order)
+            relabelled = make_graph(g.n, [(order[u - 1], order[v - 1]) for u, v in g.edges])
+            assert alpha_graph(relabelled).alpha == alpha_graph(g).alpha
 
     def test_lying_oracle_is_caught(self, monkeypatch):
         # the true MWIS reported with weight 0 ends the loop at alpha = 0,

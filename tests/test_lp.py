@@ -1,5 +1,6 @@
 """Exact LP kernel: status handling, duality, anti-cycling, float cross-check."""
 
+import math
 import os
 import random
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from simplegames import lp
+import lp_reference
+from simplegames import Coalition, compute_alpha_exact, lp
 from simplegames.lp import EQ, GE, LE, in_convex_hull, make_lp, solve_lp
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -272,3 +274,187 @@ lp.in_convex_hull([F(1, 2), F(1, 2)], [(1, 0), (0, 1)])
         proc = run_optimized(script)
         assert proc.returncode == 1
         assert f"AssertionError: convex-hull weights {message}" in proc.stderr
+
+
+class TestTableau:
+    """`_Tableau` kept warm: rows of a tall LP added one at a time as dual columns.
+
+    Each model is min c.x, a x >= b, x >= 0 with c >= 0, so its transposed
+    dual is feasible at 0, and feasible at a known point, so every prefix of
+    its rows has an optimum.  After every added row the warm solve must reach
+    the reference kernel's cold optimum over the same rows, and its pair must
+    pass `_certify` on them.
+    """
+
+    @staticmethod
+    def tall_model(seed):
+        rng = random.Random(seed)
+        if seed % 2:  # rational data: the added columns need rows rescaled
+            draw = lambda lo, hi: F(rng.randint(lo, hi), rng.randint(1, 4))
+        else:
+            draw = lambda lo, hi: F(rng.randint(lo, hi))
+        k = rng.randint(2, 5)
+        x0 = [F(rng.randint(0, 3)) for _ in range(k)]
+        rows = []
+        for _ in range(rng.randint(k + 1, 3 * k + 2)):
+            coeffs = [draw(-4, 4) if rng.random() < 0.7 else F(0) for _ in range(k)]
+            slack = draw(0, 3) if rng.random() < 0.6 else 0
+            rows.append(coeffs + [sum(v * x for v, x in zip(coeffs, x0)) - slack])
+        cost = [draw(0, 4) for _ in range(k)]
+        den = math.lcm(*(v.denominator for row in rows for v in row))
+        cden = math.lcm(*(v.denominator for v in cost))
+        return [lp._numerators(row, den) for row in rows], den, lp._numerators(cost, cden), cden
+
+    @staticmethod
+    def warm_steps(a, den, c, cden, start):
+        """Solve a[:start] through the transposed dual, then add each later row
+        as a dual column; yield the tableau and the rows so far after every solve."""
+        t = math.lcm(den, cden)
+        dual = [[-row[j] * (t // den) for row in a[:start]] + [-cj * (t // cden)] for j, cj in enumerate(c)]
+        tableau = lp._Tableau(dual, t, [-row[-1] for row in a[:start]], den)
+        assert tableau.feasible
+        for r in range(start, len(a) + 1):
+            if r > start:
+                tableau.add_column([-v * (t // den) for v in a[r - 1][:-1]], -a[r - 1][-1])
+            assert tableau.run() == "optimal"
+            yield tableau, a[:r]
+
+    def check_steps(self, a, den, c, cden, start):
+        steps = 0
+        for tableau, rows in self.warm_steps(a, den, c, cden, start):
+            y, yden, x, xden = tableau.solution()
+            lp._certify(rows, den, c, cden, x, xden, y, yden)
+            status, (rx, rxden, _, _) = lp_reference.core_solve(rows, den, c, cden)
+            assert status == "optimal"
+            objective = lambda v, vden: F(sum(cj * vj for cj, vj in zip(c, v)), cden * vden)
+            assert objective(x, xden) == objective(rx, rxden)
+            steps += 1
+        return steps
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_added_rows_match_cold_solves(self, seed):
+        a, den, c, cden = self.tall_model(seed)
+        assert self.check_steps(a, den, c, cden, start=1 + seed % 3) == len(a) - seed % 3
+
+    def test_rational_columns_rescale_rows(self):
+        rescaled = []
+        for seed in range(1, 40, 2):
+            a, den, c, cden = self.tall_model(seed)
+            steps = self.warm_steps(a, den, c, cden, start=1)
+            tableau, _ = next(steps)
+            add = tableau.add_column
+
+            def spy(col, cost, tableau=tableau, add=add):
+                before = list(tableau.dens)
+                add(col, cost)
+                rescaled.append(tableau.dens != before)
+
+            tableau.add_column = spy
+            for _ in steps:
+                pass
+        assert any(rescaled) and not all(rescaled)
+
+    def test_dependent_dual_rows(self, monkeypatch):
+        # two equal columns of the LP give two equal dual rows; phase 1 ends
+        # with artificials basic, and the drive-out still removes every one,
+        # each row having a surplus column of its own
+        ended_with_artificials = []
+        run = lp._run_simplex
+
+        def spy(rows, dens, basis, allowed):
+            status = run(rows, dens, basis, allowed)
+            ended_with_artificials.append(max(basis) >= allowed)
+            return status
+
+        monkeypatch.setattr(lp, "_run_simplex", spy)
+        phase_one_left_one = 0
+        for seed in range(12):
+            a, den, c, cden = self.tall_model(seed)
+            a = [row[:1] + row for row in a]
+            c = c[:1] + c
+            ended_with_artificials.clear()
+            tableau, _ = next(self.warm_steps(a, den, c, cden, start=2))
+            phase_one_left_one += ended_with_artificials[0]
+            assert all(b < tableau.k + tableau.m for b in tableau.basis)
+            self.check_steps(a, den, c, cden, start=2)
+        assert phase_one_left_one > 0
+
+    def test_isolated_vertex(self, monkeypatch):
+        # vertex 6 is in no edge, so its dual row starts all-zero; every
+        # maximal independent set, added one at a time, must give the cold optimum
+        from simplegames.alpha import ThresholdLP, solve_threshold_lp, threshold_rows
+        from simplegames.graphs import alpha_graph, enumerate_mis, graphic_game, make_graph
+
+        g = make_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+        edges = [Coalition.of(u, v) for u, v in g.edges]
+        warm = ThresholdLP(g.n, edges)
+        losing = []
+        for independent in [None] + list(enumerate_mis(g)):
+            if independent is not None:
+                warm.add_losing(independent)
+                losing.append(independent)
+            with monkeypatch.context() as patch:
+                patch.setattr(lp, "_core_solve", lp_reference.core_solve)
+                _, cold = solve_threshold_lp(g.n, threshold_rows(g.n, edges, losing))
+            assert warm.solve()[1] == cold
+        assert cold == F(1)
+        assert alpha_graph(g).alpha == compute_alpha_exact(graphic_game(g)).alpha == F(1)
+
+    MUTANT = """
+def drop_reduced_cost(add_column):
+    # the mutant inserts the column but leaves its reduced cost at 0
+    def mutated(self, col, cost):
+        add_column(self, col, cost)
+        self.rows[-1][self.k - 1] = 0
+    return mutated
+"""
+
+    def test_dropped_reduced_cost_is_caught(self, monkeypatch):
+        from simplegames.graphs import alpha_graph, cycle_graph
+
+        scope = {}
+        exec(self.MUTANT, scope)
+        monkeypatch.setattr(lp._Tableau, "add_column", scope["drop_reduced_cost"](lp._Tableau.add_column))
+        with pytest.raises(AssertionError, match="simplex returned a primal-infeasible point"):
+            alpha_graph(cycle_graph(6))
+
+    def test_dropped_reduced_cost_is_caught_optimized(self):
+        proc = run_optimized(
+            self.MUTANT
+            + """
+from simplegames import graphs, lp
+assert False, "python -O should have stripped this assert"
+lp._Tableau.add_column = drop_reduced_cost(lp._Tableau.add_column)
+graphs.alpha_graph(graphs.cycle_graph(6))
+"""
+        )
+        assert proc.returncode == 1
+        assert "AssertionError: simplex returned a primal-infeasible point" in proc.stderr
+
+    def test_phase_one_does_not_run_per_cut(self, monkeypatch):
+        # one tableau for the cold first round, one for the cut LP, whatever
+        # the number of cuts; each cut is one add_column
+        from simplegames.graphs import alpha_graph, build_gadget, random_bipartite_graph, random_graph
+
+        counts = {"tableaus": 0, "columns": 0}
+        init, add = lp._Tableau.__init__, lp._Tableau.add_column
+
+        def spy_init(self, *args):
+            counts["tableaus"] += 1
+            init(self, *args)
+
+        def spy_add(self, *args):
+            counts["columns"] += 1
+            add(self, *args)
+
+        monkeypatch.setattr(lp._Tableau, "__init__", spy_init)
+        monkeypatch.setattr(lp._Tableau, "add_column", spy_add)
+        graphs_ = [build_gadget(random_graph(6, 7 + s, s)) for s in range(3)]
+        graphs_ += [random_bipartite_graph(10, 14, s) for s in range(3)]
+        cuts = set()
+        for g in graphs_:
+            counts.update(tableaus=0, columns=0)
+            alpha_graph(g)
+            assert counts["tableaus"] == 2
+            cuts.add(counts["columns"])
+        assert len(cuts) > 1 and min(cuts) >= 1

@@ -12,11 +12,12 @@ import pytest
 
 import lp_reference
 from simplegames import lp
-from simplegames.alpha import compute_alpha_exact
+from simplegames.alpha import alpha_of_payoff, compute_alpha_exact
 from simplegames.games import cycle_game, random_game
 from simplegames.graphs import (
     alpha_graph,
     decide_alpha_at_most,
+    graphic_game,
     random_bipartite_graph,
     random_graph,
 )
@@ -197,7 +198,12 @@ def test_exact_callers_match_reference(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(lp, "_core_solve", lp_reference.core_solve)
         old = answers()
+        # the patch reaches only alpha_graph's cold first round, not its warm
+        # cut LP: hold each alpha to the enumerated LP on the reference kernel
+        enumerated = [compute_alpha_exact(graphic_game(g)).alpha for g in graphs]
     assert new == old
+    assert [cert.alpha for cert in new[2]] == enumerated
+    assert all(alpha_of_payoff(graphic_game(g), cert.payoff) == cert.alpha for g, cert in zip(graphs, new[2]))
     # the decisions solve their threshold LP, through the transposed dual
     assert all(d.branch == "enumeration" for d in new[3])
     assert any(tight for tight, _ in new[4])  # some hull LPs are feasible
