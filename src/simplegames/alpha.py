@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, UndefinedRatioError
 from .games import Coalition, SimpleGame, maximal_losing, random_game
-from .lp import GE, LPRow, LinearProgram, _certify, _Tableau, frac, rat, solve_lp
+from .lp import GE, LPRow, LinearProgram, _certify, _Tableau, _transpose, frac, rat, solve_lp
 
 _ZERO = Fraction(0)
 
@@ -97,9 +97,7 @@ class ThresholdLP:
         # integer rows, right-hand side last
         self._rows = [[*r.coeffs, r.rhs] for r in threshold_rows(n, winning, ())]
         self._cost = [0] * n + [1]
-        # dual row j: -(column j of A).y >= -c_j; dual cost -b
-        dual = [[-row[j] for row in self._rows] + [-c] for j, c in enumerate(self._cost)]
-        self._tableau = _Tableau(dual, 1, [-row[-1] for row in self._rows], 1)
+        self._tableau = _Tableau(*_transpose(self._rows, 1, self._cost, 1))
         if not self._tableau.feasible:
             raise AssertionError("the dual of the threshold LP must be feasible at y = 0")
 
@@ -107,7 +105,7 @@ class ThresholdLP:
         """Add the row t - p(L) >= 0: a dual column of cost 0."""
         (r,) = threshold_rows(self.n, (), [losing])
         self._rows.append([*r.coeffs, r.rhs])
-        self._tableau.add_column([-v for v in r.coeffs], 0)
+        self._tableau.add_column([-v for v in r.coeffs], -r.rhs)
 
     def solve(self) -> tuple[tuple[Fraction, ...], Fraction]:
         """The optimal payoff and threshold over the rows so far, certified on all of them."""

@@ -399,16 +399,27 @@ def _certify(
         raise AssertionError("strong duality failed (primal and dual objectives differ)")
 
 
+def _transpose(
+    a: list[list[int]], den: int, c: list[int], cden: int
+) -> tuple[list[list[int]], int, list[int], int]:
+    """The dual max b.y, a^T y <= c of min c.x, a x >= b, x >= 0, as `_Tableau` takes it.
+
+    Row j is -(column j of a).y >= -c_j, all over t = lcm(den, cden), and the
+    cost is -b over den.  A row added to `a` later is a column of the dual:
+    its coefficients negated and scaled by t/den, with cost -(its b).
+    """
+    t = math.lcm(den, cden)
+    sa, sc = t // den, t // cden
+    cols = list(zip(*a))  # the columns of the coefficients, then b
+    at = [[-v * sa for v in col] + [-cj * sc] for col, cj in zip(cols, c)]
+    return at, t, [-v for v in cols[-1]], den
+
+
 def _solve_core_transposed(
     a: list[list[int]], den: int, c: list[int], cden: int
 ) -> tuple[str, Optional[_Solution]]:
     """Solve min c.x, a x >= b, x >= 0 through its dual max b.y, a^T y <= c."""
-    t = math.lcm(den, cden)
-    sa, sc = t // den, t // cden
-    cols = list(zip(*a))  # the columns of the coefficients, then b
-    # row j of the dual's core: -(column j of a).y >= -c_j, all over t
-    at = [[-v * sa for v in col] + [-cj * sc] for col, cj in zip(cols, c)]
-    status, sol = _core_solve(at, t, [-v for v in cols[-1]], den)
+    status, sol = _core_solve(*_transpose(a, den, c, cden))
     if status == "optimal":
         assert sol is not None
         # the dual program's primal is our dual and vice versa

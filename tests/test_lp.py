@@ -309,9 +309,9 @@ class TestTableau:
     def warm_steps(a, den, c, cden, start):
         """Solve a[:start] through the transposed dual, then add each later row
         as a dual column; yield the tableau and the rows so far after every solve."""
-        t = math.lcm(den, cden)
-        dual = [[-row[j] * (t // den) for row in a[:start]] + [-cj * (t // cden)] for j, cj in enumerate(c)]
-        tableau = lp._Tableau(dual, t, [-row[-1] for row in a[:start]], den)
+        dual = lp._transpose(a[:start], den, c, cden)
+        t = dual[1]
+        tableau = lp._Tableau(*dual)
         assert tableau.feasible
         for r in range(start, len(a) + 1):
             if r > start:
