@@ -333,10 +333,11 @@ def alpha_graph(
             )
     n = g.n
     edges = [Coalition.of(u, v) for u, v in g.edges]
-    # round 1 goes through solve_lp, the one LP span the benchmark's tracer
-    # sees under alpha_graph (bench/test_bench.py requires it on graph-cuts)
+    # round 1 has no losing row and is solved cold through solve_lp: the
+    # benchmark's tracer counts cut rounds as solve_lp spans under
+    # alpha_graph, and bench/test_bench.py requires some on graph-cuts
     payoff, ahat = solve_threshold_lp(n, threshold_rows(n, edges, ()))
-    lp = ThresholdLP(n, edges)
+    cut_lp = ThresholdLP(n, edges)
     cuts: list[Coalition] = []
     for _ in range(max_rounds):
         if color is not None:
@@ -347,9 +348,9 @@ def alpha_graph(
             # the final oracle set attains the maximum; certify_alpha checks it
             losing = sorted(set(cuts) | {sep.vertices}, key=Coalition.players)
             return certify_alpha(payoff, ahat, edges, losing)
-        lp.add_losing(sep.vertices)
+        cut_lp.add_losing(sep.vertices)
         cuts.append(sep.vertices)
-        payoff, ahat = lp.solve()
+        payoff, ahat = cut_lp.solve()
     raise BudgetExceededError(f"cutting-plane loop exceeded {max_rounds} rounds")
 
 
