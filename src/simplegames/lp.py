@@ -23,12 +23,12 @@ input rows either way.
 
 The tableau is a stateful object, `_Tableau`: construction runs phase 1,
 `run` runs phase 2, and `add_column` appends a variable to a solved tableau
-while keeping its basis.  `_core_solve` uses it once and drops it.  A
-cutting-plane loop keeps it instead: a new row of a tall LP is a new column
-of the transposed dual, and when the LP's costs are nonnegative that dual is
+while keeping its basis.  `_core_solve` uses it once and drops it.  `TallLP`
+keeps it for a cutting-plane loop: a new row of a tall LP is a new column of
+the transposed dual, and when the LP's costs are nonnegative that dual is
 feasible at 0, so the dual basis stays feasible and the next solve only
-prices the column and pivots on from there, with no phase 1.  The caller
-certifies every such solve on all of its input rows (`alpha.ThresholdLP`).
+prices the column and pivots on from there, with no phase 1.  `TallLP`
+certifies every such solve on all of its input rows.
 """
 
 from __future__ import annotations
@@ -415,6 +415,13 @@ def _transpose(
     return at, t, [-v for v in cols[-1]], den
 
 
+def _from_dual(sol: _Solution) -> _Solution:
+    """An optimal pair of the transposed dual as the original program's pair:
+    the dual program's primal is our dual and vice versa."""
+    y, yden, x, xden = sol
+    return x, xden, y, yden
+
+
 def _solve_core_transposed(
     a: list[list[int]], den: int, c: list[int], cden: int
 ) -> tuple[str, Optional[_Solution]]:
@@ -422,14 +429,47 @@ def _solve_core_transposed(
     status, sol = _core_solve(*_transpose(a, den, c, cden))
     if status == "optimal":
         assert sol is not None
-        # the dual program's primal is our dual and vice versa
-        y, yden, x, xden = sol
-        return "optimal", (x, xden, y, yden)
+        return "optimal", _from_dual(sol)
     if status == "unbounded":
         # dual unbounded and feasible: the original program is infeasible
         return "infeasible", None
     # dual infeasible: original is unbounded or infeasible; caller retries directly
     return "ambiguous", None
+
+
+class TallLP:
+    """min c.x  s.t.  a x >= b, x >= 0 with c >= 0, kept warm while rows arrive.
+
+    `a` and `c` are integer rows as `_core_solve` takes them.  The program
+    is solved through its transposed dual max b.y, a^T y <= c, which c >= 0
+    makes feasible at y = 0: phase 1 runs once, at construction.  A row added
+    later is a new dual column; it enters nonbasic at 0, so the dual basis
+    stays feasible and `solve` prices the column and pivots on from the last
+    optimal basis.  Every optimal pair is certified on all the rows so far.
+    """
+
+    def __init__(self, a: list[list[int]], den: int, c: list[int], cden: int) -> None:
+        if min(c, default=0) < 0:
+            raise ValueError("the costs must be nonnegative, so that the dual is feasible at 0")
+        self.a, self.den, self.c, self.cden = list(a), den, c, cden
+        self._tableau = _Tableau(*_transpose(a, den, c, cden))
+        if not self._tableau.feasible:
+            raise AssertionError("phase 1 missed the feasible dual point y = 0")
+
+    def add_row(self, row: list[int]) -> None:
+        """Add the row `row` (numerators over `den`, right-hand side last) as a dual column."""
+        self.a.append(row)
+        # the dual's rows are over lcm(den, cden) and its costs over den (see _transpose)
+        s = self._tableau.den // self.den
+        self._tableau.add_column([-v * s for v in row[:-1]], -row[-1])
+
+    def solve(self) -> tuple[str, Optional[_Solution]]:
+        """"optimal" with the certified pair (x, xden, y, yden), or "infeasible"."""
+        if self._tableau.run() == "unbounded":
+            return "infeasible", None
+        x, xden, y, yden = _from_dual(self._tableau.solution())
+        _certify(self.a, self.den, self.c, self.cden, x, xden, y, yden)
+        return "optimal", (x, xden, y, yden)
 
 
 def _numerators(values: Sequence[Rational], den: int) -> list[int]:

@@ -1,5 +1,6 @@
 """CLI: verbs, exit codes, reproducible bytes, schema-valid JSON."""
 
+import importlib
 import json
 from importlib import resources
 
@@ -8,6 +9,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from simplegames.cli import run
+from test_graphs import LYING_ORACLE
 
 
 @pytest.fixture()
@@ -195,48 +197,25 @@ def certify_alpha(*args):
     raise AssertionError("forced certificate failure")
 alpha.certify_alpha = certify_alpha
 """
-    # the true MWIS reported with weight 0, as in test_graphs' lying oracle
-    LIE = """
-from fractions import Fraction as F
-from simplegames import graphs
-honest = graphs.mwis_bipartite
-graphs.mwis_bipartite = lambda g, w: graphs.WeightedVertexSet(honest(g, w).vertices, F(0))
-"""
     LOSING = "AssertionError: the payoff gives some maximal losing coalition more than alpha"
+    # (module and name a patch replaces, the patch's source, argv, the error it causes)
     CASES = [
-        (FAIL, ["alpha", "--game", "cycle:4"], "AssertionError: forced certificate failure"),
-        (LIE, ["graph-alpha", "cycle:6"], LOSING),
+        ("simplegames.alpha", "certify_alpha", FAIL, ["alpha", "--game", "cycle:4"],
+         "AssertionError: forced certificate failure"),
+        ("simplegames.graphs", "mwis_bipartite", LYING_ORACLE, ["graph-alpha", "cycle:6"], LOSING),
     ]
 
-    def run_failing(self, argv, capsys):
+    @pytest.mark.parametrize("module, name, patch, argv, message", CASES)
+    def test_exits_4(self, module, name, patch, argv, message, monkeypatch, capsys):
+        # monkeypatch keeps the original and puts it back after the patch replaces it
+        monkeypatch.setattr(f"{module}.{name}", getattr(importlib.import_module(module), name))
+        exec(patch, {})
         code = run(argv)
         captured = capsys.readouterr()
-        return code, captured.out, captured.err
+        assert (code, captured.out, captured.err) == (4, "", f"internal error: {message}\n")
 
-    def test_failed_certificate_exits_4(self, monkeypatch, capsys):
-        def certify_alpha(*args):
-            raise AssertionError("forced certificate failure")
-
-        monkeypatch.setattr("simplegames.alpha.certify_alpha", certify_alpha)
-        assert self.run_failing(["alpha", "--game", "cycle:4"], capsys) == (
-            4, "", "internal error: AssertionError: forced certificate failure\n"
-        )
-
-    def test_lying_oracle_exits_4(self, monkeypatch, capsys):
-        from fractions import Fraction as F
-
-        from simplegames import graphs
-
-        honest = graphs.mwis_bipartite
-        monkeypatch.setattr(
-            graphs, "mwis_bipartite", lambda g, w: graphs.WeightedVertexSet(honest(g, w).vertices, F(0))
-        )
-        assert self.run_failing(["graph-alpha", "cycle:6"], capsys) == (
-            4, "", f"internal error: {self.LOSING}\n"
-        )
-
-    @pytest.mark.parametrize("patch, argv, message", CASES)
-    def test_exits_4_optimized(self, patch, argv, message):
+    @pytest.mark.parametrize("module, name, patch, argv, message", CASES)
+    def test_exits_4_optimized(self, module, name, patch, argv, message):
         from test_lp import run_optimized
 
         proc = run_optimized(

@@ -65,6 +65,17 @@ def brute_maximal_independent_sets(g):
     return sorted(tuple(sorted(s)) for s in maximal)
 
 
+# The true MWIS reported with weight 0 ends the cutting-plane loop at alpha =
+# 0, which the certificate's losing bound must refuse.  Source text, so that
+# tests can run it in-process and in a `python -O` child alike.
+LYING_ORACLE = """
+from fractions import Fraction as F
+from simplegames import graphs
+honest = graphs.mwis_bipartite
+graphs.mwis_bipartite = lambda g, w: graphs.WeightedVertexSet(honest(g, w).vertices, F(0))
+"""
+
+
 class TestGraphBasics:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -214,22 +225,15 @@ class TestAlphaGraph:
             assert alpha_graph(relabelled).alpha == alpha_graph(g).alpha
 
     def test_lying_oracle_is_caught(self, monkeypatch):
-        # the true MWIS reported with weight 0 ends the loop at alpha = 0,
-        # which the certificate's losing bound must refuse
-        honest = graphs.mwis_bipartite
-        monkeypatch.setattr(
-            graphs, "mwis_bipartite", lambda g, w: WeightedVertexSet(honest(g, w).vertices, F(0))
-        )
+        # monkeypatch keeps the honest oracle and puts it back afterwards
+        monkeypatch.setattr(graphs, "mwis_bipartite", graphs.mwis_bipartite)
+        exec(LYING_ORACLE, {})
         with pytest.raises(AssertionError, match="losing coalition more than alpha"):
             alpha_graph(C4)
 
     def test_lying_oracle_is_caught_optimized(self):
-        script = """
-from fractions import Fraction as F
-from simplegames import graphs
+        script = LYING_ORACLE + """
 assert False, "python -O should have stripped this assert"
-honest = graphs.mwis_bipartite
-graphs.mwis_bipartite = lambda g, w: graphs.WeightedVertexSet(honest(g, w).vertices, F(0))
 graphs.alpha_graph(graphs.cycle_graph(4))
 """
         proc = run_optimized(script)

@@ -307,22 +307,19 @@ class TestTableau:
 
     @staticmethod
     def warm_steps(a, den, c, cden, start):
-        """Solve a[:start] through the transposed dual, then add each later row
-        as a dual column; yield the tableau and the rows so far after every solve."""
-        dual = lp._transpose(a[:start], den, c, cden)
-        t = dual[1]
-        tableau = lp._Tableau(*dual)
-        assert tableau.feasible
+        """Solve a[:start] in a `TallLP`, then add each later row as a dual
+        column; yield the LP's tableau, the rows so far and the pair after every solve."""
+        tall = lp.TallLP(a[:start], den, c, cden)
         for r in range(start, len(a) + 1):
             if r > start:
-                tableau.add_column([-v * (t // den) for v in a[r - 1][:-1]], -a[r - 1][-1])
-            assert tableau.run() == "optimal"
-            yield tableau, a[:r]
+                tall.add_row(a[r - 1])
+            status, sol = tall.solve()
+            assert status == "optimal"
+            yield tall._tableau, a[:r], sol
 
     def check_steps(self, a, den, c, cden, start):
         steps = 0
-        for tableau, rows in self.warm_steps(a, den, c, cden, start):
-            y, yden, x, xden = tableau.solution()
+        for _, rows, (x, xden, y, yden) in self.warm_steps(a, den, c, cden, start):
             lp._certify(rows, den, c, cden, x, xden, y, yden)
             status, (rx, rxden, _, _) = lp_reference.core_solve(rows, den, c, cden)
             assert status == "optimal"
@@ -330,6 +327,11 @@ class TestTableau:
             assert objective(x, xden) == objective(rx, rxden)
             steps += 1
         return steps
+
+    def test_negative_cost_is_refused(self):
+        # with a negative cost the dual need not be feasible at 0
+        with pytest.raises(ValueError, match="nonnegative"):
+            lp.TallLP([[1, 1]], 1, [-1], 1)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_added_rows_match_cold_solves(self, seed):
@@ -341,7 +343,7 @@ class TestTableau:
         for seed in range(1, 40, 2):
             a, den, c, cden = self.tall_model(seed)
             steps = self.warm_steps(a, den, c, cden, start=1)
-            tableau, _ = next(steps)
+            tableau, _, _ = next(steps)
             add = tableau.add_column
 
             def spy(col, cost, tableau=tableau, add=add):
@@ -373,7 +375,7 @@ class TestTableau:
             a = [row[:1] + row for row in a]
             c = c[:1] + c
             ended_with_artificials.clear()
-            tableau, _ = next(self.warm_steps(a, den, c, cden, start=2))
+            tableau, _, _ = next(self.warm_steps(a, den, c, cden, start=2))
             phase_one_left_one += ended_with_artificials[0]
             assert all(b < tableau.k + tableau.m for b in tableau.basis)
             self.check_steps(a, den, c, cden, start=2)
@@ -432,29 +434,39 @@ graphs.alpha_graph(graphs.cycle_graph(6))
         assert "AssertionError: simplex returned a primal-infeasible point" in proc.stderr
 
     def test_phase_one_does_not_run_per_cut(self, monkeypatch):
-        # one tableau for the cold first round, one for the cut LP, whatever
-        # the number of cuts; each cut is one add_column
+        # one tableau inside solve_lp for the cold first round, one for the
+        # warm cut LP, whatever the number of cuts; each cut is one add_column
+        from simplegames import alpha
         from simplegames.graphs import alpha_graph, build_gadget, random_bipartite_graph, random_graph
 
-        counts = {"tableaus": 0, "columns": 0}
-        init, add = lp._Tableau.__init__, lp._Tableau.add_column
+        counts = {"cold": 0, "warm": 0, "columns": 0}
+        in_solve_lp = [False]
+        solve_lp, init, add = alpha.solve_lp, lp._Tableau.__init__, lp._Tableau.add_column
+
+        def spy_solve_lp(model):
+            in_solve_lp[0] = True
+            try:
+                return solve_lp(model)
+            finally:
+                in_solve_lp[0] = False
 
         def spy_init(self, *args):
-            counts["tableaus"] += 1
+            counts["cold" if in_solve_lp[0] else "warm"] += 1
             init(self, *args)
 
         def spy_add(self, *args):
             counts["columns"] += 1
             add(self, *args)
 
+        monkeypatch.setattr(alpha, "solve_lp", spy_solve_lp)
         monkeypatch.setattr(lp._Tableau, "__init__", spy_init)
         monkeypatch.setattr(lp._Tableau, "add_column", spy_add)
         graphs_ = [build_gadget(random_graph(6, 7 + s, s)) for s in range(3)]
         graphs_ += [random_bipartite_graph(10, 14, s) for s in range(3)]
         cuts = set()
         for g in graphs_:
-            counts.update(tableaus=0, columns=0)
+            counts.update(cold=0, warm=0, columns=0)
             alpha_graph(g)
-            assert counts["tableaus"] == 2
+            assert (counts["cold"], counts["warm"]) == (1, 1)
             cuts.add(counts["columns"])
         assert len(cuts) > 1 and min(cuts) >= 1
