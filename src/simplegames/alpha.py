@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import BudgetExceededError, UndefinedRatioError
+from . import budgets
+from .errors import UndefinedRatioError
 from .games import Coalition, SimpleGame, maximal_losing, random_game
 from .lp import GE, LPRow, LinearProgram, TallLP, frac, rat, solve_lp
 
@@ -202,8 +203,7 @@ def verify_conjecture_corpus(
     target_antichain_size: Optional[int] = None,
 ) -> ConjectureReport:
     """Check alpha <= n/4 on a corpus of random games; seeds default to range(count)."""
-    if n > 16:
-        raise BudgetExceededError(f"conjecture corpus is capped at n <= 16, got {n}")
+    budgets.check("corpus", n)
     seed_list = sorted(set(range(count) if seeds is None else (int(s) for s in seeds)))
     target = target_antichain_size if target_antichain_size is not None else max(3, n)
     bound = Fraction(n, 4)

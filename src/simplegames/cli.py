@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import alpha as alpha_mod
+from . import budgets
 from . import complete as complete_mod
 from . import graphs as graphs_mod
 from . import minnorm as minnorm_mod
@@ -27,7 +28,7 @@ from .lp import frac, rat
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INVALID = 2
-EXIT_BUDGET = 3
+EXIT_EXHAUSTED = 3
 EXIT_INTERNAL = 4
 
 EXIT_CODES_HELP = (
@@ -174,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, game=False, graph=False, positional_graph=False):
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--seed", type=int, default=0, help="seed for generator specs")
-        p.add_argument("--budget", type=int, default=None, help="override enumeration caps")
         if game:
             p.add_argument("--game", required=True, help="game JSON path or cycle:N / random-game:N:SIZE / wvg:N")
         if graph:
@@ -225,6 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default=None, help="comma-separated seed list")
     p.set_defaults(func=_cmd_verify_conjecture)
 
+    # only the verbs that pass a budget on accept one; each overrides one cap
+    for verb, cap in (
+        ("alpha", "tables"), ("tightness", "tightness"), ("graph-alpha", "mwis"),
+        ("graph-decide", "kp2"), ("csg", "desirability"),
+    ):
+        rule = "raise or lower" if cap in budgets.RAISABLE else "lower"
+        help_text = f"{rule} the {cap} cap (default {budgets.CAPS[cap]})"
+        sub.choices[verb].add_argument("--budget", type=int, default=None, help=help_text)
     return parser
 
 
@@ -238,7 +246,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_EXHAUSTED
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

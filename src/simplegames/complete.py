@@ -18,28 +18,18 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Optional
 
+from . import budgets
 from .alpha import coalition_value, compute_alpha_exact
-from .errors import BudgetExceededError
 from .games import Coalition, SimpleGame, absent_tables, maximal_losing, new_game, winning_table
 from .lp import rat
 
-DESIRABILITY_BUDGET = 20
-
 _ZERO = Fraction(0)
-
-
-def _check_budget(game: SimpleGame, budget: Optional[int]) -> None:
-    cap = DESIRABILITY_BUDGET if budget is None else budget
-    if game.n > cap:
-        raise BudgetExceededError(
-            f"desirability scan needs n <= {cap}, game has n = {game.n}"
-        )
 
 
 def desirability_ge(game: SimpleGame, i: int, j: int, budget: Optional[int] = None) -> bool:
     """True iff adding i never does worse than adding j, over all coalitions
     avoiding both."""
-    _check_budget(game, budget)
+    budgets.check("desirability", game.n, budget)
     n = game.n
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"players must be distinct and in 1..{n}, got {i}, {j}")
@@ -66,7 +56,7 @@ class CompleteGame:
 def complete_order(game: SimpleGame, budget: Optional[int] = None) -> Optional[CompleteGame]:
     """A consistent desirability order (ties broken by player index), or None
     if some pair of players is incomparable."""
-    _check_budget(game, budget)
+    budgets.check("desirability", game.n, budget)
     n = game.n
     ge = {}
     for i in range(1, n + 1):
@@ -92,44 +82,16 @@ def complete_order(game: SimpleGame, budget: Optional[int] = None) -> Optional[C
 
 def suffix_sizes(cg: CompleteGame) -> tuple[int, tuple[int, ...]]:
     """k = deepest winning suffix of the order; s_r = smallest winning size
-    inside the suffix starting at rank r, for r = 1..k (non-decreasing)."""
-    game = cg.game
-    n = game.n
-    size = 1 << n
-    table = winning_table(game).to_bytes((size + 7) // 8, "little")
-    pos = {p: r for r, p in enumerate(cg.ordering, start=1)}
+    inside the suffix starting at rank r, for r = 1..k (non-decreasing).
 
-    suffix_mask = 0
-    suffix_masks = [0] * (n + 2)
-    for r in range(n, 0, -1):
-        suffix_mask |= 1 << (cg.ordering[r - 1] - 1)
-        suffix_masks[r] = suffix_mask
-    k = 1
-    for r in range(n, 0, -1):
-        if table[suffix_masks[r] >> 3] >> (suffix_masks[r] & 7) & 1:
-            k = r
-            break
-
-    best = [n + 1] * (n + 2)
-    for mask in range(1, size):
-        if not table[mask >> 3] >> (mask & 7) & 1:
-            continue
-        first = n + 1
-        m = mask
-        while m:
-            low = m & -m
-            first = min(first, pos[low.bit_length()])
-            m ^= low
-        sz = mask.bit_count()
-        if sz < best[first]:
-            best[first] = sz
-    s = [0] * (k + 1)
-    running = n + 1
-    for r in range(n, 0, -1):
-        running = min(running, best[r])
-        if r <= k:
-            s[r] = running
-    return k, tuple(s[1:])
+    A smallest winning coalition inside a suffix is a minimal winning one,
+    and a minimal winning coalition lies inside suffix r exactly when its
+    best-ranked player has rank >= r."""
+    rank = {p: r for r, p in enumerate(cg.ordering, start=1)}
+    firsts = [(min(rank[p] for p in w), len(w)) for w in cg.game.minimal_winning]
+    k = max(first for first, _ in firsts)
+    s = tuple(min(size for first, size in firsts if first >= r) for r in range(1, k + 1))
+    return k, s
 
 
 @dataclass(frozen=True)
@@ -248,8 +210,9 @@ def random_weighted_voting_game(
 
     The quota is drawn uniformly from the given fraction range of the total
     weight, clamped above half so the game stays proper-ish and nonempty."""
-    if not 1 <= n <= DESIRABILITY_BUDGET:
-        raise ValueError(f"weighted generator needs 1 <= n <= {DESIRABILITY_BUDGET}")
+    cap = budgets.CAPS["desirability"]
+    if not 1 <= n <= cap:
+        raise ValueError(f"weighted generator needs 1 <= n <= {cap}")
     rng = random.Random(f"wvg:{n}:{seed}:{max_weight}:{quota_range}")
     weights = [rng.randint(1, max_weight) for _ in range(n)]
     total = sum(weights)
@@ -332,8 +295,7 @@ def sized_weighted_game(n: int, seed: int, row_cap: int = 600) -> WeightedVoting
 def csg_bound_corpus(n: int, seeds: Iterable[int]) -> CsgCorpusReport:
     """Random weighted voting games: confirm completeness, compare the ranked
     payoff's ratio with exact alpha and the sqrt(n)*ln(n) bound."""
-    if n > 16:
-        raise BudgetExceededError(f"corpus generation is capped at n <= 16, got {n}")
+    budgets.check("corpus", n)
     bound = math.sqrt(n) * math.log(n)
     entries = []
     for seed in sorted(set(int(s) for s in seeds)):

@@ -2,7 +2,14 @@
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration or iteration budget was exhausted before completion."""
+    """A size cap or an iteration budget was exceeded: `value` went past `limit`."""
+
+    def __init__(self, name: str, value: int, limit: int) -> None:
+        super().__init__(name, value, limit)
+        self.name, self.value, self.limit = name, value, limit
+
+    def __str__(self) -> str:
+        return f"{self.name} budget exceeded: {self.value} > {self.limit}"
 
 
 class UndefinedRatioError(ValueError):

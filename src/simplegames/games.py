@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
-from .errors import BudgetExceededError
+from . import budgets
 
 MAX_PLAYERS = 64
-ENUMERATION_BUDGET = 24  # ops that sweep all 2^n subsets refuse larger n
 
 CoalitionLike = Union["Coalition", int, Iterable[int]]
 
@@ -186,7 +185,9 @@ def absent_tables(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=256)
+# A solve uses one game and no corpus repeats one, so 16 entries lose no hit;
+# at the `tables` cap they pin at most 16 tables of 2^24 bits, 32 MiB.
+@lru_cache(maxsize=16)
 def winning_table(game: SimpleGame) -> int:
     """The table flagging every winning coalition (the monotone closure)."""
     absent = absent_tables(game.n)
@@ -196,14 +197,6 @@ def winning_table(game: SimpleGame) -> int:
     for i in range(1, game.n + 1):
         w |= (w & absent[i - 1]) << (1 << (i - 1))
     return w
-
-
-def _check_enum_budget(game: SimpleGame, budget: int | None) -> None:
-    cap = ENUMERATION_BUDGET if budget is None else budget
-    if game.n > cap:
-        raise BudgetExceededError(
-            f"subset enumeration needs n <= {cap}, game has n = {game.n}"
-        )
 
 
 def _extract(table: int) -> list[Coalition]:
@@ -218,7 +211,7 @@ def _extract(table: int) -> list[Coalition]:
 
 def maximal_losing(game: SimpleGame, budget: int | None = None) -> list[Coalition]:
     """All inclusion-maximal losing coalitions (every proper superset wins)."""
-    _check_enum_budget(game, budget)
+    budgets.check("tables", game.n, budget)
     n = game.n
     size = 1 << n
     full_table = (1 << size) - 1
@@ -240,7 +233,7 @@ def blocker(game: SimpleGame, budget: int | None = None) -> list[Coalition]:
     coalitions; that identity is checked by tests, not assumed here, so this
     computes covers directly.
     """
-    _check_enum_budget(game, budget)
+    budgets.check("tables", game.n, budget)
     n = game.n
     size = 1 << n
     full_table = (1 << size) - 1
@@ -269,7 +262,7 @@ class GameStats:
 
 
 def game_stats(game: SimpleGame, budget: int | None = None) -> GameStats:
-    _check_enum_budget(game, budget)
+    budgets.check("tables", game.n, budget)
     w = winning_table(game).bit_count()
     return GameStats(
         winning=w,
@@ -295,8 +288,9 @@ def random_game(n: int, seed: int, target_antichain_size: int) -> SimpleGame:
     the target size or the draw budget runs out, so the result can be smaller
     than requested but always satisfies the SimpleGame invariants.
     """
-    if not isinstance(n, int) or not 2 <= n <= ENUMERATION_BUDGET:
-        raise ValueError(f"random_game needs 2 <= n <= {ENUMERATION_BUDGET}, got {n!r}")
+    cap = budgets.CAPS["tables"]
+    if not isinstance(n, int) or not 2 <= n <= cap:
+        raise ValueError(f"random_game needs 2 <= n <= {cap}, got {n!r}")
     if target_antichain_size < 1:
         raise ValueError("target_antichain_size must be >= 1")
     rng = random.Random(f"simplegame:{n}:{seed}:{target_antichain_size}")

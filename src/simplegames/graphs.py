@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
+from . import budgets
 from .alpha import (
     AlphaCertificate,
     ThresholdLP,
@@ -38,8 +39,6 @@ from .games import Coalition, SimpleGame, new_game
 from .lp import frac, rat
 from .lp import solve_lp  # unused here, but bench/test_bench.py reads graphs.solve_lp
 
-MWIS_EXACT_BUDGET = 40
-KP2_BUDGET = 5
 MAX_CUT_ROUNDS = 10_000
 DEFAULT_MIS_LIMIT = 200_000
 
@@ -260,9 +259,7 @@ def mwis_exact(g: Graph, weights: Sequence, budget: Optional[int] = None) -> Wei
     (a coloring of the complement); an independent set meets each clique at
     most once, so the clique maxima sum to a valid bound.
     """
-    cap = MWIS_EXACT_BUDGET if budget is None else budget
-    if g.n > cap:
-        raise BudgetExceededError(f"mwis_exact is capped at n <= {cap}, got {g.n}")
+    budgets.check("mwis", g.n, budget)
     w = _validate_weights(g, weights)
     n = g.n
     adj = _adj_masks(g)
@@ -328,11 +325,7 @@ def alpha_graph(
         raise ValueError("an edgeless graph has no winning coalitions")
     color = bipartition(g)
     if color is None:
-        cap = MWIS_EXACT_BUDGET if budget is None else budget
-        if g.n > cap:
-            raise BudgetExceededError(
-                f"non-bipartite separation is capped at n <= {cap}, got {g.n}"
-            )
+        budgets.check("mwis", g.n, budget)
     n = g.n
     edges = [Coalition.of(u, v) for u, v in g.edges]
     # Round 1 is solved cold only because the benchmark's tracer counts cut
@@ -357,7 +350,7 @@ def alpha_graph(
         cut_lp.add_losing(sep.vertices)
         cuts.append(sep.vertices)
         payoff, ahat = cut_lp.solve()
-    raise BudgetExceededError(f"cutting-plane loop exceeded {max_rounds} rounds")
+    raise BudgetExceededError("cut_rounds", max_rounds + 1, max_rounds)
 
 
 def build_gadget(g: Graph) -> Graph:
@@ -379,17 +372,15 @@ def find_induced_kp2(
 ) -> Optional[list[Edge]]:
     """k vertex-disjoint edges whose 2k endpoints induce exactly those edges.
 
-    Returns the lexicographically first witness or None.  More than
-    KP2_BUDGET copies are refused unless 2k > n makes the answer trivially
-    None first.
+    Returns the lexicographically first witness or None.  More than the
+    `kp2` cap of copies are refused unless 2k > n makes the answer
+    trivially None first.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if 2 * k > g.n:
         return None
-    cap = KP2_BUDGET if budget is None else budget
-    if k > cap:
-        raise BudgetExceededError(f"induced kP2 search is capped at k <= {cap}, got {k}")
+    budgets.check("kp2", k, budget)
     adj = _adj_masks(g)
     edges = g.edges
     chosen: list[Edge] = []
@@ -420,8 +411,7 @@ def enumerate_mis(g: Graph, limit: Optional[int] = None) -> Iterator[Coalition]:
     independent sets of the graph induced on 1..v and extend one vertex at a
     time.  The family count can be exponential; `limit` raises once exceeded.
     """
-    if g.n > MWIS_EXACT_BUDGET:
-        raise BudgetExceededError(f"enumerate_mis is capped at n <= {MWIS_EXACT_BUDGET}")
+    budgets.check("mwis", g.n)
     adj = _adj_masks(g)
     family = {1}  # the single maximal set of the graph on vertex 1
     for v in range(2, g.n + 1):
@@ -444,9 +434,7 @@ def enumerate_mis(g: Graph, limit: Optional[int] = None) -> Iterator[Coalition]:
                     new.add(t)
         family = new
         if limit is not None and len(family) > limit:
-            raise BudgetExceededError(
-                f"maximal independent set family exceeded the cap of {limit}"
-            )
+            raise BudgetExceededError("mis_family", len(family), limit)
     for mask in sorted(family):
         yield Coalition(mask)
 

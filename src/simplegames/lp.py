@@ -128,10 +128,6 @@ class LPSolution:
     objective: Optional[Fraction] = None
 
 
-class _PivotLimit(BudgetExceededError):
-    pass
-
-
 def _eliminate(
     row: list[int], den: int, prow: list[int], pden: int, col: int
 ) -> tuple[list[int], int]:
@@ -219,7 +215,7 @@ def _run_simplex(rows: list[list[int]], dens: list[int], basis: list[int], allow
             streak = 0
         _pivot(rows, dens, basis, leave, enter)
         z = rows[-1]
-    raise _PivotLimit(f"simplex exceeded {MAX_PIVOTS} pivots")
+    raise BudgetExceededError("pivots", MAX_PIVOTS + 1, MAX_PIVOTS)
 
 
 def _price_out(

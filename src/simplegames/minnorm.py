@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
+from . import budgets
 from .errors import BudgetExceededError
 from .alpha import coalition_value
 from .games import Coalition, SimpleGame, winning_table
@@ -32,7 +33,6 @@ from .lp import GE, LPRow, LinearProgram, frac, in_convex_hull, rat, solve_lp
 
 DEFAULT_TOLERANCE = 1e-6
 MAX_ITERATIONS = 100_000
-TIGHTNESS_BUDGET = 20  # tightness_check enumerates all 2^n coalitions
 
 # payoffs are handled as exact rationals; sequences of ints/floats are
 # converted on entry (floats exactly, via their binary value)
@@ -137,9 +137,7 @@ def _wolfe(rows: Sequence[int], n: int, max_iterations: int) -> tuple[list[int],
         nonlocal cycles
         cycles += 1
         if cycles > max_iterations:
-            raise BudgetExceededError(
-                f"min-norm iteration budget exhausted after {max_iterations} Wolfe cycles"
-            )
+            raise BudgetExceededError("wolfe_cycles", cycles, max_iterations)
 
     while True:
         x = [0] * n
@@ -191,8 +189,7 @@ def min_norm_point(
     0, and certified means gap <= tolerance.  Raises BudgetExceededError when
     Wolfe's major plus minor cycles exceed max_iterations.
     """
-    if game.n > 24:
-        raise BudgetExceededError(f"min_norm_point is capped at n <= 24, got {game.n}")
+    budgets.check("min_norm", game.n)
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
     tol = Fraction(tolerance) if not isinstance(tolerance, Fraction) else tolerance
@@ -248,9 +245,7 @@ def tightness_check(
     weight tuples align with all winning / losing coalitions in ascending
     mask order.  Cost grows as 2^n; refuse beyond the budget.
     """
-    cap = TIGHTNESS_BUDGET if budget is None else budget
-    if game.n > cap:
-        raise BudgetExceededError(f"tightness_check is capped at n <= {cap}, got {game.n}")
+    budgets.check("tightness", game.n, budget)
     n = game.n
     winning, losing = _all_coalitions_by_class(game)
     vec = lambda mask: tuple((mask >> j) & 1 for j in range(n))

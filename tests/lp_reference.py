@@ -12,7 +12,8 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from simplegames.lp import _BLAND_AFTER, MAX_PIVOTS, _numerators, _PivotLimit
+from simplegames.errors import BudgetExceededError
+from simplegames.lp import _BLAND_AFTER, MAX_PIVOTS, _numerators
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -80,7 +81,7 @@ def _run_simplex(
         else:
             streak = 0
         _pivot(rows, z, basis, leave, enter)
-    raise _PivotLimit(f"simplex exceeded {MAX_PIVOTS} pivots")
+    raise BudgetExceededError("pivots", MAX_PIVOTS + 1, MAX_PIVOTS)
 
 
 def _core_solve(

@@ -64,6 +64,21 @@ class TestComputeAlpha:
         for w in cert.binding_winning:
             assert coalition_value(cert.payoff, w) == 1
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_relabel_and_dummy_player(self, seed):
+        # alpha depends on the game, not on the players' names, and a player
+        # in no minimal winning coalition changes no coalition's status
+        n = 3 + seed % 6
+        g = random_game(n, 500 + seed, 2 + seed % 7)
+        alpha = compute_alpha_exact(g).alpha
+        perm = list(range(1, n + 1))
+        perm = perm[seed % n :] + perm[: seed % n]
+        perm.reverse()
+        relabeled = new_game(n, [[perm[i - 1] for i in w.players()] for w in g.minimal_winning])
+        assert compute_alpha_exact(relabeled).alpha == alpha
+        padded = new_game(n + 1, [w.players() for w in g.minimal_winning])
+        assert compute_alpha_exact(padded).alpha == alpha
+
     def test_json_shape(self):
         payload = compute_alpha_exact(cycle_game(8)).to_json_dict()
         assert payload["alpha"] == "2/1"

@@ -166,6 +166,19 @@ class TestErrors:
         code, _ = capture("alpha", "--game", "cycle:8", "--budget", "8")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["min-norm", "--game", "cycle:4"],
+            ["gadget", "--graph", "cycle:4"],
+            ["gen", "cycle:4"],
+            ["verify-conjecture", "--n", "4", "--seeds", "1"],
+        ],
+    )
+    def test_budget_on_a_verb_that_ignores_it_exits_2(self, capture, argv):
+        code, out = capture(*argv, "--budget", "1")
+        assert code == 2 and out == ""
+
     def test_pivot_limit_exits_3(self, capture, monkeypatch):
         monkeypatch.setattr("simplegames.lp.MAX_PIVOTS", 1)
         code, out = capture("graph-decide", "--graph", "cycle:8", "--a", "3/2")

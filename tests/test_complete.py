@@ -20,12 +20,53 @@ from simplegames import (
     suffix_sizes,
 )
 from simplegames.complete import greedy_losing_bound, sized_weighted_game
-from simplegames.games import maximal_losing
+from simplegames.games import maximal_losing, random_game, winning_table
 from simplegames.lp import LE, make_lp, solve_lp
 
 WEIGHTED_2111 = new_game(4, [[1, 2], [1, 3], [1, 4], [2, 3, 4]])  # weights (2,1,1,1), quota 3
 MAJ3 = new_game(3, [[1, 2], [1, 3], [2, 3]])
 DICT3 = new_game(3, [[1]])
+
+
+def table_suffix_sizes(cg):
+    # the former body of suffix_sizes, a walk over all 2^n coalitions' bits
+    game = cg.game
+    n = game.n
+    size = 1 << n
+    table = winning_table(game).to_bytes((size + 7) // 8, "little")
+    pos = {p: r for r, p in enumerate(cg.ordering, start=1)}
+
+    suffix_mask = 0
+    suffix_masks = [0] * (n + 2)
+    for r in range(n, 0, -1):
+        suffix_mask |= 1 << (cg.ordering[r - 1] - 1)
+        suffix_masks[r] = suffix_mask
+    k = 1
+    for r in range(n, 0, -1):
+        if table[suffix_masks[r] >> 3] >> (suffix_masks[r] & 7) & 1:
+            k = r
+            break
+
+    best = [n + 1] * (n + 2)
+    for mask in range(1, size):
+        if not table[mask >> 3] >> (mask & 7) & 1:
+            continue
+        first = n + 1
+        m = mask
+        while m:
+            low = m & -m
+            first = min(first, pos[low.bit_length()])
+            m ^= low
+        sz = mask.bit_count()
+        if sz < best[first]:
+            best[first] = sz
+    s = [0] * (k + 1)
+    running = n + 1
+    for r in range(n, 0, -1):
+        running = min(running, best[r])
+        if r <= k:
+            s[r] = running
+    return k, tuple(s[1:])
 
 
 def weighted_minimal_winning(weights, quota):
@@ -120,6 +161,20 @@ class TestSuffixSizes:
         k, s = suffix_sizes(complete_order(wvg.game))
         assert len(s) == k
         assert all(a <= b for a, b in zip(s, s[1:]))
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_table_walk_on_weighted_games(self, n):
+        for seed in range(3):
+            cg = complete_order(random_weighted_voting_game(n, seed).game)
+            assert suffix_sizes(cg) == table_suffix_sizes(cg)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_matches_table_walk_on_complete_random_games(self, n):
+        complete = [complete_order(random_game(n, seed, 2 + seed % n)) for seed in range(40)]
+        complete = [cg for cg in complete if cg is not None]
+        assert complete
+        for cg in complete:
+            assert suffix_sizes(cg) == table_suffix_sizes(cg)
 
 
 class TestCsgPayoff:
