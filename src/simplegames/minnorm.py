@@ -16,6 +16,13 @@ stops when min_r <x, r> >= ||x||^2, compared exactly.  S stays affinely
 independent and ||x|| falls at every major cycle, so the loop is finite.
 
 One exact LP certifies p*: the gap <p, p> - min_{q in Q} <p, q> is exactly 0.
+
+`tightness_check` decides alpha = n/4 through (2/n)*ones in conv(winning) and
+(1/2)*ones in conv(losing) without listing all 2^n coalitions.  For
+0 <= x <= 1, x is in conv(winning) iff some y <= x is in conv(minimal
+winning): shrink each coalition to a minimal winning subset, and back, add
+player j to part of the weight of coalitions without j until y_j = x_j.
+Mirrored, x is in conv(losing) iff some y >= x is in conv(maximal losing).
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ from typing import Optional, Sequence
 from . import budgets
 from .errors import BudgetExceededError
 from .alpha import coalition_value
-from .games import Coalition, SimpleGame, winning_table
-from .lp import GE, LPRow, LinearProgram, frac, in_convex_hull, rat, solve_lp
+from .games import Coalition, SimpleGame, maximal_losing, winning_table
+from .lp import EQ, GE, LE, LPRow, LinearProgram, frac, in_convex_hull, rat, solve_lp
 
 DEFAULT_TOLERANCE = 1e-6
 MAX_ITERATIONS = 100_000
@@ -235,29 +242,106 @@ def _all_coalitions_by_class(game: SimpleGame) -> tuple[list[int], list[int]]:
     return winning, losing
 
 
+def _dominated_support(
+    n: int, columns: Sequence[int], target: Fraction, add: bool
+) -> Optional[list[int]]:
+    """Masks whose convex hull holds target*ones, from one LP over `columns`.
+
+    The LP asks for convex weights over `columns` whose combination y has
+    y <= target (add) or y >= target (not add) in every coordinate; None when
+    there are none.  The fill then goes player by player, in ascending mask
+    order, moving weight from coalitions without the player to the same
+    coalitions with it (add), or the other way (not add), until the player's
+    share is exactly target.  Each player splits at most one coalition, so
+    the support has at most len(columns) + n masks.
+    """
+    k = len(columns)
+    rows = [
+        LPRow(tuple(m >> j & 1 for m in columns), LE if add else GE, target) for j in range(n)
+    ]
+    rows.append(LPRow((1,) * k, EQ, 1))
+    sol = solve_lp(LinearProgram(k, (0,) * k, tuple(rows)))
+    if sol.status != "optimal":
+        return None
+    assert sol.primal is not None
+    weights = {m: w for m, w in zip(columns, sol.primal) if w}
+    for j in range(n):
+        bit = 1 << j
+        share = sum((w for m, w in weights.items() if m & bit), _ZERO)
+        need = target - share if add else share - target
+        for m in sorted(weights):
+            if need <= 0:
+                break
+            if bool(m & bit) == add:
+                continue
+            take = min(weights[m], need)
+            need -= take
+            if take == weights[m]:
+                del weights[m]
+            else:
+                weights[m] -= take
+            weights[m ^ bit] = weights.get(m ^ bit, _ZERO) + take
+    return sorted(weights)
+
+
+def _class_hull(
+    game: SimpleGame, columns: Sequence[int], target: Fraction, winning: bool
+) -> Optional[dict[int, Fraction]]:
+    """Certified weights of target*ones over winning (or losing) coalitions, or None.
+
+    `columns` are the minimal winning (maximal losing) masks.  Every support
+    mask is checked against the winning table, and the weights come from
+    `in_convex_hull`, which certifies them exactly.
+    """
+    n = game.n
+    support = _dominated_support(n, columns, target, winning)
+    if support is None:
+        return None
+    table = winning_table(game)
+    for m in support:
+        if bool(table >> m & 1) != winning:
+            kind = "winning" if winning else "losing"
+            raise AssertionError(f"hull witness {Coalition(m).players()} is not {kind}")
+    lam = in_convex_hull([target] * n, [tuple(m >> j & 1 for j in range(n)) for m in support])
+    if lam is None:
+        raise AssertionError("in_convex_hull rejects the support of a feasible dominated hull")
+    return dict(zip(support, lam))
+
+
 def tightness_check(
     game: SimpleGame, budget: Optional[int] = None
 ) -> tuple[bool, Optional[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]]:
     """Whether alpha attains n/4: (2/n)*ones must be a convex combination of
     winning characteristic vectors and (1/2)*ones one of losing vectors.
 
+    For 0 <= x <= 1, x is in conv(winning) iff some y <= x is in conv(minimal
+    winning).  (=>) Shrink each winning coalition to a minimal winning
+    subset.  (<=) Raise y_j to x_j by adding j to part of the weight of
+    coalitions without j; supersets still win.  Mirrored, removing players, x
+    is in conv(losing) iff some y >= x is in conv(maximal losing).  So each
+    side is one small LP; its solution is filled up to the target, every
+    support coalition's class is checked, and `in_convex_hull` certifies the
+    weights.  Below two players 2/n > 1, so never tight.
+
     Returns (True, (winning_weights, losing_weights)) or (False, None).  The
     weight tuples align with all winning / losing coalitions in ascending
-    mask order.  Cost grows as 2^n; refuse beyond the budget.
+    mask order, 2^n entries in total; refuse beyond the budget.
     """
     budgets.check("tightness", game.n, budget)
     n = game.n
-    winning, losing = _all_coalitions_by_class(game)
-    vec = lambda mask: tuple((mask >> j) & 1 for j in range(n))
-    w_target = [Fraction(2, n)] * n
-    l_target = [Fraction(1, 2)] * n
-    lam_w = in_convex_hull(w_target, [vec(m) for m in winning])
+    if n < 2:
+        return False, None
+    lam_w = _class_hull(game, [c.mask for c in game.minimal_winning], Fraction(2, n), True)
     if lam_w is None:
         return False, None
-    lam_l = in_convex_hull(l_target, [vec(m) for m in losing])
+    lam_l = _class_hull(game, [c.mask for c in maximal_losing(game)], Fraction(1, 2), False)
     if lam_l is None:
         return False, None
-    return True, (lam_w, lam_l)
+    winning, losing = _all_coalitions_by_class(game)
+    return True, (
+        tuple(lam_w.get(m, _ZERO) for m in winning),
+        tuple(lam_l.get(m, _ZERO) for m in losing),
+    )
 
 
 def coalition_weights_nonzero(

@@ -1,6 +1,7 @@
 """Min-norm point: feasibility, certificates, strengthened bound, tightness."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -10,6 +11,7 @@ import pytest
 
 from simplegames import (
     BudgetExceededError,
+    Coalition,
     compute_alpha_exact,
     cycle_game,
     is_feasible,
@@ -19,6 +21,10 @@ from simplegames import (
     strengthened_bound,
     tightness_check,
 )
+from simplegames.complete import random_weighted_voting_game
+from simplegames.games import is_winning
+from simplegames.lp import in_convex_hull
+from simplegames.minnorm import _all_coalitions_by_class, _dominated_support
 
 MAJ3 = new_game(3, [[1, 2], [1, 3], [2, 3]])
 DICT3 = new_game(3, [[1]])
@@ -243,3 +249,145 @@ class TestTightness:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             tightness_check(new_game(24, [[1, 2]]))
+
+    @pytest.mark.parametrize(
+        "n, columns, target, add, support",
+        [
+            (2, [0b01, 0b10], F(1), True, [0b11]),  # whole coalitions move
+            (3, [0b001, 0b010, 0b100], F(2, 3), True, [0b011, 0b101, 0b110]),  # one split
+            (3, [0b111], F(1, 2), False, [0b000, 0b111]),  # players removed
+        ],
+    )
+    def test_fill_reaches_the_target(self, n, columns, target, add, support):
+        assert _dominated_support(n, columns, target, add) == support
+        assert len(support) <= len(columns) + n
+        vectors = [tuple(m >> j & 1 for j in range(n)) for m in support]
+        assert in_convex_hull([target] * n, vectors) is not None
+
+    def test_one_player_is_never_tight(self):
+        # 2/n = 2 is beyond every 0/1 combination
+        assert tightness_check(new_game(1, [[1]])) == (False, None)
+
+
+def reference_tightness(game):
+    # the former body of tightness_check: two hulls over all 2^n coalitions
+    n = game.n
+    winning, losing = _all_coalitions_by_class(game)
+    vec = lambda mask: tuple((mask >> j) & 1 for j in range(n))
+    lam_w = in_convex_hull([F(2, n)] * n, [vec(m) for m in winning])
+    if lam_w is None:
+        return False, None
+    lam_l = in_convex_hull([F(1, 2)] * n, [vec(m) for m in losing])
+    if lam_l is None:
+        return False, None
+    return True, (lam_w, lam_l)
+
+
+def check_witness(game, hulls):
+    """Both weight tuples are probability vectors over the right class that
+    reproduce (2/n)*ones and (1/2)*ones exactly; classes via is_winning."""
+    n = game.n
+    masks = range(1 << n)
+    winning = [m for m in masks if is_winning(game, Coalition(m))]
+    losing = [m for m in masks if not is_winning(game, Coalition(m))]
+    for weights, members, target in ((hulls[0], winning, F(2, n)), (hulls[1], losing, F(1, 2))):
+        assert len(weights) == len(members)
+        assert all(w >= 0 for w in weights) and sum(weights) == 1
+        point = [sum(w for m, w in zip(members, weights) if m >> j & 1) for j in range(n)]
+        assert point == [target] * n
+
+
+def relabeled(game, seed):
+    perm = list(range(1, game.n + 1))
+    random.Random(seed).shuffle(perm)
+    return new_game(game.n, [[perm[i - 1] for i in w.players()] for w in game.minimal_winning])
+
+
+TIGHT = [cycle_game(4), cycle_game(6), cycle_game(8), new_game(4, [[1, 2], [3, 4]])]
+
+
+class TestTightnessAgainstReference:
+    """The dominated-hull LPs against the two hulls over all 2^n coalitions."""
+
+    @staticmethod
+    def agree(game):
+        got = tightness_check(game)
+        want = reference_tightness(game)
+        assert got[0] == want[0]
+        for tight, hulls in (got, want):
+            if tight:
+                check_witness(game, hulls)
+            else:
+                assert hulls is None
+        return got[0]
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_random_games(self, n):
+        for seed in range(4):
+            for target in (2, 3, 5, n):
+                self.agree(random_game(n, 900 + seed, target))
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_cycle_games(self, n):
+        assert self.agree(cycle_game(n))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_weighted_games(self, n):
+        for seed in range(3):
+            self.agree(random_weighted_voting_game(n, seed).game)
+
+    def test_tight_examples(self):
+        assert all(self.agree(g) for g in TIGHT)
+
+
+class TestTightnessMetamorphic:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_relabeling_keeps_tight(self, seed):
+        games = TIGHT + [random_game(4 + seed, 700 + seed, 3 + seed % 4)]
+        for g in games:
+            moved = relabeled(g, seed)
+            tight, hulls = tightness_check(moved)
+            assert tight == tightness_check(g)[0]
+            if tight:
+                check_witness(moved, hulls)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_dummy_player_breaks_tightness(self, n):
+        # alpha is unchanged by a player in no minimal winning coalition,
+        # while n/4 grows by 1/4
+        g = cycle_game(n)
+        assert tightness_check(g)[0]
+        padded = new_game(n + 1, [w.players() for w in g.minimal_winning])
+        assert compute_alpha_exact(padded).alpha == compute_alpha_exact(g).alpha
+        assert tightness_check(padded) == (False, None)
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            (
+                "minnorm.maximal_losing = lambda game, budget=None: [Coalition(game.full_mask)]",
+                "hull witness (1, 2, 3, 4) is not losing",
+            ),
+            (
+                "minnorm.in_convex_hull = lambda point, generators: None",
+                "in_convex_hull rejects the support of a feasible dominated hull",
+            ),
+        ],
+    )
+    def test_witness_checks_survive_optimize(self, patch, message):
+        script = f"""
+from simplegames import Coalition, cycle_game, minnorm
+assert False, "python -O should have stripped this assert"
+{patch}
+minnorm.tightness_check(cycle_game(4))
+"""
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert f"AssertionError: {message}" in proc.stderr
