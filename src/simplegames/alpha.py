@@ -85,9 +85,9 @@ def solve_threshold_lp(n: int, rows: Sequence[LPRow]) -> tuple[tuple[Fraction, .
 class ThresholdLP:
     """The threshold LP of `threshold_rows`, kept warm in an `lp.TallLP` while losing rows arrive.
 
-    Its cost e_t is nonnegative, so the `TallLP` runs phase 1 once, at
-    construction, and each row t - p(L) >= 0 enters as a new column of its
-    dual, priced from the last optimal basis.  Every solve is certified on
+    Its cost e_t is nonnegative, so the `TallLP` starts feasible with no
+    phase 1, and each row t - p(L) >= 0 enters as a new column of its dual,
+    priced from the last optimal basis.  Every solve is certified on
     all the rows added so far.
     """
 

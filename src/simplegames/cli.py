@@ -21,7 +21,7 @@ from . import complete as complete_mod
 from . import graphs as graphs_mod
 from . import minnorm as minnorm_mod
 from .errors import BudgetExceededError
-from .games import SimpleGame, cycle_game, game_from_json, game_to_json_dict, random_game
+from .games import Coalition, SimpleGame, cycle_game, game_from_json, game_to_json_dict, random_game
 from .graphs import Graph, graph_from_source, graph_to_json_dict
 from .lp import frac, rat
 
@@ -97,20 +97,13 @@ def _cmd_min_norm(args) -> int:
 
 def _cmd_tightness(args) -> int:
     game = _load_game(args.game, args.seed)
-    tight, hulls = minnorm_mod.tightness_check(game, args.budget)
-    payload: dict = {"tight": tight, "winning_hull": None, "losing_hull": None}
-    if tight and hulls is not None:
-        lam_w, lam_l = hulls
-        payload["winning_hull"] = [
-            [list(c.players()), rat(w)]
-            for c, w in minnorm_mod.coalition_weights_nonzero(game, lam_w, losing=False)
-        ]
-        payload["losing_hull"] = [
-            [list(c.players()), rat(w)]
-            for c, w in minnorm_mod.coalition_weights_nonzero(game, lam_l, losing=True)
-        ]
+    hulls = minnorm_mod.tightness_hulls(game, args.budget)
+    payload: dict = {"tight": hulls is not None, "winning_hull": None, "losing_hull": None}
+    if hulls is not None:
+        for key, weights in zip(("winning_hull", "losing_hull"), hulls):
+            payload[key] = [[list(Coalition(m).players()), rat(w)] for m, w in weights.items() if w]
     _emit(payload, args.format)
-    return EXIT_OK if tight else EXIT_FALSE
+    return EXIT_FALSE if hulls is None else EXIT_OK
 
 
 def _cmd_graph_alpha(args) -> int:

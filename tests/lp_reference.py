@@ -1,9 +1,12 @@
-"""The dense `Fraction` two-phase simplex that `simplegames.lp` replaced.
+"""A dense `Fraction` two-phase simplex: the reference for the differential tests.
 
-Kept verbatim as the reference for the differential tests: the integer-row
-kernel in `simplegames.lp` must make the same pivots and so return equal
-solutions.  Patch `core_solve` over `simplegames.lp._core_solve` to route
-`solve_lp` (and through it every exact caller) through this kernel.
+It takes the rules of the integer-row kernel in `simplegames.lp` (a slack
+start for rows with b <= 0, Dantzig pricing, lexicographic ratio ties), so
+that kernel must make the same pivots and return equal solutions.  It keeps
+an artificial column for every row and reads the duals off them, which
+checks the kernel's reading of the duals off its surplus columns.  Patch
+`core_solve` over `simplegames.lp._core_solve` to route `solve_lp` (and
+through it every exact caller) through this kernel.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from simplegames.errors import BudgetExceededError
-from simplegames.lp import _BLAND_AFTER, MAX_PIVOTS, _numerators
+from simplegames.lp import MAX_PIVOTS, _numerators
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -38,29 +41,35 @@ def _pivot(rows: list[list[Fraction]], z: list[Fraction], basis: list[int], r: i
         z[:] = [a - f * b for a, b in zip(z, prow)]
 
 
+def _lex_less(row: list[Fraction], other: list[Fraction], enter: int, lex: list[int]) -> bool:
+    """Whether row/row[enter] is lexicographically less than other/other[enter] on `lex`."""
+    for j in lex:
+        d = row[j] / row[enter] - other[j] / other[enter]
+        if d:
+            return d < 0
+    return False
+
+
 def _run_simplex(
     rows: list[list[Fraction]],
     z: list[Fraction],
     basis: list[int],
     allowed: int,
 ) -> str:
-    """Pivot to optimality; `allowed` is the number of admissible entering columns."""
-    bland = False
-    streak = 0
+    """Pivot to optimality; `allowed` is the number of admissible entering columns.
+
+    A ratio tie goes to the row whose entries in the entry basis's columns,
+    over the entering entry, are lexicographically least.
+    """
+    lex = list(basis)
     for _ in range(MAX_PIVOTS):
+        best = _ZERO
         enter = -1
-        if bland:
-            for j in range(allowed):
-                if z[j] < 0:
-                    enter = j
-                    break
-        else:
-            best = _ZERO
-            for j in range(allowed):
-                v = z[j]
-                if v < best:
-                    best = v
-                    enter = j
+        for j in range(allowed):
+            v = z[j]
+            if v < best:
+                best = v
+                enter = j
         if enter < 0:
             return "optimal"
         ratio = None
@@ -69,17 +78,11 @@ def _run_simplex(
             a = row[enter]
             if a > 0:
                 r = row[-1] / a
-                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
+                if ratio is None or r < ratio or (r == ratio and _lex_less(row, rows[leave], enter, lex)):
                     ratio = r
                     leave = i
         if leave < 0:
             return "unbounded"
-        if ratio == 0:
-            streak += 1
-            if streak >= _BLAND_AFTER:
-                bland = True
-        else:
-            streak = 0
         _pivot(rows, z, basis, leave, enter)
     raise BudgetExceededError("pivots", MAX_PIVOTS + 1, MAX_PIVOTS)
 
@@ -98,7 +101,7 @@ def _core_solve(
     rows: list[list[Fraction]] = []
     sign: list[int] = []
     for i in range(m):
-        s = 1 if b[i] >= 0 else -1
+        s = 1 if b[i] > 0 else -1
         sign.append(s)
         row = [_ZERO] * ncols
         ai = a[i]
@@ -110,16 +113,18 @@ def _core_solve(
         row[k + m + i] = _ONE
         row[-1] = b[i] if s == 1 else -b[i]
         rows.append(row)
-    basis = [k + m + i for i in range(m)]
+    # a row that entered negated starts with its surplus basic
+    basis = [k + m + i if s == 1 else k + i for i, s in enumerate(sign)]
 
-    # phase 1: minimize the artificial total
+    # phase 1: minimize the total of the artificials that start basic
     z = [_ZERO] * ncols
-    for row in rows:
-        for j in range(k + m):
-            v = row[j]
-            if v:
-                z[j] -= v
-        z[-1] -= row[-1]
+    for row, s in zip(rows, sign):
+        if s == 1:
+            for j in range(k + m):
+                v = row[j]
+                if v:
+                    z[j] -= v
+            z[-1] -= row[-1]
     _run_simplex(rows, z, basis, k + m)
     if -z[-1] != 0:
         return "infeasible", None, None, None

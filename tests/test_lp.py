@@ -356,10 +356,11 @@ class TestTableau:
                 pass
         assert any(rescaled) and not all(rescaled)
 
-    def test_dependent_dual_rows(self, monkeypatch):
-        # two equal columns of the LP give two equal dual rows; phase 1 ends
-        # with artificials basic, and the drive-out still removes every one,
-        # each row having a surplus column of its own
+    def test_dependent_rows(self, monkeypatch):
+        # every row with b > 0 repeated: two equal rows with artificials, so
+        # phase 1 ends with artificials basic, and the drive-out still removes
+        # every one, each row having a surplus column of its own; columns
+        # added after the artificial columns are gone must reach the cold optimum
         ended_with_artificials = []
         run = lp._run_simplex
 
@@ -369,17 +370,68 @@ class TestTableau:
             return status
 
         monkeypatch.setattr(lp, "_run_simplex", spy)
+        cost_of = lambda v, vden: F(sum(cj * vj for cj, vj in zip(c, v)), vden)
         phase_one_left_one = 0
         for seed in range(12):
             a, den, c, cden = self.tall_model(seed)
-            a = [row[:1] + row for row in a]
-            c = c[:1] + c
+            a += [row for row in a if row[-1] > 0]
             ended_with_artificials.clear()
-            tableau, _, _ = next(self.warm_steps(a, den, c, cden, start=2))
-            phase_one_left_one += ended_with_artificials[0]
+            tableau = lp._Tableau(a, den, c, cden)
+            phase_one_left_one += any(ended_with_artificials)
             assert all(b < tableau.k + tableau.m for b in tableau.basis)
-            self.check_steps(a, den, c, cden, start=2)
+            assert all(len(row) == tableau.k + tableau.m + 1 for row in tableau.rows)
+            rng = random.Random(seed)
+            for step in range(4):
+                if step:  # a new variable with a nonnegative cost keeps the optimum finite
+                    col, cost = [rng.randint(-3, 3) for _ in a], rng.randint(0, 3)
+                    tableau.add_column(col, cost)
+                    a = [row[:-1] + [v] + row[-1:] for row, v in zip(a, col)]
+                    c = c + [cost]
+                assert tableau.run() == "optimal"
+                x, xden, y, yden = tableau.solution()
+                lp._certify(a, den, c, cden, x, xden, y, yden)
+                status, (rx, rxden, _, _) = lp_reference.core_solve(a, den, c, cden)
+                assert status == "optimal"
+                assert cost_of(x, xden) == cost_of(rx, rxden)
         assert phase_one_left_one > 0
+
+    def test_slack_start_skips_phase_one(self, monkeypatch):
+        # a TallLP's dual and the transposed dual of a threshold LP have every
+        # right-hand side <= 0: the tableau starts at its slack basis, so
+        # construction makes no pivot, neither phase 1 nor drive-out
+        from simplegames.games import random_game
+
+        pivots = {"construction": 0, "solve": 0}
+        building = [False]
+        transposed = []
+        pivot, init, transpose = lp._pivot, lp._Tableau.__init__, lp._transpose
+
+        def spy_pivot(*args):
+            pivots["construction" if building[0] else "solve"] += 1
+            pivot(*args)
+
+        def spy_init(self, *args):
+            building[0] = True
+            try:
+                init(self, *args)
+            finally:
+                building[0] = False
+
+        monkeypatch.setattr(lp, "_pivot", spy_pivot)
+        monkeypatch.setattr(lp._Tableau, "__init__", spy_init)
+        for seed in range(12):
+            a, den, c, cden = self.tall_model(seed)
+            assert self.check_steps(a, den, c, cden, start=1) == len(a)
+
+        def spy_transpose(*args):
+            transposed.append(args)
+            return transpose(*args)
+
+        monkeypatch.setattr(lp, "_transpose", spy_transpose)
+        for seed in range(6):
+            compute_alpha_exact(random_game(7, seed, 5))
+        assert len(transposed) == 6  # each threshold LP went through its dual
+        assert pivots["construction"] == 0 and pivots["solve"] > 0
 
     def test_isolated_vertex(self, monkeypatch):
         # vertex 6 is in no edge, so its dual row starts all-zero; every

@@ -16,6 +16,7 @@ from simplegames.alpha import alpha_of_payoff, compute_alpha_exact
 from simplegames.games import cycle_game, random_game
 from simplegames.graphs import (
     alpha_graph,
+    build_gadget,
     decide_alpha_at_most,
     graphic_game,
     random_bipartite_graph,
@@ -89,19 +90,21 @@ def redundant_model(seed):
     return make_lp(objective, rows, rng.choice(("min", "max")), upper=[F(5)] * k)
 
 
+BEALE = make_lp(  # Beale's cycling example
+    [F(-3, 4), 150, F(-1, 50), 6],
+    [
+        ([F(1, 4), -60, F(-1, 25), 9], LE, 0),
+        ([F(1, 2), -90, F(-1, 50), 3], LE, 0),
+        ([0, 0, 1, 0], LE, 1),
+    ],
+)
+
 FIXED = [
     make_lp([1], [([1], GE, 1), ([1], LE, 0)]),  # infeasible, tall
     make_lp([1, 1], [([1, 1], LE, -1)]),  # infeasible, negative rhs, wide
     make_lp([1], [([1], GE, 1)], sense="max"),  # unbounded, wide
     make_lp([-1], [([1], GE, 1), ([1], GE, 2)]),  # unbounded, tall: transposed path is ambiguous
-    make_lp(  # Beale's cycling example
-        [F(-3, 4), 150, F(-1, 50), 6],
-        [
-            ([F(1, 4), -60, F(-1, 25), 9], LE, 0),
-            ([F(1, 2), -90, F(-1, 50), 3], LE, 0),
-            ([0, 0, 1, 0], LE, 1),
-        ],
-    ),
+    BEALE,
 ]
 
 MODELS = (
@@ -173,9 +176,42 @@ def test_models_cover_every_case(monkeypatch):
     assert senses == {"min", "max"}
     assert paths == {"tall", "wide"}
     assert all(kinds.values()), kinds
-    assert spy.longest_streak >= lp._BLAND_AFTER  # some model switches to Bland's rule
+    assert spy.longest_streak >= 12  # some model makes a long run of degenerate pivots
     assert spy.drive_outs > 0  # some model leaves an artificial basic after phase 1
     assert spy.negative_drive_outs > 0  # and drives it out on a negative entry
+
+
+def test_no_basis_repeats(monkeypatch):
+    # the lexicographic ratio test: within one simplex run every basis is new,
+    # through long degenerate runs, Beale's cycling example and the cut LPs
+    # of graphic-game gadgets
+    runs, degenerate = [], [0]
+    pivot, run = lp._pivot, lp._run_simplex
+
+    def spy_pivot(rows, dens, basis, r, col):
+        if runs and runs[-1] is not None:
+            degenerate[0] += rows[r][-1] == 0
+            pivot(rows, dens, basis, r, col)
+            runs[-1].append(frozenset(basis))
+        else:
+            pivot(rows, dens, basis, r, col)
+
+    def spy_run(rows, dens, basis, allowed):
+        runs.append([frozenset(basis)])
+        try:
+            return run(rows, dens, basis, allowed)
+        finally:
+            runs.append(None)  # drive-out pivots fall between runs
+
+    monkeypatch.setattr(lp, "_pivot", spy_pivot)
+    monkeypatch.setattr(lp, "_run_simplex", spy_run)
+    for model in [degenerate_model(seed) for seed in range(12)] + [BEALE]:
+        solve_lp(model)
+    for n, m in ((6, 7), (6, 11), (7, 9), (7, 15)):
+        alpha_graph(build_gadget(random_graph(n, m, 3)))
+    bases = [r for r in runs if r is not None]
+    assert all(len(set(r)) == len(r) for r in bases)
+    assert max(map(len, bases)) > 12 and degenerate[0] > 12
 
 
 def test_exact_callers_match_reference(monkeypatch):
