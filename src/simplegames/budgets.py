@@ -17,7 +17,7 @@ from .errors import BudgetExceededError
 CAPS = {
     "tables": 24,  # players in the subset tables of `games`
     "desirability": 20,  # players in the desirability scan of `complete`
-    "tightness": 20,  # players in tightness_check's 2^n-long weight tuples
+    "tightness": 20,  # players in tightness_check: its winning table, its maximal losing list
     "min_norm": 24,  # players in min_norm_point
     "corpus": 16,  # players in the random corpus drivers
     "mwis": 40,  # vertices in the exact independent-set searches of `graphs`

@@ -97,13 +97,13 @@ def _cmd_min_norm(args) -> int:
 
 def _cmd_tightness(args) -> int:
     game = _load_game(args.game, args.seed)
-    hulls = minnorm_mod.tightness_hulls(game, args.budget)
-    payload: dict = {"tight": hulls is not None, "winning_hull": None, "losing_hull": None}
-    if hulls is not None:
+    tight, hulls = minnorm_mod.tightness_check(game, args.budget)
+    payload: dict = {"tight": tight, "winning_hull": None, "losing_hull": None}
+    if tight:
         for key, weights in zip(("winning_hull", "losing_hull"), hulls):
             payload[key] = [[list(Coalition(m).players()), rat(w)] for m, w in weights.items() if w]
     _emit(payload, args.format)
-    return EXIT_FALSE if hulls is None else EXIT_OK
+    return EXIT_OK if tight else EXIT_FALSE
 
 
 def _cmd_graph_alpha(args) -> int:

@@ -219,25 +219,18 @@ def random_weighted_voting_game(
     lo = max(total // 2 + 1, int(total * quota_range[0]))
     hi = max(lo, int(total * quota_range[1]))
     quota = rng.randint(lo, hi)
-    size = 1 << n
-    wsum = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        wsum[mask] = wsum[mask ^ low] + weights[low.bit_length() - 1]
-    minimal = []
-    for mask in range(1, size):
-        if wsum[mask] < quota:
-            continue
-        m = mask
-        is_min = True
-        while m:
-            low = m & -m
-            m ^= low
-            if wsum[mask ^ low] >= quota:
-                is_min = False
-                break
-        if is_min:
-            minimal.append(Coalition(mask))
+    # the masks whose top player is i + 1 are rest + 2^i for rest < 2^i, so
+    # the tables fill in ascending mask order; no weight exceeds max_weight
+    wsum, lightest, minimal = [0], [max_weight], []
+    for i, w in enumerate(weights):
+        for rest in range(1 << i):
+            total = wsum[rest] + w
+            light = w if w < lightest[rest] else lightest[rest]
+            wsum.append(total)
+            lightest.append(light)
+            # a winning coalition is minimal iff it loses without its lightest player
+            if total >= quota > total - light:
+                minimal.append(Coalition(rest | 1 << i))
     return WeightedVotingGame(tuple(weights), quota, new_game(n, minimal))
 
 

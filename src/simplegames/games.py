@@ -8,7 +8,10 @@ coalitions, and the blocker (the family of minimal covers).
 
 Coalitions are bit masks (player i is bit i-1), which keeps subset tests O(1)
 and lets the enumeration-heavy operations work on one big integer whose bit s
-says whether coalition-mask s is winning.
+says whether coalition-mask s is winning.  Which members of a family contain
+no other member is decided in one place, `_minimal_masks`, by one bit column
+per player over the family, so it needs no 2^n table and serves every n; the
+antichain check and the pruning of `new_game` both call it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ class Coalition:
     mask: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.mask, int) or self.mask < 0:
+        if type(self.mask) is not int or self.mask < 0:
             raise ValueError(f"coalition mask must be a nonnegative int, got {self.mask!r}")
 
     @classmethod
@@ -44,8 +47,8 @@ class Coalition:
     def from_players(cls, players: Iterable[int]) -> "Coalition":
         mask = 0
         for p in players:
-            if not isinstance(p, int) or p < 1 or p > MAX_PLAYERS:
-                raise ValueError(f"player index out of range 1..{MAX_PLAYERS}: {p!r}")
+            if type(p) is not int or p < 1 or p > MAX_PLAYERS:
+                raise ValueError(f"player must be an int in 1..{MAX_PLAYERS}, got {p!r}")
             mask |= 1 << (p - 1)
         return cls(mask)
 
@@ -91,6 +94,35 @@ def _coerce(c: CoalitionLike) -> Coalition:
     return Coalition.from_players(c)
 
 
+def _minimal_masks(n: int, masks: list[int]) -> list[int]:
+    """The members of `masks` (subsets of 1..n) that contain no other member,
+    in input order; a repeated mask contains its twin, so neither copy stays.
+
+    Column i flags (bit t) the members that lack player i, so the members
+    inside m are the AND of the columns of the players m lacks: at most n
+    big-int ANDs per member, for every n.
+    """
+    everyone = (1 << len(masks)) - 1
+    columns = [everyone] * n
+    for t, m in enumerate(masks):
+        while m:
+            low = m & -m
+            columns[low.bit_length() - 1] ^= 1 << t
+            m ^= low
+    full = (1 << n) - 1
+    kept = []
+    for t, m in enumerate(masks):
+        inside = everyone
+        lacks = full ^ m
+        while lacks:
+            low = lacks & -lacks
+            inside &= columns[low.bit_length() - 1]
+            lacks ^= low
+        if inside == 1 << t:
+            kept.append(m)
+    return kept
+
+
 @dataclass(frozen=True)
 class SimpleGame:
     """n players plus the antichain of minimal winning coalitions.
@@ -104,7 +136,7 @@ class SimpleGame:
     minimal_winning: tuple[Coalition, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_PLAYERS:
+        if type(self.n) is not int or not 1 <= self.n <= MAX_PLAYERS:
             raise ValueError(f"player count must be in 1..{MAX_PLAYERS}, got {self.n!r}")
         if not self.minimal_winning:
             raise ValueError("a simple game needs at least one winning coalition")
@@ -114,10 +146,9 @@ class SimpleGame:
                 raise ValueError("the empty coalition cannot be winning")
             if c.mask & ~full:
                 raise ValueError(f"coalition {c.players()} has players outside 1..{self.n}")
-        for a in self.minimal_winning:
-            for b in self.minimal_winning:
-                if a is not b and a.issubset(b):
-                    raise ValueError("minimal_winning must be an antichain")
+        masks = [c.mask for c in self.minimal_winning]
+        if len(_minimal_masks(self.n, masks)) != len(masks):
+            raise ValueError("minimal_winning must be an antichain")
 
     @property
     def full_mask(self) -> int:
@@ -130,7 +161,7 @@ def new_game(n: int, coalitions: Iterable[CoalitionLike]) -> SimpleGame:
     Non-minimal inputs are silently pruned; duplicates collapse.  Raises
     ValueError for an empty list, an empty coalition, or out-of-range players.
     """
-    if not isinstance(n, int) or not 1 <= n <= MAX_PLAYERS:
+    if type(n) is not int or not 1 <= n <= MAX_PLAYERS:
         raise ValueError(f"player count must be in 1..{MAX_PLAYERS}, got {n!r}")
     full = (1 << n) - 1
     masks = []
@@ -143,11 +174,7 @@ def new_game(n: int, coalitions: Iterable[CoalitionLike]) -> SimpleGame:
         masks.append(co.mask)
     if not masks:
         raise ValueError("at least one winning coalition is required")
-    masks.sort(key=lambda m: (m.bit_count(), m))
-    kept: list[int] = []
-    for m in masks:
-        if not any(k & ~m == 0 for k in kept):
-            kept.append(m)
+    kept = _minimal_masks(n, sorted(set(masks)))
     coals = sorted((Coalition(m) for m in kept), key=lambda c: c.players())
     return SimpleGame(n, tuple(coals))
 

@@ -55,7 +55,7 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ValueError(f"vertex count must be a positive int, got {self.n!r}")
         seen = set()
         for e in self.edges:
@@ -70,7 +70,9 @@ class Graph:
 def make_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     canon = set()
     for e in edges:
-        u, v = int(e[0]), int(e[1])
+        u, v = e[0], e[1]
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge {e!r} is not a pair of int vertices")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         canon.add((min(u, v), max(u, v)))

@@ -23,6 +23,8 @@ One exact LP certifies p*: the gap <p, p> - min_{q in Q} <p, q> is exactly 0.
 winning): shrink each coalition to a minimal winning subset, and back, add
 player j to part of the weight of coalitions without j until y_j = x_j.
 Mirrored, x is in conv(losing) iff some y >= x is in conv(maximal losing).
+The certified weights come back sparse, as {mask: weight} dicts over the
+support of each combination.
 """
 
 from __future__ import annotations
@@ -229,19 +231,6 @@ def strengthened_bound(game: SimpleGame, payoff: Sequence) -> Fraction:
     return sum(p, _ZERO) - _min_over_q(game, tuple(p))
 
 
-def _all_coalitions_by_class(game: SimpleGame) -> tuple[list[int], list[int]]:
-    """Masks of every winning and every losing coalition, via the subset table."""
-    size = 1 << game.n
-    table = winning_table(game).to_bytes((size + 7) // 8, "little")
-    winning, losing = [], []
-    for s in range(size):
-        if table[s >> 3] >> (s & 7) & 1:
-            winning.append(s)
-        else:
-            losing.append(s)
-    return winning, losing
-
-
 def _dominated_support(
     n: int, columns: Sequence[int], target: Fraction, add: bool
 ) -> Optional[list[int]]:
@@ -308,9 +297,9 @@ def _class_hull(
     return dict(zip(support, lam))
 
 
-def tightness_hulls(
+def tightness_check(
     game: SimpleGame, budget: Optional[int] = None
-) -> Optional[tuple[dict[int, Fraction], dict[int, Fraction]]]:
+) -> tuple[bool, Optional[tuple[dict[int, Fraction], dict[int, Fraction]]]]:
     """Whether alpha attains n/4: (2/n)*ones must be a convex combination of
     winning characteristic vectors and (1/2)*ones one of losing vectors.
 
@@ -323,37 +312,19 @@ def tightness_hulls(
     support coalition's class is checked, and `in_convex_hull` certifies the
     weights.  Below two players 2/n > 1, so never tight.
 
-    Returns the certified weights of both combinations, each keyed by
+    Returns (True, (winning_weights, losing_weights)), each a dict keyed by
     coalition mask in ascending order over its support (some weights may be
-    0), or None when alpha < n/4.  Refuses beyond the `tightness` budget.
+    0), or (False, None) when alpha < n/4.  Refuses beyond the `tightness`
+    budget.
     """
     budgets.check("tightness", game.n, budget)
     n = game.n
     if n < 2:
-        return None
+        return False, None
     lam_w = _class_hull(game, [c.mask for c in game.minimal_winning], Fraction(2, n), True)
     if lam_w is None:
-        return None
+        return False, None
     lam_l = _class_hull(game, [c.mask for c in maximal_losing(game)], Fraction(1, 2), False)
     if lam_l is None:
-        return None
-    return lam_w, lam_l
-
-
-def tightness_check(
-    game: SimpleGame, budget: Optional[int] = None
-) -> tuple[bool, Optional[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]]:
-    """`tightness_hulls` as (True, (winning_weights, losing_weights)) or (False, None).
-
-    The weight tuples align with all winning / losing coalitions in ascending
-    mask order, 2^n entries in total.
-    """
-    hulls = tightness_hulls(game, budget)
-    if hulls is None:
         return False, None
-    lam_w, lam_l = hulls
-    winning, losing = _all_coalitions_by_class(game)
-    return True, (
-        tuple(lam_w.get(m, _ZERO) for m in winning),
-        tuple(lam_l.get(m, _ZERO) for m in losing),
-    )
+    return True, (lam_w, lam_l)

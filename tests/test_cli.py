@@ -159,6 +159,23 @@ class TestErrors:
         code, _ = capture("alpha", "--game", str(path))
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "verb, flag, payload",
+        [
+            ("alpha", "--game", {"n": True, "minimal_winning": [[True]]}),
+            ("alpha", "--game", {"n": 3, "minimal_winning": [[1, True], [2, 3]]}),
+            ("alpha", "--game", {"n": 2, "minimal_winning": [True]}),
+            ("graph-alpha", None, {"n": 3, "edges": [[1, 2.7], [2, 3]]}),
+            ("graph-alpha", None, {"n": 3, "edges": [["1", "3"]]}),
+            ("gadget", "--graph", {"n": True, "edges": []}),
+        ],
+    )
+    def test_non_integer_ids_exit_2(self, capture, tmp_path, verb, flag, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        code, out = capture(verb, *filter(None, [flag, str(path)]))
+        assert code == 2 and out == ""
+
     def test_budget_flag_overrides_caps(self, capture):
         # tightening the cap below the game size trips the budget exit
         code, _ = capture("alpha", "--game", "cycle:8", "--budget", "6")

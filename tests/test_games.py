@@ -1,6 +1,7 @@
 """Game core: construction, classification, maximal losing sets, blocker."""
 
 import itertools
+import random
 
 import pytest
 
@@ -18,6 +19,8 @@ from simplegames import (
     new_game,
     random_game,
 )
+from simplegames.games import _minimal_masks
+from simplegames.graphs import random_graph
 
 
 # Independent oracle: plain frozenset arithmetic, no bit tables.
@@ -84,6 +87,17 @@ class TestConstruction:
     def test_direct_constructor_enforces_antichain(self):
         with pytest.raises(ValueError):
             SimpleGame(3, (Coalition.of(1), Coalition.of(1, 2)))
+
+    def test_repeated_coalition_object_is_not_an_antichain(self):
+        c = Coalition.of(1, 2)
+        with pytest.raises(ValueError, match="antichain"):
+            SimpleGame(3, (c, c))
+
+    def test_bool_is_not_a_player_count(self):
+        with pytest.raises(ValueError):
+            new_game(True, [[1]])
+        with pytest.raises(ValueError):
+            SimpleGame(True, (Coalition.of(1),))
 
     def test_cycle_game_domain(self):
         with pytest.raises(ValueError):
@@ -237,3 +251,70 @@ class TestJson:
     def test_random_round_trip(self, seed):
         g = random_game(8, seed, 8)
         assert game_from_json(game_to_json(g)) == g
+
+
+# Reference for the containment kernel: the sort-and-scan that new_game used
+# before `_minimal_masks`.
+
+def reference_minimal(masks):
+    kept = []
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        if not any(k & ~m == 0 for k in kept):
+            kept.append(m)
+    return sorted(kept)
+
+
+def random_family(n, seed):
+    """Nonempty masks over 1..n: a few random members, then supersets, subsets
+    and copies of earlier members, and fresh ones."""
+    rng = random.Random(f"family:{n}:{seed}")
+    family = [rng.randrange(1, 1 << n) for _ in range(1 + rng.randrange(4))]
+    for _ in range(rng.randrange(25)):
+        m = rng.choice(family)
+        step = rng.randrange(4)
+        if step == 0:
+            m |= rng.getrandbits(n)
+        elif step == 1:
+            m = m & rng.getrandbits(n) or m
+        elif step == 2:
+            m = rng.randrange(1, 1 << n)
+        family.append(m)
+    return family
+
+
+def edge_family(seed):
+    """The edges of a 40-vertex graph (the `mwis` cap), unions of two edges and
+    repeated edges."""
+    rng = random.Random(f"edges:{seed}")
+    edges = [1 << (u - 1) | 1 << (v - 1) for u, v in random_graph(40, 20 + 5 * seed, seed).edges]
+    unions = [rng.choice(edges) | rng.choice(edges) for _ in range(seed)]
+    return edges + unions + rng.sample(edges, seed % 3)
+
+
+class TestMinimalMasks:
+    """`_minimal_masks` against the reference scan, through both callers."""
+
+    @staticmethod
+    def agree(n, family):
+        want = reference_minimal(family)
+        assert _minimal_masks(n, sorted(set(family))) == want
+        # on the family as given, a mask stays iff it is minimal and unrepeated
+        assert _minimal_masks(n, family) == [m for m in family if m in want and family.count(m) == 1]
+        assert sorted(c.mask for c in new_game(n, family).minimal_winning) == want
+        coalitions = tuple(Coalition(m) for m in family)
+        drops = len(want) < len(family)  # the reference drops a superset or a twin
+        if drops:
+            with pytest.raises(ValueError, match="antichain"):
+                SimpleGame(n, coalitions)
+        else:
+            assert SimpleGame(n, coalitions).minimal_winning == coalitions
+        return drops
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 24, 40, 64])
+    def test_random_families(self, n):
+        drops = [self.agree(n, random_family(n, seed)) for seed in range(60)]
+        assert any(drops) and not all(drops)
+
+    def test_graph_edge_families(self):
+        drops = [self.agree(40, edge_family(seed)) for seed in range(12)]
+        assert any(drops) and not all(drops)

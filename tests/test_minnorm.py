@@ -24,7 +24,7 @@ from simplegames import (
 from simplegames.complete import random_weighted_voting_game
 from simplegames.games import is_winning
 from simplegames.lp import in_convex_hull
-from simplegames.minnorm import _all_coalitions_by_class, _dominated_support
+from simplegames.minnorm import _dominated_support
 
 MAJ3 = new_game(3, [[1, 2], [1, 3], [2, 3]])
 DICT3 = new_game(3, [[1]])
@@ -231,7 +231,7 @@ class TestTightness:
         tight, hulls = tightness_check(cycle_game(4))
         assert tight
         lam_w, lam_l = hulls
-        assert sum(lam_w) == 1 and sum(lam_l) == 1
+        assert sum(lam_w.values()) == 1 and sum(lam_l.values()) == 1
 
     def test_cycle6(self):
         assert tightness_check(cycle_game(6))[0]
@@ -270,9 +270,12 @@ class TestTightness:
 
 
 def reference_tightness(game):
-    # the former body of tightness_check: two hulls over all 2^n coalitions
+    # the former body of tightness_check: two hulls over all 2^n coalitions,
+    # each walked in ascending mask order and classified by is_winning
     n = game.n
-    winning, losing = _all_coalitions_by_class(game)
+    masks = range(1 << n)
+    winning = [m for m in masks if is_winning(game, Coalition(m))]
+    losing = [m for m in masks if not is_winning(game, Coalition(m))]
     vec = lambda mask: tuple((mask >> j) & 1 for j in range(n))
     lam_w = in_convex_hull([F(2, n)] * n, [vec(m) for m in winning])
     if lam_w is None:
@@ -280,20 +283,19 @@ def reference_tightness(game):
     lam_l = in_convex_hull([F(1, 2)] * n, [vec(m) for m in losing])
     if lam_l is None:
         return False, None
-    return True, (lam_w, lam_l)
+    return True, (dict(zip(winning, lam_w)), dict(zip(losing, lam_l)))
 
 
 def check_witness(game, hulls):
-    """Both weight tuples are probability vectors over the right class that
-    reproduce (2/n)*ones and (1/2)*ones exactly; classes via is_winning."""
+    """Both {mask: weight} dicts are probability vectors over coalitions of the
+    right class, in ascending mask order, that reproduce (2/n)*ones and
+    (1/2)*ones exactly; classes via is_winning."""
     n = game.n
-    masks = range(1 << n)
-    winning = [m for m in masks if is_winning(game, Coalition(m))]
-    losing = [m for m in masks if not is_winning(game, Coalition(m))]
-    for weights, members, target in ((hulls[0], winning, F(2, n)), (hulls[1], losing, F(1, 2))):
-        assert len(weights) == len(members)
-        assert all(w >= 0 for w in weights) and sum(weights) == 1
-        point = [sum(w for m, w in zip(members, weights) if m >> j & 1) for j in range(n)]
+    for weights, wins, target in ((hulls[0], True, F(2, n)), (hulls[1], False, F(1, 2))):
+        assert list(weights) == sorted(weights)
+        assert all(is_winning(game, Coalition(m)) == wins for m in weights)
+        assert all(w >= 0 for w in weights.values()) and sum(weights.values()) == 1
+        point = [sum(w for m, w in weights.items() if m >> j & 1) for j in range(n)]
         assert point == [target] * n
 
 
