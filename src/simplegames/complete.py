@@ -1,12 +1,11 @@
 """Complete simple games: desirability order, suffix sizes, and the payoff bound.
 
 A game is complete when the player desirability relation (i outranks j if i
-can replace j in any coalition without turning a win into a loss) is total.
-For such games the payoff assigning 1/s_r to the r-th ranked player, where
-s_r is the smallest winning-coalition size inside the suffix starting at r,
-keeps every winning coalition above 1/sqrt(n) while capping losing coalitions
-through a prefix-counting argument; the resulting worst-case ratio is at most
-sqrt(n) * ln(n) on the corpora this module targets.
+can replace j in any coalition without turning a win into a loss) is total;
+a more desirable player then wins in more coalitions, so winner counts order
+the players.  The payoff 1/s_r for the r-th ranked player, where s_r is the
+smallest winning size inside the suffix starting at r, keeps every winning
+coalition above 1/sqrt(n); its ratio is compared with sqrt(n)*ln(n) exactly.
 """
 
 from __future__ import annotations
@@ -15,15 +14,16 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Optional
 
 from . import budgets
-from .alpha import coalition_value, compute_alpha_exact
+from .alpha import compute_alpha_exact
 from .games import Coalition, SimpleGame, absent_tables, maximal_losing, new_game, winning_table
 from .lp import rat
 
 _ZERO = Fraction(0)
+MAX_WEIGHT = 9  # largest weight `random_weighted_voting_game` draws
+ROW_CAP = 600  # most threshold-LP rows `sized_weighted_game` accepts
 
 
 def desirability_ge(game: SimpleGame, i: int, j: int, budget: Optional[int] = None) -> bool:
@@ -54,29 +54,18 @@ class CompleteGame:
 
 
 def complete_order(game: SimpleGame, budget: Optional[int] = None) -> Optional[CompleteGame]:
-    """A consistent desirability order (ties broken by player index), or None
-    if some pair of players is incomparable."""
+    """Players sorted by winning-coalition count, strongest first with ties by
+    index, or None if an adjacent pair fails `desirability_ge`; desirability
+    being transitive, that happens exactly when the game is not complete."""
     budgets.check("desirability", game.n, budget)
     n = game.n
-    ge = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            ge[(i, j)] = desirability_ge(game, i, j, budget)
-            ge[(j, i)] = desirability_ge(game, j, i, budget)
-            if not ge[(i, j)] and not ge[(j, i)]:
-                return None
-
-    def cmp(i: int, j: int) -> int:
-        if ge[(i, j)] and not ge[(j, i)]:
-            return -1
-        if ge[(j, i)] and not ge[(i, j)]:
-            return 1
-        return i - j
-
-    ordering = tuple(sorted(range(1, n + 1), key=cmp_to_key(cmp)))
-    for r in range(n - 1):
-        if not ge[(ordering[r], ordering[r + 1])]:
-            raise AssertionError("ordering violates desirability")
+    w = winning_table(game)
+    absent = absent_tables(n)
+    wins = [(w & ~absent[i - 1]).bit_count() for i in range(1, n + 1)]
+    ordering = tuple(sorted(range(1, n + 1), key=lambda i: (-wins[i - 1], i)))
+    for stronger, weaker in zip(ordering, ordering[1:]):
+        if not desirability_ge(game, stronger, weaker, budget):
+            return None
     return CompleteGame(game, ordering)
 
 
@@ -101,9 +90,9 @@ class CsgPayoffReport:
     greedy_bound is the telescoping sum (s_1-1)/s_1 + sum (s_i - s_{i-1})/s_i,
     which caps the payoff a losing coalition can collect inside ranks 1..k;
     ranks beyond k add at most (n-k)/s_k more (losing_cap).  The check flags
-    record the provable inequalities plus the sqrt(n)*ln(n) ratio comparison,
-    which can fail for extreme games (a dictator at small n) and is therefore
-    reported, not enforced.
+    record the provable inequalities plus the exact sqrt(n)*ln(n) ratio
+    comparison (``bound`` shows that limit as a float), which can fail for
+    extreme games (a dictator at small n) and is reported, not enforced.
     """
 
     k: int
@@ -144,36 +133,48 @@ def greedy_losing_bound(s: tuple[int, ...]) -> Fraction:
     return total
 
 
+def _within_sqrt_n_ln_n(ratio: Fraction, n: int) -> bool:
+    """ratio <= sqrt(n) * ln(n), decided exactly: ln n = 2 atanh(x) for
+    x = (n-1)/(n+1), whose series past x^(2m-1)/(2m-1) sums to at most
+    x^(2m+1)/((2m+1)(1-x^2)), and n ln(n)^2 is irrational for n >= 2."""
+    if n == 1:
+        return ratio <= 0
+    x = Fraction(n - 1, n + 1)
+    target = ratio * ratio / (4 * n)  # against (ln(n) / 2)^2
+    lo, power, j = _ZERO, x, 1
+    while True:
+        lo += power / j
+        power *= x * x
+        j += 2
+        if target <= lo * lo:
+            return True
+        if target >= (lo + power / (j * (1 - x * x))) ** 2:
+            return False
+
+
 def csg_payoff(cg: CompleteGame) -> CsgPayoffReport:
     game = cg.game
     n = game.n
     k, s = suffix_sizes(cg)
-    payoff = [_ZERO] * n
-    for r, player in enumerate(cg.ordering, start=1):
-        payoff[player - 1] = Fraction(1, s[min(r, k) - 1])
-    pk = Fraction(1, s[k - 1])
+    den = math.lcm(*s)
+    payoff = [Fraction(1, s[k - 1])] * n
+    prefix: dict[int, int] = {}  # payoff times lcm(s) -> players of rank <= k
+    for r, player in enumerate(cg.ordering[:k]):
+        payoff[player - 1] = Fraction(1, s[r])
+        prefix[den // s[r]] = prefix.get(den // s[r], 0) | 1 << (player - 1)
+    tail = sum(1 << (p - 1) for p in cg.ordering[k:])  # paid as rank k
 
-    min_winning = min(coalition_value(payoff, w) for w in game.minimal_winning)
-    losing = maximal_losing(game)
-    max_losing = max(coalition_value(payoff, l) for l in losing) if losing else _ZERO
+    def score(mask: int) -> tuple[int, int]:  # (whole, the part inside ranks 1..k)
+        part = sum(w * (mask & members).bit_count() for w, members in prefix.items())
+        return part + den // s[k - 1] * (mask & tail).bit_count(), part
+
+    min_winning = Fraction(min(score(w.mask)[0] for w in game.minimal_winning), den)
+    wholes, parts = zip(*(score(l.mask) for l in maximal_losing(game)))
+    max_losing = Fraction(max(wholes), den)
 
     g_bound = greedy_losing_bound(s)
-    cap = g_bound + (n - k) * pk
-    prefix_players = set(cg.ordering[:k])
-    prefix_ok = True
-    cap_ok = True
-    for l in losing:
-        total = coalition_value(payoff, l)
-        prefix_part = sum(
-            (payoff[i - 1] for i in l.players() if i in prefix_players), _ZERO
-        )
-        if prefix_part > g_bound:
-            prefix_ok = False
-        if total > cap:
-            cap_ok = False
-
+    cap = g_bound + (n - k) * Fraction(1, s[k - 1])
     harmonic = sum((Fraction(1, j) for j in range(2, s[k - 1] + 1)), _ZERO)
-    bound = math.sqrt(n) * math.log(n)
     ratio = max_losing / min_winning
     return CsgPayoffReport(
         k=k,
@@ -183,13 +184,13 @@ def csg_payoff(cg: CompleteGame) -> CsgPayoffReport:
         max_losing=max_losing,
         greedy_bound=g_bound,
         ratio=ratio,
-        bound=bound,
+        bound=math.sqrt(n) * math.log(n),
         losing_cap=cap,
         winning_floor_ok=n * min_winning * min_winning >= 1,
-        losing_prefix_ok=prefix_ok,
-        losing_cap_ok=cap_ok,
+        losing_prefix_ok=max(parts) <= g_bound * den,
+        losing_cap_ok=max_losing <= cap,
         greedy_le_harmonic=g_bound <= harmonic,
-        ratio_within_bound=float(ratio) <= bound + 1e-12,
+        ratio_within_bound=_within_sqrt_n_ln_n(ratio, n),
     )
 
 
@@ -201,10 +202,7 @@ class WeightedVotingGame:
 
 
 def random_weighted_voting_game(
-    n: int,
-    seed: int,
-    max_weight: int = 9,
-    quota_range: tuple[float, float] = (0.5, 0.75),
+    n: int, seed: int, quota_range: tuple[float, float] = (0.5, 0.75)
 ) -> WeightedVotingGame:
     """Deterministic random weighted voting game (complete by construction).
 
@@ -213,15 +211,15 @@ def random_weighted_voting_game(
     cap = budgets.CAPS["desirability"]
     if not 1 <= n <= cap:
         raise ValueError(f"weighted generator needs 1 <= n <= {cap}")
-    rng = random.Random(f"wvg:{n}:{seed}:{max_weight}:{quota_range}")
-    weights = [rng.randint(1, max_weight) for _ in range(n)]
+    rng = random.Random(f"wvg:{n}:{seed}:{MAX_WEIGHT}:{quota_range}")
+    weights = [rng.randint(1, MAX_WEIGHT) for _ in range(n)]
     total = sum(weights)
     lo = max(total // 2 + 1, int(total * quota_range[0]))
     hi = max(lo, int(total * quota_range[1]))
     quota = rng.randint(lo, hi)
     # the masks whose top player is i + 1 are rest + 2^i for rest < 2^i, so
-    # the tables fill in ascending mask order; no weight exceeds max_weight
-    wsum, lightest, minimal = [0], [max_weight], []
+    # the tables fill in ascending mask order; no weight exceeds MAX_WEIGHT
+    wsum, lightest, minimal = [0], [MAX_WEIGHT], []
     for i, w in enumerate(weights):
         for rest in range(1 << i):
             total = wsum[rest] + w
@@ -271,7 +269,7 @@ class CsgCorpusReport:
         }
 
 
-def sized_weighted_game(n: int, seed: int, row_cap: int = 600) -> WeightedVotingGame:
+def sized_weighted_game(n: int, seed: int) -> WeightedVotingGame:
     """Resample deterministically until the threshold LP stays desk-sized.
 
     Retries shift the quota upward, which shrinks the winning antichain."""
@@ -280,7 +278,7 @@ def sized_weighted_game(n: int, seed: int, row_cap: int = 600) -> WeightedVoting
         quota_range = (0.5, 0.75) if attempt == 0 else (0.75, 0.95)
         wvg = random_weighted_voting_game(n, seed * 1000 + attempt, quota_range=quota_range)
         rows = len(wvg.game.minimal_winning) + len(maximal_losing(wvg.game))
-        if rows <= row_cap:
+        if rows <= ROW_CAP:
             return wvg
         attempt += 1
 

@@ -351,4 +351,7 @@ def game_from_json(source: Union[str, bytes, dict]) -> SimpleGame:
     data = json.loads(source) if not isinstance(source, dict) else source
     if not isinstance(data, dict) or "n" not in data or "minimal_winning" not in data:
         raise ValueError('game JSON must have keys "n" and "minimal_winning"')
-    return new_game(data["n"], data["minimal_winning"])
+    coalitions = data["minimal_winning"]
+    if not isinstance(coalitions, list) or not all(isinstance(c, list) for c in coalitions):
+        raise ValueError('"minimal_winning" must be an array of player arrays')
+    return new_game(data["n"], coalitions)

@@ -70,9 +70,9 @@ class Graph:
 def make_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     canon = set()
     for e in edges:
-        u, v = e[0], e[1]
-        if type(u) is not int or type(v) is not int:
+        if len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
             raise ValueError(f"edge {e!r} is not a pair of int vertices")
+        u, v = e
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         canon.add((min(u, v), max(u, v)))
@@ -527,7 +527,10 @@ def graph_from_json(source: Union[str, bytes, dict]) -> Graph:
     data = json.loads(source) if not isinstance(source, dict) else source
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError('graph JSON must have keys "n" and "edges"')
-    return make_graph(data["n"], data["edges"])
+    edges = data["edges"]
+    if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
+        raise ValueError('"edges" must be an array of vertex pairs')
+    return make_graph(data["n"], edges)
 
 
 def graph_from_dimacs(text: str) -> Graph:
@@ -540,7 +543,7 @@ def graph_from_dimacs(text: str) -> Graph:
             continue
         if parts[0] == "p":
             n = int(parts[-2])
-        elif parts[0] == "e":
+        elif parts[0] == "e" and len(parts) == 3:
             edges.append((int(parts[1]), int(parts[2])))
         else:
             raise ValueError(f"unrecognized graph line: {line!r}")

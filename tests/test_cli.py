@@ -176,6 +176,22 @@ class TestErrors:
         code, out = capture(verb, *filter(None, [flag, str(path)]))
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize(
+        "verb, flag, payload",
+        [
+            ("alpha", "--game", {"n": 3, "minimal_winning": [[1, 2], 5]}),
+            ("alpha", "--game", {"n": 3, "minimal_winning": 5}),
+            ("graph-alpha", None, {"n": 3, "edges": [[1, 2, 3], [2, 3]]}),
+            ("graph-alpha", None, {"n": 3, "edges": [[1]]}),
+            ("graph-alpha", None, {"n": 3, "edges": [1, 2]}),
+        ],
+    )
+    def test_malformed_arrays_exit_2(self, capture, tmp_path, verb, flag, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        code, out = capture(verb, *filter(None, [flag, str(path)]))
+        assert code == 2 and out == ""
+
     def test_budget_flag_overrides_caps(self, capture):
         # tightening the cap below the game size trips the budget exit
         code, _ = capture("alpha", "--game", "cycle:8", "--budget", "6")

@@ -1,7 +1,11 @@
 """Complete games: desirability, suffix sizes, ranked payoff, corpora."""
 
 import itertools
+import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from functools import cmp_to_key
 
 import pytest
 
@@ -19,7 +23,14 @@ from simplegames import (
     random_weighted_voting_game,
     suffix_sizes,
 )
-from simplegames.complete import greedy_losing_bound, sized_weighted_game
+from simplegames import complete as complete_mod
+from simplegames.complete import (
+    CompleteGame,
+    CsgPayoffReport,
+    _within_sqrt_n_ln_n,
+    greedy_losing_bound,
+    sized_weighted_game,
+)
 from simplegames.games import maximal_losing, random_game, winning_table
 from simplegames.lp import LE, make_lp, solve_lp
 
@@ -67,6 +78,75 @@ def table_suffix_sizes(cg):
         if r <= k:
             s[r] = running
     return k, tuple(s[1:])
+
+
+def reference_complete_order(game):
+    # the former complete_order: every ordered pair compared, then a
+    # comparison sort with ties by player index
+    n = game.n
+    ge = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            ge[(i, j)] = desirability_ge(game, i, j)
+            ge[(j, i)] = desirability_ge(game, j, i)
+            if not ge[(i, j)] and not ge[(j, i)]:
+                return None
+
+    def cmp(i, j):
+        if ge[(i, j)] and not ge[(j, i)]:
+            return -1
+        if ge[(j, i)] and not ge[(i, j)]:
+            return 1
+        return i - j
+
+    return CompleteGame(game, tuple(sorted(range(1, n + 1), key=cmp_to_key(cmp))))
+
+
+def reference_csg_payoff(cg):
+    # the former csg_payoff: Fraction sums over the players of each
+    # coalition, the maximal losing ones walked twice, and the float bound rule
+    game = cg.game
+    n = game.n
+    k, s = suffix_sizes(cg)
+    payoff = [F(0)] * n
+    for r, player in enumerate(cg.ordering, start=1):
+        payoff[player - 1] = F(1, s[min(r, k) - 1])
+
+    def value(c, players):
+        return sum((payoff[i - 1] for i in c.players() if i in players), F(0))
+
+    everyone = set(range(1, n + 1))
+    prefix_players = set(cg.ordering[:k])
+    losing = maximal_losing(game)
+    min_winning = min(value(w, everyone) for w in game.minimal_winning)
+    max_losing = max(value(l, everyone) for l in losing)
+    g_bound = greedy_losing_bound(s)
+    cap = g_bound + (n - k) * F(1, s[k - 1])
+    prefix_ok = cap_ok = True
+    for l in losing:
+        if value(l, prefix_players) > g_bound:
+            prefix_ok = False
+        if value(l, everyone) > cap:
+            cap_ok = False
+    harmonic = sum((F(1, j) for j in range(2, s[k - 1] + 1)), F(0))
+    bound = math.sqrt(n) * math.log(n)
+    ratio = max_losing / min_winning
+    return CsgPayoffReport(
+        k=k,
+        s=s,
+        payoff=tuple(payoff),
+        min_winning=min_winning,
+        max_losing=max_losing,
+        greedy_bound=g_bound,
+        ratio=ratio,
+        bound=bound,
+        losing_cap=cap,
+        winning_floor_ok=n * min_winning * min_winning >= 1,
+        losing_prefix_ok=prefix_ok,
+        losing_cap_ok=cap_ok,
+        greedy_le_harmonic=g_bound <= harmonic,
+        ratio_within_bound=float(ratio) <= bound + 1e-12,
+    )
 
 
 def weighted_minimal_winning(weights, quota):
@@ -143,6 +223,67 @@ class TestCompleteOrder:
             assert cg is not None
             for r in range(wvg.game.n - 1):
                 assert desirability_ge(wvg.game, cg.ordering[r], cg.ordering[r + 1])
+
+
+class TestAgainstPairwiseReference:
+    @staticmethod
+    def check(game):
+        cg = complete_order(game)
+        assert cg == reference_complete_order(game)
+        if cg is not None:
+            assert repr(csg_payoff(cg)) == repr(reference_csg_payoff(cg))
+        return cg
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_weighted_games(self, n):
+        for seed in range(3):
+            assert self.check(random_weighted_voting_game(n, seed).game) is not None
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_random_games(self, n):
+        orders = [self.check(random_game(n, seed, 2 + seed % n)) for seed in range(40)]
+        assert any(cg is not None for cg in orders)
+        # below four players every game is complete
+        assert (None in orders) == (n >= 4)
+
+    def test_one_check_per_adjacent_pair(self, monkeypatch):
+        calls = []
+        original = complete_mod.desirability_ge
+
+        def counting(game, i, j, budget=None):
+            calls.append((i, j))
+            return original(game, i, j, budget)
+
+        monkeypatch.setattr(complete_mod, "desirability_ge", counting)
+        for n in range(1, 12):
+            for seed in range(3):
+                calls.clear()
+                cg = complete_order(random_weighted_voting_game(n, seed).game)
+                assert calls == list(zip(cg.ordering, cg.ordering[1:]))
+
+
+class TestRatioBound:
+    def test_decided_next_to_the_bound(self):
+        # 1e-30 either side of sqrt(n) ln(n), where the float rule says yes to both
+        eps = F(1, 10**30)
+        for n in (2, 3, 4, 9, 16):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                bound = F(Decimal(n).sqrt() * Decimal(n).ln())
+            assert _within_sqrt_n_ln_n(bound - eps, n)
+            assert not _within_sqrt_n_ln_n(bound + eps, n)
+
+    def test_one_player_bound_is_zero(self):
+        assert _within_sqrt_n_ln_n(F(0), 1)
+        assert not _within_sqrt_n_ln_n(F(1, 10**20), 1)
+
+    def test_agrees_with_float_rule_away_from_the_bound(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            n = rng.randint(1, 59)
+            ratio = F(rng.randint(0, 4000), rng.randint(1, 400))
+            expected = float(ratio) <= math.sqrt(n) * math.log(n) + 1e-12
+            assert _within_sqrt_n_ln_n(ratio, n) == expected
 
 
 class TestSuffixSizes:

@@ -247,6 +247,13 @@ class TestJson:
         with pytest.raises(ValueError):
             game_from_json('{"n": 3}')
 
+    def test_only_player_arrays_are_coalitions(self):
+        # a bare int is a bit mask to new_game, but never a coalition in JSON
+        assert as_tuples(new_game(3, [[1, 2], 5]).minimal_winning) == [(1, 2), (1, 3)]
+        for payload in ('[[1, 2], 5]', '5', '[[1, 2], "3"]'):
+            with pytest.raises(ValueError):
+                game_from_json('{"n": 3, "minimal_winning": %s}' % payload)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_random_round_trip(self, seed):
         g = random_game(8, seed, 8)

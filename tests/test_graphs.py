@@ -82,6 +82,9 @@ class TestGraphBasics:
             make_graph(3, [(1, 1)])
         with pytest.raises(ValueError):
             make_graph(3, [(1, 4)])
+        for edges in ([(1, 2, 3), (2, 3)], [(1,)], [()]):
+            with pytest.raises(ValueError):
+                make_graph(3, edges)
         assert make_graph(3, [(2, 1), (1, 2)]).edges == ((1, 2),)
 
     def test_graphic_game_matches_cycle(self):
@@ -102,6 +105,9 @@ class TestGraphBasics:
     def test_dimacs(self):
         g = graph_from_dimacs("c a comment\np 4 2\ne 1 2\ne 3 4\n")
         assert g == make_graph(4, [(1, 2), (3, 4)])
+        for bad_edge in ("e 1", "e 1 2 3"):
+            with pytest.raises(ValueError):
+                graph_from_dimacs(f"p 4 2\n{bad_edge}\ne 3 4\n")
 
     def test_bipartition(self):
         assert bipartition(C4) is not None
