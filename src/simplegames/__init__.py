@@ -25,7 +25,7 @@ from .complete import (
     random_weighted_voting_game,
     suffix_sizes,
 )
-from .errors import BudgetExceededError, UndefinedRatioError
+from .errors import BudgetExceededError, CertificateError, UndefinedRatioError
 from .games import (
     Coalition,
     GameStats,
@@ -73,6 +73,7 @@ __all__ = [
     "AlphaCertificate",
     "AlphaDecision",
     "BudgetExceededError",
+    "CertificateError",
     "Coalition",
     "CompleteGame",
     "CsgPayoffReport",

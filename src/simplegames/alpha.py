@@ -12,7 +12,14 @@ solves it exactly, and `certify_alpha` checks the optimal payoff against the
 same coalitions.  The graphic-game routines in `graphs` reuse all three, with
 the edges as winning coalitions and independent sets as losing ones.  A
 cutting-plane loop, which adds losing rows one at a time, keeps the same LP
-warm in a `ThresholdLP` instead of solving it again from scratch.
+warm in a `ThresholdLP` instead of solving it again from scratch; it builds
+the same rows as integer lists straight from the coalitions' masks.
+
+A payoff is scored in integers: `lp.common_numerators` puts it over the lcm
+of its denominators, and `mask_sum` adds the numerators of a coalition's
+players, so the certificate and the feasibility checks compare integers
+cleared of that one denominator and do no `Fraction` arithmetic per
+coalition.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import budgets
-from .errors import UndefinedRatioError
+from .errors import CertificateError, UndefinedRatioError
 from .games import Coalition, SimpleGame, maximal_losing, random_game
-from .lp import GE, LPRow, LinearProgram, TallLP, frac, rat, solve_lp
+from .lp import GE, LPRow, LinearProgram, TallLP, common_numerators, frac, rat, solve_lp
 
 _ZERO = Fraction(0)
 
@@ -47,11 +54,24 @@ class AlphaCertificate:
         }
 
 
-def coalition_value(payoff: Sequence[Fraction], c: Coalition) -> Fraction:
-    """The total payoff of the coalition's players."""
-    values = [payoff[i - 1] for i in c.players()]
-    # starting at the first value, not at 0, saves one Fraction addition
-    return sum(values[1:], values[0]) if values else _ZERO
+def mask_sum(nums: Sequence[int], mask: int) -> int:
+    """The sum of `nums` over the players of the coalition with this mask."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += nums[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
+def _winning_row(n: int, mask: int) -> list[int]:
+    """p(W) >= 1 as integers: the incidence of W, 0 for t, then the right-hand side."""
+    return [mask >> j & 1 for j in range(n)] + [0, 1]
+
+
+def _losing_row(n: int, mask: int) -> list[int]:
+    """t - p(L) >= 0 as integers: minus the incidence of L, 1 for t, then the right-hand side."""
+    return [-(mask >> j & 1) for j in range(n)] + [1, 0]
 
 
 def threshold_rows(
@@ -60,25 +80,16 @@ def threshold_rows(
     """Rows p(W) >= 1 per winning and t - p(L) >= 0 per losing coalition.
 
     The columns are the payoff entries p_1..p_n and the threshold t."""
-    rows = []
-    for w in winning:
-        coeffs = [0] * (n + 1)
-        for i in w.players():
-            coeffs[i - 1] = 1
-        rows.append(LPRow(tuple(coeffs), GE, 1))
-    for l in losing:
-        coeffs = [0] * n + [1]
-        for i in l.players():
-            coeffs[i - 1] = -1
-        rows.append(LPRow(tuple(coeffs), GE, 0))
-    return rows
+    rows = [_winning_row(n, w.mask) for w in winning]
+    rows += [_losing_row(n, l.mask) for l in losing]
+    return [LPRow(tuple(r[:-1]), GE, r[-1]) for r in rows]
 
 
 def solve_threshold_lp(n: int, rows: Sequence[LPRow]) -> tuple[tuple[Fraction, ...], Fraction]:
     """The optimal payoff and threshold of min t over `rows`, exactly."""
     sol = solve_lp(LinearProgram(n + 1, (0,) * n + (1,), tuple(rows)))
     if sol.status != "optimal":
-        raise AssertionError(f"threshold LP should be feasible and bounded, got {sol.status}")
+        raise CertificateError(f"threshold LP should be feasible and bounded, got {sol.status}")
     return sol.primal[:n], sol.objective
 
 
@@ -93,19 +104,18 @@ class ThresholdLP:
 
     def __init__(self, n: int, winning: Iterable[Coalition]) -> None:
         self.n = n
-        rows = [[*r.coeffs, r.rhs] for r in threshold_rows(n, winning, ())]
+        rows = [_winning_row(n, w.mask) for w in winning]
         self._lp = TallLP(rows, 1, [0] * n + [1], 1)
 
     def add_losing(self, losing: Coalition) -> None:
         """Add the row t - p(L) >= 0."""
-        (r,) = threshold_rows(self.n, (), [losing])
-        self._lp.add_row([*r.coeffs, r.rhs])
+        self._lp.add_row(_losing_row(self.n, losing.mask))
 
     def solve(self) -> tuple[tuple[Fraction, ...], Fraction]:
         """The optimal payoff and threshold over the rows so far."""
         status, sol = self._lp.solve()
         if sol is None:
-            raise AssertionError(f"threshold LP should be feasible and bounded, got {status}")
+            raise CertificateError(f"threshold LP should be feasible and bounded, got {status}")
         x, xden, _, _ = sol
         payoff = tuple(Fraction(v, xden) if v else _ZERO for v in x[: self.n])
         return payoff, Fraction(x[self.n], xden)
@@ -120,17 +130,23 @@ def certify_alpha(
     """Check an optimal threshold-LP solution and collect its witnesses.
 
     Raises unless every winning coalition gets at least 1, no losing one gets
-    more than alpha, and some losing one attains alpha."""
-    won = [(w, coalition_value(payoff, w)) for w in winning]
-    lost = [(l, coalition_value(payoff, l)) for l in losing]
-    if any(v < 1 for _, v in won):
-        raise AssertionError("the payoff gives some minimal winning coalition less than 1")
-    if any(v > alpha for _, v in lost):
-        raise AssertionError("the payoff gives some maximal losing coalition more than alpha")
-    tight = tuple(l for l, v in lost if v == alpha)
+    more than alpha, and some losing one attains alpha.  With the payoff as
+    numerators over den and alpha = a/b, a coalition worth v/den wins
+    enough when v >= den and stays within alpha when v * b <= a * den, so
+    every comparison is between integers.
+    """
+    nums, den = common_numerators(payoff)
+    cap = alpha.numerator * den  # alpha * den, over alpha's denominator
+    won = [(w, mask_sum(nums, w.mask)) for w in winning]
+    lost = [(l, mask_sum(nums, l.mask) * alpha.denominator) for l in losing]
+    if any(v < den for _, v in won):
+        raise CertificateError("the payoff gives some minimal winning coalition less than 1")
+    if any(v > cap for _, v in lost):
+        raise CertificateError("the payoff gives some maximal losing coalition more than alpha")
+    tight = tuple(l for l, v in lost if v == cap)
     if not tight:
-        raise AssertionError("the optimum must be attained by some maximal losing coalition")
-    binding = tuple(w for w, v in won if v == 1)
+        raise CertificateError("the optimum must be attained by some maximal losing coalition")
+    binding = tuple(w for w, v in won if v == den)
     return AlphaCertificate(alpha, payoff, tight, binding)
 
 
@@ -152,11 +168,13 @@ def alpha_of_payoff(
         raise ValueError("payoff entries must be nonnegative")
     if all(v == 0 for v in p):
         raise ValueError("payoff must not be identically zero")
-    den = min(coalition_value(p, w) for w in game.minimal_winning)
-    if den == 0:
+    nums, _ = common_numerators(p)
+    # both sums are over the same denominator, which cancels in the ratio
+    low = min(mask_sum(nums, w.mask) for w in game.minimal_winning)
+    if low == 0:
         raise UndefinedRatioError("some winning coalition has payoff 0; the ratio is undefined")
-    num = max(coalition_value(p, l) for l in maximal_losing(game, budget))
-    return num / den
+    high = max(mask_sum(nums, l.mask) for l in maximal_losing(game, budget))
+    return Fraction(high, low)
 
 
 def is_weighted(game: SimpleGame, budget: Optional[int] = None) -> bool:

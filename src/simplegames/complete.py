@@ -18,6 +18,7 @@ from typing import Iterable, Optional
 
 from . import budgets
 from .alpha import compute_alpha_exact
+from .errors import CertificateError
 from .games import Coalition, SimpleGame, absent_tables, maximal_losing, new_game, winning_table
 from .lp import rat
 
@@ -293,7 +294,7 @@ def csg_bound_corpus(n: int, seeds: Iterable[int]) -> CsgCorpusReport:
         wvg = sized_weighted_game(n, seed)
         cg = complete_order(wvg.game)
         if cg is None:
-            raise AssertionError("a weighted voting game must be complete")
+            raise CertificateError("a weighted voting game must be complete")
         report = csg_payoff(cg)
         alpha = compute_alpha_exact(wvg.game).alpha
         entries.append(

@@ -14,3 +14,10 @@ class BudgetExceededError(RuntimeError):
 
 class UndefinedRatioError(ValueError):
     """The losing/winning payoff ratio is undefined (a winning coalition has payoff 0)."""
+
+
+class CertificateError(AssertionError):
+    """An exact certificate check failed: a solver or oracle returned a wrong answer.
+
+    It is raised explicitly, so `python -O` cannot strip the check, and it
+    subclasses AssertionError, so callers catching that still catch it."""

@@ -11,7 +11,9 @@ and lets the enumeration-heavy operations work on one big integer whose bit s
 says whether coalition-mask s is winning.  Which members of a family contain
 no other member is decided in one place, `_minimal_masks`, by one bit column
 per player over the family, so it needs no 2^n table and serves every n; the
-antichain check and the pruning of `new_game` both call it.
+antichain check and the pruning of `new_game` both call it.  An antichain is
+listed in the order of its members' player tuples, which `_antichain_order`
+reads off the masks alone.
 """
 
 from __future__ import annotations
@@ -127,9 +129,9 @@ def _minimal_masks(n: int, masks: list[int]) -> list[int]:
 class SimpleGame:
     """n players plus the antichain of minimal winning coalitions.
 
-    Construct through :func:`new_game`, which prunes non-minimal input;
-    the constructor itself rejects anything violating the invariants
-    (nonempty antichain of nonempty coalitions within 1..n).
+    Construct through :func:`new_game`, which prunes non-minimal input and
+    establishes the invariants itself; the constructor rejects anything
+    violating them (nonempty antichain of nonempty coalitions within 1..n).
     """
 
     n: int
@@ -175,8 +177,25 @@ def new_game(n: int, coalitions: Iterable[CoalitionLike]) -> SimpleGame:
     if not masks:
         raise ValueError("at least one winning coalition is required")
     kept = _minimal_masks(n, sorted(set(masks)))
-    coals = sorted((Coalition(m) for m in kept), key=lambda c: c.players())
-    return SimpleGame(n, tuple(coals))
+    # every invariant that __post_init__ checks holds here by construction, the
+    # antichain included, so the game is built without running its checks again
+    game = object.__new__(SimpleGame)
+    object.__setattr__(game, "n", n)
+    object.__setattr__(game, "minimal_winning", tuple(_antichain_order(n, kept)))
+    return game
+
+
+def _antichain_order(n: int, masks: Iterable[int]) -> list[Coalition]:
+    """The coalitions of an antichain of masks, ordered by their player tuples.
+
+    No member's tuple is a prefix of another's, so two tuples first differ
+    at the lowest bit where the masks differ, and the mask holding that bit
+    comes first: the order is the masks' binary numerals, read from player 1
+    up, descending.
+    """
+    top = 1 << n  # bin(m | top) is "0b1" and then n digits, player n first
+    ordered = sorted(masks, key=lambda m: bin(m | top)[:2:-1], reverse=True)
+    return [Coalition(m) for m in ordered]
 
 
 def is_winning(game: SimpleGame, s: CoalitionLike) -> bool:
@@ -226,14 +245,14 @@ def winning_table(game: SimpleGame) -> int:
     return w
 
 
-def _extract(table: int) -> list[Coalition]:
-    out = []
+def _extract(n: int, table: int) -> list[Coalition]:
+    """The coalitions a table flags, which form an antichain, by player tuple."""
+    masks = []
     while table:
         low = table & -table
-        out.append(Coalition(low.bit_length() - 1))
+        masks.append(low.bit_length() - 1)
         table ^= low
-    out.sort(key=lambda c: c.players())
-    return out
+    return _antichain_order(n, masks)
 
 
 def maximal_losing(game: SimpleGame, budget: int | None = None) -> list[Coalition]:
@@ -250,7 +269,7 @@ def maximal_losing(game: SimpleGame, budget: int | None = None) -> list[Coalitio
         present = full_table ^ absent[i - 1]
         # keep S iff i in S, or S+{i} is winning
         m &= present | ((w >> d) & absent[i - 1])
-    return _extract(m)
+    return _extract(n, m)
 
 
 def blocker(game: SimpleGame, budget: int | None = None) -> list[Coalition]:
@@ -277,7 +296,7 @@ def blocker(game: SimpleGame, budget: int | None = None) -> list[Coalition]:
         present = full_table ^ absent[i - 1]
         # keep C iff i not in C, or C-{i} is not a cover
         m &= absent[i - 1] | (present & ~(cover << d) & full_table)
-    return _extract(m)
+    return _extract(n, m)
 
 
 @dataclass(frozen=True)

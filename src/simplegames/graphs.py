@@ -34,15 +34,13 @@ from .alpha import (
     solve_threshold_lp,
     threshold_rows,
 )
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, CertificateError
 from .games import Coalition, SimpleGame, new_game
-from .lp import frac, rat
+from .lp import common_numerators, frac, rat
 from .lp import solve_lp  # unused here, but bench/test_bench.py reads graphs.solve_lp
 
 MAX_CUT_ROUNDS = 10_000
 DEFAULT_MIS_LIMIT = 200_000
-
-_ZERO = Fraction(0)
 
 Edge = tuple[int, int]
 
@@ -161,13 +159,15 @@ def graphic_game(g: Graph) -> SimpleGame:
     return new_game(g.n, [Coalition.of(u, v) for u, v in g.edges])
 
 
-def _validate_weights(g: Graph, weights: Sequence) -> list[Fraction]:
+def _integer_weights(g: Graph, weights: Sequence) -> tuple[list[int], int]:
+    """The vertex weights, checked, as integer numerators over their common denominator."""
     w = [frac(x) for x in weights]
     if len(w) != g.n:
         raise ValueError(f"{len(w)} weights for {g.n} vertices")
-    if any(x < 0 for x in w):
+    iw, den = common_numerators(w)
+    if any(x < 0 for x in iw):
         raise ValueError("vertex weights must be nonnegative")
-    return w
+    return iw, den
 
 
 def mwis_bipartite(g: Graph, weights: Sequence) -> WeightedVertexSet:
@@ -180,13 +180,11 @@ def mwis_bipartite(g: Graph, weights: Sequence) -> WeightedVertexSet:
     changes neither the BFS order nor the bottleneck choices, so the set is
     the one the rational capacities give.
     """
-    w = _validate_weights(g, weights)
+    iw, den = _integer_weights(g, weights)
     color = bipartition(g)
     if color is None:
         raise ValueError("graph is not bipartite")
     n = g.n
-    den = math.lcm(*(x.denominator for x in w))
-    iw = [x.numerator * (den // x.denominator) for x in w]
     source, sink = 0, n + 1
     cap: list[dict[int, int]] = [dict() for _ in range(n + 2)]
 
@@ -247,10 +245,10 @@ def mwis_bipartite(g: Graph, weights: Sequence) -> WeightedVertexSet:
             chosen |= 1 << (v - 1)
     adj = _adj_masks(g)
     if any(adj[v] & chosen for v in range(n) if chosen >> v & 1):
-        raise AssertionError("the complement of the min cut is not independent")
+        raise CertificateError("the complement of the min cut is not independent")
     weight = sum(iw[v] for v in range(n) if chosen >> v & 1)
     if weight != total - flow_value:
-        raise AssertionError("Koenig duality check failed")
+        raise CertificateError("Koenig duality check failed")
     return WeightedVertexSet(Coalition(chosen), Fraction(weight, den))
 
 
@@ -260,38 +258,59 @@ def mwis_exact(g: Graph, weights: Sequence, budget: Optional[int] = None) -> Wei
     The upper bound partitions the remaining candidates into cliques greedily
     (a coloring of the complement); an independent set meets each clique at
     most once, so the clique maxima sum to a valid bound.
+
+    The search runs in integers: the weights over their common denominator,
+    and the vertices relabeled once by rank in (-weight, index) order, so the
+    heaviest open candidate, which the greedy start, the bound and the
+    branching all take next, is the lowest set bit of a mask.  Scaling by
+    one positive constant and relabeling change no comparison, so the set is
+    the one the rational weights give in the original labels.
     """
     budgets.check("mwis", g.n, budget)
-    w = _validate_weights(g, weights)
+    w, den = _integer_weights(g, weights)
     n = g.n
-    adj = _adj_masks(g)
-    by_weight = sorted(range(n), key=lambda i: (-w[i], i))
+    order = sorted(range(n), key=lambda i: (-w[i], i))  # rank -> vertex index
+    rank = [0] * n
+    for r, i in enumerate(order):
+        rank[i] = r
+    iw = [w[i] for i in order]
+    neighbors = _adj_masks(g)
+    adj = []  # by rank, over ranks
+    for i in order:
+        m, nbrs = 0, neighbors[i]
+        while nbrs:
+            low = nbrs & -nbrs
+            m |= 1 << rank[low.bit_length() - 1]
+            nbrs ^= low
+        adj.append(m)
 
     best_mask = 0
-    best_weight = _ZERO
-    used = 0
-    for i in by_weight:
-        if not used >> i & 1:
-            best_mask |= 1 << i
-            used |= adj[i] | 1 << i
-            best_weight += w[i]
+    best_weight = 0
+    free = (1 << n) - 1
+    while free:
+        low = free & -free
+        v = low.bit_length() - 1
+        best_mask |= low
+        best_weight += iw[v]
+        free &= ~(adj[v] | low)
 
-    def bound(cand: int) -> Fraction:
-        total = _ZERO
+    def bound(cand: int) -> int:
+        total = 0
         rem = cand
         while rem:
-            v = next(i for i in by_weight if rem >> i & 1)
-            total += w[v]
-            clique = 1 << v
+            low = rem & -rem
+            v = low.bit_length() - 1
+            total += iw[v]
+            clique = low
             common = rem & adj[v]
             while common:
-                u = next(i for i in by_weight if common >> i & 1)
-                clique |= 1 << u
-                common &= adj[u]
+                u = common & -common
+                clique |= u
+                common &= adj[u.bit_length() - 1]
             rem &= ~clique
         return total
 
-    def dfs(cand: int, cur_w: Fraction, cur_mask: int) -> None:
+    def dfs(cand: int, cur_w: int, cur_mask: int) -> None:
         nonlocal best_mask, best_weight
         if cand == 0:
             if cur_w > best_weight:
@@ -299,12 +318,17 @@ def mwis_exact(g: Graph, weights: Sequence, budget: Optional[int] = None) -> Wei
             return
         if cur_w + bound(cand) <= best_weight:
             return
-        v = next(i for i in by_weight if cand >> i & 1)
-        dfs(cand & ~(adj[v] | 1 << v), cur_w + w[v], cur_mask | 1 << v)
-        dfs(cand & ~(1 << v), cur_w, cur_mask)
+        low = cand & -cand
+        v = low.bit_length() - 1
+        dfs(cand & ~(adj[v] | low), cur_w + iw[v], cur_mask | low)
+        dfs(cand & ~low, cur_w, cur_mask)
 
-    dfs((1 << n) - 1, _ZERO, 0)
-    return WeightedVertexSet(Coalition(best_mask), best_weight)
+    dfs((1 << n) - 1, 0, 0)
+    chosen = 0
+    for r, i in enumerate(order):
+        if best_mask >> r & 1:
+            chosen |= 1 << i
+    return WeightedVertexSet(Coalition(chosen), Fraction(best_weight, den))
 
 
 def alpha_graph(

@@ -3,8 +3,10 @@
 Two-phase primal simplex on a dense tableau of Python ints: each row, the
 objective row included, holds integer numerators over one positive
 denominator of its own, so a pivot costs integer multiplications and one gcd
-per updated row instead of a `fractions.Fraction` per entry.  `solve_lp`
-turns the input into integer rows once, on entry: every row in `>=` form,
+per updated row instead of a `fractions.Fraction` per entry; when the pivot
+row's denominator divides the entry being eliminated, the common case, the
+updated row keeps its denominator and is not rescaled.  `solve_lp` turns
+the input into integer rows once, on entry: every row in `>=` form,
 right-hand side included, over one common denominator, and the objective
 over another.  The tableau rows start over that shared denominator and are
 gcd-reduced each time a pivot updates them.  `Fraction`s reappear only in
@@ -37,9 +39,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, CertificateError
 
 Number = Union[int, float, str, Fraction]
 Rational = Union[int, Fraction]
@@ -134,12 +137,17 @@ def _eliminate(
     """row/den minus row[col]/den times prow/pden, whose entry at col is 1.
 
     Returns the result as gcd-reduced integers over a positive denominator.
+    With g = gcd(row[col], pden), the result is (row * pden/g - row[col]/g *
+    prow) over den * pden/g; when pden/g is 1 the row is not rescaled.
     """
     f = row[col]
     g = math.gcd(f, pden)
     s, t = pden // g, f // g
-    new = [u * s - t * v for u, v in zip(row, prow)]
-    den *= s
+    if s == 1:  # pden divides f: the row keeps its denominator
+        new = [u - t * v for u, v in zip(row, prow)]
+    else:
+        new = [u * s - t * v for u, v in zip(row, prow)]
+        den *= s
     g = math.gcd(den, *new)
     if g > 1:
         return [v // g for v in new], den // g
@@ -367,19 +375,19 @@ def _certify(
     `a` and `c` are integer rows as `_core_solve` takes them; x holds
     numerators over `xden` and y over `yden`, all denominators positive.
     Each inequality is cleared of its denominators, so the check is exact in
-    integers.
+    integers.  A row's activity a_i.x is one `sum(map(mul, row, x))`, which
+    stops at the end of x, before the right-hand side.
     """
     k = len(c)
     if len(x) != k or len(y) != len(a):
-        raise AssertionError("simplex returned a solution of the wrong shape")
+        raise CertificateError("simplex returned a solution of the wrong shape")
     if min(x, default=0) < 0:
-        raise AssertionError("simplex returned a negative primal")
-    xs = [(j, v) for j, v in enumerate(x) if v]
+        raise CertificateError("simplex returned a negative primal")
     for row, yi in zip(a, y):
-        if sum(row[j] * v for j, v in xs) < row[-1] * xden:
-            raise AssertionError("simplex returned a primal-infeasible point")
+        if sum(map(mul, row, x)) < row[-1] * xden:
+            raise CertificateError("simplex returned a primal-infeasible point")
         if yi < 0:
-            raise AssertionError("simplex returned a negative dual")
+            raise CertificateError("simplex returned a negative dual")
     ys = [(row, yi) for row, yi in zip(a, y) if yi]
     yta = [0] * k  # y^T a, over yden * den
     for row, yi in ys:
@@ -387,9 +395,9 @@ def _certify(
     scale = den * yden
     for cj, t in zip(c, yta):
         if cj * scale < t * cden:
-            raise AssertionError("simplex returned a dual-infeasible vector")
-    if sum(c[j] * v for j, v in xs) * scale != sum(row[-1] * yi for row, yi in ys) * cden * xden:
-        raise AssertionError("strong duality failed (primal and dual objectives differ)")
+            raise CertificateError("simplex returned a dual-infeasible vector")
+    if sum(map(mul, c, x)) * scale != sum(row[-1] * yi for row, yi in ys) * cden * xden:
+        raise CertificateError("strong duality failed (primal and dual objectives differ)")
 
 
 def _transpose(
@@ -469,6 +477,12 @@ def _numerators(values: Sequence[Rational], den: int) -> list[int]:
     return [v.numerator * (den // v.denominator) for v in values]
 
 
+def common_numerators(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """Integer numerators of `values` over den, the lcm of their denominators, and den."""
+    den = math.lcm(*(v.denominator for v in values))
+    return _numerators(values, den), den
+
+
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """Solve exactly.  Deterministic for a fixed input.
 
@@ -479,8 +493,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     """
     k = lp.num_vars
     minimize = lp.sense == "min"
-    cden = math.lcm(*(v.denominator for v in lp.objective))
-    c = _numerators(lp.objective, cden)
+    c, cden = common_numerators(lp.objective)
     if not minimize:
         c = [-v for v in c]
 
@@ -529,7 +542,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     duals = [Fraction(v, yden) if v else _ZERO for v in folded]
     # check the extended system's dual objective before dropping bound rows
     if sum(d * r[2] for d, r in zip(duals, rows) if d) != obj:
-        raise AssertionError("dual objective mismatch on the extended system")
+        raise CertificateError("dual objective mismatch on the extended system")
 
     if not minimize:
         obj = -obj
@@ -567,12 +580,11 @@ def in_convex_hull(
         return None
     lam = sol.primal
     assert lam is not None
-    wden = math.lcm(*(v.denominator for v in lam))
-    w = _numerators(lam, wden)
+    w, wden = common_numerators(lam)
     if sum(w) != wden or min(w) < 0:
-        raise AssertionError("convex-hull weights are not a probability vector")
+        raise CertificateError("convex-hull weights are not a probability vector")
     used = [(wi, g) for wi, g in zip(w, gens) if wi]
     for t, pt in enumerate(p):
         if sum(wi * g[t] for wi, g in used) * pt.denominator != pt.numerator * wden:
-            raise AssertionError("convex-hull weights do not reproduce the point")
+            raise CertificateError("convex-hull weights do not reproduce the point")
     return lam

@@ -35,10 +35,10 @@ from math import gcd
 from typing import Optional, Sequence
 
 from . import budgets
-from .errors import BudgetExceededError
-from .alpha import coalition_value
+from .errors import BudgetExceededError, CertificateError
+from .alpha import mask_sum
 from .games import Coalition, SimpleGame, maximal_losing, winning_table
-from .lp import EQ, GE, LE, LPRow, LinearProgram, frac, in_convex_hull, rat, solve_lp
+from .lp import EQ, GE, LE, LPRow, LinearProgram, common_numerators, frac, in_convex_hull, rat, solve_lp
 
 DEFAULT_TOLERANCE = 1e-6
 MAX_ITERATIONS = 100_000
@@ -76,7 +76,8 @@ def is_feasible(game: SimpleGame, payoff: Sequence) -> bool:
         raise ValueError(f"payoff has {len(p)} entries for a {game.n}-player game")
     if any(v < 0 for v in p):
         return False
-    return all(coalition_value(p, w) >= 1 for w in game.minimal_winning)
+    nums, den = common_numerators(p)
+    return all(mask_sum(nums, w.mask) >= den for w in game.minimal_winning)
 
 
 def _min_over_q(game: SimpleGame, direction: Sequence[Fraction]) -> Fraction:
@@ -85,7 +86,7 @@ def _min_over_q(game: SimpleGame, direction: Sequence[Fraction]) -> Fraction:
     rows = tuple(LPRow(incidence(w.mask), GE, 1) for w in game.minimal_winning)
     sol = solve_lp(LinearProgram(game.n, tuple(direction), rows))
     if sol.status != "optimal":
-        raise AssertionError(f"oracle LP should be optimal, got {sol.status}")
+        raise CertificateError(f"oracle LP should be optimal, got {sol.status}")
     return sol.objective
 
 
@@ -106,7 +107,7 @@ def _affine_minimizer(gram: list[list[int]]) -> tuple[list[int], int]:
     for c in range(size):
         r = next((r for r in range(c, size) if m[r][c]), None)
         if r is None:
-            raise AssertionError("Wolfe corral is affinely dependent (singular bordered Gram system)")
+            raise CertificateError("Wolfe corral is affinely dependent (singular bordered Gram system)")
         m[c], m[r] = m[r], m[c]
         prow = m[c]
         p = prow[c]
@@ -207,7 +208,7 @@ def min_norm_point(
     norm = sum(v * v for v in x)
     pt = tuple(Fraction(v * xden, norm) for v in x)
     if not is_feasible(game, pt):
-        raise AssertionError("min-norm point is not feasible")
+        raise CertificateError("min-norm point is not feasible")
     sq = Fraction(xden * xden, norm)
     value = _min_over_q(game, pt)
     gap = sq - value
@@ -290,10 +291,10 @@ def _class_hull(
     for m in support:
         if bool(table >> m & 1) != winning:
             kind = "winning" if winning else "losing"
-            raise AssertionError(f"hull witness {Coalition(m).players()} is not {kind}")
+            raise CertificateError(f"hull witness {Coalition(m).players()} is not {kind}")
     lam = in_convex_hull([target] * n, [tuple(m >> j & 1 for j in range(n)) for m in support])
     if lam is None:
-        raise AssertionError("in_convex_hull rejects the support of a feasible dominated hull")
+        raise CertificateError("in_convex_hull rejects the support of a feasible dominated hull")
     return dict(zip(support, lam))
 
 

@@ -1,8 +1,10 @@
 """Threshold value: exact certificates, payoff ratios, conjecture corpus."""
 
 import json
+import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -18,15 +20,45 @@ from simplegames import (
     random_game,
     verify_conjecture_corpus,
 )
+from simplegames import alpha, graphs, minnorm
+from simplegames.alpha import AlphaCertificate, certify_alpha, solve_threshold_lp, threshold_rows
+from simplegames.complete import random_weighted_voting_game
+from simplegames.errors import CertificateError
+from simplegames.graphs import alpha_graph, build_gadget, random_graph
 from simplegames.minnorm import is_feasible
 from test_lp import run_optimized
 
+TESTS = Path(__file__).resolve().parent
 MAJ3 = new_game(3, [[1, 2], [1, 3], [2, 3]])
 DICT3 = new_game(3, [[1]])
 
 
 def coalition_value(payoff, coalition):
     return sum(payoff[i - 1] for i in coalition.players())
+
+
+def reference_certify_alpha(payoff, alpha, winning, losing):
+    """`certify_alpha` as it was written over Fraction sums, kept as the
+    reference for the integer check."""
+    won = [(w, coalition_value(payoff, w)) for w in winning]
+    lost = [(l, coalition_value(payoff, l)) for l in losing]
+    if any(v < 1 for _, v in won):
+        raise AssertionError("the payoff gives some minimal winning coalition less than 1")
+    if any(v > alpha for _, v in lost):
+        raise AssertionError("the payoff gives some maximal losing coalition more than alpha")
+    tight = tuple(l for l, v in lost if v == alpha)
+    if not tight:
+        raise AssertionError("the optimum must be attained by some maximal losing coalition")
+    binding = tuple(w for w, v in won if v == 1)
+    return AlphaCertificate(alpha, payoff, tight, binding)
+
+
+def certificate_games():
+    """Random and weighted games with n = 2..10 players."""
+    for n in range(2, 11):
+        for seed in range(3):
+            yield random_game(n, 40 + seed, 2 + (n + seed) % 9)
+            yield random_weighted_voting_game(n, seed).game
 
 
 def _random_feasible_payoff(rng, game):
@@ -104,7 +136,131 @@ alpha.compute_alpha_exact(cycle_game(4))
 """
         proc = run_optimized(script)
         assert proc.returncode == 1
-        assert f"AssertionError: {message}" in proc.stderr
+        assert f"CertificateError: {message}" in proc.stderr
+
+
+def _outcome(check, *args):
+    try:
+        return "certified", repr(check(*args))
+    except AssertionError as exc:
+        return "refused", str(exc)
+
+
+def _mutant(cert):
+    """The optimal payoff with one entry raised by 1/den, den the lcm of its
+    denominators, on a player of a tight losing coalition; None when every
+    tight losing coalition is empty."""
+    members = [c.players() for c in cert.tight_losing if c.mask]
+    if not members:
+        return None
+    den = math.lcm(*(v.denominator for v in cert.payoff))
+    i = members[0][0] - 1
+    return cert.payoff[:i] + (cert.payoff[i] + F(1, den),) + cert.payoff[i + 1 :]
+
+
+class TestIntegerCertificate:
+    """The integer `certify_alpha` against its Fraction reference."""
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(12)
+        outcomes = set()
+        for g in certificate_games():
+            losing = maximal_losing(g)
+            payoff, value = solve_threshold_lp(g.n, threshold_rows(g.n, g.minimal_winning, losing))
+            cases = [(payoff, value)]
+            p = _random_feasible_payoff(rng, g)
+            top = max(coalition_value(p, l) for l in losing)
+            # attained, short of the worst losing value, and short of 1 on winning
+            cases += [(tuple(p), top), (tuple(p), top - F(1, 7)), (tuple(v / 2 for v in p), top)]
+            for case in cases:
+                args = (*case, g.minimal_winning, losing)
+                got = _outcome(certify_alpha, *args)
+                assert got == _outcome(reference_certify_alpha, *args)
+                outcomes.add(got[0] if got[0] == "certified" else got[1])
+        assert len(outcomes) == 3  # certified, and two kinds of refusal
+
+    def test_raised_entry_is_refused(self):
+        mutants = 0
+        for g in certificate_games():
+            cert = compute_alpha_exact(g)
+            payoff = _mutant(cert)
+            if payoff is None:
+                continue
+            mutants += 1
+            with pytest.raises(CertificateError, match="losing coalition more than alpha"):
+                certify_alpha(payoff, cert.alpha, g.minimal_winning, maximal_losing(g))
+        assert mutants > 30
+
+    def test_raised_entry_is_refused_optimized(self):
+        script = """
+import test_alpha
+from simplegames import compute_alpha_exact, maximal_losing
+from simplegames.alpha import certify_alpha
+from simplegames.errors import CertificateError
+assert False, "python -O should have stripped this assert"
+mutants = refused = 0
+for g in test_alpha.certificate_games():
+    cert = compute_alpha_exact(g)
+    payoff = test_alpha._mutant(cert)
+    if payoff is None:
+        continue
+    mutants += 1
+    try:
+        certify_alpha(payoff, cert.alpha, g.minimal_winning, maximal_losing(g))
+    except CertificateError:
+        refused += 1
+print(mutants, refused)
+"""
+        proc = run_optimized(f"import sys; sys.path.insert(0, {str(TESTS)!r})\n" + script)
+        assert proc.returncode == 0, proc.stderr
+        mutants, refused = map(int, proc.stdout.split())
+        assert mutants > 30 and refused == mutants
+
+
+class TestFractionFree:
+    """The integer paths do no Fraction addition inside their loops."""
+
+    def test_no_fraction_additions(self, monkeypatch):
+        state = {"depth": 0, "calls": 0, "adds": 0}
+
+        def counted(op):
+            def add(a, b):
+                state["adds"] += state["depth"] > 0
+                return op(a, b)
+            return add
+
+        def inside(fn):
+            def call(*args, **kwargs):
+                state["depth"] += 1
+                state["calls"] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    state["depth"] -= 1
+            return call
+
+        monkeypatch.setattr(F, "__add__", counted(F.__add__))
+        monkeypatch.setattr(F, "__radd__", counted(F.__radd__))
+        # the counter sees a Fraction sum made inside a watched call
+        inside(sum)([F(1, 2), F(1, 3)], F(0))
+        assert state["adds"] == 2
+        state.update(calls=0, adds=0)
+        for module, name in [(alpha, "certify_alpha"), (alpha, "alpha_of_payoff"),
+                             (graphs, "certify_alpha"), (graphs, "mwis_exact"),
+                             (minnorm, "is_feasible")]:
+            monkeypatch.setattr(module, name, inside(getattr(module, name)))
+        weighted = random_weighted_voting_game(9, 4).game
+        cert = alpha.compute_alpha_exact(weighted)
+        assert minnorm.is_feasible(weighted, cert.payoff)
+        assert alpha.alpha_of_payoff(weighted, cert.payoff) == cert.alpha
+        assert graphs.mwis_exact(build_gadget(random_graph(5, 6, 2)), [F(1, 3), 0.5] * 5).weight
+        gadget_alpha = alpha_graph(build_gadget(random_graph(6, 7, 1)))
+        assert gadget_alpha.alpha > 0
+        assert state["calls"] > 5
+        assert state["adds"] == 0
+
+    def test_coalition_value_is_gone(self):
+        assert not hasattr(alpha, "coalition_value")
 
 
 class TestAlphaOfPayoff:

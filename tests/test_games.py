@@ -325,3 +325,21 @@ class TestMinimalMasks:
     def test_graph_edge_families(self):
         drops = [self.agree(40, edge_family(seed)) for seed in range(12)]
         assert any(drops) and not all(drops)
+
+
+class TestAntichainOrder:
+    """Antichains are listed by player tuple, read off the masks alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 24, 40, 64])
+    def test_new_game_orders_by_player_tuples(self, n):
+        for seed in range(60):
+            game = new_game(n, random_family(n, seed))
+            assert list(game.minimal_winning) == sorted(game.minimal_winning, key=Coalition.players)
+            # built without the constructor's checks, it still passes them
+            assert SimpleGame(n, game.minimal_winning) == game
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_table_extractions_order_by_player_tuples(self, seed):
+        game = random_game(2 + seed % 9, seed, 2 + seed % 7)
+        for family in (maximal_losing(game), blocker(game)):
+            assert family == sorted(family, key=Coalition.players)

@@ -65,6 +65,63 @@ def brute_maximal_independent_sets(g):
     return sorted(tuple(sorted(s)) for s in maximal)
 
 
+def reference_mwis_exact(g, weights):
+    """`mwis_exact` as it was written over Fraction weights, scanning the
+    vertices in (-weight, index) order for the heaviest open one; kept as the
+    reference for the integer, rank-relabeled search."""
+    w = [F(x) for x in weights]
+    n = g.n
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+    by_weight = sorted(range(n), key=lambda i: (-w[i], i))
+    best_mask, best_weight, used = 0, F(0), 0
+    for i in by_weight:
+        if not used >> i & 1:
+            best_mask |= 1 << i
+            used |= adj[i] | 1 << i
+            best_weight += w[i]
+
+    def bound(cand):
+        total, rem = F(0), cand
+        while rem:
+            v = next(i for i in by_weight if rem >> i & 1)
+            total += w[v]
+            clique, common = 1 << v, rem & adj[v]
+            while common:
+                u = next(i for i in by_weight if common >> i & 1)
+                clique |= 1 << u
+                common &= adj[u]
+            rem &= ~clique
+        return total
+
+    def dfs(cand, cur_w, cur_mask):
+        nonlocal best_mask, best_weight
+        if cand == 0:
+            if cur_w > best_weight:
+                best_weight, best_mask = cur_w, cur_mask
+            return
+        if cur_w + bound(cand) <= best_weight:
+            return
+        v = next(i for i in by_weight if cand >> i & 1)
+        dfs(cand & ~(adj[v] | 1 << v), cur_w + w[v], cur_mask | 1 << v)
+        dfs(cand & ~(1 << v), cur_w, cur_mask)
+
+    dfs((1 << n) - 1, F(0), 0)
+    return WeightedVertexSet(Coalition(best_mask), best_weight)
+
+
+# weights that tie often, with zeros and floats (exact through their binary value)
+WEIGHT_POOL = [0, 0, 1, 1, 2, F(1, 2), F(2, 3), F(7, 3), 0.1, 0.25, 1.5, F(5, 4)]
+
+
+def random_weights(rng, n):
+    if rng.random() < 0.3:
+        return [F(rng.randint(0, 9), rng.randint(1, 6)) for _ in range(n)]
+    return [rng.choice(WEIGHT_POOL) for _ in range(n)]
+
+
 # The true MWIS reported with weight 0 ends the cutting-plane loop at alpha =
 # 0, which the certificate's losing bound must refuse.  Source text, so that
 # tests can run it in-process and in a `python -O` child alike.
@@ -189,6 +246,38 @@ class TestMwisExact:
         with pytest.raises(BudgetExceededError):
             mwis_exact(make_graph(50, [(1, 2)]), [1] * 50)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_fraction_reference(self, seed):
+        # the same set, not only the same weight: ties break as they did
+        rng = random.Random(f"mwis-reference:{seed}")
+        for _ in range(6):
+            n = rng.randint(1, 16)
+            g = random_graph(n, rng.randint(0, n * (n - 1) // 2), rng.randrange(1000))
+            w = random_weights(rng, n)
+            assert mwis_exact(g, w) == reference_mwis_exact(g, w)
+        gadget = build_gadget(random_graph(8, 3 + seed % 15, seed))
+        w = random_weights(rng, gadget.n)
+        assert mwis_exact(gadget, w) == reference_mwis_exact(gadget, w)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_relabeling_keeps_the_weight(self, seed):
+        rng = random.Random(f"mwis-relabel:{seed}")
+        n = rng.randint(2, 16)
+        g = random_graph(n, rng.randint(0, n * (n - 1) // 2), seed)
+        w = random_weights(rng, n)
+        order = list(range(1, n + 1))
+        rng.shuffle(order)  # vertex v becomes order[v - 1]
+        relabeled = make_graph(n, [(order[u - 1], order[v - 1]) for u, v in g.edges])
+        moved = [None] * n
+        for v in range(1, n + 1):
+            moved[order[v - 1] - 1] = w[v - 1]
+        res = mwis_exact(relabeled, moved)
+        assert res.weight == mwis_exact(g, w).weight
+        members = res.vertices.players()
+        assert not any((min(a, b), max(a, b)) in set(relabeled.edges)
+                       for a, b in itertools.combinations(members, 2))
+        assert sum((F(moved[v - 1]) for v in members), F(0)) == res.weight
+
 
 class TestAlphaGraph:
     def test_c4(self):
@@ -245,7 +334,7 @@ graphs.alpha_graph(graphs.cycle_graph(4))
         proc = run_optimized(script)
         assert proc.returncode == 1
         assert (
-            "AssertionError: the payoff gives some maximal losing coalition more than alpha"
+            "CertificateError: the payoff gives some maximal losing coalition more than alpha"
             in proc.stderr
         )
 

@@ -130,7 +130,7 @@ minnorm.min_norm_point(cycle_game(4))
             timeout=60,
         )
         assert proc.returncode == 1
-        assert f"AssertionError: {message}" in proc.stderr
+        assert f"CertificateError: {message}" in proc.stderr
 
 
 def dykstra_min_norm(game, iters=6000):
@@ -392,4 +392,4 @@ minnorm.tightness_check(cycle_game(4))
             timeout=60,
         )
         assert proc.returncode == 1
-        assert f"AssertionError: {message}" in proc.stderr
+        assert f"CertificateError: {message}" in proc.stderr
