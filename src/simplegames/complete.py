@@ -289,8 +289,11 @@ def csg_bound_corpus(n: int, seeds: Iterable[int]) -> CsgCorpusReport:
     payoff's ratio with exact alpha and the sqrt(n)*ln(n) bound."""
     budgets.check("corpus", n)
     bound = math.sqrt(n) * math.log(n)
+    seed_list = sorted(set(int(s) for s in seeds))
+    if not seed_list:
+        raise ValueError("the corpus has no seeds; an empty check would pass vacuously")
     entries = []
-    for seed in sorted(set(int(s) for s in seeds)):
+    for seed in seed_list:
         wvg = sized_weighted_game(n, seed)
         cg = complete_order(wvg.game)
         if cg is None:

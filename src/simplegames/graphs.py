@@ -7,12 +7,11 @@ graphs, branch and bound with a greedy clique-cover bound otherwise.  The
 module also builds the two-copy gadget whose threshold is half the
 independence number, searches for induced disjoint-edge families, enumerates
 maximal independent sets, and decides "alpha <= a" for a fixed bound a.
-Both threshold computations use the LP of `alpha`.  The cutting-plane loop
-solves its first round, which has no losing row, cold through `solve_lp`,
-and keeps one warm `ThresholdLP` for every later round: it needs no phase 1,
-each cut enters as a new column of the LP's dual and costs a few pivots, and
-every round's solution is certified on all the rows so far.
-The decision solves its LP over all maximal independent sets cold, once.
+Both threshold computations use the `ThresholdLP` of `alpha`: the
+cutting-plane loop keeps one for all its rounds, so each cut enters as a new
+column of the LP's dual and costs a few pivots, and every round's solution is
+certified on all the rows so far; the decision solves one over all maximal
+independent sets, cold, once.
 """
 
 from __future__ import annotations
@@ -27,13 +26,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import budgets
-from .alpha import (
-    AlphaCertificate,
-    ThresholdLP,
-    certify_alpha,
-    solve_threshold_lp,
-    threshold_rows,
-)
+from .alpha import AlphaCertificate, ThresholdLP, certify_alpha
 from .errors import BudgetExceededError, CertificateError
 from .games import Coalition, SimpleGame, new_game
 from .lp import common_numerators, frac, rat
@@ -331,52 +324,35 @@ def mwis_exact(g: Graph, weights: Sequence, budget: Optional[int] = None) -> Wei
     return WeightedVertexSet(Coalition(chosen), Fraction(best_weight, den))
 
 
-def alpha_graph(
-    g: Graph, budget: Optional[int] = None, max_rounds: int = MAX_CUT_ROUNDS
-) -> AlphaCertificate:
+def alpha_graph(g: Graph, budget: Optional[int] = None) -> AlphaCertificate:
     """Threshold value of the graphic game by cutting planes.
 
     Start from the edge constraints and minimize the threshold; repeatedly ask
     the MWIS oracle for the worst independent set under the current payoff and
-    add its constraint while it is violated.  The first round has no losing
-    row and is solved cold through `solve_lp`.  The cuts go into one
-    `ThresholdLP` on the edges, which starts feasible with no phase 1, and
-    each cut costs a few pivots from the last optimal basis, with the LP's
-    certificate checked on all its rows every round.  Everything is exact,
-    and the final payoff is certified against the edges and every oracle
-    set, so the returned alpha is the true rational optimum.
+    add its constraint while it is violated.  All rounds solve one
+    `ThresholdLP` on the edges, warm after the first cut.  Everything is
+    exact, and the final payoff is certified against the edges and every
+    oracle set, so the returned alpha is the true rational optimum.
     """
     if not g.edges:
         raise ValueError("an edgeless graph has no winning coalitions")
     color = bipartition(g)
     if color is None:
         budgets.check("mwis", g.n, budget)
-    n = g.n
     edges = [Coalition.of(u, v) for u, v in g.edges]
-    # Round 1 is solved cold only because the benchmark's tracer counts cut
-    # rounds as solve_lp spans under alpha_graph, and bench/test_bench.py
-    # requires some on graph-cuts.  cut_lp.solve() can solve this round as
-    # well; the cold solve costs 1043 of the 3110 pivots that alpha_graph
-    # makes on the seed-3 graph-cuts corpus.  Drop it once the benchmark
-    # counts ThresholdLP solves.
-    payoff, ahat = solve_threshold_lp(n, threshold_rows(n, edges, ()))
-    # round 1's threshold is 0 and every edge pays an endpoint at least 1/2,
-    # so the oracle always returns a cut and the warm LP is always used
-    cut_lp = ThresholdLP(n, edges)
-    cuts: list[Coalition] = []
-    for _ in range(max_rounds):
+    cut_lp = ThresholdLP(g.n, edges)
+    for _ in range(MAX_CUT_ROUNDS):
+        payoff, ahat = cut_lp.solve()
         if color is not None:
             sep = mwis_bipartite(g, payoff)
         else:
             sep = mwis_exact(g, payoff, budget)
         if sep.weight <= ahat:
             # the final oracle set attains the maximum; certify_alpha checks it
-            losing = sorted(set(cuts) | {sep.vertices}, key=Coalition.players)
+            losing = sorted(set(cut_lp.losing) | {sep.vertices}, key=Coalition.players)
             return certify_alpha(payoff, ahat, edges, losing)
         cut_lp.add_losing(sep.vertices)
-        cuts.append(sep.vertices)
-        payoff, ahat = cut_lp.solve()
-    raise BudgetExceededError("cut_rounds", max_rounds + 1, max_rounds)
+    raise BudgetExceededError("cut_rounds", MAX_CUT_ROUNDS + 1, MAX_CUT_ROUNDS)
 
 
 def build_gadget(g: Graph) -> Graph:
@@ -502,12 +478,7 @@ def kp2_endpoint_set(witness: Sequence[Edge], payoff: Sequence) -> Coalition:
     return Coalition.from_players(picks)
 
 
-def decide_alpha_at_most(
-    g: Graph,
-    a,
-    budget: Optional[int] = None,
-    mis_limit: int = DEFAULT_MIS_LIMIT,
-) -> AlphaDecision:
+def decide_alpha_at_most(g: Graph, a, budget: Optional[int] = None) -> AlphaDecision:
     """Decide whether the graphic threshold value is at most `a`.
 
     With k twice the smallest integer exceeding a, an induced kP2 forces some
@@ -530,9 +501,8 @@ def decide_alpha_at_most(
             kp2_witness=tuple(witness),
             forced_set=canonical,
         )
-    mis = list(enumerate_mis(g, mis_limit))
     edges = [Coalition.of(u, v) for u, v in g.edges]
-    _, alpha = solve_threshold_lp(g.n, threshold_rows(g.n, edges, mis))
+    _, alpha = ThresholdLP(g.n, edges, enumerate_mis(g, DEFAULT_MIS_LIMIT)).solve()
     return AlphaDecision(answer=alpha <= a, branch="enumeration", alpha=alpha)
 
 

@@ -57,8 +57,16 @@ _ZERO = Fraction(0)
 
 
 def frac(x: Number) -> Fraction:
-    """Exact conversion; floats convert via their binary value."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """Exact conversion; floats convert via their binary value.
+
+    Raises ValueError for anything that is not a finite rational: a NaN or
+    infinite float, or a string such as "1/0"."""
+    if isinstance(x, Fraction):
+        return x
+    try:
+        return Fraction(x)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"{x!r} is not a finite rational") from exc
 
 
 def rat(v: Fraction) -> str:

@@ -200,9 +200,9 @@ def min_norm_point(
     Wolfe's major plus minor cycles exceed max_iterations.
     """
     budgets.check("min_norm", game.n)
-    if not tolerance > 0:
+    tol = frac(tolerance)
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
-    tol = Fraction(tolerance) if not isinstance(tolerance, Fraction) else tolerance
     # q* = x / xden, so p* = q* / ||q*||^2 = x * xden / ||x||^2
     x, xden = _wolfe([w.mask for w in game.minimal_winning], game.n, max_iterations)
     norm = sum(v * v for v in x)

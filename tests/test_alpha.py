@@ -21,7 +21,7 @@ from simplegames import (
     verify_conjecture_corpus,
 )
 from simplegames import alpha, graphs, minnorm
-from simplegames.alpha import AlphaCertificate, certify_alpha, solve_threshold_lp, threshold_rows
+from simplegames.alpha import AlphaCertificate, ThresholdLP, certify_alpha
 from simplegames.complete import random_weighted_voting_game
 from simplegames.errors import CertificateError
 from simplegames.graphs import alpha_graph, build_gadget, random_graph
@@ -111,6 +111,9 @@ class TestComputeAlpha:
         padded = new_game(n + 1, [w.players() for w in g.minimal_winning])
         assert compute_alpha_exact(padded).alpha == alpha
 
+    def test_threshold_lp_is_the_only_builder(self):
+        assert not hasattr(alpha, "threshold_rows") and not hasattr(alpha, "solve_threshold_lp")
+
     def test_json_shape(self):
         payload = compute_alpha_exact(cycle_game(8)).to_json_dict()
         assert payload["alpha"] == "2/1"
@@ -166,7 +169,7 @@ class TestIntegerCertificate:
         outcomes = set()
         for g in certificate_games():
             losing = maximal_losing(g)
-            payoff, value = solve_threshold_lp(g.n, threshold_rows(g.n, g.minimal_winning, losing))
+            payoff, value = ThresholdLP(g.n, g.minimal_winning, losing).solve()
             cases = [(payoff, value)]
             p = _random_feasible_payoff(rng, g)
             top = max(coalition_value(p, l) for l in losing)
@@ -282,6 +285,11 @@ class TestAlphaOfPayoff:
         with pytest.raises(ValueError):
             alpha_of_payoff(MAJ3, [0, 0, 0])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, "1/0"])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="not a finite rational"):
+            alpha_of_payoff(MAJ3, [1, bad, 0])
+
     @pytest.mark.parametrize("seed", range(20))
     def test_scale_invariance(self, seed):
         rng = random.Random(seed)
@@ -363,3 +371,8 @@ class TestConjectureCorpus:
 
         with pytest.raises(BudgetExceededError):
             verify_conjecture_corpus(20, seeds=[1])
+
+    @pytest.mark.parametrize("seeds, count", [([], 100), (None, 0)])
+    def test_empty_corpus_is_refused(self, seeds, count):
+        with pytest.raises(ValueError, match="no seeds"):
+            verify_conjecture_corpus(6, seeds=seeds, count=count)

@@ -56,6 +56,14 @@ def test_override_lowers_any_cap_and_raises_only_time_caps(name, override, expec
     assert info.value.limit == expected
 
 
+@pytest.mark.parametrize("name", sorted(budgets.CAPS))
+def test_negative_override_is_invalid_input(name):
+    with pytest.raises(ValueError, match=f"the {name} budget must be >= 0, got -1"):
+        budgets.check(name, 0, -1)
+    with pytest.raises(BudgetExceededError):
+        budgets.check(name, 1, 0)
+
+
 @pytest.fixture()
 def no_tables(monkeypatch):
     # an override that crossed the ceiling would build 30 tables of 2^30 bits
@@ -76,6 +84,14 @@ def test_cli_override_above_the_ceiling_exits_3(no_tables, tmp_path, capsys):
     path.write_text(json.dumps({"n": 30, "minimal_winning": [[1]]}))
     assert run(["alpha", "--game", str(path), "--budget", "40"]) == 3
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("budget, code", [("-1", 2), ("0", 3)])
+def test_cli_negative_budget_exits_2_and_zero_exits_3(budget, code, capsys):
+    assert run(["alpha", "--game", "cycle:4", "--budget", budget]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
 
 
 def test_caps_live_only_in_budgets():

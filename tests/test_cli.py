@@ -212,6 +212,22 @@ class TestErrors:
         code, out = capture(*argv, "--budget", "1")
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["min-norm", "--game", "cycle:4", "--tol", "inf"],
+            ["min-norm", "--game", "cycle:4", "--tol", "1e400"],
+            ["graph-decide", "--graph", "cycle:5", "--a", "1/0"],
+            ["verify-conjecture", "--n", "6", "--count", "0"],
+            ["verify-conjecture", "--n", "6", "--seeds", ","],
+        ],
+    )
+    def test_non_finite_numbers_and_empty_corpora_exit_2(self, argv, capsys):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_pivot_limit_exits_3(self, capture, monkeypatch):
         monkeypatch.setattr("simplegames.lp.MAX_PIVOTS", 1)
         code, out = capture("graph-decide", "--graph", "cycle:8", "--a", "3/2")

@@ -431,3 +431,7 @@ class TestCorpus:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             csg_bound_corpus(18, [0])
+
+    def test_empty_corpus_is_refused(self):
+        with pytest.raises(ValueError, match="no seeds"):
+            csg_bound_corpus(8, [])

@@ -246,6 +246,10 @@ class TestMwisExact:
         with pytest.raises(BudgetExceededError):
             mwis_exact(make_graph(50, [(1, 2)]), [1] * 50)
 
+    def test_infinite_weight_rejected(self):
+        with pytest.raises(ValueError, match="not a finite rational"):
+            mwis_exact(C5, [1, float("inf"), 1, 1, 1])
+
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_fraction_reference(self, seed):
         # the same set, not only the same weight: ties break as they did

@@ -433,26 +433,50 @@ class TestTableau:
         assert len(transposed) == 6  # each threshold LP went through its dual
         assert pivots["construction"] == 0 and pivots["solve"] > 0
 
+    @staticmethod
+    def warm_against_cold(n, winning, losing, monkeypatch):
+        """Add `losing` to one `ThresholdLP` on `winning` a row at a time; after
+        each row its threshold must equal a cold solve of the same rows on the
+        reference kernel.  Returns the last threshold."""
+        from simplegames.alpha import ThresholdLP
+
+        warm = ThresholdLP(n, winning)
+        for r in range(len(losing) + 1):
+            if r:
+                warm.add_losing(losing[r - 1])
+            with monkeypatch.context() as patch:
+                patch.setattr(lp, "_core_solve", lp_reference.core_solve)
+                _, cold = ThresholdLP(n, winning, losing[:r]).solve()
+            assert warm.solve()[1] == cold
+        return cold
+
     def test_isolated_vertex(self, monkeypatch):
         # vertex 6 is in no edge, so its dual row starts all-zero; every
         # maximal independent set, added one at a time, must give the cold optimum
-        from simplegames.alpha import ThresholdLP, solve_threshold_lp, threshold_rows
         from simplegames.graphs import alpha_graph, enumerate_mis, graphic_game, make_graph
 
         g = make_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
         edges = [Coalition.of(u, v) for u, v in g.edges]
-        warm = ThresholdLP(g.n, edges)
-        losing = []
-        for independent in [None] + list(enumerate_mis(g)):
-            if independent is not None:
-                warm.add_losing(independent)
-                losing.append(independent)
-            with monkeypatch.context() as patch:
-                patch.setattr(lp, "_core_solve", lp_reference.core_solve)
-                _, cold = solve_threshold_lp(g.n, threshold_rows(g.n, edges, losing))
-            assert warm.solve()[1] == cold
-        assert cold == F(1)
+        assert self.warm_against_cold(g.n, edges, list(enumerate_mis(g)), monkeypatch) == F(1)
         assert alpha_graph(g).alpha == compute_alpha_exact(graphic_game(g)).alpha == F(1)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_maximal_losing_one_at_a_time(self, n, monkeypatch):
+        # from the minimal winning rows alone, each maximal losing coalition
+        # added warm must give the cold optimum, and all of them give alpha;
+        # antichains of 2 or 3 draws, since larger targets drift to the
+        # all-singletons game, whose one maximal losing coalition is empty
+        from simplegames.games import maximal_losing, random_game
+
+        several = 0
+        for seed in range(3):
+            for target in (2, 3):
+                game = random_game(n, seed, target)
+                losing = maximal_losing(game)
+                several += len(losing) > 1
+                last = self.warm_against_cold(n, game.minimal_winning, losing, monkeypatch)
+                assert last == compute_alpha_exact(game).alpha
+        assert several > 0
 
     MUTANT = """
 def drop_reduced_cost(add_column):
@@ -486,10 +510,20 @@ graphs.alpha_graph(graphs.cycle_graph(6))
         assert "CertificateError: simplex returned a primal-infeasible point" in proc.stderr
 
     def test_phase_one_does_not_run_per_cut(self, monkeypatch):
-        # one tableau inside solve_lp for the cold first round, one for the
-        # warm cut LP, whatever the number of cuts; each cut is one add_column
+        # alpha_graph builds one tableau inside solve_lp for the cold first
+        # round and one for the warm cut LP, whatever the number of cuts; each
+        # cut is one add_column.  An alpha over all maximal losing coalitions,
+        # of a game or by enumeration, is one cold tableau and no warm one.
         from simplegames import alpha
-        from simplegames.graphs import alpha_graph, build_gadget, random_bipartite_graph, random_graph
+        from simplegames.games import random_game
+        from simplegames.graphs import (
+            alpha_graph,
+            build_gadget,
+            cycle_graph,
+            decide_alpha_at_most,
+            random_bipartite_graph,
+            random_graph,
+        )
 
         counts = {"cold": 0, "warm": 0, "columns": 0}
         in_solve_lp = [False]
@@ -510,15 +544,25 @@ graphs.alpha_graph(graphs.cycle_graph(6))
             counts["columns"] += 1
             add(self, *args)
 
+        def enumeration(g):
+            decision = decide_alpha_at_most(g, 1)
+            assert decision.branch == "enumeration"
+
         monkeypatch.setattr(alpha, "solve_lp", spy_solve_lp)
         monkeypatch.setattr(lp._Tableau, "__init__", spy_init)
         monkeypatch.setattr(lp._Tableau, "add_column", spy_add)
         graphs_ = [build_gadget(random_graph(6, 7 + s, s)) for s in range(3)]
         graphs_ += [random_bipartite_graph(10, 14, s) for s in range(3)]
+        cases = [(alpha_graph, g, (1, 1)) for g in graphs_]
+        cases += [(compute_alpha_exact, random_game(7, s, 5), (1, 0)) for s in range(3)]
+        cases += [(enumeration, cycle_graph(n), (1, 0)) for n in (5, 7)]
         cuts = set()
-        for g in graphs_:
+        for solve, model, tableaus in cases:
             counts.update(cold=0, warm=0, columns=0)
-            alpha_graph(g)
-            assert (counts["cold"], counts["warm"]) == (1, 1)
-            cuts.add(counts["columns"])
+            solve(model)
+            assert (counts["cold"], counts["warm"]) == tableaus
+            if solve is alpha_graph:
+                cuts.add(counts["columns"])
+            else:
+                assert counts["columns"] == 0
         assert len(cuts) > 1 and min(cuts) >= 1
