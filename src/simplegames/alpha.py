@@ -161,9 +161,7 @@ def compute_alpha_exact(game: SimpleGame, budget: Optional[int] = None) -> Alpha
     return certify_alpha(payoff, alpha, game.minimal_winning, losing)
 
 
-def alpha_of_payoff(
-    game: SimpleGame, payoff: Sequence, budget: Optional[int] = None
-) -> Fraction:
+def alpha_of_payoff(game: SimpleGame, payoff: Sequence) -> Fraction:
     """Worst losing payoff divided by the best (smallest) winning payoff at `payoff`."""
     p = [frac(v) for v in payoff]
     if len(p) != game.n:
@@ -177,13 +175,13 @@ def alpha_of_payoff(
     low = min(mask_sum(nums, w.mask) for w in game.minimal_winning)
     if low == 0:
         raise UndefinedRatioError("some winning coalition has payoff 0; the ratio is undefined")
-    high = max(mask_sum(nums, l.mask) for l in maximal_losing(game, budget))
+    high = max(mask_sum(nums, l.mask) for l in maximal_losing(game))
     return Fraction(high, low)
 
 
-def is_weighted(game: SimpleGame, budget: Optional[int] = None) -> bool:
+def is_weighted(game: SimpleGame) -> bool:
     """True iff the game admits weights and a quota, i.e. alpha < 1."""
-    return compute_alpha_exact(game, budget).alpha < 1
+    return compute_alpha_exact(game).alpha < 1
 
 
 @dataclass(frozen=True)
@@ -218,23 +216,17 @@ class ConjectureReport:
         }
 
 
-def verify_conjecture_corpus(
-    n: int,
-    seeds: Optional[Iterable[int]] = None,
-    count: int = 100,
-    target_antichain_size: Optional[int] = None,
-) -> ConjectureReport:
-    """Check alpha <= n/4 on a corpus of random games; seeds default to range(count)."""
+def verify_conjecture_corpus(n: int, seeds: Iterable[int]) -> ConjectureReport:
+    """Check alpha <= n/4 on `random_game(n, seed, max(3, n))` per distinct seed,
+    in ascending seed order; no seeds at all is a ValueError."""
     budgets.check("corpus", n)
-    seed_list = sorted(set(range(count) if seeds is None else (int(s) for s in seeds)))
+    seed_list = sorted(set(int(s) for s in seeds))
     if not seed_list:
         raise ValueError("the corpus has no seeds; an empty check would pass vacuously")
-    target = target_antichain_size if target_antichain_size is not None else max(3, n)
     bound = Fraction(n, 4)
     entries = []
     for seed in seed_list:
-        game = random_game(n, seed, target)
-        alpha = compute_alpha_exact(game).alpha
+        alpha = compute_alpha_exact(random_game(n, seed, max(3, n))).alpha
         entries.append(ConjectureEntry(seed, alpha, bound, alpha / bound))
     max_ratio = max(e.ratio for e in entries)
     return ConjectureReport(

@@ -2,12 +2,16 @@
 
 Exact alpha is NP-hard on graphic games and the game routines enumerate
 coalitions in 2^n-bit tables, so each exponential routine refuses an input
-above its named cap before it allocates or searches anything.  An override
-may lower any cap but raise only ``mwis`` and ``kp2``, which bound time, not
-memory; the other caps guard a 2^n allocation or stand for one, so their
-default is a hard ceiling.  The iteration caps (simplex pivots, Wolfe
-cycles, cut rounds, the maximal-independent-set family) stay beside their
-loops and raise the same error.
+above its named cap before it allocates or searches anything, and
+`games.random_game` refuses a target above ``antichain`` before it draws.  An
+override may lower any cap but raise only ``mwis`` and ``kp2``, which bound
+time, not memory; the other caps guard a 2^n allocation or stand for one, so
+their default is a hard ceiling.  `limit` applies that rule and refuses a
+negative override, for `check` and for the command line, which validates
+``--budget`` before the verb runs because some inputs reach no check.  The
+iteration caps (simplex pivots, Wolfe cycles, cut rounds, the
+maximal-independent-set family) are module constants beside their loops and
+raise the same error.
 """
 
 from __future__ import annotations
@@ -22,20 +26,28 @@ CAPS = {
     "corpus": 16,  # players in the random corpus drivers
     "mwis": 40,  # vertices in the exact independent-set searches of `graphs`
     "kp2": 5,  # disjoint edges in the induced kP2 search
+    "antichain": 256,  # target antichain size in random_game, which draws up to 200 per unit
 }
 RAISABLE = frozenset({"mwis", "kp2"})
 
 
-def check(name: str, value: int, override: int | None = None) -> None:
-    """Raise BudgetExceededError(name, value, limit) when value exceeds the cap.
+def limit(name: str, override: int | None = None) -> int:
+    """The cap `name` under an override, which may lower any cap and raise only
+    the RAISABLE ones.
 
     A negative override is invalid input, not a budget that is used up, so
     it raises ValueError.
     """
-    limit = CAPS[name]
-    if override is not None and override < 0:
+    cap = CAPS[name]
+    if override is None:
+        return cap
+    if override < 0:
         raise ValueError(f"the {name} budget must be >= 0, got {override}")
-    if override is not None and (override < limit or name in RAISABLE):
-        limit = override
-    if value > limit:
-        raise BudgetExceededError(name, value, limit)
+    return override if override < cap or name in RAISABLE else cap
+
+
+def check(name: str, value: int, override: int | None = None) -> None:
+    """Raise BudgetExceededError(name, value, limit) when value exceeds the cap."""
+    bound = limit(name, override)
+    if value > bound:
+        raise BudgetExceededError(name, value, bound)

@@ -31,6 +31,12 @@ EXIT_INVALID = 2
 EXIT_EXHAUSTED = 3
 EXIT_INTERNAL = 4
 
+# the one cap each verb's --budget overrides
+BUDGET_CAPS = {
+    "alpha": "tables", "tightness": "tightness", "graph-alpha": "mwis",
+    "graph-decide": "kp2", "csg": "desirability",
+}
+
 EXIT_CODES_HELP = (
     "exit codes: 0 success, 1 decision answered false, 2 invalid input, "
     "3 budget exhausted, 4 internal error (a failed certificate check or "
@@ -149,10 +155,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify_conjecture(args) -> int:
-    seeds = None
+    seeds = range(args.count)
     if args.seeds:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    report = alpha_mod.verify_conjecture_corpus(args.n, seeds, args.count)
+    report = alpha_mod.verify_conjecture_corpus(args.n, seeds)
     _emit(report.to_json_dict(), args.format)
     return EXIT_OK if report.all_within_bound else EXIT_FALSE
 
@@ -219,10 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_conjecture)
 
     # only the verbs that pass a budget on accept one; each overrides one cap
-    for verb, cap in (
-        ("alpha", "tables"), ("tightness", "tightness"), ("graph-alpha", "mwis"),
-        ("graph-decide", "kp2"), ("csg", "desirability"),
-    ):
+    for verb, cap in BUDGET_CAPS.items():
         rule = "raise or lower" if cap in budgets.RAISABLE else "lower"
         help_text = f"{rule} the {cap} cap (default {budgets.CAPS[cap]})"
         sub.choices[verb].add_argument("--budget", type=int, default=None, help=help_text)
@@ -236,6 +239,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.verb in BUDGET_CAPS:
+            # refuse a negative --budget even where the input never reaches the cap
+            budgets.limit(BUDGET_CAPS[args.verb], args.budget)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

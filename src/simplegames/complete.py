@@ -27,10 +27,10 @@ MAX_WEIGHT = 9  # largest weight `random_weighted_voting_game` draws
 ROW_CAP = 600  # most threshold-LP rows `sized_weighted_game` accepts
 
 
-def desirability_ge(game: SimpleGame, i: int, j: int, budget: Optional[int] = None) -> bool:
+def desirability_ge(game: SimpleGame, i: int, j: int) -> bool:
     """True iff adding i never does worse than adding j, over all coalitions
     avoiding both."""
-    budgets.check("desirability", game.n, budget)
+    budgets.check("desirability", game.n)
     n = game.n
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"players must be distinct and in 1..{n}, got {i}, {j}")
@@ -65,7 +65,7 @@ def complete_order(game: SimpleGame, budget: Optional[int] = None) -> Optional[C
     wins = [(w & ~absent[i - 1]).bit_count() for i in range(1, n + 1)]
     ordering = tuple(sorted(range(1, n + 1), key=lambda i: (-wins[i - 1], i)))
     for stronger, weaker in zip(ordering, ordering[1:]):
-        if not desirability_ge(game, stronger, weaker, budget):
+        if not desirability_ge(game, stronger, weaker):
             return None
     return CompleteGame(game, ordering)
 

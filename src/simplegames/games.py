@@ -272,14 +272,14 @@ def maximal_losing(game: SimpleGame, budget: int | None = None) -> list[Coalitio
     return _extract(n, m)
 
 
-def blocker(game: SimpleGame, budget: int | None = None) -> list[Coalition]:
+def blocker(game: SimpleGame) -> list[Coalition]:
     """All inclusion-minimal covers: sets meeting every minimal winning coalition.
 
     Complements of the returned covers are exactly the maximal losing
     coalitions; that identity is checked by tests, not assumed here, so this
     computes covers directly.
     """
-    budgets.check("tables", game.n, budget)
+    budgets.check("tables", game.n)
     n = game.n
     size = 1 << n
     full_table = (1 << size) - 1
@@ -307,14 +307,14 @@ class GameStats:
     maximal_losing: int
 
 
-def game_stats(game: SimpleGame, budget: int | None = None) -> GameStats:
-    budgets.check("tables", game.n, budget)
+def game_stats(game: SimpleGame) -> GameStats:
+    budgets.check("tables", game.n)
     w = winning_table(game).bit_count()
     return GameStats(
         winning=w,
         losing=(1 << game.n) - w,
         minimal_winning=len(game.minimal_winning),
-        maximal_losing=len(maximal_losing(game, budget)),
+        maximal_losing=len(maximal_losing(game)),
     )
 
 
@@ -332,13 +332,16 @@ def random_game(n: int, seed: int, target_antichain_size: int) -> SimpleGame:
 
     Sampling keeps inclusion-minimal coalitions until the antichain reaches
     the target size or the draw budget runs out, so the result can be smaller
-    than requested but always satisfies the SimpleGame invariants.
+    than requested but always satisfies the SimpleGame invariants.  The draws
+    grow with the target, even when n cannot reach it, so a target above the
+    `antichain` cap is refused before the first one.
     """
     cap = budgets.CAPS["tables"]
     if not isinstance(n, int) or not 2 <= n <= cap:
         raise ValueError(f"random_game needs 2 <= n <= {cap}, got {n!r}")
     if target_antichain_size < 1:
         raise ValueError("target_antichain_size must be >= 1")
+    budgets.check("antichain", target_antichain_size)
     rng = random.Random(f"simplegame:{n}:{seed}:{target_antichain_size}")
     kept: list[int] = []
     attempts = 0

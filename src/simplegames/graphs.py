@@ -33,7 +33,7 @@ from .lp import common_numerators, frac, rat
 from .lp import solve_lp  # unused here, but bench/test_bench.py reads graphs.solve_lp
 
 MAX_CUT_ROUNDS = 10_000
-DEFAULT_MIS_LIMIT = 200_000
+MIS_LIMIT = 200_000
 
 Edge = tuple[int, int]
 
@@ -406,12 +406,12 @@ def find_induced_kp2(
     return list(chosen) if rec(0, 0) else None
 
 
-def enumerate_mis(g: Graph, limit: Optional[int] = None) -> Iterator[Coalition]:
+def enumerate_mis(g: Graph) -> Iterator[Coalition]:
     """Every maximal independent set exactly once.
 
     Vertex-incremental neighborhood branching: maintain the maximal
     independent sets of the graph induced on 1..v and extend one vertex at a
-    time.  The family count can be exponential; `limit` raises once exceeded.
+    time.  The family count can be exponential; it raises once it exceeds MIS_LIMIT.
     """
     budgets.check("mwis", g.n)
     adj = _adj_masks(g)
@@ -435,8 +435,8 @@ def enumerate_mis(g: Graph, limit: Optional[int] = None) -> Iterator[Coalition]:
                 if ok:
                     new.add(t)
         family = new
-        if limit is not None and len(family) > limit:
-            raise BudgetExceededError("mis_family", len(family), limit)
+        if len(family) > MIS_LIMIT:
+            raise BudgetExceededError("mis_family", len(family), MIS_LIMIT)
     for mask in sorted(family):
         yield Coalition(mask)
 
@@ -502,7 +502,7 @@ def decide_alpha_at_most(g: Graph, a, budget: Optional[int] = None) -> AlphaDeci
             forced_set=canonical,
         )
     edges = [Coalition.of(u, v) for u, v in g.edges]
-    _, alpha = ThresholdLP(g.n, edges, enumerate_mis(g, DEFAULT_MIS_LIMIT)).solve()
+    _, alpha = ThresholdLP(g.n, edges, enumerate_mis(g)).solve()
     return AlphaDecision(answer=alpha <= a, branch="enumeration", alpha=alpha)
 
 

@@ -129,12 +129,12 @@ def _affine_minimizer(gram: list[list[int]]) -> tuple[list[int], int]:
     return [v // g for v in a], det // g
 
 
-def _wolfe(rows: Sequence[int], n: int, max_iterations: int) -> tuple[list[int], int]:
+def _wolfe(rows: Sequence[int], n: int) -> tuple[list[int], int]:
     """Exact least-norm point of the convex hull of the 0/1 vectors given as
     bit masks, as integer numerators over one positive denominator.
 
     Every major cycle (one oracle step) and every minor cycle (one step that
-    drops corral points) counts against max_iterations.
+    drops corral points) counts against MAX_ITERATIONS.
     """
     members = [[j for j in range(n) if mask >> j & 1] for mask in rows]
     first = min(range(len(rows)), key=lambda i: len(members[i]))  # the nearest vertex
@@ -146,8 +146,8 @@ def _wolfe(rows: Sequence[int], n: int, max_iterations: int) -> tuple[list[int],
     def spend() -> None:
         nonlocal cycles
         cycles += 1
-        if cycles > max_iterations:
-            raise BudgetExceededError("wolfe_cycles", cycles, max_iterations)
+        if cycles > MAX_ITERATIONS:
+            raise BudgetExceededError("wolfe_cycles", cycles, MAX_ITERATIONS)
 
     while True:
         x = [0] * n
@@ -188,23 +188,22 @@ def _wolfe(rows: Sequence[int], n: int, max_iterations: int) -> tuple[list[int],
 
 
 def min_norm_point(
-    game: SimpleGame,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = MAX_ITERATIONS,
+    game: SimpleGame, tolerance: float = DEFAULT_TOLERANCE
 ) -> tuple[tuple[Fraction, ...], MinNormCertificate]:
     """The exact minimum-norm feasible payoff p* and its certificate.
 
     Runs Wolfe's algorithm on the minimal winning vectors (see the module
-    docstring) and certifies p* with one exact LP: certificate.gap is exactly
-    0, and certified means gap <= tolerance.  Raises BudgetExceededError when
-    Wolfe's major plus minor cycles exceed max_iterations.
+    docstring) and certifies p* with one exact LP.  Wolfe's loop stops on an
+    exact optimality test, so the gap must be exactly 0; any other gap raises
+    CertificateError, and certified is always true.  `tolerance` must be a
+    positive finite number but decides nothing.  Raises BudgetExceededError
+    when Wolfe's major plus minor cycles exceed MAX_ITERATIONS.
     """
     budgets.check("min_norm", game.n)
-    tol = frac(tolerance)
-    if not tol > 0:
+    if not frac(tolerance) > 0:
         raise ValueError("tolerance must be positive")
     # q* = x / xden, so p* = q* / ||q*||^2 = x * xden / ||x||^2
-    x, xden = _wolfe([w.mask for w in game.minimal_winning], game.n, max_iterations)
+    x, xden = _wolfe([w.mask for w in game.minimal_winning], game.n)
     norm = sum(v * v for v in x)
     pt = tuple(Fraction(v * xden, norm) for v in x)
     if not is_feasible(game, pt):
@@ -212,12 +211,14 @@ def min_norm_point(
     sq = Fraction(xden * xden, norm)
     value = _min_over_q(game, pt)
     gap = sq - value
+    if gap != 0:
+        raise CertificateError(f"min-norm point has optimality gap {gap}, not 0")
     cert = MinNormCertificate(
         point=pt,
         squared_norm=sq,
         lp_value=value,
         gap=gap,
-        certified=gap <= tol,
+        certified=True,
         gap_history=(gap,),
     )
     return pt, cert

@@ -358,7 +358,7 @@ class TestConjectureCorpus:
         assert report.max_ratio <= 1
 
     def test_two_players_exhaustive(self):
-        report = verify_conjecture_corpus(2, seeds=range(12), target_antichain_size=2)
+        report = verify_conjecture_corpus(2, seeds=range(12))
         assert report.all_within_bound
         assert all(e.alpha in (F(0), F(1, 2)) for e in report.entries)
 
@@ -374,5 +374,6 @@ class TestConjectureCorpus:
 
     @pytest.mark.parametrize("seeds, count", [([], 100), (None, 0)])
     def test_empty_corpus_is_refused(self, seeds, count):
+        # without seeds the command line passes range(--count)
         with pytest.raises(ValueError, match="no seeds"):
-            verify_conjecture_corpus(6, seeds=seeds, count=count)
+            verify_conjecture_corpus(6, seeds=range(count) if seeds is None else seeds)

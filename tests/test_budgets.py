@@ -16,6 +16,7 @@ from simplegames import (
     min_norm_point,
     mwis_exact,
     new_game,
+    random_game,
     tightness_check,
     verify_conjecture_corpus,
 )
@@ -32,6 +33,7 @@ AT_CAP_PLUS_ONE = {
     "corpus": lambda v: verify_conjecture_corpus(v, seeds=[1]),
     "mwis": lambda v: mwis_exact(make_graph(v, [(1, 2)]), [1] * v),
     "kp2": lambda v: find_induced_kp2(make_graph(4 * v, [(1, 2)]), v),
+    "antichain": lambda v: random_game(8, 0, v),
 }
 
 
@@ -86,12 +88,26 @@ def test_cli_override_above_the_ceiling_exits_3(no_tables, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+# every verb that takes --budget, on an input that reaches its cap check
+CHECKED = [
+    ["alpha", "--game", "cycle:4"],
+    ["tightness", "--game", "cycle:4"],
+    ["graph-alpha", "cycle:5"],
+    ["graph-decide", "--graph", "cycle:8", "--a", "1"],
+    ["csg", "--game", "cycle:4"],
+]
+# inputs that reach no cap check: a bipartite graph, and a kP2 search with 2k > n
+UNCHECKED = [["graph-alpha", "cycle:4"], ["graph-decide", "--graph", "cycle:5", "--a", "1"]]
+
+
 @pytest.mark.parametrize("budget, code", [("-1", 2), ("0", 3)])
 def test_cli_negative_budget_exits_2_and_zero_exits_3(budget, code, capsys):
-    assert run(["alpha", "--game", "cycle:4", "--budget", budget]) == code
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("error: ")
+    # a budget of 0 is used up only where a check runs; -1 is refused everywhere
+    for argv in CHECKED + (UNCHECKED if code == 2 else []):
+        assert run([*argv, "--budget", budget]) == code, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
 
 
 def test_caps_live_only_in_budgets():

@@ -228,6 +228,11 @@ class TestErrors:
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_random_game_target_above_the_cap_exits_3(self, capsys):
+        assert run(["gen", "random-game:8:257"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: antichain budget exceeded: 257 > 256\n")
+
     def test_pivot_limit_exits_3(self, capture, monkeypatch):
         monkeypatch.setattr("simplegames.lp.MAX_PIVOTS", 1)
         code, out = capture("graph-decide", "--graph", "cycle:8", "--a", "3/2")

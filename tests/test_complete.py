@@ -250,9 +250,9 @@ class TestAgainstPairwiseReference:
         calls = []
         original = complete_mod.desirability_ge
 
-        def counting(game, i, j, budget=None):
+        def counting(game, i, j):
             calls.append((i, j))
-            return original(game, i, j, budget)
+            return original(game, i, j)
 
         monkeypatch.setattr(complete_mod, "desirability_ge", counting)
         for n in range(1, 12):

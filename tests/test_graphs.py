@@ -426,9 +426,10 @@ class TestEnumerateMis:
     def test_c5_count(self):
         assert len(list(enumerate_mis(C5))) == 5
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr("simplegames.graphs.MIS_LIMIT", 2)
         with pytest.raises(BudgetExceededError):
-            list(enumerate_mis(random_graph(12, 18, 0), limit=2))
+            list(enumerate_mis(random_graph(12, 18, 0)))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_brute_force(self, seed):

@@ -11,6 +11,7 @@ import pytest
 
 from simplegames import (
     BudgetExceededError,
+    CertificateError,
     Coalition,
     compute_alpha_exact,
     cycle_game,
@@ -21,6 +22,8 @@ from simplegames import (
     strengthened_bound,
     tightness_check,
 )
+from simplegames import minnorm
+from simplegames.cli import run
 from simplegames.complete import random_weighted_voting_game
 from simplegames.games import is_winning
 from simplegames.lp import in_convex_hull
@@ -87,9 +90,20 @@ class TestMinNormPoint:
         with pytest.raises(ValueError):
             min_norm_point(MAJ3, tolerance=0.0)
 
-    def test_iteration_budget(self):
+    def test_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr("simplegames.minnorm.MAX_ITERATIONS", 1)
         with pytest.raises(BudgetExceededError):
-            min_norm_point(cycle_game(8), max_iterations=1)
+            min_norm_point(cycle_game(8))
+
+    def test_nonzero_gap_raises(self, monkeypatch, capsys):
+        # Wolfe's loop stops on an exact test, so even a gap of 1e-9 is a bug
+        original = minnorm._min_over_q
+        monkeypatch.setattr(minnorm, "_min_over_q", lambda g, d: original(g, d) - F(1, 10**9))
+        with pytest.raises(CertificateError, match="optimality gap 1/1000000000"):
+            min_norm_point(cycle_game(4))
+        assert run(["min-norm", "--game", "cycle:4"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("internal error: CertificateError: ")
 
     @pytest.mark.parametrize("seed", range(8))
     def test_relabel_and_dummy_player(self, seed):
