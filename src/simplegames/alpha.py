@@ -40,7 +40,9 @@ class AlphaCertificate:
 
     alpha: Fraction
     payoff: tuple[Fraction, ...]
-    tight_losing: tuple[Coalition, ...]    # maximal losing with payoff == alpha
+    # the checked losing coalitions with payoff == alpha: maximal losing ones for
+    # compute_alpha_exact, the oracle's sets (zero-weight players left out) for alpha_graph
+    tight_losing: tuple[Coalition, ...]
     binding_winning: tuple[Coalition, ...]  # minimal winning with payoff == 1
 
     def to_json_dict(self) -> dict:
@@ -62,14 +64,27 @@ def mask_sum(nums: Sequence[int], mask: int) -> int:
     return total
 
 
+def _incidence_row(n: int, mask: int, v: int, t: int, rhs: int) -> list[int]:
+    """`v` at each player of the coalition with this mask and 0 elsewhere, then `t` and `rhs`.
+
+    Only the mask's set bits are visited, so a coalition of two players
+    costs two steps whatever n is."""
+    row = [0] * n + [t, rhs]
+    while mask:
+        low = mask & -mask
+        row[low.bit_length() - 1] = v
+        mask ^= low
+    return row
+
+
 def _winning_row(n: int, mask: int) -> list[int]:
     """p(W) >= 1 as integers: the incidence of W, 0 for t, then the right-hand side."""
-    return [mask >> j & 1 for j in range(n)] + [0, 1]
+    return _incidence_row(n, mask, 1, 0, 1)
 
 
 def _losing_row(n: int, mask: int) -> list[int]:
     """t - p(L) >= 0 as integers: minus the incidence of L, 1 for t, then the right-hand side."""
-    return [-(mask >> j & 1) for j in range(n)] + [1, 0]
+    return _incidence_row(n, mask, -1, 1, 0)
 
 
 class ThresholdLP:
@@ -146,10 +161,10 @@ def certify_alpha(
     if any(v < den for _, v in won):
         raise CertificateError("the payoff gives some minimal winning coalition less than 1")
     if any(v > cap for _, v in lost):
-        raise CertificateError("the payoff gives some maximal losing coalition more than alpha")
+        raise CertificateError("the payoff gives some losing coalition more than alpha")
     tight = tuple(l for l, v in lost if v == cap)
     if not tight:
-        raise CertificateError("the optimum must be attained by some maximal losing coalition")
+        raise CertificateError("the optimum must be attained by some losing coalition")
     binding = tuple(w for w, v in won if v == den)
     return AlphaCertificate(alpha, payoff, tight, binding)
 

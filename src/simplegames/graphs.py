@@ -332,7 +332,9 @@ def alpha_graph(g: Graph, budget: Optional[int] = None) -> AlphaCertificate:
     add its constraint while it is violated.  All rounds solve one
     `ThresholdLP` on the edges, warm after the first cut.  Everything is
     exact, and the final payoff is certified against the edges and every
-    oracle set, so the returned alpha is the true rational optimum.
+    oracle set, so the returned alpha is the true rational optimum.  The
+    certificate's `tight_losing` are the oracle sets that attain alpha; an
+    oracle set leaves out zero-weight vertices, so it need not be maximal.
     """
     if not g.edges:
         raise ValueError("an edgeless graph has no winning coalitions")

@@ -3,15 +3,20 @@
 Two-phase primal simplex on a dense tableau of Python ints: each row, the
 objective row included, holds integer numerators over one positive
 denominator of its own, so a pivot costs integer multiplications and one gcd
-per updated row instead of a `fractions.Fraction` per entry; when the pivot
-row's denominator divides the entry being eliminated, the common case, the
-updated row keeps its denominator and is not rescaled.  `solve_lp` turns
-the input into integer rows once, on entry: every row in `>=` form,
-right-hand side included, over one common denominator, and the objective
-over another.  The tableau rows start over that shared denominator and are
-gcd-reduced each time a pivot updates them.  `Fraction`s reappear only in
-the returned primal, dual and objective.  A row whose right-hand side is
-<= 0 starts with its surplus basic, so phase 1 runs only for the others.
+per updated row instead of a `fractions.Fraction` per entry.  Pivot rows are
+sparse, so a pivot lists the pivot row's nonzero entries once.  When the
+pivot row's denominator divides the entry being eliminated, the common case,
+the updated row keeps its denominator and is updated in place at those
+entries only; otherwise it is rescaled and rebuilt over its full width.  A
+row over denominator 1 needs no gcd reduction.  `solve_lp` turns the input
+into integer rows once, on entry: every row in `>=` form, right-hand side
+included, over one common denominator, and the objective over another; when
+that denominator is 1, the usual case for 0/1 coalition rows, the numerators
+are read off directly.  The tableau rows start over that shared denominator
+and are gcd-reduced each time a pivot updates them.  `Fraction`s reappear
+only in the returned primal, dual and objective.  A row whose right-hand
+side is <= 0 starts with its surplus basic, so phase 1 runs only for the
+others.
 Pricing is Dantzig's rule, with the lexicographic ratio test of Dantzig,
 Orden and Wolfe, which repeats no basis.  Duals are read off the final
 basis through the surplus columns.
@@ -39,7 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import chain, compress
+from operator import attrgetter, mul
 from typing import Optional, Sequence, Union
 
 from .errors import BudgetExceededError, CertificateError
@@ -54,6 +60,8 @@ EQ = "="
 MAX_PIVOTS = 200_000
 
 _ZERO = Fraction(0)
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 def frac(x: Number) -> Fraction:
@@ -139,49 +147,65 @@ class LPSolution:
     objective: Optional[Fraction] = None
 
 
+def _support(row: list[int]) -> list[tuple[int, int]]:
+    """The nonzero entries of `row` as (index, value) pairs."""
+    return list(compress(enumerate(row), row))
+
+
 def _eliminate(
-    row: list[int], den: int, prow: list[int], pden: int, col: int
+    row: list[int], den: int, prow: list[int], support: list[tuple[int, int]], pden: int, col: int
 ) -> tuple[list[int], int]:
     """row/den minus row[col]/den times prow/pden, whose entry at col is 1.
 
-    Returns the result as gcd-reduced integers over a positive denominator.
-    With g = gcd(row[col], pden), the result is (row * pden/g - row[col]/g *
-    prow) over den * pden/g; when pden/g is 1 the row is not rescaled.
+    `support` holds prow's nonzero entries.  Returns the result as
+    gcd-reduced integers over a positive denominator.  With g = gcd(row[col],
+    pden), the result is (row * pden/g - row[col]/g * prow) over den * pden/g.
+    When pden/g is 1, the common case, the row keeps its denominator and is
+    updated in place over the support only; otherwise it is rebuilt over its
+    full width.  A row over denominator 1 is already reduced.
     """
     f = row[col]
     g = math.gcd(f, pden)
     s, t = pden // g, f // g
     if s == 1:  # pden divides f: the row keeps its denominator
-        new = [u - t * v for u, v in zip(row, prow)]
+        for j, v in support:
+            row[j] -= t * v
+        if den == 1:
+            return row, 1
     else:
-        new = [u * s - t * v for u, v in zip(row, prow)]
+        row = [u * s - t * v for u, v in zip(row, prow)]
         den *= s
-    g = math.gcd(den, *new)
+    g = math.gcd(den, *row)
     if g > 1:
-        return [v // g for v in new], den // g
-    return new, den
+        return [v // g for v in row], den // g
+    return row, den
 
 
 def _pivot(rows: list[list[int]], dens: list[int], basis: list[int], r: int, col: int) -> None:
     """Make column `col` basic in row `r`.
 
-    Only rows with a nonzero entry in `col` change, the objective row (kept
-    last in `rows`) included.
+    The pivot row's nonzero entries are found once; its sign and gcd are
+    normalised over them, in place.  Only rows with a nonzero entry in `col`
+    change, the objective row (kept last in `rows`) included, and each is
+    updated by `_eliminate` over those entries when its denominator needs no
+    rescale.
     """
     prow = rows[r]
+    support = _support(prow)
+    g = math.gcd(*[v for _, v in support])
     if prow[col] < 0:
-        prow = [-v for v in prow]
-    g = math.gcd(*prow)
-    if g > 1:
-        prow = [v // g for v in prow]
+        g = -g
+    if g != 1:
+        support = [(j, v // g) for j, v in support]
+        for j, v in support:
+            prow[j] = v
     # the row's own denominator cancels: the pivot entry becomes pden/pden
     pden = prow[col]
-    rows[r] = prow
     dens[r] = pden
     basis[r] = col
     for i, row in enumerate(rows):
         if i != r and row[col]:
-            rows[i], dens[i] = _eliminate(row, dens[i], prow, pden, col)
+            rows[i], dens[i] = _eliminate(row, dens[i], prow, support, pden, col)
 
 
 def _run_simplex(rows: list[list[int]], dens: list[int], basis: list[int], allowed: int) -> str:
@@ -233,7 +257,7 @@ def _price_out(
     for i, bi in enumerate(basis):
         # basic columns are unit columns: this leaves z's other basic entries alone
         if z[bi]:
-            z, zden = _eliminate(z, zden, rows[i], dens[i], bi)
+            z, zden = _eliminate(z, zden, rows[i], _support(rows[i]), dens[i], bi)
     rows.append(z)
     dens.append(zden)
 
@@ -487,7 +511,9 @@ def _numerators(values: Sequence[Rational], den: int) -> list[int]:
 
 def common_numerators(values: Sequence[Rational]) -> tuple[list[int], int]:
     """Integer numerators of `values` over den, the lcm of their denominators, and den."""
-    den = math.lcm(*(v.denominator for v in values))
+    den = math.lcm(*map(_denominator, values))
+    if den == 1:
+        return list(map(_numerator, values)), 1
     return _numerators(values, den), den
 
 
@@ -520,11 +546,19 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
     # canonical core: all rows as >=, equalities split in two, each row's
     # numerators (right-hand side last) over one common denominator
-    den = math.lcm(*(v.denominator for coeffs, _, rhs in rows for v in (*coeffs, rhs)))
+    den = math.lcm(
+        *map(_denominator, chain.from_iterable([coeffs for coeffs, _, _ in rows])),
+        *[rhs.denominator for _, _, rhs in rows],
+    )
     a: list[list[int]] = []
+    b: list[int] = []  # each row's right-hand side, over den
     origin: list[tuple[int, int]] = []  # (row index, +1/-1 orientation)
     for idx, (coeffs, rel, rhs) in enumerate(rows):
-        row = _numerators((*coeffs, rhs), den)
+        if den == 1:
+            row = [*map(_numerator, coeffs), rhs.numerator]
+        else:
+            row = _numerators((*coeffs, rhs), den)
+        b.append(row[-1])
         if rel in (GE, EQ):
             a.append(row)
             origin.append((idx, 1))
@@ -542,24 +576,25 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     x, xden, y, yden = sol
     # the certificate is checked against these rows whichever program was pivoted
     _certify(a, den, c, cden, x, xden, y, yden)
-    obj = Fraction(sum(cj * v for cj, v in zip(c, x)), cden * xden)
+    cx = sum(map(mul, c, x))  # the objective, over cden * xden
 
-    folded = [0] * len(rows)
+    folded = [0] * len(rows)  # the duals, over yden
     for (idx, orient), v in zip(origin, y):
         folded[idx] += orient * v
-    duals = [Fraction(v, yden) if v else _ZERO for v in folded]
-    # check the extended system's dual objective before dropping bound rows
-    if sum(d * r[2] for d, r in zip(duals, rows) if d) != obj:
+    # check the extended system's dual objective b.y == c.x, cleared of its
+    # denominators, before dropping bound rows
+    if sum(map(mul, folded, b)) * cden * xden != cx * yden * den:
         raise CertificateError("dual objective mismatch on the extended system")
 
+    duals = folded[:n_user]
     if not minimize:
-        obj = -obj
-        duals = [-d for d in duals]
+        cx = -cx
+        duals = [-v for v in duals]
     return LPSolution(
         status="optimal",
         primal=tuple(Fraction(v, xden) if v else _ZERO for v in x),
-        dual=tuple(duals[:n_user]),
-        objective=obj,
+        dual=tuple(Fraction(v, yden) if v else _ZERO for v in duals),
+        objective=Fraction(cx, cden * xden),
     )
 
 

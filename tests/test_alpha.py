@@ -45,10 +45,10 @@ def reference_certify_alpha(payoff, alpha, winning, losing):
     if any(v < 1 for _, v in won):
         raise AssertionError("the payoff gives some minimal winning coalition less than 1")
     if any(v > alpha for _, v in lost):
-        raise AssertionError("the payoff gives some maximal losing coalition more than alpha")
+        raise AssertionError("the payoff gives some losing coalition more than alpha")
     tight = tuple(l for l, v in lost if v == alpha)
     if not tight:
-        raise AssertionError("the optimum must be attained by some maximal losing coalition")
+        raise AssertionError("the optimum must be attained by some losing coalition")
     binding = tuple(w for w, v in won if v == 1)
     return AlphaCertificate(alpha, payoff, tight, binding)
 
@@ -123,8 +123,8 @@ class TestComputeAlpha:
         "payoff, alpha, message",
         [
             ("(0, 0, 0, 0)", "0", "the payoff gives some minimal winning coalition less than 1"),
-            ("(1, 1, 1, 1)", "1", "the payoff gives some maximal losing coalition more than alpha"),
-            ("(1, 1, 1, 1)", "3", "the optimum must be attained by some maximal losing coalition"),
+            ("(1, 1, 1, 1)", "1", "the payoff gives some losing coalition more than alpha"),
+            ("(1, 1, 1, 1)", "3", "the optimum must be attained by some losing coalition"),
         ],
     )
     def test_certificate_checks_survive_optimize(self, payoff, alpha, message):

@@ -264,7 +264,7 @@ def certify_alpha(*args):
     raise AssertionError("forced certificate failure")
 alpha.certify_alpha = certify_alpha
 """
-    LOSING = "CertificateError: the payoff gives some maximal losing coalition more than alpha"
+    LOSING = "CertificateError: the payoff gives some losing coalition more than alpha"
     # (module and name a patch replaces, the patch's source, argv, the error it causes)
     CASES = [
         ("simplegames.alpha", "certify_alpha", FAIL, ["alpha", "--game", "cycle:4"],

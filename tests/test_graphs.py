@@ -338,7 +338,7 @@ graphs.alpha_graph(graphs.cycle_graph(4))
         proc = run_optimized(script)
         assert proc.returncode == 1
         assert (
-            "CertificateError: the payoff gives some maximal losing coalition more than alpha"
+            "CertificateError: the payoff gives some losing coalition more than alpha"
             in proc.stderr
         )
 

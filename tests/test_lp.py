@@ -180,11 +180,21 @@ class TestCertificate:
     def test_extended_system_dual_mismatch_raises(self, monkeypatch):
         # with the certificate off, a dual that disagrees with the objective
         # on the input rows is still caught
-        wrong = ("optimal", ([0, 1], 1, [3], 2))
+        cases = [
+            (make_lp([1, 1], [([1, 2], GE, 2)]), ([0, 1], 1, [3], 2)),
+            # rows over den 2: a check that dropped den would take y = 1 for the dual of value 1
+            (make_lp([1, 1], [([1, 2], GE, F(1, 2))]), ([0, 1], 1, [1], 1)),
+            # an equality row is two core rows: a check that added both duals
+            # instead of folding them with their signs would pass this pair
+            (make_lp([1, 1], [([1, 1], EQ, 1)]), ([1, 0], 1, [0, 1], 1)),
+            # a lower-bound row: the user row alone balances, the bound row's dual does not
+            (make_lp([1, 1], [([1, 2], GE, 2)], lower=[F(1, 3), 0]), ([1, 1], 1, [1, 3], 1)),
+        ]
         monkeypatch.setattr(lp, "_certify", lambda *args: None)
-        monkeypatch.setattr(lp, "_core_solve", lambda a, den, c, cden: wrong)
-        with pytest.raises(AssertionError, match="dual objective mismatch on the extended system"):
-            solve_lp(make_lp([1, 1], [([1, 2], GE, 2)]))
+        for model, wrong in cases:
+            monkeypatch.setattr(lp, "_core_solve", lambda a, den, c, cden: ("optimal", wrong))
+            with pytest.raises(AssertionError, match="dual objective mismatch on the extended system"):
+                solve_lp(model)
 
     def test_certificate_survives_optimize(self):
         proc = run_optimized(
@@ -566,3 +576,115 @@ graphs.alpha_graph(graphs.cycle_graph(6))
             else:
                 assert counts["columns"] == 0
         assert len(cuts) > 1 and min(cuts) >= 1
+
+
+def dense_pivot(rows, dens, basis, r, col):
+    """`_pivot` as a dense update of every touched row over its full width,
+    kept as the reference for the sparse in-place one."""
+    prow = rows[r]
+    if prow[col] < 0:
+        prow = [-v for v in prow]
+    g = math.gcd(*prow)
+    prow = [v // g for v in prow]
+    pden = prow[col]
+    rows[r], dens[r], basis[r] = prow, pden, col
+    for i, row in enumerate(rows):
+        if i != r and row[col]:
+            g = math.gcd(row[col], pden)
+            s, t = pden // g, row[col] // g
+            new = [u * s - t * v for u, v in zip(row, prow)]
+            den = dens[i] * s
+            g = math.gcd(den, *new)
+            rows[i], dens[i] = [v // g for v in new], den // g
+
+
+class TestSparsePivot:
+    """`_pivot` updates the pivot row and every row it touches in place where
+    it can; the rows, denominators and basis must equal the dense formula's."""
+
+    @staticmethod
+    def random_tableau(rng):
+        width = rng.randint(3, 16)
+        density = rng.choice((0.15, 0.5, 0.9))
+        rows = []
+        for _ in range(rng.randint(2, 7)):
+            scale = rng.choice((1, 1, 2, 6))  # some rows with a common factor to divide out
+            rows.append([scale * rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(width)])
+        dens = [rng.choice((1, 1, 2, 3, 4, 12)) for _ in rows]
+        return rows, dens, list(range(len(rows)))
+
+    def test_matches_dense_formula(self):
+        seen = {"den 1": 0, "rescale": 0, "in place": 0, "sparse pivot row": 0, "negative pivot": 0}
+        for seed in range(400):
+            rng = random.Random(seed)
+            rows, dens, basis = self.random_tableau(rng)
+            ref = ([list(row) for row in rows], list(dens), list(basis))
+            for _ in range(3):  # a chain of pivots on the same tableau
+                r = rng.randrange(len(rows))
+                col = rng.randrange(len(rows[r]))
+                if not rows[r][col]:
+                    rows[r][col] = ref[0][r][col] = rng.choice((-1, 1)) * rng.randint(1, 12)
+                prow = rows[r]
+                pden = abs(prow[col]) // math.gcd(*prow)
+                seen["sparse pivot row"] += 3 * sum(map(bool, prow)) <= len(prow)
+                seen["negative pivot"] += prow[col] < 0
+                for i, row in enumerate(rows):
+                    if i != r and row[col]:
+                        s = pden // math.gcd(row[col], pden)
+                        seen["rescale" if s > 1 else "den 1" if dens[i] == 1 else "in place"] += 1
+                lp._pivot(rows, dens, basis, r, col)
+                dense_pivot(*ref, r, col)
+                assert (rows, dens, basis) == ref
+                assert min(dens) > 0
+                assert len({id(row) for row in rows}) == len(rows)
+        assert min(seen.values()) > 20, seen
+
+    # pivots per call at the parent of the sparse pivot, (cold, warm): the
+    # cold ones inside solve_lp, the warm ones inside TallLP.solve
+    PIVOTS = [
+        (("gadget", 6, 7, 3), (9, 21)),
+        (("gadget", 6, 11, 3), (11, 15)),
+        (("gadget", 7, 9, 3), (11, 21)),
+        (("gadget", 7, 15, 3), (12, 17)),
+        (("gadget", 8, 12, 5), (12, 34)),
+        (("bipartite", 10, 14, 0), (7, 18)),
+        (("bipartite", 10, 14, 1), (5, 13)),
+        (("bipartite", 10, 14, 2), (6, 13)),
+        (("bipartite", 10, 14, 3), (5, 11)),
+        (("game", 6, 0), (6, 0)),
+        (("game", 7, 1), (7, 0)),
+        (("game", 8, 2), (16, 0)),
+        (("game", 9, 3), (12, 0)),
+    ]
+
+    @pytest.mark.parametrize("case, pivots", PIVOTS)
+    def test_pivot_counts_are_pinned(self, case, pivots, monkeypatch):
+        from simplegames.games import random_game
+        from simplegames.graphs import alpha_graph, build_gadget, random_bipartite_graph, random_graph
+
+        counts = {"cold": 0, "warm": 0}
+        where = ["cold"]
+        pivot, solve = lp._pivot, lp.TallLP.solve
+
+        def spy_pivot(*args):
+            counts[where[0]] += 1
+            pivot(*args)
+
+        def spy_solve(self):
+            where[0] = "warm"
+            try:
+                return solve(self)
+            finally:
+                where[0] = "cold"
+
+        monkeypatch.setattr(lp, "_pivot", spy_pivot)
+        monkeypatch.setattr(lp.TallLP, "solve", spy_solve)
+        kind, *args = case
+        if kind == "gadget":
+            alpha_graph(build_gadget(random_graph(*args)))
+        elif kind == "bipartite":
+            alpha_graph(random_bipartite_graph(*args))
+        else:
+            n, seed = args
+            compute_alpha_exact(random_game(n, seed, n + 2))
+        assert (counts["cold"], counts["warm"]) == pivots
