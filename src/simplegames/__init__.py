@@ -28,12 +28,10 @@ from .complete import (
 from .errors import BudgetExceededError, CertificateError, UndefinedRatioError
 from .games import (
     Coalition,
-    GameStats,
     SimpleGame,
     blocker,
     cycle_game,
     game_from_json,
-    game_stats,
     game_to_json,
     is_winning,
     maximal_losing,
@@ -77,7 +75,6 @@ __all__ = [
     "Coalition",
     "CompleteGame",
     "CsgPayoffReport",
-    "GameStats",
     "Graph",
     "LPRow",
     "LPSolution",
@@ -102,7 +99,6 @@ __all__ = [
     "enumerate_mis",
     "find_induced_kp2",
     "game_from_json",
-    "game_stats",
     "game_to_json",
     "graph_from_json",
     "graph_to_json",

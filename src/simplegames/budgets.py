@@ -1,17 +1,17 @@
 """Every size cap of the package, and the one check that enforces them.
 
-Exact alpha is NP-hard on graphic games and the game routines enumerate
-coalitions in 2^n-bit tables, so each exponential routine refuses an input
-above its named cap before it allocates or searches anything, and
-`games.random_game` refuses a target above ``antichain`` before it draws.  An
-override may lower any cap but raise only ``mwis`` and ``kp2``, which bound
-time, not memory; the other caps guard a 2^n allocation or stand for one, so
-their default is a hard ceiling.  `limit` applies that rule and refuses a
-negative override, for `check` and for the command line, which validates
-``--budget`` before the verb runs because some inputs reach no check.  The
-iteration caps (simplex pivots, Wolfe cycles, cut rounds, the
-maximal-independent-set family) are module constants beside their loops and
-raise the same error.
+Exact alpha is NP-hard on graphic games, a game can have exponentially many
+maximal losing coalitions, and complete games are ordered over 2^n-bit
+tables, so each exponential routine refuses an input above its named cap
+before it allocates or searches anything (the maximal losing coalitions, as
+their count passes it).  An override may lower any cap but raise only
+``mwis`` and ``kp2``, which bound time, not memory; the other caps bound
+what a routine holds, so their default is a hard ceiling.  `limit` applies
+that rule and refuses a negative override, for `check`, the transversal
+kernel of `games` and the command line, which validates ``--budget`` before
+the verb runs because some inputs reach no check.  The iteration caps
+(simplex pivots, Wolfe cycles, cut rounds, the maximal-independent-set
+family) are module constants beside their loops and raise the same error.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from __future__ import annotations
 from .errors import BudgetExceededError
 
 CAPS = {
-    "tables": 24,  # players in the subset tables of `games`
-    "desirability": 20,  # players in the desirability scan of `complete`
-    "tightness": 20,  # players in tightness_check: its winning table, its maximal losing list
-    "min_norm": 24,  # players in min_norm_point
+    "losing": 200_000,  # maximal losing coalitions (and minimal covers) one game may have
+    "desirability": 20,  # players in the 2^n-bit tables of `complete`
     "corpus": 16,  # players in the random corpus drivers
     "mwis": 40,  # vertices in the exact independent-set searches of `graphs`
     "kp2": 5,  # disjoint edges in the induced kP2 search

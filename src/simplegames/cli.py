@@ -33,7 +33,7 @@ EXIT_INTERNAL = 4
 
 # the one cap each verb's --budget overrides
 BUDGET_CAPS = {
-    "alpha": "tables", "tightness": "tightness", "graph-alpha": "mwis",
+    "alpha": "losing", "tightness": "losing", "graph-alpha": "mwis",
     "graph-decide": "kp2", "csg": "desirability",
 }
 

@@ -6,6 +6,8 @@ a more desirable player then wins in more coalitions, so winner counts order
 the players.  The payoff 1/s_r for the r-th ranked player, where s_r is the
 smallest winning size inside the suffix starting at r, keeps every winning
 coalition above 1/sqrt(n); its ratio is compared with sqrt(n)*ln(n) exactly.
+The desirability checks and winner counts read 2^n-bit subset tables, which
+this module alone builds, under the ``desirability`` cap.
 """
 
 from __future__ import annotations
@@ -14,17 +16,52 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from . import budgets
 from .alpha import compute_alpha_exact
 from .errors import CertificateError
-from .games import Coalition, SimpleGame, absent_tables, maximal_losing, new_game, winning_table
+from .games import Coalition, SimpleGame, maximal_losing, new_game
 from .lp import rat
 
 _ZERO = Fraction(0)
 MAX_WEIGHT = 9  # largest weight `random_weighted_voting_game` draws
 ROW_CAP = 600  # most threshold-LP rows `sized_weighted_game` accepts
+
+
+# A "table" is an int with 2^n bits; bit s refers to the coalition with mask s.
+# Shifting a table by 2^(i-1) moves information between S and S+{i}.
+
+
+@lru_cache(maxsize=64)
+def absent_tables(n: int) -> tuple[int, ...]:
+    """For each player i, the table flagging every coalition that omits i."""
+    size = 1 << n
+    out = []
+    for i in range(1, n + 1):
+        d = 1 << (i - 1)
+        v = (1 << d) - 1
+        span = 2 * d
+        while span < size:
+            v |= v << span
+            span *= 2
+        out.append(v)
+    return tuple(out)
+
+
+# A solve uses one game and no corpus repeats one, so 16 entries lose no hit;
+# at the `desirability` cap they pin at most 16 tables of 2^20 bits, 2 MiB.
+@lru_cache(maxsize=16)
+def winning_table(game: SimpleGame) -> int:
+    """The table flagging every winning coalition (the monotone closure)."""
+    absent = absent_tables(game.n)
+    w = 0
+    for c in game.minimal_winning:
+        w |= 1 << c.mask
+    for i in range(1, game.n + 1):
+        w |= (w & absent[i - 1]) << (1 << (i - 1))
+    return w
 
 
 def desirability_ge(game: SimpleGame, i: int, j: int) -> bool:

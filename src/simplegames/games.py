@@ -6,14 +6,14 @@ antichain of minimal winning coalitions determines everything else; this
 module derives the winning/losing classification, the maximal losing
 coalitions, and the blocker (the family of minimal covers).
 
-Coalitions are bit masks (player i is bit i-1), which keeps subset tests O(1)
-and lets the enumeration-heavy operations work on one big integer whose bit s
-says whether coalition-mask s is winning.  Which members of a family contain
-no other member is decided in one place, `_minimal_masks`, by one bit column
-per player over the family, so it needs no 2^n table and serves every n; the
-antichain check and the pruning of `new_game` both call it.  An antichain is
-listed in the order of its members' player tuples, which `_antichain_order`
-reads off the masks alone.
+Coalitions are bit masks (player i is bit i-1), which keeps subset tests O(1),
+and every family is an antichain of masks; nothing here lists all 2^n
+coalitions.  `_minimal_masks` decides which members of a family contain no
+other, for the antichain check and the pruning of `new_game`.  The blocker
+and, by complement, the maximal losing coalitions come from one
+output-sensitive kernel, `_minimal_transversals`.  An antichain is listed in
+the order of its members' player tuples, which `_antichain_order` reads off
+the masks alone.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
 from . import budgets
+from .errors import BudgetExceededError
 
 MAX_PLAYERS = 64
 
@@ -207,115 +207,71 @@ def is_winning(game: SimpleGame, s: CoalitionLike) -> bool:
     return any(w.mask & ~m == 0 for w in game.minimal_winning)
 
 
-# --- bit-parallel subset tables ------------------------------------------
-#
-# A "table" is an int with 2^n bits; bit s refers to the coalition with mask s.
-# Shifting a table by 2^(i-1) moves information between S and S+{i}, so the
-# monotone closure and the minimality/maximality filters are a handful of
-# bigint operations each.
+def _minimal_transversals(n: int, masks: list[int], budget: int | None = None) -> list[int]:
+    """The minimal transversals (covers) of the family `masks` over 1..n, by
+    MMCS (Murakami and Uno, Discrete Applied Math. 2014).
 
-
-@lru_cache(maxsize=64)
-def absent_tables(n: int) -> tuple[int, ...]:
-    """For each player i, the table flagging every coalition that omits i."""
-    size = 1 << n
-    out = []
-    for i in range(1, n + 1):
-        d = 1 << (i - 1)
-        v = (1 << d) - 1
-        span = 2 * d
-        while span < size:
-            v |= v << span
-            span *= 2
-        out.append(v)
-    return tuple(out)
-
-
-# A solve uses one game and no corpus repeats one, so 16 entries lose no hit;
-# at the `tables` cap they pin at most 16 tables of 2^24 bits, 32 MiB.
-@lru_cache(maxsize=16)
-def winning_table(game: SimpleGame) -> int:
-    """The table flagging every winning coalition (the monotone closure)."""
-    absent = absent_tables(game.n)
-    w = 0
-    for c in game.minimal_winning:
-        w |= 1 << c.mask
-    for i in range(1, game.n + 1):
-        w |= (w & absent[i - 1]) << (1 << (i - 1))
-    return w
-
-
-def _extract(n: int, table: int) -> list[Coalition]:
-    """The coalitions a table flags, which form an antichain, by player tuple."""
-    masks = []
-    while table:
-        low = table & -table
-        masks.append(low.bit_length() - 1)
-        table ^= low
-    return _antichain_order(n, masks)
+    A partial cover S grows by a candidate player of its first uncovered
+    member while each player of S stays critical, the only one of S in some
+    member.  That member's players leave the candidates and rejoin them one
+    by one as tried, so each cover comes out once.  The uncovered and the
+    critical members are bit masks over family indices, smallest member
+    first.  Raises BudgetExceededError once the covers outnumber the
+    ``losing`` cap.
+    """
+    cap = budgets.limit("losing", budget)
+    masks = sorted(masks, key=int.bit_count)
+    everyone = (1 << len(masks)) - 1
+    hits = [0] * n  # player i-1 -> the members holding i
+    for t, m in enumerate(masks):
+        while m:
+            low = m & -m
+            hits[low.bit_length() - 1] |= 1 << t
+            m ^= low
+    misses = [everyone ^ h for h in hits]
+    out: list[int] = []
+    stack = [(0, (1 << n) - 1, everyone, [])]  # S, candidates, uncovered, critical
+    while stack:
+        s, cand, uncov, crit = stack.pop()
+        branch = masks[(uncov & -uncov).bit_length() - 1] & cand
+        cand ^= branch
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            v = low.bit_length() - 1
+            miss = misses[v]
+            kept = []
+            for c in crit:  # S's players keep only the members v misses
+                c &= miss
+                if not c:
+                    break
+                kept.append(c)
+            else:
+                if uncov & miss:
+                    kept.append(uncov & hits[v])
+                    stack.append((s | low, cand, uncov & miss, kept))
+                else:
+                    out.append(s | low)
+                    if len(out) > cap:
+                        raise BudgetExceededError("losing", len(out), cap)
+            cand |= low
+    return out
 
 
 def maximal_losing(game: SimpleGame, budget: int | None = None) -> list[Coalition]:
-    """All inclusion-maximal losing coalitions (every proper superset wins)."""
-    budgets.check("tables", game.n, budget)
-    n = game.n
-    size = 1 << n
-    full_table = (1 << size) - 1
-    absent = absent_tables(n)
-    w = winning_table(game)
-    m = full_table ^ w  # losing
-    for i in range(1, n + 1):
-        d = 1 << (i - 1)
-        present = full_table ^ absent[i - 1]
-        # keep S iff i in S, or S+{i} is winning
-        m &= present | ((w >> d) & absent[i - 1])
-    return _extract(n, m)
+    """All inclusion-maximal losing coalitions, by player tuple: the
+    complements of the minimal covers.  `budget` may lower the ``losing`` cap."""
+    full = game.full_mask
+    covers = _minimal_transversals(game.n, [w.mask for w in game.minimal_winning], budget)
+    return _antichain_order(game.n, [full ^ c for c in covers])
 
 
 def blocker(game: SimpleGame) -> list[Coalition]:
-    """All inclusion-minimal covers: sets meeting every minimal winning coalition.
-
-    Complements of the returned covers are exactly the maximal losing
-    coalitions; that identity is checked by tests, not assumed here, so this
-    computes covers directly.
-    """
-    budgets.check("tables", game.n)
-    n = game.n
-    size = 1 << n
-    full_table = (1 << size) - 1
-    absent = absent_tables(n)
-    cover = full_table
-    for wc in game.minimal_winning:
-        avoid = full_table
-        for i in wc.players():
-            avoid &= absent[i - 1]
-        cover &= full_table ^ avoid
-    m = cover
-    for i in range(1, n + 1):
-        d = 1 << (i - 1)
-        present = full_table ^ absent[i - 1]
-        # keep C iff i not in C, or C-{i} is not a cover
-        m &= absent[i - 1] | (present & ~(cover << d) & full_table)
-    return _extract(n, m)
-
-
-@dataclass(frozen=True)
-class GameStats:
-    winning: int
-    losing: int
-    minimal_winning: int
-    maximal_losing: int
-
-
-def game_stats(game: SimpleGame) -> GameStats:
-    budgets.check("tables", game.n)
-    w = winning_table(game).bit_count()
-    return GameStats(
-        winning=w,
-        losing=(1 << game.n) - w,
-        minimal_winning=len(game.minimal_winning),
-        maximal_losing=len(maximal_losing(game)),
-    )
+    """All inclusion-minimal covers of the minimal winning coalitions, by
+    player tuple; L is maximal losing iff N minus L is one, so the ``losing``
+    cap bounds both."""
+    covers = _minimal_transversals(game.n, [w.mask for w in game.minimal_winning])
+    return _antichain_order(game.n, covers)
 
 
 def cycle_game(n: int) -> SimpleGame:
@@ -336,9 +292,8 @@ def random_game(n: int, seed: int, target_antichain_size: int) -> SimpleGame:
     grow with the target, even when n cannot reach it, so a target above the
     `antichain` cap is refused before the first one.
     """
-    cap = budgets.CAPS["tables"]
-    if not isinstance(n, int) or not 2 <= n <= cap:
-        raise ValueError(f"random_game needs 2 <= n <= {cap}, got {n!r}")
+    if not isinstance(n, int) or not 2 <= n <= MAX_PLAYERS:
+        raise ValueError(f"random_game needs 2 <= n <= {MAX_PLAYERS}, got {n!r}")
     if target_antichain_size < 1:
         raise ValueError("target_antichain_size must be >= 1")
     budgets.check("antichain", target_antichain_size)

@@ -530,7 +530,7 @@ def graph_from_json(source: Union[str, bytes, dict]) -> Graph:
 
 
 def graph_from_dimacs(text: str) -> Graph:
-    """Lines "p <n> <m>" then m lines "e <u> <v>"; comment lines start with c."""
+    """Lines "p [fmt] <n> <m>" then m lines "e <u> <v>"; comment lines start with c."""
     n = None
     edges = []
     for line in text.splitlines():
@@ -538,6 +538,8 @@ def graph_from_dimacs(text: str) -> Graph:
         if not parts or parts[0] == "c":
             continue
         if parts[0] == "p":
+            if len(parts) not in (3, 4):
+                raise ValueError(f"problem line must read 'p [fmt] <n> <m>', got {line!r}")
             n = int(parts[-2])
         elif parts[0] == "e" and len(parts) == 3:
             edges.append((int(parts[1]), int(parts[2])))

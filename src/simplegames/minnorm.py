@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 from . import budgets
 from .errors import BudgetExceededError, CertificateError
 from .alpha import mask_sum
-from .games import Coalition, SimpleGame, maximal_losing, winning_table
+from .games import Coalition, SimpleGame, is_winning, maximal_losing
 from .lp import EQ, GE, LE, LPRow, LinearProgram, common_numerators, frac, in_convex_hull, rat, solve_lp
 
 DEFAULT_TOLERANCE = 1e-6
@@ -199,7 +199,6 @@ def min_norm_point(
     positive finite number but decides nothing.  Raises BudgetExceededError
     when Wolfe's major plus minor cycles exceed MAX_ITERATIONS.
     """
-    budgets.check("min_norm", game.n)
     if not frac(tolerance) > 0:
         raise ValueError("tolerance must be positive")
     # q* = x / xden, so p* = q* / ||q*||^2 = x * xden / ||x||^2
@@ -281,16 +280,16 @@ def _class_hull(
     """Certified weights of target*ones over winning (or losing) coalitions, or None.
 
     `columns` are the minimal winning (maximal losing) masks.  Every support
-    mask is checked against the winning table, and the weights come from
-    `in_convex_hull`, which certifies them exactly.
+    mask's class is checked by `is_winning` (containment of a minimal winning
+    mask), and the weights come from `in_convex_hull`, which certifies them
+    exactly.
     """
     n = game.n
     support = _dominated_support(n, columns, target, winning)
     if support is None:
         return None
-    table = winning_table(game)
     for m in support:
-        if bool(table >> m & 1) != winning:
+        if is_winning(game, m) != winning:
             kind = "winning" if winning else "losing"
             raise CertificateError(f"hull witness {Coalition(m).players()} is not {kind}")
     lam = in_convex_hull([target] * n, [tuple(m >> j & 1 for j in range(n)) for m in support])
@@ -316,17 +315,18 @@ def tightness_check(
 
     Returns (True, (winning_weights, losing_weights)), each a dict keyed by
     coalition mask in ascending order over its support (some weights may be
-    0), or (False, None) when alpha < n/4.  Refuses beyond the `tightness`
-    budget.
+    0), or (False, None) when alpha < n/4.  Raises BudgetExceededError
+    when the game has more maximal losing coalitions than the ``losing`` cap,
+    which `budget` may lower.
     """
-    budgets.check("tightness", game.n, budget)
+    budgets.limit("losing", budget)  # a negative budget is invalid input, even below two players
     n = game.n
     if n < 2:
         return False, None
     lam_w = _class_hull(game, [c.mask for c in game.minimal_winning], Fraction(2, n), True)
     if lam_w is None:
         return False, None
-    lam_l = _class_hull(game, [c.mask for c in maximal_losing(game)], Fraction(1, 2), False)
+    lam_l = _class_hull(game, [c.mask for c in maximal_losing(game, budget)], Fraction(1, 2), False)
     if lam_l is None:
         return False, None
     return True, (lam_w, lam_l)

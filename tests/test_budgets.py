@@ -1,4 +1,4 @@
-"""Size caps: one table in `budgets`, checked before any table is built."""
+"""Size caps: one table in `budgets`, checked before a table is built or as a family grows."""
 
 import json
 import re
@@ -9,27 +9,31 @@ import pytest
 from simplegames import (
     BudgetExceededError,
     budgets,
+    cycle_game,
     desirability_ge,
     find_induced_kp2,
     make_graph,
     maximal_losing,
-    min_norm_point,
     mwis_exact,
     new_game,
     random_game,
-    tightness_check,
     verify_conjecture_corpus,
 )
 from simplegames.cli import run
 
 SRC = Path(budgets.__file__).resolve().parent
 
-# one public call per cap, on an input one above the cap's default
+
+def disjoint_pairs(k):
+    """k disjoint winning pairs: one player from each pair, 2^k ways, is a minimal cover."""
+    return new_game(2 * k, [[2 * i + 1, 2 * i + 2] for i in range(k)])
+
+
+# one public call per cap, on an input one above the cap's default (for
+# `losing`, a game with at least that many maximal losing coalitions)
 AT_CAP_PLUS_ONE = {
-    "tables": lambda v: maximal_losing(new_game(v, [[1]])),
+    "losing": lambda v: maximal_losing(disjoint_pairs((v - 1).bit_length())),
     "desirability": lambda v: desirability_ge(new_game(v, [[1]]), 1, 2),
-    "tightness": lambda v: tightness_check(new_game(v, [[1, 2]])),
-    "min_norm": lambda v: min_norm_point(new_game(v, [[1, 2]])),
     "corpus": lambda v: verify_conjecture_corpus(v, seeds=[1]),
     "mwis": lambda v: mwis_exact(make_graph(v, [(1, 2)]), [1] * v),
     "kp2": lambda v: find_induced_kp2(make_graph(4 * v, [(1, 2)]), v),
@@ -49,7 +53,10 @@ def test_default_plus_one_raises_with_its_fields(name):
 
 @pytest.mark.parametrize(
     "name, override, expected",
-    [("tables", 40, 24), ("tables", 10, 10), ("mwis", 60, 60), ("mwis", 5, 5), ("kp2", 7, 7)],
+    [
+        ("losing", 300_000, 200_000), ("losing", 10, 10),
+        ("mwis", 60, 60), ("mwis", 5, 5), ("kp2", 7, 7),
+    ],
 )
 def test_override_lowers_any_cap_and_raises_only_time_caps(name, override, expected):
     budgets.check(name, expected, override)
@@ -67,25 +74,22 @@ def test_negative_override_is_invalid_input(name):
 
 
 @pytest.fixture()
-def no_tables(monkeypatch):
-    # an override that crossed the ceiling would build 30 tables of 2^30 bits
-    def refuse(n):
-        raise AssertionError(f"absent_tables({n}) was built")
-
-    monkeypatch.setattr("simplegames.games.absent_tables", refuse)
+def losing_cap_9(monkeypatch):
+    # cycle:8 has 10 maximal losing coalitions, one more than this ceiling
+    monkeypatch.setitem(budgets.CAPS, "losing", 9)
 
 
-def test_override_cannot_cross_the_table_ceiling(no_tables):
+def test_override_cannot_cross_the_table_ceiling(losing_cap_9):
+    # an override above the losing cap is clamped to it
     with pytest.raises(BudgetExceededError) as info:
-        maximal_losing(new_game(30, [[1]]), budget=40)
-    assert (info.value.name, info.value.value, info.value.limit) == ("tables", 30, 24)
+        maximal_losing(cycle_game(8), budget=40)
+    assert (info.value.name, info.value.value, info.value.limit) == ("losing", 10, 9)
 
 
-def test_cli_override_above_the_ceiling_exits_3(no_tables, tmp_path, capsys):
-    path = tmp_path / "n30.json"
-    path.write_text(json.dumps({"n": 30, "minimal_winning": [[1]]}))
-    assert run(["alpha", "--game", str(path), "--budget", "40"]) == 3
-    assert capsys.readouterr().out == ""
+def test_cli_override_above_the_ceiling_exits_3(losing_cap_9, capsys):
+    assert run(["alpha", "--game", "cycle:8", "--budget", "40"]) == 3
+    assert capsys.readouterr() == ("", "error: losing budget exceeded: 10 > 9\n")
+    assert run(["tightness", "--game", "cycle:8", "--budget", "40"]) == 3
 
 
 # every verb that takes --budget, on an input that reaches its cap check

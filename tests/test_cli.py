@@ -152,12 +152,16 @@ class TestErrors:
         code, _ = capture("alpha", "--game", "cycle:5")
         assert code == 2
 
-    def test_budget_exits_3(self, capture, tmp_path):
+    def test_budget_exits_3(self, tmp_path, capsys):
+        # 18 disjoint winning pairs have 2^18 maximal losing coalitions, more
+        # than the losing cap; cycle:28 has 2627, few enough to solve
         path = tmp_path / "big.json"
-        coalitions = [[i, i + 1] for i in range(1, 30)]
-        path.write_text(json.dumps({"n": 30, "minimal_winning": coalitions}))
-        code, _ = capture("alpha", "--game", str(path))
-        assert code == 3
+        coalitions = [[2 * i + 1, 2 * i + 2] for i in range(18)]
+        path.write_text(json.dumps({"n": 36, "minimal_winning": coalitions}))
+        assert run(["alpha", "--game", str(path)]) == 3
+        assert capsys.readouterr() == ("", "error: losing budget exceeded: 200001 > 200000\n")
+        assert run(["alpha", "--game", "cycle:28"]) == 0
+        assert json.loads(capsys.readouterr().out)["alpha"] == "7/1"
 
     @pytest.mark.parametrize(
         "verb, flag, payload",
@@ -184,19 +188,20 @@ class TestErrors:
             ("graph-alpha", None, {"n": 3, "edges": [[1, 2, 3], [2, 3]]}),
             ("graph-alpha", None, {"n": 3, "edges": [[1]]}),
             ("graph-alpha", None, {"n": 3, "edges": [1, 2]}),
+            ("graph-alpha", None, "p\ne 1 2\n"),  # DIMACS text, written as is
         ],
     )
     def test_malformed_arrays_exit_2(self, capture, tmp_path, verb, flag, payload):
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         code, out = capture(verb, *filter(None, [flag, str(path)]))
         assert code == 2 and out == ""
 
     def test_budget_flag_overrides_caps(self, capture):
-        # tightening the cap below the game size trips the budget exit
-        code, _ = capture("alpha", "--game", "cycle:8", "--budget", "6")
+        # cycle:8 has 10 maximal losing coalitions: a budget of 9 trips the exit
+        code, _ = capture("alpha", "--game", "cycle:8", "--budget", "9")
         assert code == 3
-        code, _ = capture("alpha", "--game", "cycle:8", "--budget", "8")
+        code, _ = capture("alpha", "--game", "cycle:8", "--budget", "10")
         assert code == 0
 
     @pytest.mark.parametrize(

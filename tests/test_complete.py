@@ -30,8 +30,9 @@ from simplegames.complete import (
     _within_sqrt_n_ln_n,
     greedy_losing_bound,
     sized_weighted_game,
+    winning_table,
 )
-from simplegames.games import maximal_losing, random_game, winning_table
+from simplegames.games import maximal_losing, random_game
 from simplegames.lp import LE, make_lp, solve_lp
 
 WEIGHTED_2111 = new_game(4, [[1, 2], [1, 3], [1, 4], [2, 3, 4]])  # weights (2,1,1,1), quota 3

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,15 +14,17 @@ from simplegames import (
     blocker,
     cycle_game,
     game_from_json,
-    game_stats,
     game_to_json,
     is_winning,
     maximal_losing,
     new_game,
     random_game,
 )
+from simplegames.complete import winning_table
 from simplegames.games import _minimal_masks
 from simplegames.graphs import random_graph
+
+import table_reference
 
 
 # Independent oracle: plain frozenset arithmetic, no bit tables.
@@ -138,8 +142,12 @@ class TestMaximalLosing:
         assert as_tuples(maximal_losing(MAJ3)) == [(1,), (2,), (3,)]
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            maximal_losing(new_game(30, [[1]]))
+        # cycle:8 has 10 maximal losing coalitions; the count is capped, not n
+        assert len(maximal_losing(new_game(30, [[1]]))) == 1
+        assert len(maximal_losing(cycle_game(8), budget=10)) == 10
+        with pytest.raises(BudgetExceededError) as info:
+            maximal_losing(cycle_game(8), budget=9)
+        assert (info.value.name, info.value.value, info.value.limit) == ("losing", 10, 9)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_brute_force(self, seed):
@@ -188,12 +196,11 @@ class TestInvariants:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_partition_count(self, seed):
+        # the winning table of `complete` flags exactly the winning coalitions
         g = random_game(4 + seed, seed, 6)
-        stats = game_stats(g)
-        assert stats.winning + stats.losing == 1 << g.n
-        assert stats.winning == sum(
-            1 for m in range(1 << g.n) if is_winning(g, Coalition(m))
-        )
+        table = winning_table(g)
+        assert table >> (1 << g.n) == 0
+        assert table == sum(1 << m for m in range(1 << g.n) if is_winning(g, Coalition(m)))
 
 
 class TestRandomGame:
@@ -212,16 +219,22 @@ class TestRandomGame:
         with pytest.raises(ValueError):
             random_game(1, 0, 1)
         with pytest.raises(ValueError):
-            random_game(30, 0, 1)
+            random_game(65, 0, 1)
+        # no table is built, so every player count up to the mask limit works
+        assert random_game(64, 0, 3).n == 64
 
 
 class TestBudgetBoundaries:
     def test_enumeration_at_the_cap(self):
-        # n = 24 is the largest size the subset-table operations accept
+        # a budget equal to the count lists every set; one less raises at
+        # the set that crosses it
         g = random_game(24, 1, 12)
         ml = maximal_losing(g)
-        bl = blocker(g)
-        assert sorted(c.complement(24).players() for c in bl) == as_tuples(ml)
+        assert maximal_losing(g, budget=len(ml)) == ml
+        with pytest.raises(BudgetExceededError) as info:
+            maximal_losing(g, budget=len(ml) - 1)
+        assert (info.value.value, info.value.limit) == (len(ml), len(ml) - 1)
+        assert sorted(c.complement(24).players() for c in blocker(g)) == as_tuples(ml)
 
     def test_mask_limit_game(self):
         g = cycle_game(64)
@@ -343,3 +356,102 @@ class TestAntichainOrder:
         game = random_game(2 + seed % 9, seed, 2 + seed % 7)
         for family in (maximal_losing(game), blocker(game)):
             assert family == sorted(family, key=Coalition.players)
+
+
+# The transversal kernel against the 2^n table sweeps it replaced and the
+# brute-force oracles above.
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def games_corpus(seed):
+    """The benchmark's games corpus (n = 6..9) at `seed`, as games."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    return [game_from_json(inst) for inst in workloads.generate("games", seed, "full")]
+
+
+def perrin(n):
+    a, b, c = 3, 0, 2
+    for _ in range(n):
+        a, b, c = b, c, a + b
+    return a
+
+
+def assert_maximal_losing(game, family):
+    """Every member loses, every added player wins, and none repeats."""
+    masks = [c.mask for c in family]
+    assert len(set(masks)) == len(masks)
+    winning = [w.mask for w in game.minimal_winning]
+    for m in masks:
+        assert not any(w & ~m == 0 for w in winning)
+        for j in range(game.n):
+            if not m >> j & 1:
+                assert any(w & ~(m | 1 << j) == 0 for w in winning)
+
+
+class TestTransversalKernel:
+    def agree(self, game, brute=False):
+        ml, bl = maximal_losing(game), blocker(game)
+        assert ml == table_reference.maximal_losing(game)
+        assert bl == table_reference.blocker(game)
+        if brute:
+            assert as_tuples(ml) == brute_maximal_losing(game)
+            assert as_tuples(bl) == brute_blocker(game)
+
+    def test_seed3_games_corpus(self):
+        corpus = games_corpus(3)
+        assert len(corpus) == 120
+        for game in corpus:
+            self.agree(game, brute=game.n <= 8)  # the n = 9 weighted games take the brute force 0.6 s
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_random_games(self, n):
+        for seed in range(4):
+            for target in (2, n // 2 + 1, n + 2, 2 * n):
+                self.agree(random_game(n, seed, target), brute=n <= 7)
+
+    @pytest.mark.parametrize("n", range(4, 26, 2))
+    def test_cycle_games(self, n):
+        # the maximal losing coalitions of the cycle game are the maximal
+        # independent sets of the n-cycle, and there are Perrin(n) of them
+        game = cycle_game(n)
+        ml = maximal_losing(game)
+        assert len(ml) == perrin(n)
+        assert_maximal_losing(game, ml)
+        assert ml == sorted(ml, key=Coalition.players)
+        if n <= 16:
+            self.agree(game)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_relabeling_players_relabels_both_families(self, seed):
+        rng = random.Random(f"relabel:{seed}")
+        n = 3 + seed % 12
+        game = random_game(n, seed, 2 + seed % 9)
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        rename = lambda c: tuple(sorted(order[p - 1] for p in c.players()))
+        relabeled = new_game(n, [rename(w) for w in game.minimal_winning])
+        assert as_tuples(maximal_losing(relabeled)) == sorted(map(rename, maximal_losing(game)))
+        assert as_tuples(blocker(relabeled)) == sorted(map(rename, blocker(game)))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_a_dummy_joins_every_maximal_losing_set(self, seed):
+        # a player in no minimal winning coalition never turns a loss into a
+        # win, and no minimal cover needs it
+        game = random_game(3 + seed % 12, seed, 2 + seed % 9)
+        dummy = 1 << game.n
+        padded = new_game(game.n + 1, game.minimal_winning)
+        assert [c.mask for c in maximal_losing(padded)] == [c.mask | dummy for c in maximal_losing(game)]
+        assert blocker(padded) == blocker(game)
+
+    def test_past_the_old_table_ceiling(self):
+        # 2^28-bit tables were refused; the kernel lists what the game has
+        game = cycle_game(28)
+        ml = maximal_losing(game)
+        assert len(ml) == perrin(28) == 2627
+        assert_maximal_losing(game, ml)
+        assert sorted(c.complement(28).players() for c in blocker(game)) == as_tuples(ml)

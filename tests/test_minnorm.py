@@ -83,8 +83,10 @@ class TestMinNormPoint:
         assert all(a >= b for a, b in zip(hist, hist[1:]))
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            min_norm_point(new_game(30, [[1, 2]]))
+        # no player cap: nothing here is 2^n, and MAX_ITERATIONS bounds Wolfe
+        point, cert = min_norm_point(new_game(30, [[1, 2]]))
+        assert point == (F(1, 2), F(1, 2)) + (F(0),) * 28 and cert.certified
+        assert min_norm_point(cycle_game(64))[0] == (F(1, 2),) * 64
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
@@ -261,8 +263,14 @@ class TestTightness:
         assert tight == (compute_alpha_exact(g).alpha == F(g.n, 4))
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            tightness_check(new_game(24, [[1, 2]]))
+        # the losing side lists cycle:8's 10 maximal losing coalitions
+        assert tightness_check(cycle_game(8), budget=10)[0]
+        with pytest.raises(BudgetExceededError) as info:
+            tightness_check(cycle_game(8), budget=9)
+        assert (info.value.name, info.value.value, info.value.limit) == ("losing", 10, 9)
+        assert tightness_check(new_game(24, [[1, 2]])) == (False, None)
+        with pytest.raises(ValueError, match="losing budget must be >= 0"):
+            tightness_check(new_game(1, [[1]]), budget=-1)
 
     @pytest.mark.parametrize(
         "n, columns, target, add, support",

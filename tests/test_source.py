@@ -3,10 +3,12 @@
 The runtime depends on the standard library only, and no check is written as
 an `assert` that `python -O` would strip: the one assert form allowed is
 `assert <expr> is not None`, which only tells a type checker what the code
-above it has already established.
+above it has already established.  The 2^n-bit subset tables are built and
+read in `complete` alone.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -67,3 +69,11 @@ def test_imports_are_standard_library_only():
 def test_asserts_only_narrow_optionals():
     found = {p.name: strippable_asserts(ast.parse(p.read_text())) for p in MODULES}
     assert {name: f for name, f in found.items() if f} == {}
+
+
+
+def test_subset_tables_stay_in_complete():
+    # the 2^n-bit format lives in one module; `games` works on antichains only
+    naming = [p.name for p in MODULES if re.search(r"\b(winning_table|absent_tables)\b", p.read_text())]
+    assert naming == ["complete.py"]
+    assert "lru_cache" not in (SRC / "games.py").read_text()
