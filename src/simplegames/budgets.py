@@ -1,17 +1,18 @@
 """Every size cap of the package, and the one check that enforces them.
 
-Exact alpha is NP-hard on graphic games, a game can have exponentially many
-maximal losing coalitions, and complete games are ordered over 2^n-bit
-tables, so each exponential routine refuses an input above its named cap
-before it allocates or searches anything (the maximal losing coalitions, as
-their count passes it).  An override may lower any cap but raise only
-``mwis`` and ``kp2``, which bound time, not memory; the other caps bound
-what a routine holds, so their default is a hard ceiling.  `limit` applies
-that rule and refuses a negative override, for `check`, the transversal
-kernel of `games` and the command line, which validates ``--budget`` before
-the verb runs because some inputs reach no check.  The iteration caps
-(simplex pivots, Wolfe cycles, cut rounds, the maximal-independent-set
-family) are module constants beside their loops and raise the same error.
+Exact alpha is NP-hard on graphic games, and a game can have exponentially
+many maximal losing coalitions (or, from the weighted generator, minimal
+winning ones), so each exponential routine refuses an input above its named
+cap before it allocates or searches anything (those families, as their count
+passes it).  An override may lower any cap but raise only ``mwis`` and
+``kp2``, which bound time, not memory; the other caps bound what a routine
+holds, so their default is a hard ceiling.  `limit` applies that rule and
+refuses a negative override, for `check`, the transversal kernel of `games`,
+the weighted generator of `complete` and the command line, which validates
+``--budget`` before the verb runs because some inputs reach no check.  The
+iteration caps (simplex pivots, Wolfe cycles, cut rounds, the
+maximal-independent-set family) are module constants beside their loops and
+raise the same error.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from __future__ import annotations
 from .errors import BudgetExceededError
 
 CAPS = {
-    "losing": 200_000,  # maximal losing coalitions (and minimal covers) one game may have
-    "desirability": 20,  # players in the 2^n-bit tables of `complete`
+    "losing": 200_000,  # maximal losing coalitions (minimal covers) of a game, minimal winning of a wvg
     "corpus": 16,  # players in the random corpus drivers
     "mwis": 40,  # vertices in the exact independent-set searches of `graphs`
     "kp2": 5,  # disjoint edges in the induced kP2 search

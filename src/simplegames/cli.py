@@ -34,7 +34,7 @@ EXIT_INTERNAL = 4
 # the one cap each verb's --budget overrides
 BUDGET_CAPS = {
     "alpha": "losing", "tightness": "losing", "graph-alpha": "mwis",
-    "graph-decide": "kp2", "csg": "desirability",
+    "graph-decide": "kp2", "csg": "losing",
 }
 
 EXIT_CODES_HELP = (
@@ -134,10 +134,10 @@ def _cmd_gadget(args) -> int:
 
 def _cmd_csg(args) -> int:
     game = _load_game(args.game, args.seed)
-    cg = complete_mod.complete_order(game, args.budget)
+    cg = complete_mod.complete_order(game)
     if cg is None:
         raise ValueError("the game is not complete (incomparable players)")
-    _emit(complete_mod.csg_payoff(cg).to_json_dict(), args.format)
+    _emit(complete_mod.csg_payoff(cg, args.budget).to_json_dict(), args.format)
     return EXIT_OK
 
 

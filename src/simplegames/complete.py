@@ -2,12 +2,13 @@
 
 A game is complete when the player desirability relation (i outranks j if i
 can replace j in any coalition without turning a win into a loss) is total;
-a more desirable player then wins in more coalitions, so winner counts order
-the players.  The payoff 1/s_r for the r-th ranked player, where s_r is the
-smallest winning size inside the suffix starting at r, keeps every winning
-coalition above 1/sqrt(n); its ratio is compared with sqrt(n)*ln(n) exactly.
-The desirability checks and winner counts read 2^n-bit subset tables, which
-this module alone builds, under the ``desirability`` cap.
+a more desirable player then holds more of the smallest minimal winning
+coalitions, so their counts by size order the players.  The payoff 1/s_r for
+the r-th ranked player, where s_r is the smallest winning size inside the
+suffix starting at r, keeps every winning coalition above 1/sqrt(n); its
+ratio is compared with sqrt(n)*ln(n) exactly.  Every routine here reads the
+minimal winning family alone, and the weighted generator lists it directly,
+under the ``losing`` cap; nothing lists all 2^n coalitions.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from . import budgets
 from .alpha import compute_alpha_exact
-from .errors import CertificateError
-from .games import Coalition, SimpleGame, maximal_losing, new_game
+from .errors import BudgetExceededError, CertificateError
+from .games import MAX_PLAYERS, SimpleGame, _lacking_columns, _members_inside, maximal_losing, new_game
 from .lp import rat
 
 _ZERO = Fraction(0)
@@ -30,53 +31,32 @@ MAX_WEIGHT = 9  # largest weight `random_weighted_voting_game` draws
 ROW_CAP = 600  # most threshold-LP rows `sized_weighted_game` accepts
 
 
-# A "table" is an int with 2^n bits; bit s refers to the coalition with mask s.
-# Shifting a table by 2^(i-1) moves information between S and S+{i}.
-
-
-@lru_cache(maxsize=64)
-def absent_tables(n: int) -> tuple[int, ...]:
-    """For each player i, the table flagging every coalition that omits i."""
-    size = 1 << n
-    out = []
-    for i in range(1, n + 1):
-        d = 1 << (i - 1)
-        v = (1 << d) - 1
-        span = 2 * d
-        while span < size:
-            v |= v << span
-            span *= 2
-        out.append(v)
-    return tuple(out)
-
-
-# A solve uses one game and no corpus repeats one, so 16 entries lose no hit;
-# at the `desirability` cap they pin at most 16 tables of 2^20 bits, 2 MiB.
-@lru_cache(maxsize=16)
-def winning_table(game: SimpleGame) -> int:
-    """The table flagging every winning coalition (the monotone closure)."""
-    absent = absent_tables(game.n)
-    w = 0
-    for c in game.minimal_winning:
-        w |= 1 << c.mask
-    for i in range(1, game.n + 1):
-        w |= (w & absent[i - 1]) << (1 << (i - 1))
-    return w
-
-
 def desirability_ge(game: SimpleGame, i: int, j: int) -> bool:
     """True iff adding i never does worse than adding j, over all coalitions
-    avoiding both."""
-    budgets.check("desirability", game.n)
+    avoiding both.  It is enough to swap i for j in each minimal winning W
+    holding j but not i, since a winning S + j contains such a W or wins
+    without j.  W - j + i wins iff it contains a minimal winning M, which holds
+    i but not j (an M without i would lie inside W - j), so iff some M - i
+    lies inside W - j."""
     n = game.n
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"players must be distinct and in 1..{n}, got {i}, {j}")
-    w = winning_table(game)
-    absent = absent_tables(n)
-    di, dj = 1 << (i - 1), 1 << (j - 1)
-    scope = absent[i - 1] & absent[j - 1]
-    bad = (w >> dj) & ~(w >> di) & scope
-    return bad == 0
+    bi, bj = 1 << (i - 1), 1 << (j - 1)
+    swapped, rivals = [], []  # the W - j and the M - i
+    for c in game.minimal_winning:
+        side = c.mask & (bi | bj)
+        if side == bj:
+            swapped.append(c.mask ^ bj)
+        elif side == bi:
+            rivals.append(c.mask ^ bi)
+    minimal = set(rivals)  # t in it iff W - j + i is itself minimal winning
+    pending = [t for t in swapped if t not in minimal]
+    if not pending:
+        return True
+    columns = _lacking_columns(n, rivals)
+    everyone = (1 << len(rivals)) - 1
+    others = game.full_mask ^ bi ^ bj  # no rival holds i or j
+    return all(_members_inside(columns, everyone, others & ~t) for t in pending)
 
 
 @dataclass(frozen=True)
@@ -91,16 +71,26 @@ class CompleteGame:
             raise ValueError("ordering must be a permutation of 1..n")
 
 
-def complete_order(game: SimpleGame, budget: Optional[int] = None) -> Optional[CompleteGame]:
-    """Players sorted by winning-coalition count, strongest first with ties by
-    index, or None if an adjacent pair fails `desirability_ge`; desirability
-    being transitive, that happens exactly when the game is not complete."""
-    budgets.check("desirability", game.n, budget)
+def complete_order(game: SimpleGame) -> Optional[CompleteGame]:
+    """Players strongest first, or None if an adjacent pair fails
+    `desirability_ge`, which by transitivity happens iff the game is not complete.
+
+    A player's key counts, for s = 1..n, the minimal winning coalitions of
+    size s that hold it; larger keys (compared from s = 1) come first, ties by
+    index.  Let sigma swap i and j.  If i outranks j, sigma maps each minimal
+    winning set holding j but not i to a winning set, which by induction on
+    size is minimal unless the first size where the counts differ favours i:
+    a strictly stronger i has a strictly larger key.  If i ~ j, sigma is an
+    automorphism and the keys are equal, so this is the winner-count order."""
     n = game.n
-    w = winning_table(game)
-    absent = absent_tables(n)
-    wins = [(w & ~absent[i - 1]).bit_count() for i in range(1, n + 1)]
-    ordering = tuple(sorted(range(1, n + 1), key=lambda i: (-wins[i - 1], i)))
+    counts = [[0] * (n + 1) for _ in range(n)]  # player - 1 -> size -> minus the count
+    for c in game.minimal_winning:
+        m, size = c.mask, c.mask.bit_count()
+        while m:
+            low = m & -m
+            counts[low.bit_length() - 1][size] -= 1
+            m ^= low
+    ordering = tuple(sorted(range(1, n + 1), key=lambda p: (counts[p - 1], p)))
     for stronger, weaker in zip(ordering, ordering[1:]):
         if not desirability_ge(game, stronger, weaker):
             return None
@@ -190,7 +180,8 @@ def _within_sqrt_n_ln_n(ratio: Fraction, n: int) -> bool:
             return False
 
 
-def csg_payoff(cg: CompleteGame) -> CsgPayoffReport:
+def csg_payoff(cg: CompleteGame, budget: Optional[int] = None) -> CsgPayoffReport:
+    """The ranked payoff's report; `budget` may lower the ``losing`` cap."""
     game = cg.game
     n = game.n
     k, s = suffix_sizes(cg)
@@ -207,7 +198,7 @@ def csg_payoff(cg: CompleteGame) -> CsgPayoffReport:
         return part + den // s[k - 1] * (mask & tail).bit_count(), part
 
     min_winning = Fraction(min(score(w.mask)[0] for w in game.minimal_winning), den)
-    wholes, parts = zip(*(score(l.mask) for l in maximal_losing(game)))
+    wholes, parts = zip(*(score(l.mask) for l in maximal_losing(game, budget)))
     max_losing = Fraction(max(wholes), den)
 
     g_bound = greedy_losing_bound(s)
@@ -245,28 +236,38 @@ def random_weighted_voting_game(
     """Deterministic random weighted voting game (complete by construction).
 
     The quota is drawn uniformly from the given fraction range of the total
-    weight, clamped above half so the game stays proper-ish and nonempty."""
-    cap = budgets.CAPS["desirability"]
-    if not 1 <= n <= cap:
-        raise ValueError(f"weighted generator needs 1 <= n <= {cap}")
+    weight, clamped above half so the game stays proper-ish and nonempty.
+    Raises BudgetExceededError once the minimal winning coalitions outnumber
+    the ``losing`` cap, which bounds the maximal losing ones of every game."""
+    if not 1 <= n <= MAX_PLAYERS:
+        raise ValueError(f"weighted generator needs 1 <= n <= {MAX_PLAYERS}")
     rng = random.Random(f"wvg:{n}:{seed}:{MAX_WEIGHT}:{quota_range}")
     weights = [rng.randint(1, MAX_WEIGHT) for _ in range(n)]
     total = sum(weights)
     lo = max(total // 2 + 1, int(total * quota_range[0]))
     hi = max(lo, int(total * quota_range[1]))
     quota = rng.randint(lo, hi)
-    # the masks whose top player is i + 1 are rest + 2^i for rest < 2^i, so
-    # the tables fill in ascending mask order; no weight exceeds MAX_WEIGHT
-    wsum, lightest, minimal = [0], [MAX_WEIGHT], []
-    for i, w in enumerate(weights):
-        for rest in range(1 << i):
-            total = wsum[rest] + w
-            light = w if w < lightest[rest] else lightest[rest]
-            wsum.append(total)
-            lightest.append(light)
-            # a winning coalition is minimal iff it loses without its lightest player
-            if total >= quota > total - light:
-                minimal.append(Coalition(rest | 1 << i))
+    # a search over the players, heaviest first: a winning set is minimal iff
+    # it loses without its last, lightest player, and a branch that cannot
+    # reach the quota is cut, so every node leads to a set, O(n) nodes per set
+    order = sorted(range(n), key=lambda p: (-weights[p], p))
+    rest = list(accumulate((weights[p] for p in reversed(order)), initial=0))[::-1]
+    cap = budgets.limit("losing")
+    minimal: list[int] = []
+
+    def grow(start: int, held: int, mask: int) -> None:
+        for k in range(start, n):
+            if held + rest[k] < quota:
+                return
+            p = order[k]
+            if held + weights[p] >= quota:
+                minimal.append(mask | 1 << p)
+                if len(minimal) > cap:
+                    raise BudgetExceededError("losing", len(minimal), cap)
+            else:
+                grow(k + 1, held + weights[p], mask | 1 << p)
+
+    grow(0, 0, 0)
     return WeightedVotingGame(tuple(weights), quota, new_game(n, minimal))
 
 

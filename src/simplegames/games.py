@@ -9,11 +9,12 @@ coalitions, and the blocker (the family of minimal covers).
 Coalitions are bit masks (player i is bit i-1), which keeps subset tests O(1),
 and every family is an antichain of masks; nothing here lists all 2^n
 coalitions.  `_minimal_masks` decides which members of a family contain no
-other, for the antichain check and the pruning of `new_game`.  The blocker
-and, by complement, the maximal losing coalitions come from one
-output-sensitive kernel, `_minimal_transversals`.  An antichain is listed in
-the order of its members' player tuples, which `_antichain_order` reads off
-the masks alone.
+other, for the antichain check and the pruning of `new_game`, by the
+containment query `_members_inside`, which `complete.desirability_ge`
+shares.  The blocker and, by complement, the maximal losing coalitions come
+from one output-sensitive kernel, `_minimal_transversals`.  An antichain is
+listed in the order of its members' player tuples, which `_antichain_order`
+reads off the masks alone.
 """
 
 from __future__ import annotations
@@ -96,14 +97,8 @@ def _coerce(c: CoalitionLike) -> Coalition:
     return Coalition.from_players(c)
 
 
-def _minimal_masks(n: int, masks: list[int]) -> list[int]:
-    """The members of `masks` (subsets of 1..n) that contain no other member,
-    in input order; a repeated mask contains its twin, so neither copy stays.
-
-    Column i flags (bit t) the members that lack player i, so the members
-    inside m are the AND of the columns of the players m lacks: at most n
-    big-int ANDs per member, for every n.
-    """
+def _lacking_columns(n: int, masks: list[int]) -> list[int]:
+    """Column i-1 flags (bit t) the members of `masks` that lack player i."""
     everyone = (1 << len(masks)) - 1
     columns = [everyone] * n
     for t, m in enumerate(masks):
@@ -111,18 +106,26 @@ def _minimal_masks(n: int, masks: list[int]) -> list[int]:
             low = m & -m
             columns[low.bit_length() - 1] ^= 1 << t
             m ^= low
-    full = (1 << n) - 1
-    kept = []
-    for t, m in enumerate(masks):
-        inside = everyone
-        lacks = full ^ m
-        while lacks:
-            low = lacks & -lacks
-            inside &= columns[low.bit_length() - 1]
-            lacks ^= low
-        if inside == 1 << t:
-            kept.append(m)
-    return kept
+    return columns
+
+
+def _members_inside(columns: list[int], everyone: int, lacks: int) -> int:
+    """The members (bit t, of those in `everyone`) inside a coalition lacking
+    the players `lacks`: the AND of their columns, at most n big-int ANDs."""
+    inside = everyone
+    while lacks and inside:
+        low = lacks & -lacks
+        inside &= columns[low.bit_length() - 1]
+        lacks ^= low
+    return inside
+
+
+def _minimal_masks(n: int, masks: list[int]) -> list[int]:
+    """The members of `masks` (subsets of 1..n) that contain no other member,
+    in input order; a repeated mask contains its twin, so neither copy stays."""
+    columns = _lacking_columns(n, masks)
+    everyone, full = (1 << len(masks)) - 1, (1 << n) - 1
+    return [m for t, m in enumerate(masks) if _members_inside(columns, everyone, full ^ m) == 1 << t]
 
 
 @dataclass(frozen=True)
@@ -222,13 +225,8 @@ def _minimal_transversals(n: int, masks: list[int], budget: int | None = None) -
     cap = budgets.limit("losing", budget)
     masks = sorted(masks, key=int.bit_count)
     everyone = (1 << len(masks)) - 1
-    hits = [0] * n  # player i-1 -> the members holding i
-    for t, m in enumerate(masks):
-        while m:
-            low = m & -m
-            hits[low.bit_length() - 1] |= 1 << t
-            m ^= low
-    misses = [everyone ^ h for h in hits]
+    misses = _lacking_columns(n, masks)
+    hits = [everyone ^ m for m in misses]  # player i-1 -> the members holding i
     out: list[int] = []
     stack = [(0, (1 << n) - 1, everyone, [])]  # S, candidates, uncovered, critical
     while stack:

@@ -10,13 +10,13 @@ from simplegames import (
     BudgetExceededError,
     budgets,
     cycle_game,
-    desirability_ge,
     find_induced_kp2,
     make_graph,
     maximal_losing,
     mwis_exact,
     new_game,
     random_game,
+    random_weighted_voting_game,
     verify_conjecture_corpus,
 )
 from simplegames.cli import run
@@ -33,7 +33,6 @@ def disjoint_pairs(k):
 # `losing`, a game with at least that many maximal losing coalitions)
 AT_CAP_PLUS_ONE = {
     "losing": lambda v: maximal_losing(disjoint_pairs((v - 1).bit_length())),
-    "desirability": lambda v: desirability_ge(new_game(v, [[1]]), 1, 2),
     "corpus": lambda v: verify_conjecture_corpus(v, seeds=[1]),
     "mwis": lambda v: mwis_exact(make_graph(v, [(1, 2)]), [1] * v),
     "kp2": lambda v: find_induced_kp2(make_graph(4 * v, [(1, 2)]), v),
@@ -86,6 +85,13 @@ def test_override_cannot_cross_the_table_ceiling(losing_cap_9):
     assert (info.value.name, info.value.value, info.value.limit) == ("losing", 10, 9)
 
 
+def test_weighted_generator_counts_against_the_losing_cap(losing_cap_9):
+    # the weighted game on 10 players at seed 0 has more than 9 minimal winning coalitions
+    with pytest.raises(BudgetExceededError) as info:
+        random_weighted_voting_game(10, 0)
+    assert (info.value.name, info.value.value, info.value.limit) == ("losing", 10, 9)
+
+
 def test_cli_override_above_the_ceiling_exits_3(losing_cap_9, capsys):
     assert run(["alpha", "--game", "cycle:8", "--budget", "40"]) == 3
     assert capsys.readouterr() == ("", "error: losing budget exceeded: 10 > 9\n")
@@ -98,10 +104,15 @@ CHECKED = [
     ["tightness", "--game", "cycle:4"],
     ["graph-alpha", "cycle:5"],
     ["graph-decide", "--graph", "cycle:8", "--a", "1"],
+    ["csg", "--game", "wvg:4"],
+]
+# inputs that reach no cap check: a bipartite graph, a kP2 search with 2k > n,
+# and a game that csg refuses as not complete before it lists losing coalitions
+UNCHECKED = [
+    ["graph-alpha", "cycle:4"],
+    ["graph-decide", "--graph", "cycle:5", "--a", "1"],
     ["csg", "--game", "cycle:4"],
 ]
-# inputs that reach no cap check: a bipartite graph, and a kP2 search with 2k > n
-UNCHECKED = [["graph-alpha", "cycle:4"], ["graph-decide", "--graph", "cycle:5", "--a", "1"]]
 
 
 @pytest.mark.parametrize("budget, code", [("-1", 2), ("0", 3)])

@@ -233,6 +233,11 @@ class TestErrors:
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("spec, code", [("wvg:0", 2), ("wvg:21", 0), ("wvg:65", 2)])
+    def test_weighted_generator_takes_1_to_64_players(self, capture, spec, code):
+        # no subset table bounds the generator; its family counts against `losing`
+        assert capture("gen", spec)[0] == code
+
     def test_random_game_target_above_the_cap_exits_3(self, capsys):
         assert run(["gen", "random-game:8:257"]) == 3
         captured = capsys.readouterr()

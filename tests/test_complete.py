@@ -30,10 +30,11 @@ from simplegames.complete import (
     _within_sqrt_n_ln_n,
     greedy_losing_bound,
     sized_weighted_game,
-    winning_table,
 )
-from simplegames.games import maximal_losing, random_game
+from simplegames.games import game_to_json, maximal_losing, random_game
 from simplegames.lp import LE, make_lp, solve_lp
+
+import table_reference
 
 WEIGHTED_2111 = new_game(4, [[1, 2], [1, 3], [1, 4], [2, 3, 4]])  # weights (2,1,1,1), quota 3
 MAJ3 = new_game(3, [[1, 2], [1, 3], [2, 3]])
@@ -45,7 +46,7 @@ def table_suffix_sizes(cg):
     game = cg.game
     n = game.n
     size = 1 << n
-    table = winning_table(game).to_bytes((size + 7) // 8, "little")
+    table = table_reference.winning_table(game).to_bytes((size + 7) // 8, "little")
     pos = {p: r for r, p in enumerate(cg.ordering, start=1)}
 
     suffix_mask = 0
@@ -82,14 +83,14 @@ def table_suffix_sizes(cg):
 
 
 def reference_complete_order(game):
-    # the former complete_order: every ordered pair compared, then a
-    # comparison sort with ties by player index
+    # an older complete_order: every ordered pair compared by the table
+    # desirability, then a comparison sort with ties by player index
     n = game.n
     ge = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            ge[(i, j)] = desirability_ge(game, i, j)
-            ge[(j, i)] = desirability_ge(game, j, i)
+            ge[(i, j)] = table_reference.desirability_ge(game, i, j)
+            ge[(j, i)] = table_reference.desirability_ge(game, j, i)
             if not ge[(i, j)] and not ge[(j, i)]:
                 return None
 
@@ -261,6 +262,98 @@ class TestAgainstPairwiseReference:
                 calls.clear()
                 cg = complete_order(random_weighted_voting_game(n, seed).game)
                 assert calls == list(zip(cg.ordering, cg.ordering[1:]))
+
+
+QUOTA_RANGES = ((0.5, 0.75), (0.75, 0.95))
+
+
+def small_games(n):
+    # random games (n <= 9) and weighted games of both quota ranges (n <= 12)
+    games = [random_game(n, seed, 2 + seed % n) for seed in range(6)] if 2 <= n <= 9 else []
+    return games + [random_weighted_voting_game(n, s, q).game for q in QUOTA_RANGES for s in range(2)]
+
+
+def brute_desirability(game):
+    # every ordered pair by the definition, over the winning coalitions
+    # listed once with is_winning
+    n = game.n
+    wins = [is_winning(game, m) for m in range(1 << n)]
+    out = {}
+    for i, j in itertools.permutations(range(1, n + 1), 2):
+        bi, bj = 1 << (i - 1), 1 << (j - 1)
+        out[(i, j)] = not any(
+            wins[s | bj] and not wins[s | bi] for s in range(1 << n) if not s & (bi | bj)
+        )
+    return out
+
+
+def desirability_classes(game):
+    # the classes of equally desirable players, strongest first
+    classes = []
+    for p in complete_order(game).ordering:
+        if classes and desirability_ge(game, p, classes[-1][0]):
+            classes[-1].append(p)
+        else:
+            classes.append([p])
+    return [frozenset(c) for c in classes]
+
+
+class TestAgainstTables:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_desirability(self, n):
+        for game in small_games(n):
+            for (i, j), expected in brute_desirability(game).items():
+                assert desirability_ge(game, i, j) == expected, (game, i, j)
+                assert table_reference.desirability_ge(game, i, j) == expected
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_complete_order(self, n):
+        for game in small_games(n):
+            assert complete_order(game) == table_reference.complete_order(game)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_generator_matches_brute_force(self, n):
+        for q in QUOTA_RANGES:
+            for seed in range(4):
+                wvg = random_weighted_voting_game(n, seed, q)
+                ref = table_reference.random_weighted_voting_game(n, seed, q)
+                assert (wvg.weights, wvg.quota) == (ref.weights, ref.quota)
+                brute = new_game(n, weighted_minimal_winning(wvg.weights, wvg.quota))
+                assert game_to_json(wvg.game) == game_to_json(brute)
+
+    @pytest.mark.parametrize("n", range(13, 19))
+    def test_generator_matches_one_pass_tables(self, n):
+        for q in QUOTA_RANGES:
+            wvg = random_weighted_voting_game(n, 0, q)
+            ref = table_reference.random_weighted_voting_game(n, 0, q)
+            assert (wvg.weights, wvg.quota) == (ref.weights, ref.quota)
+            assert game_to_json(wvg.game) == game_to_json(ref.game)
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_relabeling_maps_desirability_classes(self, seed):
+        n = 5 + seed % 6
+        game = random_weighted_voting_game(n, seed, QUOTA_RANGES[seed % 2]).game
+        labels = list(range(1, n + 1))
+        random.Random(seed).shuffle(labels)
+        pi = dict(zip(range(1, n + 1), labels))
+        relabeled = new_game(n, [[pi[p] for p in w] for w in game.minimal_winning])
+        for i, j in itertools.permutations(range(1, n + 1), 2):
+            assert desirability_ge(relabeled, pi[i], pi[j]) == desirability_ge(game, i, j)
+        mapped = [frozenset(pi[p] for p in c) for c in desirability_classes(game)]
+        assert desirability_classes(relabeled) == mapped
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dummy_player_comes_last(self, seed):
+        n = 3 + seed % 7
+        games = [random_weighted_voting_game(n, seed).game, random_game(n, seed, 2 + seed % n)]
+        for game in games:
+            cg = complete_order(game)
+            if cg is None:
+                continue
+            padded = complete_order(new_game(n + 1, game.minimal_winning))
+            assert padded.ordering == cg.ordering + (n + 1,)
 
 
 class TestRatioBound:

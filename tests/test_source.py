@@ -3,8 +3,7 @@
 The runtime depends on the standard library only, and no check is written as
 an `assert` that `python -O` would strip: the one assert form allowed is
 `assert <expr> is not None`, which only tells a type checker what the code
-above it has already established.  The 2^n-bit subset tables are built and
-read in `complete` alone.
+above it has already established.  No module builds 2^n-bit subset tables.
 """
 
 import ast
@@ -71,9 +70,10 @@ def test_asserts_only_narrow_optionals():
     assert {name: f for name, f in found.items() if f} == {}
 
 
-
-def test_subset_tables_stay_in_complete():
-    # the 2^n-bit format lives in one module; `games` works on antichains only
+def test_no_module_builds_subset_tables():
+    # every module works on antichains of masks; the 2^n-bit tables live in
+    # tests/table_reference.py as the reference for differential tests
     naming = [p.name for p in MODULES if re.search(r"\b(winning_table|absent_tables)\b", p.read_text())]
-    assert naming == ["complete.py"]
-    assert "lru_cache" not in (SRC / "games.py").read_text()
+    assert naming == []
+    # `graphs._adj_masks` keeps its cache; the game modules hold no process-wide state
+    assert [name for name in ("games.py", "complete.py") if "lru_cache" in (SRC / name).read_text()] == []
