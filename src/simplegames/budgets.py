@@ -10,9 +10,8 @@ holds, so their default is a hard ceiling.  `limit` applies that rule and
 refuses a negative override, for `check`, the transversal kernel of `games`,
 the weighted generator of `complete` and the command line, which validates
 ``--budget`` before the verb runs because some inputs reach no check.  The
-iteration caps (simplex pivots, Wolfe cycles, cut rounds, the
-maximal-independent-set family) are module constants beside their loops and
-raise the same error.
+iteration caps (simplex ``pivots``, ``wolfe_cycles``, ``cut_rounds``) are
+module constants beside their loops and raise the same error.
 """
 
 from __future__ import annotations

@@ -222,6 +222,9 @@ def _minimal_transversals(n: int, masks: list[int], budget: int | None = None) -
     first.  Raises BudgetExceededError once the covers outnumber the
     ``losing`` cap.
     """
+    if not masks:  # the empty set is the one cover of no sets
+        budgets.check("losing", 1, budget)
+        return [0]
     cap = budgets.limit("losing", budget)
     masks = sorted(masks, key=int.bit_count)
     everyone = (1 << len(masks)) - 1

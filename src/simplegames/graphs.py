@@ -5,13 +5,14 @@ value is computed by a cutting-plane loop whose separation oracle is a
 maximum-weight independent set solver: Koenig/max-flow duality on bipartite
 graphs, branch and bound with a greedy clique-cover bound otherwise.  The
 module also builds the two-copy gadget whose threshold is half the
-independence number, searches for induced disjoint-edge families, enumerates
-maximal independent sets, and decides "alpha <= a" for a fixed bound a.
+independence number, searches for induced disjoint-edge families, lists
+maximal independent sets by the transversal kernel of `games`, and decides
+"alpha <= a" for a fixed bound a.
 Both threshold computations use the `ThresholdLP` of `alpha`: the
 cutting-plane loop keeps one for all its rounds, so each cut enters as a new
 column of the LP's dual and costs a few pivots, and every round's solution is
 certified on all the rows so far; the decision solves one over all maximal
-independent sets, cold, once.
+independent sets, cold, once, and certifies it.
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from . import budgets
 from .alpha import AlphaCertificate, ThresholdLP, certify_alpha
 from .errors import BudgetExceededError, CertificateError
-from .games import Coalition, SimpleGame, new_game
+from .games import Coalition, SimpleGame, _minimal_transversals, new_game
 from .lp import common_numerators, frac, rat
 from .lp import solve_lp  # unused here, but bench/test_bench.py reads graphs.solve_lp
 
 MAX_CUT_ROUNDS = 10_000
-MIS_LIMIT = 200_000
 
 Edge = tuple[int, int]
 
@@ -409,37 +409,12 @@ def find_induced_kp2(
 
 
 def enumerate_mis(g: Graph) -> Iterator[Coalition]:
-    """Every maximal independent set exactly once.
-
-    Vertex-incremental neighborhood branching: maintain the maximal
-    independent sets of the graph induced on 1..v and extend one vertex at a
-    time.  The family count can be exponential; it raises once it exceeds MIS_LIMIT.
-    """
-    budgets.check("mwis", g.n)
-    adj = _adj_masks(g)
-    family = {1}  # the single maximal set of the graph on vertex 1
-    for v in range(2, g.n + 1):
-        vb = 1 << (v - 1)
-        prefix = vb - 1
-        av = adj[v - 1] & prefix
-        new = set()
-        for s in family:
-            if s & av == 0:
-                new.add(s | vb)
-            else:
-                new.add(s)
-                t = (s & ~av) | vb
-                ok = True
-                for u in range(v):  # is t maximal among vertices 1..v?
-                    if not t >> u & 1 and adj[u] & t == 0:
-                        ok = False
-                        break
-                if ok:
-                    new.add(t)
-        family = new
-        if len(family) > MIS_LIMIT:
-            raise BudgetExceededError("mis_family", len(family), MIS_LIMIT)
-    for mask in sorted(family):
+    """Every maximal independent set once, by ascending mask: the complements
+    of the minimal vertex covers, which the transversal kernel of `games`
+    lists from the edges under the ``losing`` cap."""
+    full = (1 << g.n) - 1
+    covers = _minimal_transversals(g.n, [1 << (u - 1) | 1 << (v - 1) for u, v in g.edges])
+    for mask in sorted(full ^ c for c in covers):
         yield Coalition(mask)
 
 
@@ -480,31 +455,53 @@ def kp2_endpoint_set(witness: Sequence[Edge], payoff: Sequence) -> Coalition:
     return Coalition.from_players(picks)
 
 
+def _certify_kp2(g: Graph, witness: Sequence[Edge], k: int) -> Coalition:
+    """The first endpoints of `witness`, checked: k disjoint edges of g whose
+    endpoints induce no other edge, and those first endpoints independent."""
+    if len(witness) != k or not set(g.edges).issuperset(witness):
+        raise CertificateError(f"the kP2 witness is not {k} edges of the graph")
+    ends = forced = 0
+    for u, v in witness:
+        ends |= 1 << (u - 1) | 1 << (v - 1)
+        forced |= 1 << (u - 1)
+    if ends.bit_count() != 2 * k:
+        raise CertificateError("the kP2 witness edges are not disjoint")
+    adj = _adj_masks(g)
+    if sum((adj[x] & ends).bit_count() for x in range(g.n) if ends >> x & 1) != 2 * k:
+        raise CertificateError("the kP2 witness endpoints induce another edge")
+    if any(adj[u - 1] & forced for u, _ in witness):
+        raise CertificateError("the kP2 forced set is not independent")
+    return Coalition(forced)
+
+
 def decide_alpha_at_most(g: Graph, a, budget: Optional[int] = None) -> AlphaDecision:
     """Decide whether the graphic threshold value is at most `a`.
 
-    With k twice the smallest integer exceeding a, an induced kP2 forces some
-    independent endpoint set to value k/2 > a, answering no.  Otherwise the
-    maximal independent sets are enumerated and the threshold LP is solved
-    exactly.
+    With k = floor(2a) + 1, the least k with k/2 > a, an induced kP2 answers
+    no: under any payoff meeting the edge constraints each of its edges has
+    an endpoint worth at least 1/2, and those k endpoints are independent, so
+    some losing coalition is worth k/2 > a.  The witness is checked before it
+    is returned.  Otherwise the maximal independent sets are enumerated and
+    the threshold LP over them is solved and certified exactly.
     """
     a = frac(a)
     if a <= 0:
         raise ValueError("the decision threshold must be positive")
     if not g.edges:
         raise ValueError("an edgeless graph has no winning coalitions")
-    k = 2 * (math.floor(a) + 1)
+    k = math.floor(2 * a) + 1
     witness = find_induced_kp2(g, k, budget)
     if witness is not None:
-        canonical = Coalition.from_players([u for u, _ in witness])
         return AlphaDecision(
             answer=False,
             branch="kp2",
             kp2_witness=tuple(witness),
-            forced_set=canonical,
+            forced_set=_certify_kp2(g, witness, k),
         )
     edges = [Coalition.of(u, v) for u, v in g.edges]
-    _, alpha = ThresholdLP(g.n, edges, enumerate_mis(g)).solve()
+    lp = ThresholdLP(g.n, edges, enumerate_mis(g))
+    payoff, alpha = lp.solve()
+    certify_alpha(payoff, alpha, edges, lp.losing)
     return AlphaDecision(answer=alpha <= a, branch="enumeration", alpha=alpha)
 
 

@@ -10,6 +10,7 @@ from simplegames import (
     BudgetExceededError,
     budgets,
     cycle_game,
+    enumerate_mis,
     find_induced_kp2,
     make_graph,
     maximal_losing,
@@ -89,6 +90,13 @@ def test_weighted_generator_counts_against_the_losing_cap(losing_cap_9):
     # the weighted game on 10 players at seed 0 has more than 9 minimal winning coalitions
     with pytest.raises(BudgetExceededError) as info:
         random_weighted_voting_game(10, 0)
+    assert (info.value.name, info.value.value, info.value.limit) == ("losing", 10, 9)
+
+
+def test_enumerate_mis_counts_against_the_losing_cap(losing_cap_9):
+    # 5 disjoint edges have 2^5 = 32 maximal independent sets
+    with pytest.raises(BudgetExceededError) as info:
+        list(enumerate_mis(make_graph(10, [(2 * i + 1, 2 * i + 2) for i in range(5)])))
     assert (info.value.name, info.value.value, info.value.limit) == ("losing", 10, 9)
 
 

@@ -248,6 +248,15 @@ class TestErrors:
         code, out = capture("graph-decide", "--graph", "cycle:8", "--a", "3/2")
         assert code == 3 and out == ""
 
+    def test_decide_enumerates_a_kp2_free_graph_past_40_vertices(self, capture, tmp_path):
+        # K_{21,21} has no induced 2P2 and two maximal independent sets, its sides
+        path = tmp_path / "k21_21.json"
+        edges = [[u, v] for u in range(1, 22) for v in range(22, 43)]
+        path.write_text(json.dumps({"n": 42, "edges": edges}))
+        for a, code in [("1/2", 1), ("11", 0)]:
+            got, out = capture("graph-decide", "--graph", str(path), "--a", a)
+            assert (got, json.loads(out)["alpha"]) == (code, "21/2")
+
     def test_unknown_verb_exits_2(self, capture):
         code, _ = capture("frobnicate")
         assert code == 2
@@ -275,11 +284,19 @@ def certify_alpha(*args):
 alpha.certify_alpha = certify_alpha
 """
     LOSING = "CertificateError: the payoff gives some losing coalition more than alpha"
+    # 1-2 and 3-4 are disjoint edges of cycle:8, but 2-3 joins them
+    NOT_INDUCED = """
+from simplegames import graphs
+graphs.find_induced_kp2 = lambda g, k, budget=None: [(1, 2), (3, 4)]
+"""
     # (module and name a patch replaces, the patch's source, argv, the error it causes)
     CASES = [
         ("simplegames.alpha", "certify_alpha", FAIL, ["alpha", "--game", "cycle:4"],
          "AssertionError: forced certificate failure"),
         ("simplegames.graphs", "mwis_bipartite", LYING_ORACLE, ["graph-alpha", "cycle:6"], LOSING),
+        ("simplegames.graphs", "find_induced_kp2", NOT_INDUCED,
+         ["graph-decide", "--graph", "cycle:8", "--a", "1/2"],
+         "CertificateError: the kP2 witness endpoints induce another edge"),
     ]
 
     @pytest.mark.parametrize("module, name, patch, argv, message", CASES)

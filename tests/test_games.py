@@ -20,7 +20,7 @@ from simplegames import (
     new_game,
     random_game,
 )
-from simplegames.games import _minimal_masks
+from simplegames.games import _minimal_masks, _minimal_transversals
 from simplegames.graphs import random_graph
 
 import table_reference
@@ -446,6 +446,12 @@ class TestTransversalKernel:
         padded = new_game(game.n + 1, game.minimal_winning)
         assert [c.mask for c in maximal_losing(padded)] == [c.mask | dummy for c in maximal_losing(game)]
         assert blocker(padded) == blocker(game)
+
+    def test_the_empty_family_has_one_cover(self):
+        # the empty set covers no sets; a budget of 0 leaves room for none
+        assert _minimal_transversals(5, []) == [0]
+        with pytest.raises(BudgetExceededError):
+            _minimal_transversals(5, [], 0)
 
     def test_past_the_old_table_ceiling(self):
         # 2^28-bit tables were refused; the kernel lists what the game has

@@ -1,6 +1,7 @@
 """Graphic games: MWIS oracles, cutting planes, gadget, kP2, MIS enumeration."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,8 +9,10 @@ import pytest
 
 from simplegames import (
     BudgetExceededError,
+    CertificateError,
     Coalition,
     alpha_graph,
+    blocker,
     build_gadget,
     compute_alpha_exact,
     cycle_game,
@@ -426,11 +429,6 @@ class TestEnumerateMis:
     def test_c5_count(self):
         assert len(list(enumerate_mis(C5))) == 5
 
-    def test_cap(self, monkeypatch):
-        monkeypatch.setattr("simplegames.graphs.MIS_LIMIT", 2)
-        with pytest.raises(BudgetExceededError):
-            list(enumerate_mis(random_graph(12, 18, 0)))
-
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_brute_force(self, seed):
         rng = random.Random(seed)
@@ -439,6 +437,39 @@ class TestEnumerateMis:
         ours = [c.players() for c in enumerate_mis(g)]
         assert sorted(ours) == brute_maximal_independent_sets(g)
         assert len(set(ours)) == len(ours)
+
+    @staticmethod
+    def random_case(seed):
+        rng = random.Random(700 + seed)
+        n = 1 + seed % 12
+        return rng, random_graph(n, rng.randint(0, min(n * (n - 1) // 2, 3 * n)), seed)
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_ascending_complements_of_the_blocker(self, seed):
+        _, g = self.random_case(seed)
+        masks = [c.mask for c in enumerate_mis(g)]
+        assert masks == sorted(set(masks))
+        if g.edges:
+            full = (1 << g.n) - 1
+            assert masks == sorted(full ^ c.mask for c in blocker(graphic_game(g)))
+        else:
+            assert masks == [(1 << g.n) - 1]
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_relabeling_maps_the_sets(self, seed):
+        rng, g = self.random_case(seed)
+        perm = list(range(1, g.n + 1))
+        rng.shuffle(perm)  # vertex v becomes perm[v - 1]
+        relabeled = make_graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+        mapped = {frozenset(perm[v - 1] for v in c.players()) for c in enumerate_mis(g)}
+        assert {frozenset(c.players()) for c in enumerate_mis(relabeled)} == mapped
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_isolated_vertex_joins_every_set(self, seed):
+        _, g = self.random_case(seed)
+        extended = make_graph(g.n + 1, g.edges)
+        new = 1 << g.n
+        assert [c.mask for c in enumerate_mis(extended)] == [c.mask | new for c in enumerate_mis(g)]
 
 
 class TestDecide:
@@ -455,6 +486,33 @@ class TestDecide:
         assert not d.answer and d.branch == "kp2"
         assert len(d.kp2_witness) == 2
 
+    def test_smallest_kp2_fits_under_the_cap(self):
+        # at a = 2 the search needs k = 5 pairs, within the kp2 cap of 5; the
+        # graph has no induced 5P2, so the enumeration answers
+        d = decide_alpha_at_most(random_graph(14, 12, 3), 2)
+        assert (d.answer, d.branch, d.alpha) == (False, "enumeration", F(11, 4))
+
+    @pytest.mark.parametrize(
+        "witness, message",
+        [
+            ([(1, 3), (5, 6)], "not 2 edges of the graph"),
+            ([(1, 2)], "not 2 edges of the graph"),
+            ([(1, 2), (2, 3)], "edges are not disjoint"),
+            ([(1, 2), (3, 4)], "endpoints induce another edge"),
+        ],
+    )
+    def test_kp2_witness_is_checked(self, witness, message, monkeypatch):
+        monkeypatch.setattr(graphs, "find_induced_kp2", lambda g, k, budget=None: witness)
+        with pytest.raises(CertificateError, match=message):
+            decide_alpha_at_most(C8, F(1, 2))
+
+    def test_enumeration_answer_is_certified(self, monkeypatch):
+        # a threshold LP that reports alpha 1 on C8, whose alpha is 2
+        solve = graphs.ThresholdLP.solve
+        monkeypatch.setattr(graphs.ThresholdLP, "solve", lambda lp: (solve(lp)[0], F(1)))
+        with pytest.raises(CertificateError, match="losing coalition more than alpha"):
+            decide_alpha_at_most(C8, 1)
+
     def test_threshold_domain(self):
         with pytest.raises(ValueError):
             decide_alpha_at_most(C8, 0)
@@ -470,6 +528,8 @@ class TestDecide:
             assert d.answer == (alpha <= a)
             if d.branch == "enumeration":
                 assert d.alpha == alpha
+            else:  # k = floor(2a) + 1, the least k with k/2 > a
+                assert len(d.kp2_witness) == math.floor(2 * a) + 1
 
     @pytest.mark.parametrize("seed", range(10))
     def test_kp2_branch_forces_value(self, seed):

@@ -3,7 +3,8 @@
 The runtime depends on the standard library only, and no check is written as
 an `assert` that `python -O` would strip: the one assert form allowed is
 `assert <expr> is not None`, which only tells a type checker what the code
-above it has already established.  No module builds 2^n-bit subset tables.
+above it has already established.  No module builds 2^n-bit subset tables,
+and every budget error names a cap that `budgets` documents.
 """
 
 import ast
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 import simplegames
+from simplegames import budgets
 
 SRC = Path(simplegames.__file__).resolve().parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -50,6 +52,23 @@ def strippable_asserts(tree):
     return found
 
 
+# the iteration caps: module constants beside their loops, not CAPS entries
+ITERATION_CAPS = {"pivots", "wolfe_cycles", "cut_rounds"}
+
+
+def budget_error_names(tree):
+    """The string literals that `tree` passes as the name of a BudgetExceededError, with their lines."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) != "BudgetExceededError":
+            continue
+        names = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "name"]
+        found += [(node.lineno, a.value) for a in names if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+    return found
+
+
 def test_guards_flag_what_they_forbid():
     tree = ast.parse(
         "import json, numpy.linalg\nfrom scipy import optimize\nfrom . import lp\n"
@@ -57,6 +76,11 @@ def test_guards_flag_what_they_forbid():
     )
     assert non_stdlib_imports(tree) == [(1, "numpy.linalg"), (2, "scipy")]
     assert strippable_asserts(tree) == [5, 6]
+    tree = ast.parse(
+        "raise BudgetExceededError('losing', 1, 0)\nraise errors.BudgetExceededError(name='x', value=1, limit=0)\n"
+        "raise BudgetExceededError(name, 1, 0)\nraise ValueError('y')\n"
+    )
+    assert budget_error_names(tree) == [(1, "losing"), (2, "x")]
 
 
 def test_imports_are_standard_library_only():
@@ -77,3 +101,12 @@ def test_no_module_builds_subset_tables():
     assert naming == []
     # `graphs._adj_masks` keeps its cache; the game modules hold no process-wide state
     assert [name for name in ("games.py", "complete.py") if "lru_cache" in (SRC / name).read_text()] == []
+
+
+def test_budget_errors_name_a_documented_cap():
+    # a deleted cap leaves no name behind: each literal is a CAPS key or an
+    # iteration cap, which the budgets docstring names and some loop raises
+    found = {name for p in MODULES for _, name in budget_error_names(ast.parse(p.read_text()))}
+    assert found - set(budgets.CAPS) - ITERATION_CAPS == set()
+    assert ITERATION_CAPS <= found
+    assert [name for name in sorted(ITERATION_CAPS) if f"``{name}``" not in budgets.__doc__] == []
