@@ -115,8 +115,18 @@ def _adj_masks(g: Graph) -> tuple[int, ...]:
     return tuple(adj)
 
 
+def _edge_masks(g: Graph) -> list[Coalition]:
+    """The edges as coalitions, built from masks: a graph may have more
+    vertices than a game has players."""
+    return [Coalition(1 << (u - 1) | 1 << (v - 1)) for u, v in g.edges]
+
+
+@lru_cache(maxsize=512)
 def bipartition(g: Graph) -> Optional[tuple[int, ...]]:
-    """2-coloring (entry per vertex) or None if an odd cycle exists."""
+    """2-coloring (entry per vertex) or None if an odd cycle exists.
+
+    Cached per graph like `_adj_masks`, so a cutting-plane loop colors its
+    graph once however many oracle rounds it runs."""
     color = [-1] * g.n
     adj = _adj_masks(g)
     for start in range(g.n):
@@ -341,7 +351,7 @@ def alpha_graph(g: Graph, budget: Optional[int] = None) -> AlphaCertificate:
     color = bipartition(g)
     if color is None:
         budgets.check("mwis", g.n, budget)
-    edges = [Coalition.of(u, v) for u, v in g.edges]
+    edges = _edge_masks(g)
     cut_lp = ThresholdLP(g.n, edges)
     for _ in range(MAX_CUT_ROUNDS):
         payoff, ahat = cut_lp.solve()
@@ -442,19 +452,6 @@ class AlphaDecision:
         }
 
 
-def kp2_endpoint_set(witness: Sequence[Edge], payoff: Sequence) -> Coalition:
-    """From each witness edge pick an endpoint with payoff >= 1/2.
-
-    For any payoff meeting the edge constraints such a choice exists, and the
-    chosen endpoints form an independent set of size k forcing value > a."""
-    p = [frac(x) for x in payoff]
-    half = Fraction(1, 2)
-    picks = []
-    for u, v in witness:
-        picks.append(u if p[u - 1] >= half else v)
-    return Coalition.from_players(picks)
-
-
 def _certify_kp2(g: Graph, witness: Sequence[Edge], k: int) -> Coalition:
     """The first endpoints of `witness`, checked: k disjoint edges of g whose
     endpoints induce no other edge, and those first endpoints independent."""
@@ -498,7 +495,7 @@ def decide_alpha_at_most(g: Graph, a, budget: Optional[int] = None) -> AlphaDeci
             kp2_witness=tuple(witness),
             forced_set=_certify_kp2(g, witness, k),
         )
-    edges = [Coalition.of(u, v) for u, v in g.edges]
+    edges = _edge_masks(g)
     lp = ThresholdLP(g.n, edges, enumerate_mis(g))
     payoff, alpha = lp.solve()
     certify_alpha(payoff, alpha, edges, lp.losing)

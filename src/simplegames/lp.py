@@ -7,14 +7,18 @@ per updated row instead of a `fractions.Fraction` per entry.  Pivot rows are
 sparse, so a pivot lists the pivot row's nonzero entries once.  When the
 pivot row's denominator divides the entry being eliminated, the common case,
 the updated row keeps its denominator and is updated in place at those
-entries only; otherwise it is rescaled and rebuilt over its full width.  A
-row over denominator 1 needs no gcd reduction.  `solve_lp` turns the input
-into integer rows once, on entry: every row in `>=` form, right-hand side
-included, over one common denominator, and the objective over another; when
-that denominator is 1, the usual case for 0/1 coalition rows, the numerators
-are read off directly.  The tableau rows start over that shared denominator
-and are gcd-reduced each time a pivot updates them.  `Fraction`s reappear
-only in the returned primal, dual and objective.  A row whose right-hand
+entries only; otherwise it is rescaled and rebuilt over its full width.
+`solve_lp` turns the input into integer rows once, on entry: every row in
+`>=` form, right-hand side included, over one common denominator, and the
+objective over another; when that denominator is 1, the usual case for 0/1
+coalition rows, the numerators are read off directly.  The tableau rows
+start over that shared denominator and are reduced lazily: a pivot row is
+made primitive, and any other row is gcd-reduced only when a rescale takes
+its denominator past `_DEN_BOUND`.  A row scaled by a positive integer has
+the same signs, argmin and ratio order, so the pivots, bases and returned
+rationals are those of a kernel that reduces every row on every update;
+only the integers that represent them differ.  `Fraction`s reappear only in
+the returned primal, dual and objective.  A row whose right-hand
 side is <= 0 starts with its surplus basic, so phase 1 runs only for the
 others.
 Pricing is Dantzig's rule, with the lexicographic ratio test of Dantzig,
@@ -58,6 +62,10 @@ GE = ">="
 EQ = "="
 
 MAX_PIVOTS = 200_000
+
+# a rescaled row whose denominator passes this bound is gcd-reduced: one
+# machine word, so a row is reduced only when its integers start to grow
+_DEN_BOUND = 1 << 64
 
 _ZERO = Fraction(0)
 _numerator = attrgetter("numerator")
@@ -152,17 +160,27 @@ def _support(row: list[int]) -> list[tuple[int, int]]:
     return list(compress(enumerate(row), row))
 
 
+def _bounded(row: list[int], den: int) -> tuple[list[int], int]:
+    """row/den, gcd-reduced when den has passed `_DEN_BOUND`."""
+    if den > _DEN_BOUND:
+        g = math.gcd(den, *row)
+        if g > 1:
+            return [v // g for v in row], den // g
+    return row, den
+
+
 def _eliminate(
     row: list[int], den: int, prow: list[int], support: list[tuple[int, int]], pden: int, col: int
 ) -> tuple[list[int], int]:
     """row/den minus row[col]/den times prow/pden, whose entry at col is 1.
 
-    `support` holds prow's nonzero entries.  Returns the result as
-    gcd-reduced integers over a positive denominator.  With g = gcd(row[col],
-    pden), the result is (row * pden/g - row[col]/g * prow) over den * pden/g.
+    `support` holds prow's nonzero entries.  With g = gcd(row[col], pden),
+    the result is (row * pden/g - row[col]/g * prow) over den * pden/g.
     When pden/g is 1, the common case, the row keeps its denominator and is
-    updated in place over the support only; otherwise it is rebuilt over its
-    full width.  A row over denominator 1 is already reduced.
+    updated in place over the support only, with no gcd.  Otherwise it is
+    rebuilt over its full width and gcd-reduced only if its new denominator
+    passes `_DEN_BOUND`.  The row's values are exact either way; it may
+    carry a common factor with its denominator.
     """
     f = row[col]
     g = math.gcd(f, pden)
@@ -170,15 +188,8 @@ def _eliminate(
     if s == 1:  # pden divides f: the row keeps its denominator
         for j, v in support:
             row[j] -= t * v
-        if den == 1:
-            return row, 1
-    else:
-        row = [u * s - t * v for u, v in zip(row, prow)]
-        den *= s
-    g = math.gcd(den, *row)
-    if g > 1:
-        return [v // g for v in row], den // g
-    return row, den
+        return row, den
+    return _bounded([u * s - t * v for u, v in zip(row, prow)], den * s)
 
 
 def _pivot(rows: list[list[int]], dens: list[int], basis: list[int], r: int, col: int) -> None:
@@ -356,11 +367,13 @@ class _Tableau:
                 f = self.den
             # num / f over the row's own denominator; rescale the row when f does not divide
             g = math.gcd(num, f)
-            if g < f:
-                s = f // g
-                row[:] = [v * s for v in row]
-                dens[r] *= s
-            row.insert(k, num // g)
+            s = f // g
+            if s == 1:
+                row.insert(k, num // g)
+            else:
+                row = [v * s for v in row]
+                row.insert(k, num // g)
+                rows[r], dens[r] = _bounded(row, dens[r] * s)
         self.basis = [b + (b >= k) for b in self.basis]
         self.k = k + 1
 

@@ -257,6 +257,16 @@ class TestErrors:
             got, out = capture("graph-decide", "--graph", str(path), "--a", a)
             assert (got, json.loads(out)["alpha"]) == (code, "21/2")
 
+    def test_graphs_past_64_vertices_are_solved(self, capture):
+        # a graph may have more vertices than a game has players: the threshold
+        # LPs build their edge rows from masks, so vertex 67 is no invalid input
+        code, out = capture("graph-alpha", "random-graph:70:20", "--seed", "1")
+        assert (code, json.loads(out)["alpha"]) == (0, "15/2")
+        validate(json.loads(out), "alpha_certificate.schema.json")
+        code, out = capture("graph-decide", "--graph", "random-graph:70:20", "--seed", "1", "--a", "100")
+        payload = json.loads(out)
+        assert (code, payload["answer"], payload["branch"], payload["alpha"]) == (0, True, "enumeration", "15/2")
+
     def test_unknown_verb_exits_2(self, capture):
         code, _ = capture("frobnicate")
         assert code == 2

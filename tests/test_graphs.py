@@ -32,7 +32,6 @@ from simplegames.graphs import (
     WeightedVertexSet,
     bipartition,
     graph_from_dimacs,
-    kp2_endpoint_set,
     path_graph,
     random_bipartite_graph,
     random_graph,
@@ -43,6 +42,14 @@ C4 = cycle_graph(4)
 C5 = cycle_graph(5)
 C8 = cycle_graph(8)
 K4 = make_graph(4, list(itertools.combinations(range(1, 5), 2)))
+
+
+def kp2_endpoint_set(witness, payoff):
+    """From each witness edge pick an endpoint with payoff >= 1/2.
+
+    For any payoff meeting the edge constraints such a choice exists, and the
+    k chosen endpoints form an independent set worth at least k/2."""
+    return Coalition.from_players(u if F(payoff[u - 1]) >= F(1, 2) else v for u, v in witness)
 
 
 def brute_mwis_weight(g, weights):
@@ -172,6 +179,23 @@ class TestGraphBasics:
     def test_bipartition(self):
         assert bipartition(C4) is not None
         assert bipartition(C5) is None
+
+    def test_cut_rounds_share_one_coloring(self, monkeypatch):
+        # the coloring is cached per graph: alpha_graph and every oracle round
+        # of its cutting-plane loop read one BFS
+        rounds = []
+        oracle = graphs.mwis_bipartite
+
+        def spy(g, weights):
+            rounds.append(g)
+            return oracle(g, weights)
+
+        monkeypatch.setattr(graphs, "mwis_bipartite", spy)
+        g = random_bipartite_graph(10, 14, 0)
+        bipartition.cache_clear()
+        alpha_graph(g)
+        info = bipartition.cache_info()
+        assert len(rounds) > 1 and (info.misses, info.hits) == (1, len(rounds))
 
 
 class TestMwisBipartite:

@@ -598,9 +598,20 @@ def dense_pivot(rows, dens, basis, r, col):
             rows[i], dens[i] = [v // g for v in new], den // g
 
 
+def same_rationals(rows, dens, ref_rows, ref_dens):
+    """Whether each row/den equals the reference's row/den, entry by entry."""
+    return len(rows) == len(ref_rows) and all(
+        len(row) == len(ref) and all(u * rd == v * d for u, v in zip(row, ref))
+        for row, d, ref, rd in zip(rows, dens, ref_rows, ref_dens)
+    )
+
+
 class TestSparsePivot:
     """`_pivot` updates the pivot row and every row it touches in place where
-    it can; the rows, denominators and basis must equal the dense formula's."""
+    it can.  The dense formula reduces every row it updates, the kernel only
+    when a rescale passes `_DEN_BOUND`, so they must agree on each row's
+    rationals, on the basis and on the pivot row's integers, which `_pivot`
+    makes primitive."""
 
     @staticmethod
     def random_tableau(rng):
@@ -623,7 +634,9 @@ class TestSparsePivot:
                 r = rng.randrange(len(rows))
                 col = rng.randrange(len(rows[r]))
                 if not rows[r][col]:
-                    rows[r][col] = ref[0][r][col] = rng.choice((-1, 1)) * rng.randint(1, 12)
+                    # the same rational in both: the kernel's row is the reference's times dens[r]/ref den
+                    v = ref[0][r][col] = rng.choice((-1, 1)) * rng.randint(1, 12)
+                    rows[r][col] = v * (dens[r] // ref[1][r])
                 prow = rows[r]
                 pden = abs(prow[col]) // math.gcd(*prow)
                 seen["sparse pivot row"] += 3 * sum(map(bool, prow)) <= len(prow)
@@ -634,7 +647,9 @@ class TestSparsePivot:
                         seen["rescale" if s > 1 else "den 1" if dens[i] == 1 else "in place"] += 1
                 lp._pivot(rows, dens, basis, r, col)
                 dense_pivot(*ref, r, col)
-                assert (rows, dens, basis) == ref
+                assert same_rationals(rows, dens, ref[0], ref[1])
+                assert basis == ref[2]
+                assert (rows[r], dens[r]) == (ref[0][r], ref[1][r])
                 assert min(dens) > 0
                 assert len({id(row) for row in rows}) == len(rows)
         assert min(seen.values()) > 20, seen
@@ -688,3 +703,131 @@ class TestSparsePivot:
             n, seed = args
             compute_alpha_exact(random_game(n, seed, n + 2))
         assert (counts["cold"], counts["warm"]) == pivots
+
+
+ELIMINATE = lp._eliminate
+
+
+def reducing_eliminate(row, den, prow, support, pden, col):
+    """`_eliminate` with every updated row gcd-reduced, as the kernel did
+    before rows were reduced lazily: the reference for the lazy kernel."""
+    row, den = ELIMINATE(row, den, prow, support, pden, col)
+    g = math.gcd(den, *row)
+    return [v // g for v in row], den // g
+
+
+class TestLazyRows:
+    """A row is gcd-reduced only when a rescale takes its denominator past
+    `_DEN_BOUND`, so no denominator grows past the bound unless it is one the
+    row had when it was last reduced; the pivots and rationals stay those of
+    the always-reducing kernel."""
+
+    @staticmethod
+    def rule_spy(kinds):
+        """`_eliminate`, checked against the rule: in place keeps the row and
+        its denominator, a rescale under the bound keeps den * s, and one past
+        it returns the row gcd-reduced."""
+
+        def spy(row, den, prow, support, pden, col):
+            s = pden // math.gcd(row[col], pden)
+            out, oden = ELIMINATE(row, den, prow, support, pden, col)
+            if s == 1:
+                assert out is row and oden == den
+                kinds["in place"] += 1
+            elif den * s <= lp._DEN_BOUND:
+                assert oden == den * s
+                kinds["rescaled"] += 1
+            else:
+                assert math.gcd(oden, *out) == 1 and den * s % oden == 0
+                kinds["reduced"] += 1
+            return out, oden
+
+        return spy
+
+    class Watch:
+        """Each row's denominators when reduced; every denominator must be under
+        the bound or one of its row's, so nothing grows while unreduced."""
+
+        def __init__(self):
+            self.seen = {}
+
+        def check(self, rows, dens):
+            for i, (row, den) in enumerate(zip(rows, dens)):
+                reduced = self.seen.setdefault(i, set())
+                if math.gcd(den, *row) == 1:
+                    reduced.add(den)
+                assert den <= lp._DEN_BOUND or den in reduced, (i, den.bit_length())
+
+    @staticmethod
+    def rational_tableau(rng, m, width, top, density):
+        rows, dens = [], []
+        for _ in range(m):
+            values = [F(rng.randint(-9, 9), rng.randint(1, top)) if rng.random() < density else F(0) for _ in range(width)]
+            row, den = lp.common_numerators(values)
+            rows.append(row)
+            dens.append(den)
+        return rows, dens
+
+    # small denominators and half the entries zero take every branch of
+    # `_eliminate` often, their true denominators staying near 32 bits, so
+    # each reduction drops factors that rescales piled up; dense data with
+    # denominators up to 9 has true denominators past the bound
+    @pytest.mark.parametrize("top, density, wide", [(3, 0.5, False), (9, 0.8, True)])
+    def test_pivot_chain_stays_bounded(self, top, density, wide, monkeypatch):
+        kinds = {"in place": 0, "rescaled": 0, "reduced": 0}
+        monkeypatch.setattr(lp, "_eliminate", self.rule_spy(kinds))
+        rng = random.Random(19)
+        rows, dens = self.rational_tableau(rng, 8, 18, top, density)
+        basis = list(range(8))
+        ref = ([list(row) for row in rows], list(dens), list(basis))
+        watch = self.Watch()
+        watch.check(rows, dens)
+        widest = 0
+        for _ in range(400):
+            r = rng.randrange(len(rows))
+            col = rng.choice([j for j, v in enumerate(rows[r]) if v])
+            lp._pivot(rows, dens, basis, r, col)
+            dense_pivot(*ref, r, col)
+            assert same_rationals(rows, dens, ref[0], ref[1]) and basis == ref[2]
+            assert (rows[r], dens[r]) == (ref[0][r], ref[1][r])
+            watch.check(rows, dens)
+            widest = max(widest, *ref[1])
+        if wide:
+            assert widest > lp._DEN_BOUND and kinds["reduced"] > 1000, kinds
+        else:
+            assert widest <= lp._DEN_BOUND and min(kinds.values()) > 200, kinds
+
+    def test_tall_lp_fed_200_rows_stays_bounded(self, monkeypatch):
+        kinds = {"in place": 0, "rescaled": 0, "reduced": 0}
+        monkeypatch.setattr(lp, "_eliminate", self.rule_spy(kinds))
+        watch = self.Watch()
+        pivot = lp._pivot
+
+        def spy_pivot(rows, dens, basis, r, col):
+            pivot(rows, dens, basis, r, col)
+            watch.check(rows, dens)
+
+        monkeypatch.setattr(lp, "_pivot", spy_pivot)
+        rng = random.Random(200)
+        k = 6
+        x0 = [F(rng.randint(0, 3)) for _ in range(k)]
+        rows = []
+        for _ in range(200):
+            coeffs = [F(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.8 else F(0) for _ in range(k)]
+            rows.append(coeffs + [sum(v * x for v, x in zip(coeffs, x0)) - F(rng.randint(0, 9), rng.randint(1, 9))])
+        den = math.lcm(*(v.denominator for row in rows for v in row))
+        a = [lp._numerators(row, den) for row in rows]
+        c, cden = lp.common_numerators([F(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(k)])
+        tall = lp.TallLP(a[:1], den, c, cden)
+        for r in range(1, 201):
+            if r > 1:
+                tall.add_row(a[r - 1])
+                watch.check(tall._tableau.rows, tall._tableau.dens)
+            status, (x, xden, _, _) = tall.solve()  # certified on the rows so far
+            assert status == "optimal"
+            watch.check(tall._tableau.rows, tall._tableau.dens)
+        # the reference kernel on the 6-row transposed dual: its dual is our primal
+        status, (_, _, rx, rxden) = lp_reference.core_solve(*lp._transpose(a, den, c, cden))
+        assert status == "optimal"
+        assert F(sum(map(math.prod, zip(c, x))), xden) == F(sum(map(math.prod, zip(c, rx))), rxden)
+        assert min(kinds.values()) > 0, kinds

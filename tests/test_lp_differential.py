@@ -2,7 +2,9 @@
 
 Both kernels take the same pivots, so `solve_lp` must return equal
 `LPSolution`s (status, primal, dual and objective) with either one, and every
-exact caller must return equal certificates.
+exact caller must return equal certificates.  The integer kernel reduces its
+rows lazily; with every updated row reduced instead it must make the same
+number of pivots and return the same rationals.
 """
 
 import random
@@ -11,6 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 import lp_reference
+import test_lp
 from simplegames import lp
 from simplegames.alpha import alpha_of_payoff, compute_alpha_exact
 from simplegames.games import cycle_game, random_game
@@ -243,3 +246,48 @@ def test_exact_callers_match_reference(monkeypatch):
     # the decisions solve their threshold LP, through the transposed dual
     assert all(d.branch == "enumeration" for d in new[3])
     assert any(tight for tight, _ in new[4])  # some hull LPs are feasible
+
+
+def lazy_and_reducing(run, monkeypatch):
+    """`run()` on the lazy kernel and on one that gcd-reduces every updated
+    row, each with its pivot count."""
+    results = []
+    pivot = lp._pivot
+    for eliminate in (lp._eliminate, test_lp.reducing_eliminate):
+        count = [0]
+
+        def spy(*args, count=count):
+            count[0] += 1
+            pivot(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "_pivot", spy)
+            patch.setattr(lp, "_eliminate", eliminate)
+            out = run()
+        results.append((out, count[0]))
+    return results
+
+
+def test_lazy_rows_match_reducing_kernel(monkeypatch):
+    for model in MODELS:
+        (lazy, lazy_pivots), (ref, ref_pivots) = lazy_and_reducing(lambda: solve_lp(model), monkeypatch)
+        assert (lazy, lazy_pivots) == (ref, ref_pivots)
+
+
+def test_lazy_rows_match_reducing_kernel_warm(monkeypatch):
+    def warm(seed):
+        a, den, c, cden = test_lp.TestTableau.tall_model(seed)
+        tall = lp.TallLP(a[:1], den, c, cden)
+        pairs = []
+        for row in a[1:]:
+            tall.add_row(row)
+            status, (x, xden, y, yden) = tall.solve()
+            pairs.append((status, [F(v, xden) for v in x], [F(v, yden) for v in y]))
+        return pairs
+
+    pivots = 0
+    for seed in range(40):
+        (lazy, lazy_pivots), (ref, ref_pivots) = lazy_and_reducing(lambda: warm(seed), monkeypatch)
+        assert (lazy, lazy_pivots) == (ref, ref_pivots)
+        pivots += lazy_pivots
+    assert pivots > 100

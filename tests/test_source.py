@@ -4,7 +4,8 @@ The runtime depends on the standard library only, and no check is written as
 an `assert` that `python -O` would strip: the one assert form allowed is
 `assert <expr> is not None`, which only tells a type checker what the code
 above it has already established.  No module builds 2^n-bit subset tables,
-and every budget error names a cap that `budgets` documents.
+every budget error names a cap that `budgets` documents, and the exact
+simplex's pivot loop works on ints alone.
 """
 
 import ast
@@ -69,6 +70,23 @@ def budget_error_names(tree):
     return found
 
 
+def function_scopes(tree):
+    """The module-level functions and methods of `tree`, by "f" or "Class.f"."""
+    scopes = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        scopes.update({f"{cls.name}.{node.name}": node for node in cls.body if isinstance(node, ast.FunctionDef)})
+    return scopes
+
+
+def functions_naming(tree, qualnames, name):
+    """The functions of `tree` among `qualnames` that mention `name`, as a variable or an attribute."""
+    return [
+        qualname
+        for qualname, node in function_scopes(tree).items()
+        if qualname in qualnames and any(getattr(sub, "id", getattr(sub, "attr", None)) == name for sub in ast.walk(node))
+    ]
+
+
 def test_guards_flag_what_they_forbid():
     tree = ast.parse(
         "import json, numpy.linalg\nfrom scipy import optimize\nfrom . import lp\n"
@@ -81,6 +99,11 @@ def test_guards_flag_what_they_forbid():
         "raise BudgetExceededError(name, 1, 0)\nraise ValueError('y')\n"
     )
     assert budget_error_names(tree) == [(1, "losing"), (2, "x")]
+    tree = ast.parse(
+        "def f(x):\n    return Fraction(x)\ndef g(x):\n    return fractions.Fraction\n"
+        "def h(x):\n    return x\nclass T:\n    def m(self) -> 'int':\n        return Fraction(1)\n"
+    )
+    assert functions_naming(tree, {"f", "g", "h", "T.m"}, "Fraction") == ["f", "g", "T.m"]
 
 
 def test_imports_are_standard_library_only():
@@ -110,3 +133,15 @@ def test_budget_errors_name_a_documented_cap():
     assert found - set(budgets.CAPS) - ITERATION_CAPS == set()
     assert ITERATION_CAPS <= found
     assert [name for name in sorted(ITERATION_CAPS) if f"``{name}``" not in budgets.__doc__] == []
+
+
+# the exact simplex's pivot loop: pricing, ratio test, pivots, row updates and warm columns
+PIVOT_LOOP = {"_eliminate", "_bounded", "_pivot", "_run_simplex", "_price_out", "_Tableau.add_column"}
+
+
+def test_pivot_loop_stays_integer():
+    # a Fraction inside the loop would make every pivot pay for one per entry;
+    # Fractions are built only from the finished solution
+    tree = ast.parse((SRC / "lp.py").read_text())
+    assert PIVOT_LOOP <= set(function_scopes(tree))
+    assert functions_naming(tree, PIVOT_LOOP, "Fraction") == []
