@@ -23,7 +23,15 @@ from typing import Iterable, Optional
 from . import budgets
 from .alpha import compute_alpha_exact
 from .errors import BudgetExceededError, CertificateError
-from .games import MAX_PLAYERS, SimpleGame, _lacking_columns, _members_inside, maximal_losing, new_game
+from .games import (
+    MAX_PLAYERS,
+    SimpleGame,
+    _lacking_columns,
+    _members_inside,
+    maximal_losing,
+    new_game,
+    size_counts,
+)
 from .lp import rat
 
 _ZERO = Fraction(0)
@@ -82,15 +90,8 @@ def complete_order(game: SimpleGame) -> Optional[CompleteGame]:
     size is minimal unless the first size where the counts differ favours i:
     a strictly stronger i has a strictly larger key.  If i ~ j, sigma is an
     automorphism and the keys are equal, so this is the winner-count order."""
-    n = game.n
-    counts = [[0] * (n + 1) for _ in range(n)]  # player - 1 -> size -> minus the count
-    for c in game.minimal_winning:
-        m, size = c.mask, c.mask.bit_count()
-        while m:
-            low = m & -m
-            counts[low.bit_length() - 1][size] -= 1
-            m ^= low
-    ordering = tuple(sorted(range(1, n + 1), key=lambda p: (counts[p - 1], p)))
+    counts = size_counts(game)
+    ordering = tuple(sorted(range(1, game.n + 1), key=lambda p: ([-v for v in counts[p - 1]], p)))
     for stronger, weaker in zip(ordering, ordering[1:]):
         if not desirability_ge(game, stronger, weaker):
             return None

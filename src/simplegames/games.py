@@ -14,7 +14,9 @@ containment query `_members_inside`, which `complete.desirability_ge`
 shares.  The blocker and, by complement, the maximal losing coalitions come
 from one output-sensitive kernel, `_minimal_transversals`.  An antichain is
 listed in the order of its members' player tuples, which `_antichain_order`
-reads off the masks alone.
+reads off the masks alone.  `symmetric_classes` splits the players into
+classes that the game cannot tell apart, by swapping two players' bits in
+the masks of the family.
 """
 
 from __future__ import annotations
@@ -273,6 +275,59 @@ def blocker(game: SimpleGame) -> list[Coalition]:
     cap bounds both."""
     covers = _minimal_transversals(game.n, [w.mask for w in game.minimal_winning])
     return _antichain_order(game.n, covers)
+
+
+def size_counts(game: SimpleGame) -> list[list[int]]:
+    """Index i-1 -> the number of minimal winning coalitions of each size
+    0..n that hold player i.  An automorphism of the game keeps every
+    coalition's size, so two players it swaps have equal counts."""
+    counts = [[0] * (game.n + 1) for _ in range(game.n)]
+    for c in game.minimal_winning:
+        m, size = c.mask, c.mask.bit_count()
+        while m:
+            low = m & -m
+            counts[low.bit_length() - 1][size] += 1
+            m ^= low
+    return counts
+
+
+def symmetric_classes(game: SimpleGame) -> list[int]:
+    """The players split into classes of transposition-symmetric players, as
+    masks ordered by their least player.
+
+    Players i and j are symmetric when swapping them maps the minimal
+    winning family onto itself; that is an equivalence, because
+    (i r)(j r)(i r) = (i j), so each player is tested against one
+    representative per class, and only against those with equal
+    `size_counts`.  Equal counts give as many members holding i but not j
+    as holding j but not i, and the swap maps the first kind one to one
+    into the second, so the swap is an automorphism once it maps every
+    member of the first kind into the family.  Players in no minimal
+    winning coalition form one class.
+    """
+    masks = [c.mask for c in game.minimal_winning]
+    family = set(masks)
+    classes: list[int] = []
+    reps: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # counts -> (representative bit, class index)
+    for i, counts in enumerate(map(tuple, size_counts(game))):
+        bi = 1 << i
+        for br, k in reps.get(counts, ()):
+            if _swap_keeps(masks, family, bi, bi | br):
+                classes[k] |= bi
+                break
+        else:
+            reps.setdefault(counts, []).append((bi, len(classes)))
+            classes.append(bi)
+    return classes
+
+
+def _swap_keeps(masks: list[int], family: set[int], bi: int, swap: int) -> bool:
+    """Whether swapping the two players of `swap` maps each member holding
+    the one at `bi` but not the other into `family`."""
+    for m in masks:
+        if m & swap == bi and m ^ swap not in family:
+            return False
+    return True
 
 
 def cycle_game(n: int) -> SimpleGame:

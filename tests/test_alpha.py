@@ -3,12 +3,14 @@
 import json
 import math
 import random
+from itertools import combinations
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from simplegames import (
+    Coalition,
     UndefinedRatioError,
     alpha_of_payoff,
     blocker,
@@ -26,6 +28,8 @@ from simplegames.complete import random_weighted_voting_game
 from simplegames.errors import CertificateError
 from simplegames.graphs import alpha_graph, build_gadget, random_graph
 from simplegames.minnorm import is_feasible
+from simplegames.games import symmetric_classes
+from test_games import games_corpus
 from test_lp import run_optimized
 
 TESTS = Path(__file__).resolve().parent
@@ -128,18 +132,161 @@ class TestComputeAlpha:
         ],
     )
     def test_certificate_checks_survive_optimize(self, payoff, alpha, message):
-        # a solver returning a wrong optimum must be caught even under python -O
+        # a solver returning a wrong optimum must be caught even under python -O;
+        # the path 1-2-3-4 has no symmetric players, so its LP has a column per player
+        script = f"""
+from fractions import Fraction as F
+from simplegames import alpha, lp, new_game
+assert False, "python -O should have stripped this assert"
+game = new_game(4, [[1, 2], [2, 3], [3, 4]])
+print(len(alpha.symmetric_classes(game)))
+payoff = tuple(F(v) for v in {payoff})
+alpha.solve_lp = lambda model: lp.LPSolution("optimal", payoff + (F({alpha}),), (), F({alpha}))
+alpha.compute_alpha_exact(game)
+"""
+        proc = run_optimized(script)
+        assert proc.returncode == 1 and proc.stdout.split() == ["4"]
+        assert f"CertificateError: {message}" in proc.stderr
+
+    # cycle_game(4) has the classes {1, 3} and {2, 4}: its reduced LP has the
+    # columns (p1 = p3, p2 = p4, t) and the rows W(1, 1), L(2, 0), L(0, 2), and
+    # its optimum is q = (1/2, 1/2), t = 1 with the dual (1, 1/2, 1/2)
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ("alpha.solve_lp = fake((1, 1, 1), ())", "the threshold LP returned a solution of the wrong shape"),
+            ("alpha.solve_lp = fake((1, 1, 1, 1, 1), (1, 1, 1))", "the threshold LP returned a solution of the wrong shape"),
+            ("alpha.solve_lp = fake((1, 0, 1), (1, F(1, 2), F(1, 2)))", "simplex returned a primal-infeasible point"),
+            ("alpha.solve_lp = fake((F(1, 2), F(1, 2), 1), (1, 1, 0))", "simplex returned a dual-infeasible vector"),
+            ("alpha.solve_lp = fake((F(1, 2), F(1, 2), 1), (0, F(1, 2), F(1, 2)))", "strong duality failed"),
+            # {2, 3, 4} is no class: swapping 2 and 3 moves the edge {1, 2} off the cycle;
+            # the reduced optimum is alpha, but no vertex of its duals spreads
+            ("alpha.symmetric_classes = lambda game: [0b0001, 0b1110]", "simplex returned a dual-infeasible vector"),
+            # with lp._certify gone, certify_alpha still refuses the wrong primal
+            ("alpha._certify = lambda *args: None; alpha.solve_lp = fake((1, 0, 1), (1, F(1, 2), F(1, 2)))",
+             "the payoff gives some losing coalition more than alpha"),
+        ],
+    )
+    def test_reduced_checks_survive_optimize(self, patch, message):
         script = f"""
 from fractions import Fraction as F
 from simplegames import alpha, cycle_game, lp
 assert False, "python -O should have stripped this assert"
-payoff = tuple(F(v) for v in {payoff})
-alpha.solve_lp = lambda model: lp.LPSolution("optimal", payoff + (F({alpha}),), (), F({alpha}))
+def fake(primal, dual):
+    return lambda model: lp.LPSolution("optimal", tuple(map(F, primal)), tuple(map(F, dual)), F(primal[-1]))
+{patch}
 alpha.compute_alpha_exact(cycle_game(4))
 """
         proc = run_optimized(script)
-        assert proc.returncode == 1
+        assert proc.returncode == 1, proc.stderr
         assert f"CertificateError: {message}" in proc.stderr
+
+
+def full_alpha(game):
+    """alpha from the threshold LP with one column per player, certified."""
+    losing = maximal_losing(game)
+    payoff, value = ThresholdLP(game.n, game.minimal_winning, losing).solve()
+    return certify_alpha(payoff, value, game.minimal_winning, losing).alpha
+
+
+def reduction_games():
+    """Random games with n = 2..12, weighted ones (wvg:N) with N <= 14, and
+    the benchmark's seed-3 games corpus."""
+    for n in range(2, 13):
+        for seed in range(3):
+            yield random_game(n, 70 + seed, 2 + (5 * seed + n) % 13)
+    for n in range(2, 15):
+        for seed in range(2):
+            yield random_weighted_voting_game(n, seed).game
+    yield from games_corpus(3)
+
+
+class TestSymmetricReduction:
+    """`compute_alpha_exact` solves the threshold LP over classes of symmetric
+    players; the full LP, one column per player, is the reference."""
+
+    def test_reduced_matches_full(self, monkeypatch):
+        spread = []
+        certify = alpha._certify
+
+        def spy(a, *args):
+            spread.append(len(a))
+            certify(a, *args)
+
+        monkeypatch.setattr(alpha, "_certify", spy)
+        reduced = 0
+        for g in reduction_games():
+            spread.clear()
+            cert = compute_alpha_exact(g)  # certify_alpha ran on the expanded payoff
+            assert cert.alpha == full_alpha(g)
+            classes = symmetric_classes(g)
+            for c in classes:
+                assert len({cert.payoff[i - 1] for i in Coalition(c).players()}) == 1
+            if len(classes) < g.n:  # the spread dual was checked on every full row
+                reduced += 1
+                assert spread == [len(g.minimal_winning) + len(maximal_losing(g))]
+            else:
+                assert spread == []
+        assert reduced > 100
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_relabel_and_dummies_keep_alpha(self, seed):
+        g = random_weighted_voting_game(7 + seed % 4, seed).game
+        value = compute_alpha_exact(g).alpha
+        perm = list(range(1, g.n + 1))
+        random.Random(seed).shuffle(perm)
+        relabeled = new_game(g.n, [[perm[p - 1] for p in w.players()] for w in g.minimal_winning])
+        assert compute_alpha_exact(relabeled).alpha == value
+        padded = new_game(g.n + 3, [w.players() for w in g.minimal_winning])
+        assert symmetric_classes(padded)[-1] == 0b111 << g.n  # the dummies are one class
+        cert = compute_alpha_exact(padded)
+        assert cert.alpha == value and cert.payoff[g.n :] == (0, 0, 0)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_majority_games(self, n, monkeypatch):
+        # every q-of-n majority game is one class: a two-row LP with alpha (q - 1)/q
+        rows = []
+        solve = alpha.solve_lp
+        monkeypatch.setattr(alpha, "solve_lp", lambda model: rows.append(len(model.rows)) or solve(model))
+        for q in range(1, n + 1):
+            game = new_game(n, combinations(range(1, n + 1), q))
+            assert symmetric_classes(game) == [(1 << n) - 1]
+            cert = compute_alpha_exact(game)
+            assert cert.alpha == F(q - 1, q) and cert.payoff == (F(1, q),) * n
+        assert rows == [2] * n
+
+    def test_reduced_row_count_is_pinned(self, monkeypatch):
+        # wvg:16 at seed 0: 1649 minimal winning and 2256 maximal losing
+        # coalitions, and 8 classes of sizes 4, 2, 3, 1, 2, 1, 2, 1
+        models = []
+        solve = alpha.solve_lp
+        monkeypatch.setattr(alpha, "solve_lp", lambda model: models.append(model) or solve(model))
+        g = random_weighted_voting_game(16, 0).game
+        assert (len(g.minimal_winning), len(maximal_losing(g))) == (1649, 2256)
+        assert [c.bit_count() for c in symmetric_classes(g)] == [4, 2, 3, 1, 2, 1, 2, 1]
+        assert compute_alpha_exact(g).alpha == F(46, 47)
+        assert [(len(m.rows), m.num_vars) for m in models] == [(291, 9)]
+
+    def test_bad_classes_are_refused(self):
+        g = cycle_game(4)
+        for classes in ([0b0011, 0b0110, 0b1000], [0b0011, 0b0100], [0b0011, 0b1100, 0], [0b11111]):
+            with pytest.raises(ValueError, match="classes"):
+                ThresholdLP(4, g.minimal_winning, maximal_losing(g), classes)
+
+    def test_one_player_per_class_is_the_full_lp(self):
+        # in any order, singleton classes leave the LP over the players as it is
+        g = random_game(6, 5, 7)
+        losing = maximal_losing(g)
+        full = ThresholdLP(6, g.minimal_winning, losing)
+        for classes in ([1 << i for i in range(6)], [1 << i for i in reversed(range(6))]):
+            lp = ThresholdLP(6, g.minimal_winning, losing, classes)
+            assert lp._solved == full._rows and lp.solve() == full.solve()
+
+    def test_rows_are_added_only_per_player(self):
+        g = cycle_game(4)
+        lp = ThresholdLP(4, g.minimal_winning, (), symmetric_classes(g))
+        with pytest.raises(ValueError, match="one column per player"):
+            lp.add_losing(Coalition.of(1, 3))
 
 
 def _outcome(check, *args):

@@ -20,7 +20,7 @@ from simplegames import (
     new_game,
     random_game,
 )
-from simplegames.games import _minimal_masks, _minimal_transversals
+from simplegames.games import _minimal_masks, _minimal_transversals, size_counts, symmetric_classes
 from simplegames.graphs import random_graph
 
 import table_reference
@@ -460,3 +460,87 @@ class TestTransversalKernel:
         assert len(ml) == perrin(28) == 2627
         assert_maximal_losing(game, ml)
         assert sorted(c.complement(28).players() for c in blocker(game)) == as_tuples(ml)
+
+
+# The classes of symmetric players against every transposition tried on the family.
+
+
+def swaps_onto(game, i, j):
+    """Whether swapping players i and j maps the minimal winning family onto itself."""
+    family = {w.players() for w in game.minimal_winning}
+    swap = {i: j, j: i}
+    return {tuple(sorted(swap.get(p, p) for p in w)) for w in family} == family
+
+
+def reference_classes(game):
+    """Each player joins the class of the first earlier player it swaps with."""
+    classes = []
+    for p in range(1, game.n + 1):
+        for c in classes:
+            if swaps_onto(game, c[0], p):
+                c.append(p)
+                break
+        else:
+            classes.append([p])
+    return [sum(1 << (p - 1) for p in c) for c in classes]
+
+
+def class_games():
+    from simplegames.complete import random_weighted_voting_game
+
+    for n in range(2, 13):
+        for seed in range(4):
+            yield random_game(n, 60 + seed, 2 + (3 * seed + n) % 12)
+            yield random_weighted_voting_game(n, seed).game
+    for n in (4, 6, 8):
+        yield cycle_game(n)
+
+
+class TestSymmetricClasses:
+    def test_matches_every_transposition(self):
+        merged = 0
+        for game in class_games():
+            classes = symmetric_classes(game)
+            assert classes == reference_classes(game)
+            assert sum(c.bit_count() for c in classes) == game.n
+            counts = size_counts(game)
+            for c in classes:
+                members = Coalition(c).players()
+                merged += len(members) > 1
+                for i, j in itertools.combinations(members, 2):
+                    assert swaps_onto(game, i, j)
+                    assert counts[i - 1] == counts[j - 1]
+            # no two classes may merge: their least players do not swap
+            for a, b in itertools.combinations(classes, 2):
+                assert not swaps_onto(game, Coalition(a).players()[0], Coalition(b).players()[0])
+        assert merged > 100
+
+    def test_equal_counts_need_not_swap(self):
+        # a cycle's players all have the same counts; only opposite corners of a square swap
+        assert symmetric_classes(cycle_game(4)) == [0b0101, 0b1010]
+        assert symmetric_classes(cycle_game(6)) == [1 << i for i in range(6)]
+        assert len({tuple(c) for c in size_counts(cycle_game(6))}) == 1
+
+    @pytest.mark.parametrize("n, q", [(1, 1), (3, 2), (5, 3), (7, 7), (9, 4)])
+    def test_majority_is_one_class(self, n, q):
+        game = new_game(n, itertools.combinations(range(1, n + 1), q))
+        assert symmetric_classes(game) == [(1 << n) - 1]
+
+    def test_dummies_form_one_class(self):
+        for seed in range(10):
+            game = random_game(6, 300 + seed, 4)
+            padded = new_game(9, [w.players() for w in game.minimal_winning])
+            held = 0
+            for w in game.minimal_winning:
+                held |= w.mask
+            # players 7..9, with any of 1..6 in no minimal winning coalition
+            assert padded.full_mask ^ held in symmetric_classes(padded)
+
+    def test_relabeling_permutes_the_classes(self):
+        for seed in range(10):
+            game = random_game(8, 400 + seed, 5 + seed % 4)
+            perm = list(range(1, 9))
+            random.Random(seed).shuffle(perm)
+            relabeled = new_game(8, [[perm[p - 1] for p in w.players()] for w in game.minimal_winning])
+            moved = {sum(1 << (perm[p - 1] - 1) for p in Coalition(c).players()) for c in symmetric_classes(game)}
+            assert moved == set(symmetric_classes(relabeled))

@@ -408,8 +408,12 @@ class TestTableau:
     def test_slack_start_skips_phase_one(self, monkeypatch):
         # a TallLP's dual and the transposed dual of a threshold LP have every
         # right-hand side <= 0: the tableau starts at its slack basis, so
-        # construction makes no pivot, neither phase 1 nor drive-out
-        from simplegames.games import random_game
+        # construction makes no pivot, neither phase 1 nor drive-out.  The
+        # threshold LPs are the full ones, one column per player, which are
+        # all tall; one over classes of symmetric players can be small
+        # enough to be solved directly, with phase 1
+        from simplegames.alpha import ThresholdLP
+        from simplegames.games import maximal_losing, random_game
 
         pivots = {"construction": 0, "solve": 0}
         building = [False]
@@ -439,7 +443,8 @@ class TestTableau:
 
         monkeypatch.setattr(lp, "_transpose", spy_transpose)
         for seed in range(6):
-            compute_alpha_exact(random_game(7, seed, 5))
+            game = random_game(7, seed, 5)
+            ThresholdLP(7, game.minimal_winning, maximal_losing(game)).solve()
         assert len(transposed) == 6  # each threshold LP went through its dual
         assert pivots["construction"] == 0 and pivots["solve"] > 0
 
@@ -655,7 +660,10 @@ class TestSparsePivot:
         assert min(seen.values()) > 20, seen
 
     # pivots per call at the parent of the sparse pivot, (cold, warm): the
-    # cold ones inside solve_lp, the warm ones inside TallLP.solve
+    # cold ones inside solve_lp, the warm ones inside TallLP.solve.  A "game"
+    # solves the full threshold LP, one column per player; "reduced" is the
+    # same game's LP in compute_alpha_exact, one column per class of
+    # symmetric players (1, 1, 8 and 8 classes)
     PIVOTS = [
         (("gadget", 6, 7, 3), (9, 21)),
         (("gadget", 6, 11, 3), (11, 15)),
@@ -670,11 +678,16 @@ class TestSparsePivot:
         (("game", 7, 1), (7, 0)),
         (("game", 8, 2), (16, 0)),
         (("game", 9, 3), (12, 0)),
+        (("reduced", 6, 0), (1, 0)),
+        (("reduced", 7, 1), (1, 0)),
+        (("reduced", 8, 2), (16, 0)),
+        (("reduced", 9, 3), (11, 0)),
     ]
 
     @pytest.mark.parametrize("case, pivots", PIVOTS)
     def test_pivot_counts_are_pinned(self, case, pivots, monkeypatch):
-        from simplegames.games import random_game
+        from simplegames.alpha import ThresholdLP
+        from simplegames.games import maximal_losing, random_game
         from simplegames.graphs import alpha_graph, build_gadget, random_bipartite_graph, random_graph
 
         counts = {"cold": 0, "warm": 0}
@@ -699,6 +712,10 @@ class TestSparsePivot:
             alpha_graph(build_gadget(random_graph(*args)))
         elif kind == "bipartite":
             alpha_graph(random_bipartite_graph(*args))
+        elif kind == "game":
+            n, seed = args
+            game = random_game(n, seed, n + 2)
+            ThresholdLP(n, game.minimal_winning, maximal_losing(game)).solve()
         else:
             n, seed = args
             compute_alpha_exact(random_game(n, seed, n + 2))
