@@ -8,22 +8,19 @@ monotonicity.  A game is a weighted voting game exactly when alpha < 1.
 
 The threshold LP is written once, as `ThresholdLP`: it builds the rows from
 winning and losing coalitions, solves them exactly, cold while they are
-given up front and warm while losing rows arrive one at a time, and
-`certify_alpha` checks the optimal payoff against the same coalitions.  The
-graphic-game routines in `graphs` use both, with the edges as winning
-coalitions and independent sets as losing ones.
+given up front and warm while losing rows arrive one at a time, and its
+`certify` checks the last optimal pair, primal and dual, in one integer
+pass over the coalitions' masks.  That pass certifies every alpha, here and
+in `graphs`, whose edges are winning coalitions and independent sets losing.
 
 alpha is invariant under the game's automorphisms, so `compute_alpha_exact`
 solves the LP over classes of symmetric players (`games.symmetric_classes`):
-one column per class and one row per class-count vector, which for
-weighted games with equal weights is a fraction of the rows.  The reduced
-answer is expanded and certified on every row of the full LP, so a
-returned alpha never rests on the reduction alone.
+one column per class and one row per class-count vector, a fraction of the
+rows for weighted games with equal weights.  The answer is still certified
+on every coalition, so it never rests on the reduction alone.
 
-A payoff is scored in integers: `lp.common_numerators` puts it over the lcm
-of its denominators, and `mask_sum` adds the numerators of a coalition's
-players, so the certificate and the feasibility checks compare integers
-cleared of that one denominator and do no `Fraction` arithmetic per
+A payoff is scored in integers, as numerators over one denominator that
+`mask_sum` adds per coalition, so no check does `Fraction` arithmetic per
 coalition.
 """
 
@@ -32,13 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import Iterable, Optional, Sequence
 
 from . import budgets
 from .errors import CertificateError, UndefinedRatioError
 from .games import Coalition, SimpleGame, maximal_losing, random_game, symmetric_classes
-from .lp import GE, LPRow, LinearProgram, TallLP, _certify, common_numerators, frac, rat, solve_lp
+from .lp import GE, LPRow, LinearProgram, TallLP, common_numerators, frac, rat, solve_lp
 
 _ZERO = Fraction(0)
 
@@ -50,7 +47,7 @@ class AlphaCertificate:
     alpha: Fraction
     payoff: tuple[Fraction, ...]
     # the checked losing coalitions with payoff == alpha: maximal losing ones for
-    # compute_alpha_exact, the oracle's sets (zero-weight players left out) for alpha_graph
+    # compute_alpha_exact, the oracle's sets (zero-weight players left out), sorted, for alpha_graph
     tight_losing: tuple[Coalition, ...]
     binding_winning: tuple[Coalition, ...]  # minimal winning with payoff == 1
 
@@ -73,8 +70,17 @@ def mask_sum(nums: Sequence[int], mask: int) -> int:
     return total
 
 
+def _add_share(columns: list[int], mask: int, share: int) -> None:
+    """Add `share` to `columns` at each player of the coalition with this mask."""
+    while mask:
+        low = mask & -mask
+        columns[low.bit_length() - 1] += share
+        mask ^= low
+
+
 def _incidence_row(n: int, mask: int, v: int, t: int, rhs: int) -> list[int]:
-    """`v` at each player of the coalition with this mask and 0 elsewhere, then `t` and `rhs`.
+    """`v` at each player of the coalition with this mask and 0 elsewhere, then `t` and `rhs`:
+    p(W) >= 1 is (1, 0, 1) and t - p(L) >= 0 is (-1, 1, 0).
 
     Only the mask's set bits are visited, so a coalition of two players
     costs two steps whatever n is."""
@@ -84,16 +90,6 @@ def _incidence_row(n: int, mask: int, v: int, t: int, rhs: int) -> list[int]:
         row[low.bit_length() - 1] = v
         mask ^= low
     return row
-
-
-def _winning_row(n: int, mask: int) -> list[int]:
-    """p(W) >= 1 as integers: the incidence of W, 0 for t, then the right-hand side."""
-    return _incidence_row(n, mask, 1, 0, 1)
-
-
-def _losing_row(n: int, mask: int) -> list[int]:
-    """t - p(L) >= 0 as integers: minus the incidence of L, 1 for t, then the right-hand side."""
-    return _incidence_row(n, mask, -1, 1, 0)
 
 
 def _class_columns(n: int, classes: Sequence[int]) -> list[int]:
@@ -124,28 +120,22 @@ class ThresholdLP:
     of a class the same payoff.  When some class has more than one player,
     the LP that is solved has one payoff column per class, and one row per
     distinct (winning or losing, number of the coalition's players in each
-    class), where the first coalition with those counts came; without
-    `classes`, or with one player per class, it is the LP over the players.
-    When every transposition inside a class maps both coalition families
-    onto themselves, as `games.symmetric_classes` finds them for the
-    minimal winning and maximal losing coalitions, the average of an
-    optimal payoff's images under the group those transpositions generate
-    is optimal and constant on each class, so the reduced LP has the same
-    optimum.  The coalitions behind one reduced row are then all the sets
-    with its counts, so its dual, spread evenly over them, is a dual of the
-    full LP: each player of a class gets the class's column sum divided by
-    the class size.  `solve` expands the payoff and that dual and checks
-    them with `lp._certify` on every row of the full LP, so a partition
-    that is not a symmetry, or a wrong reduced answer, raises
-    `CertificateError`.
+    class), built from those counts; no row per coalition is built.  When
+    every transposition inside a class maps both coalition families onto
+    themselves, as `games.symmetric_classes` finds them, averaging an
+    optimal payoff over the group they generate keeps it optimal and makes
+    it constant on each class, so the reduced LP has the same optimum, and a
+    reduced row's dual, spread evenly over the coalitions behind it, is a
+    dual of the full LP.  A partition that is not a symmetry, or a wrong
+    answer, fails `certify`.
 
     Until a losing row is added, `solve` is one cold `solve_lp` call over
     the rows given.  The first `add_losing` builds an `lp.TallLP` over the
     rows so far and adds the new row as a column of its dual; its cost e_t
     is nonnegative, so the `TallLP` starts feasible with no phase 1, and
-    each later row costs a few pivots from the last optimal basis.  Every
-    warm solve is certified on all the rows so far.  Rows are added only
-    to the LP over the players.
+    each later row costs a few pivots from the last optimal basis.  Rows are
+    added only to the LP over the players.  `certify` checks the last solve
+    alone, primal and dual: the rounds before it only feed the oracle.
 
     The first solve stays cold even for a cutting-plane loop, which could
     start warm: the benchmark's tracer counts cut rounds as `solve_lp` spans
@@ -162,130 +152,140 @@ class ThresholdLP:
         losing: Iterable[Coalition] = (),
         classes: Optional[Sequence[int]] = None,
     ) -> None:
-        self.n = n
-        winning = list(winning)
-        self.losing = list(losing)
-        self._rows = [_winning_row(n, w.mask) for w in winning]
-        self._rows += [_losing_row(n, l.mask) for l in self.losing]
+        self.n, self.winning, self.losing = n, list(winning), list(losing)
         self._tall: Optional[TallLP] = None
-        # the rows solved and their payoff columns; when reduced, the full
-        # rows behind each solved row and each player's class
-        self._solved, self._k = self._rows, n
-        self._groups: Optional[list[list[int]]] = None
-        if classes is None:
+        # the last solve's payoff and t as returned, then as numerators over xden, and its dual over yden
+        self._last: Optional[tuple] = None
+        # when reduced: each player's class, each coalition's row, and the coalitions per row
+        self._column = self._group = None
+        self._sizes: list[int] = []
+        column = None if classes is None else _class_columns(n, classes)
+        if column is None or len(classes) == n:
+            self._k = n
+            self._rows = [_incidence_row(n, w.mask, 1, 0, 1) for w in self.winning]
+            self._rows += [_incidence_row(n, l.mask, -1, 1, 0) for l in self.losing]
             return
-        column = _class_columns(n, classes)
-        if len(classes) == n:
-            return
-        self._column, self._k = column, len(classes)
-        index: dict[tuple[int, ...], list[int]] = {}  # (t's coefficient, class counts) -> full rows
-        for r, c in enumerate(chain(winning, self.losing)):
-            key = (self._rows[r][n], *[(c.mask & m).bit_count() for m in classes])
-            index.setdefault(key, []).append(r)
-        self._groups = list(index.values())
-        self._solved = []
-        for (t, *counts), group in index.items():
-            v = -1 if t else 1
-            self._solved.append([v * count for count in counts] + self._rows[group[0]][n:])
+        self._column, self._k, self._group, self._rows = column, len(classes), [], []
+        index: dict[tuple[int, ...], int] = {}  # (t's coefficient, class counts) -> row
+        for t, coalitions in ((0, self.winning), (1, self.losing)):
+            for c in coalitions:
+                key = (t, *[(c.mask & m).bit_count() for m in classes])
+                if key not in index:
+                    index[key] = len(self._rows)
+                    self._rows.append([-v if t else v for v in key[1:]] + [t, 1 - t])
+                    self._sizes.append(0)
+                self._sizes[index[key]] += 1
+                self._group.append(index[key])
 
     def add_losing(self, losing: Coalition) -> None:
-        """Add the row t - p(L) >= 0; from here on every solve is warm."""
-        if self._groups is not None:
+        """Add the row t - p(L) >= 0; from here on every solve is warm.
+
+        An optimum violates none of its own rows, so a coalition the LP
+        already holds means that the last solve was wrong."""
+        if self._group is not None:
             raise ValueError("rows are added only to the LP with one column per player")
         if self._tall is None:
             self._tall = TallLP(self._rows, 1, [0] * self.n + [1], 1)
-        self._tall.add_row(_losing_row(self.n, losing.mask))
+            self._held = {l.mask for l in self.losing}
+        if losing.mask in self._held:
+            raise CertificateError("simplex returned a primal-infeasible point")
+        self._held.add(losing.mask)
+        self._tall.add_row(_incidence_row(self.n, losing.mask, -1, 1, 0))
         self.losing.append(losing)
 
     def solve(self) -> tuple[tuple[Fraction, ...], Fraction]:
-        """The optimal payoff, one entry per player, and threshold over the rows so far, exactly."""
+        """The optimal payoff, one entry per player, and threshold over the rows so far, exactly.
+
+        The pair is not checked here: `certify` checks the last one."""
         n, k = self.n, self._k
         if self._tall is None:
-            rows = tuple(LPRow(tuple(r[:-1]), GE, r[-1]) for r in self._solved)
+            rows = tuple(LPRow(tuple(r[:-1]), GE, r[-1]) for r in self._rows)
             cold = solve_lp(LinearProgram(k + 1, (0,) * k + (1,), rows))
             if cold.status != "optimal":
                 raise CertificateError(f"threshold LP should be feasible and bounded, got {cold.status}")
             if len(cold.primal) != k + 1:
                 raise CertificateError("the threshold LP returned a solution of the wrong shape")
-            if self._groups is None:
-                return cold.primal[:n], cold.objective
-            payoff = tuple(cold.primal[c] for c in self._column)
-            self._certify_spread(payoff + cold.primal[k:], cold.dual)
-            return payoff, cold.objective
-        status, warm = self._tall.solve()
-        if warm is None:
-            raise CertificateError(f"threshold LP should be feasible and bounded, got {status}")
-        x, xden, _, _ = warm
-        payoff = tuple(Fraction(v, xden) if v else _ZERO for v in x[:n])
-        return payoff, Fraction(x[n], xden)
+            primal = cold.primal
+            x, xden = common_numerators(primal)
+            y, yden = common_numerators(cold.dual)
+        else:
+            status, warm = self._tall.solve()
+            if warm is None:
+                raise CertificateError(f"threshold LP should be feasible and bounded, got {status}")
+            x, xden, y, yden = warm
+            primal = [Fraction(v, xden) if v else _ZERO for v in x]
+        if self._column is not None:
+            x = [x[c] for c in self._column] + [x[k]]
+            primal = [primal[c] for c in self._column] + [primal[k]]
+        self._last = tuple(primal[:n]), primal[n], x, xden, y, yden
+        return self._last[:2]
 
-    def _certify_spread(self, primal: Sequence[Fraction], dual: Sequence[Fraction]) -> None:
-        """Raise unless `primal`, the payoff per player and t, and the reduced
-        dual, spread evenly over the full rows behind each reduced row, are an
-        optimal pair of the full LP."""
-        groups = self._groups
-        if len(dual) != len(groups):
+    def certify(self, extra_losing: Iterable[Coalition] = ()) -> AlphaCertificate:
+        """Check the last solve's pair on every coalition in one integer pass, and return it.
+
+        With the payoff and t as numerators over den, each winning coalition
+        must score at least den, each losing one, `extra_losing` included, at
+        most t, and some losing one exactly t.  Each row's dual value, spread
+        evenly over the coalitions behind it, is added to the column sums of
+        their players, + for winning and - for losing ones.  Every column
+        sum must be <= 0 (p's cost), the losing duals must sum to at most 1
+        (t's cost) and the winning duals to t (strong duality).
+        """
+        assert self._last is not None, "solve before certify"
+        payoff, alpha, nums, den, y, yden = self._last
+        nw, t = len(self.winning), nums[self.n]
+        if len(y) != (len(self._sizes) or nw + len(self.losing)):
             raise CertificateError("the threshold LP returned a solution of the wrong shape")
-        x, xden = common_numerators(primal)
-        y, yden = common_numerators(dual)
-        spread = math.lcm(*map(len, groups))  # the full dual is over yden * spread
-        full_y = [0] * len(self._rows)
-        for group, yi in zip(groups, y):
-            share = yi * (spread // len(group))
-            for r in group:
-                full_y[r] = share
-        _certify(self._rows, 1, [0] * self.n + [1], 1, x, xden, full_y, yden * spread)
-
-
-def certify_alpha(
-    payoff: tuple[Fraction, ...],
-    alpha: Fraction,
-    winning: Iterable[Coalition],
-    losing: Iterable[Coalition],
-) -> AlphaCertificate:
-    """Check an optimal threshold-LP solution and collect its witnesses.
-
-    Raises unless every winning coalition gets at least 1, no losing one gets
-    more than alpha, and some losing one attains alpha.  With the payoff as
-    numerators over den and alpha = a/b, a coalition worth v/den wins
-    enough when v >= den and stays within alpha when v * b <= a * den, so
-    every comparison is between integers.
-    """
-    nums, den = common_numerators(payoff)
-    cap = alpha.numerator * den  # alpha * den, over alpha's denominator
-    won = [(w, mask_sum(nums, w.mask)) for w in winning]
-    lost = [(l, mask_sum(nums, l.mask) * alpha.denominator) for l in losing]
-    if any(v < den for _, v in won):
-        raise CertificateError("the payoff gives some minimal winning coalition less than 1")
-    if any(v > cap for _, v in lost):
-        raise CertificateError("the payoff gives some losing coalition more than alpha")
-    tight = tuple(l for l, v in lost if v == cap)
-    if not tight:
-        raise CertificateError("the optimum must be attained by some losing coalition")
-    binding = tuple(w for w, v in won if v == den)
-    return AlphaCertificate(alpha, payoff, tight, binding)
+        spread = math.lcm(*self._sizes)  # each coalition's share of its row's dual is over yden * spread
+        share = y if self._group is None else [y[r] * (spread // self._sizes[r]) for r in self._group]
+        if min(nums) < 0:
+            raise CertificateError("simplex returned a negative primal")
+        columns = [0] * self.n  # y^T a at each player's column, over yden * spread
+        binding, tight = [], []
+        for w, s in zip(self.winning, share):
+            v = mask_sum(nums, w.mask)
+            if v < den:
+                raise CertificateError("the payoff gives some minimal winning coalition less than 1")
+            if v == den:
+                binding.append(w)
+            if s:
+                _add_share(columns, w.mask, s)
+        for l, s in zip(chain(self.losing, extra_losing), chain(islice(share, nw, None), repeat(0))):
+            v = mask_sum(nums, l.mask)
+            if v > t:
+                raise CertificateError("the payoff gives some losing coalition more than alpha")
+            if v == t:
+                tight.append(l)
+            if s:
+                _add_share(columns, l.mask, -s)
+        if not tight:
+            raise CertificateError("the optimum must be attained by some losing coalition")
+        if min(y, default=0) < 0:
+            raise CertificateError("simplex returned a negative dual")
+        if max(columns, default=0) > 0:
+            raise CertificateError("simplex returned a dual-infeasible vector")
+        won = sum(islice(share, nw))
+        if sum(share) - won > yden * spread:
+            raise CertificateError("the losing duals sum to more than 1")
+        if won * den != t * yden * spread:
+            raise CertificateError("strong duality failed (primal and dual objectives differ)")
+        return AlphaCertificate(alpha, payoff, tuple(tight), tuple(binding))
 
 
 def compute_alpha_exact(game: SimpleGame, budget: Optional[int] = None) -> AlphaCertificate:
     """Solve the threshold LP exactly and return alpha with witnesses.
 
-    The LP is solved over `games.symmetric_classes`.  Swapping two players of
-    a class maps the minimal winning and the maximal losing coalitions onto
-    themselves, so it maps optimal payoffs to optimal payoffs, and by
-    convexity the average of an optimal payoff's images under the group
-    those swaps generate is an optimal payoff that is constant on each
-    class: the LP with one column per class has the same optimum.  `ThresholdLP` spreads its dual evenly over the coalitions
-    behind each row and checks that pair, in integers, on every row of the
-    full LP, and `certify_alpha` checks the expanded payoff against every
-    minimal winning and maximal losing coalition.  A game without symmetric
-    players gets the full LP, its rows and its pivots unchanged; for a game
-    with them the returned payoff is a class-constant optimal vertex, which
-    may differ from the vertex the full LP would reach.
+    The LP is solved over `games.symmetric_classes`, which keeps its optimum
+    (see `ThresholdLP`), and `ThresholdLP.certify` checks the expanded
+    payoff and the spread dual in one integer pass over every minimal
+    winning and maximal losing coalition: that pass is the one certificate.
+    A game without symmetric players gets the full LP, its rows and its
+    pivots unchanged; for a game with them the returned payoff is a
+    class-constant optimal vertex, which may differ from the full LP's.
     """
-    losing = maximal_losing(game, budget)
-    classes = symmetric_classes(game)
-    payoff, alpha = ThresholdLP(game.n, game.minimal_winning, losing, classes).solve()
-    return certify_alpha(payoff, alpha, game.minimal_winning, losing)
+    lp = ThresholdLP(game.n, game.minimal_winning, maximal_losing(game, budget), symmetric_classes(game))
+    lp.solve()
+    return lp.certify()
 
 
 def alpha_of_payoff(game: SimpleGame, payoff: Sequence) -> Fraction:

@@ -10,9 +10,9 @@ maximal independent sets by the transversal kernel of `games`, and decides
 "alpha <= a" for a fixed bound a.
 Both threshold computations use the `ThresholdLP` of `alpha`: the
 cutting-plane loop keeps one for all its rounds, so each cut enters as a new
-column of the LP's dual and costs a few pivots, and every round's solution is
-certified on all the rows so far; the decision solves one over all maximal
-independent sets, cold, once, and certifies it.
+column of the LP's dual and costs a few pivots, and only the last round's
+answer is certified, on every row and the oracle's final set; the decision
+solves one over all maximal independent sets, cold, once, and certifies it.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ import json
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import budgets
-from .alpha import AlphaCertificate, ThresholdLP, certify_alpha
+from .alpha import AlphaCertificate, ThresholdLP
 from .errors import BudgetExceededError, CertificateError
 from .games import Coalition, SimpleGame, _minimal_transversals, new_game
 from .lp import common_numerators, frac, rat
@@ -360,9 +360,9 @@ def alpha_graph(g: Graph, budget: Optional[int] = None) -> AlphaCertificate:
         else:
             sep = mwis_exact(g, payoff, budget)
         if sep.weight <= ahat:
-            # the final oracle set attains the maximum; certify_alpha checks it
-            losing = sorted(set(cut_lp.losing) | {sep.vertices}, key=Coalition.players)
-            return certify_alpha(payoff, ahat, edges, losing)
+            # the final oracle set attains the maximum; certify checks it
+            cert = cut_lp.certify((sep.vertices,))
+            return replace(cert, tight_losing=tuple(sorted(set(cert.tight_losing), key=Coalition.players)))
         cut_lp.add_losing(sep.vertices)
     raise BudgetExceededError("cut_rounds", MAX_CUT_ROUNDS + 1, MAX_CUT_ROUNDS)
 
@@ -497,8 +497,8 @@ def decide_alpha_at_most(g: Graph, a, budget: Optional[int] = None) -> AlphaDeci
         )
     edges = _edge_masks(g)
     lp = ThresholdLP(g.n, edges, enumerate_mis(g))
-    payoff, alpha = lp.solve()
-    certify_alpha(payoff, alpha, edges, lp.losing)
+    lp.solve()
+    alpha = lp.certify().alpha
     return AlphaDecision(answer=alpha <= a, branch="enumeration", alpha=alpha)
 
 

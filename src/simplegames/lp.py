@@ -40,7 +40,7 @@ keeps it for a cutting-plane loop: a new row of a tall LP is a new column of
 the transposed dual, and when the LP's costs are nonnegative that dual is
 feasible at 0, so it needs no phase 1, its basis stays feasible, and the
 next solve only prices the column and pivots on from there.  `TallLP`
-certifies every such solve on all of its input rows.
+returns each such solve unchecked: its caller certifies the pair it keeps.
 """
 
 from __future__ import annotations
@@ -492,29 +492,26 @@ class TallLP:
     the tableau starts at its slack basis and no phase 1 runs.  A row added
     later is a new dual column; it enters nonbasic at 0, so the dual basis
     stays feasible and `solve` prices the column and pivots on from the last
-    optimal basis.  Every optimal pair is certified on all the rows so far.
+    optimal basis.  The caller certifies the pair it returns.
     """
 
     def __init__(self, a: list[list[int]], den: int, c: list[int], cden: int) -> None:
         if min(c, default=0) < 0:
             raise ValueError("the costs must be nonnegative, so that the dual is feasible at 0")
-        self.a, self.den, self.c, self.cden = list(a), den, c, cden
+        self.den = den
         self._tableau = _Tableau(*_transpose(a, den, c, cden))
 
     def add_row(self, row: list[int]) -> None:
         """Add the row `row` (numerators over `den`, right-hand side last) as a dual column."""
-        self.a.append(row)
         # the dual's rows are over lcm(den, cden) and its costs over den (see _transpose)
         s = self._tableau.den // self.den
         self._tableau.add_column([-v * s for v in row[:-1]], -row[-1])
 
     def solve(self) -> tuple[str, Optional[_Solution]]:
-        """"optimal" with the certified pair (x, xden, y, yden), or "infeasible"."""
+        """"optimal" with the pair (x, xden, y, yden), unchecked, or "infeasible"."""
         if self._tableau.run() == "unbounded":
             return "infeasible", None
-        x, xden, y, yden = _from_dual(self._tableau.solution())
-        _certify(self.a, self.den, self.c, self.cden, x, xden, y, yden)
-        return "optimal", (x, xden, y, yden)
+        return "optimal", _from_dual(self._tableau.solution())
 
 
 def _numerators(values: Sequence[Rational], den: int) -> list[int]:

@@ -23,7 +23,8 @@ from simplegames import (
     verify_conjecture_corpus,
 )
 from simplegames import alpha, graphs, minnorm
-from simplegames.alpha import AlphaCertificate, ThresholdLP, certify_alpha
+from simplegames import lp as lp_module
+from simplegames.alpha import AlphaCertificate, ThresholdLP, _incidence_row
 from simplegames.complete import random_weighted_voting_game
 from simplegames.errors import CertificateError
 from simplegames.graphs import alpha_graph, build_gadget, random_graph
@@ -42,8 +43,8 @@ def coalition_value(payoff, coalition):
 
 
 def reference_certify_alpha(payoff, alpha, winning, losing):
-    """`certify_alpha` as it was written over Fraction sums, kept as the
-    reference for the integer check."""
+    """The primal half of the certificate written over Fraction sums, kept
+    as the reference for the integer pass of `ThresholdLP.certify`."""
     won = [(w, coalition_value(payoff, w)) for w in winning]
     lost = [(l, coalition_value(payoff, l)) for l in losing]
     if any(v < 1 for _, v in won):
@@ -55,6 +56,32 @@ def reference_certify_alpha(payoff, alpha, winning, losing):
         raise AssertionError("the optimum must be attained by some losing coalition")
     binding = tuple(w for w, v in won if v == 1)
     return AlphaCertificate(alpha, payoff, tight, binding)
+
+
+def certify_pair(lp, payoff, value):
+    """`lp.certify()` with the payoff and threshold of the last solve replaced
+    by `payoff` (one entry per player) and `value`; the dual is kept."""
+    *_, y, yden = lp._last
+    lp._last = (payoff, value, *lp_module.common_numerators((*payoff, value)), y, yden)
+    return lp.certify()
+
+
+def dense_certify(lp):
+    """The dense-row certificate that `ThresholdLP.certify` replaced, kept as
+    its reference: one row of n + 2 ints per coalition, the reduced dual
+    spread evenly over the coalitions behind each row, and `lp._certify`
+    over those rows.  Raises on a pair that is not optimal for the full LP."""
+    n, (_, _, x, xden, y, yden) = lp.n, lp._last
+    rows = [_incidence_row(n, w.mask, 1, 0, 1) for w in lp.winning]
+    rows += [_incidence_row(n, l.mask, -1, 1, 0) for l in lp.losing]
+    if lp._group is None:
+        full_y, spread = y, 1
+    else:
+        if len(y) != len(lp._sizes):
+            raise CertificateError("the threshold LP returned a solution of the wrong shape")
+        spread = math.lcm(*lp._sizes)
+        full_y = [y[r] * (spread // lp._sizes[r]) for r in lp._group]
+    lp_module._certify(rows, 1, [0] * n + [1], 1, x, xden, full_y, yden * spread)
 
 
 def certificate_games():
@@ -123,15 +150,28 @@ class TestComputeAlpha:
         assert payload["alpha"] == "2/1"
         assert json.loads(json.dumps(payload)) == payload
 
+    # the path 1-2-3-4 has the rows W{1,2}, W{2,3}, W{3,4}, L{1,3}, L{1,4},
+    # L{2,4}; its optimum is t = 1, at (0, 1, 1, 0) and at (1/2, 1/2, 1/2, 1/2)
+    # among others, with the dual PATH_DUAL.  Each case but the first three
+    # fails one check of `ThresholdLP.certify` and passes all the others
+    PATH_DUAL = "(F(1, 2), 0, F(1, 2), F(1, 2), 0, F(1, 2))"
+
     @pytest.mark.parametrize(
-        "payoff, alpha, message",
+        "payoff, alpha, message, dual",
         [
-            ("(0, 0, 0, 0)", "0", "the payoff gives some minimal winning coalition less than 1"),
-            ("(1, 1, 1, 1)", "1", "the payoff gives some losing coalition more than alpha"),
-            ("(1, 1, 1, 1)", "3", "the optimum must be attained by some losing coalition"),
+            ("(0, 0, 0, 0)", "0", "the payoff gives some minimal winning coalition less than 1", PATH_DUAL),
+            ("(1, 1, 1, 1)", "1", "the payoff gives some losing coalition more than alpha", PATH_DUAL),
+            ("(1, 1, 1, 1)", "3", "the optimum must be attained by some losing coalition", PATH_DUAL),
+            ("(F(-1, 2), F(3, 2), F(3, 2), F(-1, 2))", "1", "simplex returned a negative primal", PATH_DUAL),
+            ("(0, F(1, 2), 1, 0)", "1", "the payoff gives some minimal winning coalition less than 1", PATH_DUAL),
+            ("(1, 1, 1, 0)", "1", "the payoff gives some losing coalition more than alpha", PATH_DUAL),
+            ("(0, 1, 1, 0)", "1", "the threshold LP returned a solution of the wrong shape", "(F(1, 2),) * 5"),
+            # a dual that meets every column, t's cost and strong duality
+            ("(F(1, 2),) * 4", "1", "simplex returned a negative dual",
+             "(F(1, 4), F(1, 2), F(1, 4), F(3, 4), F(-1, 2), F(3, 4))"),
         ],
     )
-    def test_certificate_checks_survive_optimize(self, payoff, alpha, message):
+    def test_certificate_checks_survive_optimize(self, payoff, alpha, message, dual):
         # a solver returning a wrong optimum must be caught even under python -O;
         # the path 1-2-3-4 has no symmetric players, so its LP has a column per player
         script = f"""
@@ -141,7 +181,7 @@ assert False, "python -O should have stripped this assert"
 game = new_game(4, [[1, 2], [2, 3], [3, 4]])
 print(len(alpha.symmetric_classes(game)))
 payoff = tuple(F(v) for v in {payoff})
-alpha.solve_lp = lambda model: lp.LPSolution("optimal", payoff + (F({alpha}),), (), F({alpha}))
+alpha.solve_lp = lambda model: lp.LPSolution("optimal", payoff + (F({alpha}),), tuple(map(F, {dual})), F({alpha}))
 alpha.compute_alpha_exact(game)
 """
         proc = run_optimized(script)
@@ -150,21 +190,22 @@ alpha.compute_alpha_exact(game)
 
     # cycle_game(4) has the classes {1, 3} and {2, 4}: its reduced LP has the
     # columns (p1 = p3, p2 = p4, t) and the rows W(1, 1), L(2, 0), L(0, 2), and
-    # its optimum is q = (1/2, 1/2), t = 1 with the dual (1, 1/2, 1/2)
+    # its optimum is q = (1/2, 1/2), t = 1 with the dual (1, 1/2, 1/2), the
+    # first spread over the four edges.  The last three duals each fail one
+    # dual check and pass the others
     @pytest.mark.parametrize(
         "patch, message",
         [
             ("alpha.solve_lp = fake((1, 1, 1), ())", "the threshold LP returned a solution of the wrong shape"),
             ("alpha.solve_lp = fake((1, 1, 1, 1, 1), (1, 1, 1))", "the threshold LP returned a solution of the wrong shape"),
-            ("alpha.solve_lp = fake((1, 0, 1), (1, F(1, 2), F(1, 2)))", "simplex returned a primal-infeasible point"),
+            ("alpha.solve_lp = fake((1, 0, 1), (1, F(1, 2), F(1, 2)))",
+             "the payoff gives some losing coalition more than alpha"),
             ("alpha.solve_lp = fake((F(1, 2), F(1, 2), 1), (1, 1, 0))", "simplex returned a dual-infeasible vector"),
             ("alpha.solve_lp = fake((F(1, 2), F(1, 2), 1), (0, F(1, 2), F(1, 2)))", "strong duality failed"),
+            ("alpha.solve_lp = fake((F(1, 2), F(1, 2), 1), (1, 1, 1))", "the losing duals sum to more than 1"),
             # {2, 3, 4} is no class: swapping 2 and 3 moves the edge {1, 2} off the cycle;
             # the reduced optimum is alpha, but no vertex of its duals spreads
             ("alpha.symmetric_classes = lambda game: [0b0001, 0b1110]", "simplex returned a dual-infeasible vector"),
-            # with lp._certify gone, certify_alpha still refuses the wrong primal
-            ("alpha._certify = lambda *args: None; alpha.solve_lp = fake((1, 0, 1), (1, F(1, 2), F(1, 2)))",
-             "the payoff gives some losing coalition more than alpha"),
         ],
     )
     def test_reduced_checks_survive_optimize(self, patch, message):
@@ -181,12 +222,35 @@ alpha.compute_alpha_exact(cycle_game(4))
         assert proc.returncode == 1, proc.stderr
         assert f"CertificateError: {message}" in proc.stderr
 
+    def test_repeated_cut_survives_optimize(self):
+        # an optimum violates none of its rows, so a cut the LP already holds
+        # means a wrong solve, which intermediate rounds no longer certify
+        script = """
+from simplegames import Coalition, alpha
+assert False, "python -O should have stripped this assert"
+lp = alpha.ThresholdLP(4, [Coalition.of(1, 2), Coalition.of(2, 3), Coalition.of(3, 4)])
+lp.solve()
+lp.add_losing(Coalition.of(1, 3))
+lp.solve()
+lp.add_losing(Coalition.of(1, 3))
+"""
+        proc = run_optimized(script)
+        assert proc.returncode == 1, proc.stderr
+        assert "CertificateError: simplex returned a primal-infeasible point" in proc.stderr
+
 
 def full_alpha(game):
     """alpha from the threshold LP with one column per player, certified."""
-    losing = maximal_losing(game)
-    payoff, value = ThresholdLP(game.n, game.minimal_winning, losing).solve()
-    return certify_alpha(payoff, value, game.minimal_winning, losing).alpha
+    lp = ThresholdLP(game.n, game.minimal_winning, maximal_losing(game))
+    lp.solve()
+    return lp.certify().alpha
+
+
+def reduced_lp(game):
+    """The threshold LP that `compute_alpha_exact` solves, solved."""
+    lp = ThresholdLP(game.n, game.minimal_winning, maximal_losing(game), symmetric_classes(game))
+    lp.solve()
+    return lp
 
 
 def reduction_games():
@@ -206,28 +270,100 @@ class TestSymmetricReduction:
     players; the full LP, one column per player, is the reference."""
 
     def test_reduced_matches_full(self, monkeypatch):
-        spread = []
-        certify = alpha._certify
+        # one certify per alpha, scoring every coalition of the full LP once
+        scored, certified = [0], []
+        mask_sum, certify = alpha.mask_sum, ThresholdLP.certify
 
-        def spy(a, *args):
-            spread.append(len(a))
-            certify(a, *args)
+        def count(nums, mask):
+            scored[0] += 1
+            return mask_sum(nums, mask)
 
-        monkeypatch.setattr(alpha, "_certify", spy)
+        def spy(lp, *args):
+            scored[0] = 0
+            cert = certify(lp, *args)
+            certified.append((lp._group is not None, len(lp._rows), scored[0]))
+            return cert
+
+        monkeypatch.setattr(alpha, "mask_sum", count)
+        monkeypatch.setattr(ThresholdLP, "certify", spy)
         reduced = 0
         for g in reduction_games():
-            spread.clear()
-            cert = compute_alpha_exact(g)  # certify_alpha ran on the expanded payoff
+            certified.clear()
+            cert = compute_alpha_exact(g)
+            full = len(g.minimal_winning) + len(maximal_losing(g))
+            [(was_reduced, rows, coalitions)] = certified
+            assert coalitions == full
             assert cert.alpha == full_alpha(g)
             classes = symmetric_classes(g)
             for c in classes:
                 assert len({cert.payoff[i - 1] for i in Coalition(c).players()}) == 1
-            if len(classes) < g.n:  # the spread dual was checked on every full row
+            assert was_reduced == (len(classes) < g.n)
+            if was_reduced:  # the spread dual was checked on every coalition
                 reduced += 1
-                assert spread == [len(g.minimal_winning) + len(maximal_losing(g))]
-            else:
-                assert spread == []
+                assert rows <= full
         assert reduced > 100
+
+    @staticmethod
+    def dense_games():
+        yield from reduction_games()
+        yield from (cycle_game(n) for n in range(4, 13, 2))
+
+    def test_one_pass_agrees_with_the_dense_rows(self):
+        # `certify` and the dense-row reference accept the same optimal pairs
+        reduced = 0
+        for g in self.dense_games():
+            lp = reduced_lp(g)
+            lp.certify()
+            dense_certify(lp)
+            reduced += lp._group is not None
+        assert reduced > 100
+
+    def test_one_pass_and_dense_rows_agree_on_perturbed_duals(self):
+        # one reduced dual entry raised by 1/yden: a winning row's breaks strong
+        # duality, a losing row's makes its class's columns more negative and
+        # may pass, so both checks must agree on each, and both outcomes occur
+        refused = perturbed = 0
+        for g in self.dense_games():
+            lp = reduced_lp(g)
+            if lp._group is None:
+                continue
+            *answer, y, yden = lp._last
+            for r in sorted({0, len(y) // 2, len(y) - 1}):
+                lp._last = *answer, y[:r] + [y[r] + 1] + y[r + 1 :], yden
+                outcomes = set()
+                for check in (ThresholdLP.certify, dense_certify):
+                    try:
+                        check(lp)
+                        outcomes.add("certified")
+                    except CertificateError:
+                        outcomes.add("refused")
+                assert len(outcomes) == 1, (g, r)
+                perturbed += 1
+                refused += outcomes == {"refused"}
+                if r == 0:  # a winning row
+                    assert outcomes == {"refused"}
+        assert 100 < refused < perturbed
+
+    def test_wrong_partition_is_refused_by_both(self):
+        # {2, 3, 4} is no class of cycle_game(4); {1, 2, 3}, {4, 5, 6} is none of cycle_game(6)
+        for n, classes in ((4, [0b0001, 0b1110]), (6, [0b000111, 0b111000])):
+            g = cycle_game(n)
+            lp = ThresholdLP(n, g.minimal_winning, maximal_losing(g), classes)
+            lp.solve()
+            for check in (ThresholdLP.certify, dense_certify):
+                with pytest.raises(CertificateError):
+                    check(lp)
+
+    def test_reduced_lp_builds_no_row_per_coalition(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(alpha, "_incidence_row", lambda *args: built.append(args) or _incidence_row(*args))
+        g = random_weighted_voting_game(14, 0).game
+        assert len(symmetric_classes(g)) < g.n
+        compute_alpha_exact(g)
+        assert built == []
+        losing = maximal_losing(g)
+        ThresholdLP(g.n, g.minimal_winning, losing)  # the LP over the players has one per coalition
+        assert len(built) == len(g.minimal_winning) + len(losing)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_relabel_and_dummies_keep_alpha(self, seed):
@@ -280,7 +416,7 @@ class TestSymmetricReduction:
         full = ThresholdLP(6, g.minimal_winning, losing)
         for classes in ([1 << i for i in range(6)], [1 << i for i in reversed(range(6))]):
             lp = ThresholdLP(6, g.minimal_winning, losing, classes)
-            assert lp._solved == full._rows and lp.solve() == full.solve()
+            assert lp._rows == full._rows and lp.solve() == full.solve()
 
     def test_rows_are_added_only_per_player(self):
         g = cycle_game(4)
@@ -309,25 +445,32 @@ def _mutant(cert):
 
 
 class TestIntegerCertificate:
-    """The integer `certify_alpha` against its Fraction reference."""
+    """The integer pass of `ThresholdLP.certify` against its Fraction reference."""
 
     def test_matches_fraction_reference(self):
+        # the primal checks match the reference's; a pair that passes them is
+        # certified exactly when it is optimal, since the dual kept is optimal
         rng = random.Random(12)
         outcomes = set()
         for g in certificate_games():
             losing = maximal_losing(g)
-            payoff, value = ThresholdLP(g.n, g.minimal_winning, losing).solve()
+            lp = ThresholdLP(g.n, g.minimal_winning, losing)
+            payoff, value = lp.solve()
             cases = [(payoff, value)]
             p = _random_feasible_payoff(rng, g)
-            top = max(coalition_value(p, l) for l in losing)
+            top = F(max(coalition_value(p, l) for l in losing))
             # attained, short of the worst losing value, and short of 1 on winning
             cases += [(tuple(p), top), (tuple(p), top - F(1, 7)), (tuple(v / 2 for v in p), top)]
             for case in cases:
-                args = (*case, g.minimal_winning, losing)
-                got = _outcome(certify_alpha, *args)
-                assert got == _outcome(reference_certify_alpha, *args)
+                got = _outcome(certify_pair, lp, *case)
+                expected = _outcome(reference_certify_alpha, *case, g.minimal_winning, losing)
+                if case[1] < 0:  # t is a column of the LP, so t >= 0 is checked first
+                    expected = ("refused", "simplex returned a negative primal")
+                elif expected[0] == "certified" and case[1] != value:
+                    expected = ("refused", "strong duality failed (primal and dual objectives differ)")
+                assert got == expected
                 outcomes.add(got[0] if got[0] == "certified" else got[1])
-        assert len(outcomes) == 3  # certified, and two kinds of refusal
+        assert len(outcomes) == 5  # certified, and four kinds of refusal
 
     def test_raised_entry_is_refused(self):
         mutants = 0
@@ -338,14 +481,13 @@ class TestIntegerCertificate:
                 continue
             mutants += 1
             with pytest.raises(CertificateError, match="losing coalition more than alpha"):
-                certify_alpha(payoff, cert.alpha, g.minimal_winning, maximal_losing(g))
+                certify_pair(reduced_lp(g), payoff, cert.alpha)
         assert mutants > 30
 
     def test_raised_entry_is_refused_optimized(self):
         script = """
 import test_alpha
-from simplegames import compute_alpha_exact, maximal_losing
-from simplegames.alpha import certify_alpha
+from simplegames import compute_alpha_exact
 from simplegames.errors import CertificateError
 assert False, "python -O should have stripped this assert"
 mutants = refused = 0
@@ -356,7 +498,7 @@ for g in test_alpha.certificate_games():
         continue
     mutants += 1
     try:
-        certify_alpha(payoff, cert.alpha, g.minimal_winning, maximal_losing(g))
+        test_alpha.certify_pair(test_alpha.reduced_lp(g), payoff, cert.alpha)
     except CertificateError:
         refused += 1
 print(mutants, refused)
@@ -395,9 +537,8 @@ class TestFractionFree:
         inside(sum)([F(1, 2), F(1, 3)], F(0))
         assert state["adds"] == 2
         state.update(calls=0, adds=0)
-        for module, name in [(alpha, "certify_alpha"), (alpha, "alpha_of_payoff"),
-                             (graphs, "certify_alpha"), (graphs, "mwis_exact"),
-                             (minnorm, "is_feasible")]:
+        for module, name in [(ThresholdLP, "certify"), (alpha, "alpha_of_payoff"),
+                             (graphs, "mwis_exact"), (minnorm, "is_feasible")]:
             monkeypatch.setattr(module, name, inside(getattr(module, name)))
         weighted = random_weighted_voting_game(9, 4).game
         cert = alpha.compute_alpha_exact(weighted)

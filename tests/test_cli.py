@@ -2,6 +2,7 @@
 
 import importlib
 import json
+from functools import reduce
 from importlib import resources
 
 import pytest
@@ -289,9 +290,9 @@ class TestInternalErrors:
 
     FAIL = """
 from simplegames import alpha
-def certify_alpha(*args):
+def certify(self, extra_losing=()):
     raise AssertionError("forced certificate failure")
-alpha.certify_alpha = certify_alpha
+alpha.ThresholdLP.certify = certify
 """
     LOSING = "CertificateError: the payoff gives some losing coalition more than alpha"
     # 1-2 and 3-4 are disjoint edges of cycle:8, but 2-3 joins them
@@ -301,7 +302,7 @@ graphs.find_induced_kp2 = lambda g, k, budget=None: [(1, 2), (3, 4)]
 """
     # (module and name a patch replaces, the patch's source, argv, the error it causes)
     CASES = [
-        ("simplegames.alpha", "certify_alpha", FAIL, ["alpha", "--game", "cycle:4"],
+        ("simplegames.alpha", "ThresholdLP.certify", FAIL, ["alpha", "--game", "cycle:4"],
          "AssertionError: forced certificate failure"),
         ("simplegames.graphs", "mwis_bipartite", LYING_ORACLE, ["graph-alpha", "cycle:6"], LOSING),
         ("simplegames.graphs", "find_induced_kp2", NOT_INDUCED,
@@ -312,7 +313,7 @@ graphs.find_induced_kp2 = lambda g, k, budget=None: [(1, 2), (3, 4)]
     @pytest.mark.parametrize("module, name, patch, argv, message", CASES)
     def test_exits_4(self, module, name, patch, argv, message, monkeypatch, capsys):
         # monkeypatch keeps the original and puts it back after the patch replaces it
-        monkeypatch.setattr(f"{module}.{name}", getattr(importlib.import_module(module), name))
+        monkeypatch.setattr(f"{module}.{name}", reduce(getattr, name.split("."), importlib.import_module(module)))
         exec(patch, {})
         code = run(argv)
         captured = capsys.readouterr()

@@ -341,6 +341,30 @@ class TestAlphaGraph:
         assert all(value(c) == cert.alpha for c in cert.tight_losing)
         assert cert.tight_losing
 
+    def test_only_the_cold_round_runs_the_lp_certificate(self, monkeypatch):
+        # warm rounds are not certified one by one: `ThresholdLP.certify` checks
+        # the last round, and lp._certify runs only inside the cold solve_lp
+        from simplegames import alpha, lp
+
+        where, calls, warm = ["warm"], [], [0]
+        solve_lp, certify, tall_solve = alpha.solve_lp, lp._certify, lp.TallLP.solve
+
+        def spy_solve_lp(model):
+            where[0] = "cold"
+            try:
+                return solve_lp(model)
+            finally:
+                where[0] = "warm"
+
+        monkeypatch.setattr(alpha, "solve_lp", spy_solve_lp)
+        monkeypatch.setattr(lp, "_certify", lambda *args: calls.append(where[0]) or certify(*args))
+        monkeypatch.setattr(lp.TallLP, "solve", lambda tall: warm.__setitem__(0, warm[0] + 1) or tall_solve(tall))
+        for g in (build_gadget(random_graph(6, 7, 3)), random_bipartite_graph(10, 14, 0), C8):
+            calls.clear()
+            alpha_graph(g)
+            assert calls == ["cold"]
+        assert warm[0] > 6
+
     @pytest.mark.parametrize("seed", range(6))
     def test_relabelling_keeps_alpha(self, seed):
         rng = random.Random(700 + seed)
@@ -531,9 +555,16 @@ class TestDecide:
             decide_alpha_at_most(C8, F(1, 2))
 
     def test_enumeration_answer_is_certified(self, monkeypatch):
-        # a threshold LP that reports alpha 1 on C8, whose alpha is 2
+        # a threshold LP that keeps alpha 1 on C8, whose alpha is 2, in the pair it certifies
         solve = graphs.ThresholdLP.solve
-        monkeypatch.setattr(graphs.ThresholdLP, "solve", lambda lp: (solve(lp)[0], F(1)))
+
+        def lying_solve(lp):
+            solve(lp)
+            payoff, _, x, den, y, yden = lp._last
+            lp._last = payoff, F(1), x[:-1] + [den], den, y, yden
+            return payoff, F(1)
+
+        monkeypatch.setattr(graphs.ThresholdLP, "solve", lying_solve)
         with pytest.raises(CertificateError, match="losing coalition more than alpha"):
             decide_alpha_at_most(C8, 1)
 

@@ -840,7 +840,7 @@ class TestLazyRows:
             if r > 1:
                 tall.add_row(a[r - 1])
                 watch.check(tall._tableau.rows, tall._tableau.dens)
-            status, (x, xden, _, _) = tall.solve()  # certified on the rows so far
+            status, (x, xden, _, _) = tall.solve()  # unchecked; the last objective is compared below
             assert status == "optimal"
             watch.check(tall._tableau.rows, tall._tableau.dens)
         # the reference kernel on the 6-row transposed dual: its dual is our primal
