@@ -6,18 +6,20 @@ variables are the payoff entries plus the threshold itself; only minimal
 winning and maximal losing coalitions appear, the rest being redundant by
 monotonicity.  A game is a weighted voting game exactly when alpha < 1.
 
-The threshold LP is written once, as `ThresholdLP`: it builds the rows from
-winning and losing coalitions, solves them exactly, cold while they are
-given up front and warm while losing rows arrive one at a time, and its
-`certify` checks the last optimal pair, primal and dual, in one integer
-pass over the coalitions' masks.  That pass certifies every alpha, here and
-in `graphs`, whose edges are winning coalitions and independent sets losing.
+The threshold LP is written once, as `ThresholdLP`, with one row builder:
+one column per class of a partition of the players and one row per distinct
+(winning or losing, class-count vector); the LP over the players is the
+case of one class per player.  It is solved exactly, cold while the rows are
+given up front and warm while losing rows arrive one at a time, and `solve`
+returns integer numerators over one denominator, which `graphs.alpha_graph`
+hands to its oracle as they are.  `certify` checks the last optimal pair,
+primal and dual, in one integer pass over the coalitions' masks; that pass
+certifies every alpha, here and in `graphs`.
 
 alpha is invariant under the game's automorphisms, so `compute_alpha_exact`
-solves the LP over classes of symmetric players (`games.symmetric_classes`):
-one column per class and one row per class-count vector, a fraction of the
-rows for weighted games with equal weights.  The answer is still certified
-on every coalition, so it never rests on the reduction alone.
+solves the LP over classes of symmetric players (`games.symmetric_classes`),
+a fraction of the rows for weighted games with equal weights, and still
+certifies the answer on every coalition.
 
 A payoff is scored in integers, as numerators over one denominator that
 `mask_sum` adds per coalition, so no check does `Fraction` arithmetic per
@@ -36,8 +38,6 @@ from . import budgets
 from .errors import CertificateError, UndefinedRatioError
 from .games import Coalition, SimpleGame, maximal_losing, random_game, symmetric_classes
 from .lp import GE, LPRow, LinearProgram, TallLP, common_numerators, frac, rat, solve_lp
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -78,24 +78,12 @@ def _add_share(columns: list[int], mask: int, share: int) -> None:
         mask ^= low
 
 
-def _incidence_row(n: int, mask: int, v: int, t: int, rhs: int) -> list[int]:
-    """`v` at each player of the coalition with this mask and 0 elsewhere, then `t` and `rhs`:
-    p(W) >= 1 is (1, 0, 1) and t - p(L) >= 0 is (-1, 1, 0).
-
-    Only the mask's set bits are visited, so a coalition of two players
-    costs two steps whatever n is."""
-    row = [0] * n + [t, rhs]
-    while mask:
-        low = mask & -mask
-        row[low.bit_length() - 1] = v
-        mask ^= low
-    return row
-
-
-def _class_columns(n: int, classes: Sequence[int]) -> list[int]:
-    """Player i+1 -> the index of its class; raises unless the masks partition 1..n."""
+def _class_columns(n: int, classes: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The classes ordered by their least player, and player i+1 -> the index
+    of its class in that order; raises unless the masks partition 1..n."""
+    ordered = sorted(classes, key=lambda c: c & -c)
     column = [-1] * n
-    for k, c in enumerate(classes):
+    for k, c in enumerate(ordered):
         if not c or c >> n:
             raise ValueError("the classes must be nonempty masks of players 1..n")
         while c:
@@ -107,35 +95,35 @@ def _class_columns(n: int, classes: Sequence[int]) -> list[int]:
             c ^= low
     if -1 in column:
         raise ValueError("the classes must cover players 1..n")
-    return column
+    return ordered, column
 
 
 class ThresholdLP:
     """min t over p(W) >= 1 per winning and t - p(L) >= 0 per losing coalition, p >= 0.
 
-    The columns are the payoff entries p_1..p_n and the threshold t; the rows
-    are integers built from the coalitions' masks, one per coalition.
-
     `classes`, masks that split the players, makes the LP give every player
-    of a class the same payoff.  When some class has more than one player,
-    the LP that is solved has one payoff column per class, and one row per
-    distinct (winning or losing, number of the coalition's players in each
-    class), built from those counts; no row per coalition is built.  When
-    every transposition inside a class maps both coalition families onto
-    themselves, as `games.symmetric_classes` finds them, averaging an
-    optimal payoff over the group they generate keeps it optimal and makes
-    it constant on each class, so the reduced LP has the same optimum, and a
-    reduced row's dual, spread evenly over the coalitions behind it, is a
-    dual of the full LP.  A partition that is not a symmetry, or a wrong
-    answer, fails `certify`.
+    of a class the same payoff; None is one class per player.  The LP has
+    one payoff column per class, numbered by the classes' least players,
+    then the threshold t, and one integer row per distinct (winning or
+    losing, number of the coalition's players in each class), built from the
+    masks; over one class per player each coalition is its own row, in the
+    order given.  When every transposition inside a class maps both
+    coalition families onto themselves, as `games.symmetric_classes` finds
+    them, averaging an optimal payoff over the group they generate keeps it
+    optimal and makes it constant on each class, so the reduced LP has the
+    same optimum, and a reduced row's dual, spread evenly over the
+    coalitions behind it, is a dual of the full LP.  A partition that is not
+    a symmetry, or a wrong answer, fails `certify`.
 
-    Until a losing row is added, `solve` is one cold `solve_lp` call over
-    the rows given.  The first `add_losing` builds an `lp.TallLP` over the
-    rows so far and adds the new row as a column of its dual; its cost e_t
-    is nonnegative, so the `TallLP` starts feasible with no phase 1, and
-    each later row costs a few pivots from the last optimal basis.  Rows are
-    added only to the LP over the players.  `certify` checks the last solve
-    alone, primal and dual: the rounds before it only feed the oracle.
+    `solve` returns the optimal p_1..p_n and t as integer numerators over
+    one positive denominator.  Until a losing row is added, it is one cold
+    `solve_lp` call over the rows given.  The first `add_losing` builds an
+    `lp.TallLP` over the rows so far and adds the new row as a column of
+    its dual; its cost e_t is nonnegative, so the `TallLP` starts feasible
+    with no phase 1, and each later row costs a few pivots from the last
+    optimal basis.  Rows are added only to the LP with one class per
+    player.  `certify` checks the last solve alone, primal and dual: the
+    rounds before it only feed the oracle.
 
     The first solve stays cold even for a cutting-plane loop, which could
     start warm: the benchmark's tracer counts cut rounds as `solve_lp` spans
@@ -153,51 +141,58 @@ class ThresholdLP:
         classes: Optional[Sequence[int]] = None,
     ) -> None:
         self.n, self.winning, self.losing = n, list(winning), list(losing)
-        self._tall: Optional[TallLP] = None
-        # the last solve's payoff and t as returned, then as numerators over xden, and its dual over yden
-        self._last: Optional[tuple] = None
-        # when reduced: each player's class, each coalition's row, and the coalitions per row
-        self._column = self._group = None
-        self._sizes: list[int] = []
-        column = None if classes is None else _class_columns(n, classes)
-        if column is None or len(classes) == n:
-            self._k = n
-            self._rows = [_incidence_row(n, w.mask, 1, 0, 1) for w in self.winning]
-            self._rows += [_incidence_row(n, l.mask, -1, 1, 0) for l in self.losing]
-            return
-        self._column, self._k, self._group, self._rows = column, len(classes), [], []
-        index: dict[tuple[int, ...], int] = {}  # (t's coefficient, class counts) -> row
-        for t, coalitions in ((0, self.winning), (1, self.losing)):
-            for c in coalitions:
-                key = (t, *[(c.mask & m).bit_count() for m in classes])
-                if key not in index:
-                    index[key] = len(self._rows)
-                    self._rows.append([-v if t else v for v in key[1:]] + [t, 1 - t])
-                    self._sizes.append(0)
-                self._sizes[index[key]] += 1
-                self._group.append(index[key])
+        self._classes, self._column = _class_columns(n, [1 << i for i in range(n)] if classes is None else classes)
+        self._k, self._tall = len(self._classes), None
+        self._last: Optional[tuple] = None  # the last solve's p and t over xden, and its dual over yden
+        # the rows, each row's key, the coalitions per row, and each coalition's row
+        self._rows, self._index, self._sizes, self._group = [], {}, [], []
+        self._add_rows(self.winning, 0)
+        self._add_rows(self.losing, 1)
+
+    def _add_rows(self, coalitions: Iterable[Coalition], t: int) -> None:
+        """Count each coalition, winning at t = 0 and losing at t = 1, to the row
+        of t and its class counts, appended when new: the counts, negated for
+        a losing one, then t and the right-hand side 1 - t.  Over one class
+        per player the mask is the counts, so it keys the row with t."""
+        column, index, rows, sizes, group = self._column, self._index, self._rows, self._sizes, self._group
+        per_player, v, blank = self._k == self.n, 1 - 2 * t, [0] * self._k + [t, 1 - t]
+        for c in coalitions:
+            mask = c.mask
+            key = mask << 1 | t if per_player else (t, *[(mask & m).bit_count() for m in self._classes])
+            r = index.setdefault(key, len(rows))
+            if r < len(rows):
+                sizes[r] += 1
+            else:
+                row = blank.copy()
+                while mask:
+                    low = mask & -mask
+                    row[column[low.bit_length() - 1]] += v
+                    mask ^= low
+                rows.append(row)
+                sizes.append(1)
+            group.append(r)
 
     def add_losing(self, losing: Coalition) -> None:
         """Add the row t - p(L) >= 0; from here on every solve is warm.
 
         An optimum violates none of its own rows, so a coalition the LP
         already holds means that the last solve was wrong."""
-        if self._group is not None:
+        if self._k != self.n:
             raise ValueError("rows are added only to the LP with one column per player")
         if self._tall is None:
             self._tall = TallLP(self._rows, 1, [0] * self.n + [1], 1)
-            self._held = {l.mask for l in self.losing}
-        if losing.mask in self._held:
+        if losing.mask << 1 | 1 in self._index:  # the key of its row
             raise CertificateError("simplex returned a primal-infeasible point")
-        self._held.add(losing.mask)
-        self._tall.add_row(_incidence_row(self.n, losing.mask, -1, 1, 0))
+        self._add_rows((losing,), 1)
+        self._tall.add_row(self._rows[-1])
         self.losing.append(losing)
 
-    def solve(self) -> tuple[tuple[Fraction, ...], Fraction]:
-        """The optimal payoff, one entry per player, and threshold over the rows so far, exactly.
+    def solve(self) -> tuple[list[int], int]:
+        """The optimal p_1..p_n and t over the rows so far, as integer
+        numerators over one positive denominator, exactly.
 
         The pair is not checked here: `certify` checks the last one."""
-        n, k = self.n, self._k
+        k = self._k
         if self._tall is None:
             rows = tuple(LPRow(tuple(r[:-1]), GE, r[-1]) for r in self._rows)
             cold = solve_lp(LinearProgram(k + 1, (0,) * k + (1,), rows))
@@ -205,20 +200,16 @@ class ThresholdLP:
                 raise CertificateError(f"threshold LP should be feasible and bounded, got {cold.status}")
             if len(cold.primal) != k + 1:
                 raise CertificateError("the threshold LP returned a solution of the wrong shape")
-            primal = cold.primal
-            x, xden = common_numerators(primal)
+            x, xden = common_numerators(cold.primal)
             y, yden = common_numerators(cold.dual)
         else:
             status, warm = self._tall.solve()
             if warm is None:
                 raise CertificateError(f"threshold LP should be feasible and bounded, got {status}")
             x, xden, y, yden = warm
-            primal = [Fraction(v, xden) if v else _ZERO for v in x]
-        if self._column is not None:
-            x = [x[c] for c in self._column] + [x[k]]
-            primal = [primal[c] for c in self._column] + [primal[k]]
-        self._last = tuple(primal[:n]), primal[n], x, xden, y, yden
-        return self._last[:2]
+        x = [x[c] for c in self._column] + [x[k]]
+        self._last = x, xden, y, yden
+        return x, xden
 
     def certify(self, extra_losing: Iterable[Coalition] = ()) -> AlphaCertificate:
         """Check the last solve's pair on every coalition in one integer pass, and return it.
@@ -232,12 +223,13 @@ class ThresholdLP:
         (t's cost) and the winning duals to t (strong duality).
         """
         assert self._last is not None, "solve before certify"
-        payoff, alpha, nums, den, y, yden = self._last
+        nums, den, y, yden = self._last
         nw, t = len(self.winning), nums[self.n]
-        if len(y) != (len(self._sizes) or nw + len(self.losing)):
+        if len(y) != len(self._sizes):
             raise CertificateError("the threshold LP returned a solution of the wrong shape")
         spread = math.lcm(*self._sizes)  # each coalition's share of its row's dual is over yden * spread
-        share = y if self._group is None else [y[r] * (spread // self._sizes[r]) for r in self._group]
+        per_row = [v * (spread // s) for v, s in zip(y, self._sizes)]
+        share = [per_row[r] for r in self._group]
         if min(nums) < 0:
             raise CertificateError("simplex returned a negative primal")
         columns = [0] * self.n  # y^T a at each player's column, over yden * spread
@@ -269,7 +261,8 @@ class ThresholdLP:
             raise CertificateError("the losing duals sum to more than 1")
         if won * den != t * yden * spread:
             raise CertificateError("strong duality failed (primal and dual objectives differ)")
-        return AlphaCertificate(alpha, payoff, tuple(tight), tuple(binding))
+        payoff = tuple(Fraction(v, den) for v in nums[: self.n])
+        return AlphaCertificate(Fraction(t, den), payoff, tuple(tight), tuple(binding))
 
 
 def compute_alpha_exact(game: SimpleGame, budget: Optional[int] = None) -> AlphaCertificate:

@@ -10,9 +10,11 @@ maximal independent sets by the transversal kernel of `games`, and decides
 "alpha <= a" for a fixed bound a.
 Both threshold computations use the `ThresholdLP` of `alpha`: the
 cutting-plane loop keeps one for all its rounds, so each cut enters as a new
-column of the LP's dual and costs a few pivots, and only the last round's
-answer is certified, on every row and the oracle's final set; the decision
-solves one over all maximal independent sets, cold, once, and certifies it.
+column of the LP's dual and costs a few pivots, its oracle weighs the
+vertices by the integer numerators that `solve` returns, and only the last
+round's answer is certified, on every row and the oracle's final set; the
+decision solves one over all maximal independent sets, cold, once, and
+certifies it.
 """
 
 from __future__ import annotations
@@ -163,8 +165,9 @@ def graphic_game(g: Graph) -> SimpleGame:
 
 
 def _integer_weights(g: Graph, weights: Sequence) -> tuple[list[int], int]:
-    """The vertex weights, checked, as integer numerators over their common denominator."""
-    w = [frac(x) for x in weights]
+    """The vertex weights, checked, as integer numerators over their common
+    denominator; int weights are their own numerators over 1."""
+    w = [x if type(x) is int else frac(x) for x in weights]
     if len(w) != g.n:
         raise ValueError(f"{len(w)} weights for {g.n} vertices")
     iw, den = common_numerators(w)
@@ -340,7 +343,10 @@ def alpha_graph(g: Graph, budget: Optional[int] = None) -> AlphaCertificate:
     Start from the edge constraints and minimize the threshold; repeatedly ask
     the MWIS oracle for the worst independent set under the current payoff and
     add its constraint while it is violated.  All rounds solve one
-    `ThresholdLP` on the edges, warm after the first cut.  Everything is
+    `ThresholdLP` on the edges, warm after the first cut.  The oracle gets
+    the payoff's integer numerators and its weight is compared with t's,
+    all over the solve's one denominator: scaling every weight by one
+    positive constant changes neither oracle's set.  Everything is
     exact, and the final payoff is certified against the edges and every
     oracle set, so the returned alpha is the true rational optimum.  The
     certificate's `tight_losing` are the oracle sets that attain alpha; an
@@ -354,12 +360,12 @@ def alpha_graph(g: Graph, budget: Optional[int] = None) -> AlphaCertificate:
     edges = _edge_masks(g)
     cut_lp = ThresholdLP(g.n, edges)
     for _ in range(MAX_CUT_ROUNDS):
-        payoff, ahat = cut_lp.solve()
+        nums, _ = cut_lp.solve()  # p_1..p_n, then t
         if color is not None:
-            sep = mwis_bipartite(g, payoff)
+            sep = mwis_bipartite(g, nums[:-1])
         else:
-            sep = mwis_exact(g, payoff, budget)
-        if sep.weight <= ahat:
+            sep = mwis_exact(g, nums[:-1], budget)
+        if sep.weight <= nums[-1]:
             # the final oracle set attains the maximum; certify checks it
             cert = cut_lp.certify((sep.vertices,))
             return replace(cert, tight_losing=tuple(sorted(set(cert.tight_losing), key=Coalition.players)))

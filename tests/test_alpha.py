@@ -24,7 +24,7 @@ from simplegames import (
 )
 from simplegames import alpha, graphs, minnorm
 from simplegames import lp as lp_module
-from simplegames.alpha import AlphaCertificate, ThresholdLP, _incidence_row
+from simplegames.alpha import AlphaCertificate, ThresholdLP
 from simplegames.complete import random_weighted_voting_game
 from simplegames.errors import CertificateError
 from simplegames.graphs import alpha_graph, build_gadget, random_graph
@@ -62,8 +62,19 @@ def certify_pair(lp, payoff, value):
     """`lp.certify()` with the payoff and threshold of the last solve replaced
     by `payoff` (one entry per player) and `value`; the dual is kept."""
     *_, y, yden = lp._last
-    lp._last = (payoff, value, *lp_module.common_numerators((*payoff, value)), y, yden)
+    lp._last = (*lp_module.common_numerators((*payoff, value)), y, yden)
     return lp.certify()
+
+
+def _incidence_row(n, mask, v, t, rhs):
+    """`v` at each player of the coalition with this mask and 0 elsewhere, then `t` and `rhs`:
+    p(W) >= 1 is (1, 0, 1) and t - p(L) >= 0 is (-1, 1, 0)."""
+    row = [0] * n + [t, rhs]
+    while mask:
+        low = mask & -mask
+        row[low.bit_length() - 1] = v
+        mask ^= low
+    return row
 
 
 def dense_certify(lp):
@@ -71,16 +82,13 @@ def dense_certify(lp):
     its reference: one row of n + 2 ints per coalition, the reduced dual
     spread evenly over the coalitions behind each row, and `lp._certify`
     over those rows.  Raises on a pair that is not optimal for the full LP."""
-    n, (_, _, x, xden, y, yden) = lp.n, lp._last
+    n, (x, xden, y, yden) = lp.n, lp._last
     rows = [_incidence_row(n, w.mask, 1, 0, 1) for w in lp.winning]
     rows += [_incidence_row(n, l.mask, -1, 1, 0) for l in lp.losing]
-    if lp._group is None:
-        full_y, spread = y, 1
-    else:
-        if len(y) != len(lp._sizes):
-            raise CertificateError("the threshold LP returned a solution of the wrong shape")
-        spread = math.lcm(*lp._sizes)
-        full_y = [y[r] * (spread // lp._sizes[r]) for r in lp._group]
+    if len(y) != len(lp._sizes):
+        raise CertificateError("the threshold LP returned a solution of the wrong shape")
+    spread = math.lcm(*lp._sizes)
+    full_y = [y[r] * (spread // lp._sizes[r]) for r in lp._group]
     lp_module._certify(rows, 1, [0] * n + [1], 1, x, xden, full_y, yden * spread)
 
 
@@ -281,7 +289,7 @@ class TestSymmetricReduction:
         def spy(lp, *args):
             scored[0] = 0
             cert = certify(lp, *args)
-            certified.append((lp._group is not None, len(lp._rows), scored[0]))
+            certified.append((lp._k < lp.n, len(lp._rows), scored[0]))
             return cert
 
         monkeypatch.setattr(alpha, "mask_sum", count)
@@ -315,7 +323,7 @@ class TestSymmetricReduction:
             lp = reduced_lp(g)
             lp.certify()
             dense_certify(lp)
-            reduced += lp._group is not None
+            reduced += lp._k < lp.n
         assert reduced > 100
 
     def test_one_pass_and_dense_rows_agree_on_perturbed_duals(self):
@@ -325,7 +333,7 @@ class TestSymmetricReduction:
         refused = perturbed = 0
         for g in self.dense_games():
             lp = reduced_lp(g)
-            if lp._group is None:
+            if lp._k == lp.n:
                 continue
             *answer, y, yden = lp._last
             for r in sorted({0, len(y) // 2, len(y) - 1}):
@@ -354,16 +362,23 @@ class TestSymmetricReduction:
                 with pytest.raises(CertificateError):
                     check(lp)
 
-    def test_reduced_lp_builds_no_row_per_coalition(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(alpha, "_incidence_row", lambda *args: built.append(args) or _incidence_row(*args))
+    def test_reduced_lp_builds_no_row_per_coalition(self):
+        # one row per distinct (winning or losing, class-count vector), each
+        # coalition counted to its row; the LP over the players has one per coalition
         g = random_weighted_voting_game(14, 0).game
-        assert len(symmetric_classes(g)) < g.n
-        compute_alpha_exact(g)
-        assert built == []
+        classes = symmetric_classes(g)
+        assert len(classes) < g.n
         losing = maximal_losing(g)
-        ThresholdLP(g.n, g.minimal_winning, losing)  # the LP over the players has one per coalition
-        assert len(built) == len(g.minimal_winning) + len(losing)
+        coalitions = len(g.minimal_winning) + len(losing)
+        families = ((0, g.minimal_winning), (1, losing))
+        counts = {(t, *[(c.mask & m).bit_count() for m in classes]) for t, family in families for c in family}
+        reduced = ThresholdLP(g.n, g.minimal_winning, losing, classes)
+        assert len(reduced._rows) == len(counts) < coalitions
+        assert sum(reduced._sizes) == len(reduced._group) == coalitions
+        full = ThresholdLP(g.n, g.minimal_winning, losing)
+        assert len(full._rows) == coalitions and full._sizes == [1] * coalitions
+        dense = [_incidence_row(g.n, c.mask, 1 - 2 * t, t, 1 - t) for t, family in families for c in family]
+        assert full._rows == dense
 
     @pytest.mark.parametrize("seed", range(6))
     def test_relabel_and_dummies_keep_alpha(self, seed):
@@ -417,6 +432,13 @@ class TestSymmetricReduction:
         for classes in ([1 << i for i in range(6)], [1 << i for i in reversed(range(6))]):
             lp = ThresholdLP(6, g.minimal_winning, losing, classes)
             assert lp._rows == full._rows and lp.solve() == full.solve()
+        # the classes are numbered by their least player, so the LP depends only on the partition
+        g = random_weighted_voting_game(14, 0).game
+        losing = maximal_losing(g)
+        classes = symmetric_classes(g)
+        reduced = ThresholdLP(g.n, g.minimal_winning, losing, classes)
+        lp = ThresholdLP(g.n, g.minimal_winning, losing, classes[::-1])
+        assert len(classes) < g.n and lp._rows == reduced._rows and lp.solve() == reduced.solve()
 
     def test_rows_are_added_only_per_player(self):
         g = cycle_game(4)
@@ -455,7 +477,8 @@ class TestIntegerCertificate:
         for g in certificate_games():
             losing = maximal_losing(g)
             lp = ThresholdLP(g.n, g.minimal_winning, losing)
-            payoff, value = lp.solve()
+            nums, den = lp.solve()
+            payoff, value = tuple(F(v, den) for v in nums[:-1]), F(nums[-1], den)
             cases = [(payoff, value)]
             p = _random_feasible_payoff(rng, g)
             top = F(max(coalition_value(p, l) for l in losing))

@@ -237,14 +237,20 @@ class TestMwisBipartite:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_scaling_the_weights_keeps_the_set(self, seed):
-        # one positive factor on every capacity leaves every BFS and bottleneck choice alone
+        # one positive factor on every capacity leaves every BFS and bottleneck
+        # choice alone, and every comparison of the branch and bound
         rng = random.Random(600 + seed)
         g = random_bipartite_graph(10, 16, seed)
         w = [F(rng.randint(0, 12), rng.randint(1, 9)) for _ in range(g.n)]
-        res = mwis_bipartite(g, w)
-        for factor in (F(1, 7), F(9, 4), F(1000)):
-            scaled = mwis_bipartite(g, [factor * x for x in w])
-            assert scaled == WeightedVertexSet(res.vertices, factor * res.weight)
+        for oracle in (mwis_bipartite, mwis_exact):
+            res = oracle(g, w)
+            for factor in (F(1, 7), F(9, 4), F(1000)):
+                scaled = oracle(g, [factor * x for x in w])
+                assert scaled == WeightedVertexSet(res.vertices, factor * res.weight)
+            # integer numerators x, as `alpha_graph` passes them, and the Fractions x/d
+            nums, d = [rng.randint(0, 40) for _ in range(g.n)], rng.randint(2, 30)
+            res = oracle(g, nums)
+            assert oracle(g, [F(x, d) for x in nums]) == WeightedVertexSet(res.vertices, res.weight / d)
 
 
 class TestMwisExact:
@@ -276,6 +282,16 @@ class TestMwisExact:
     def test_infinite_weight_rejected(self):
         with pytest.raises(ValueError, match="not a finite rational"):
             mwis_exact(C5, [1, float("inf"), 1, 1, 1])
+        # int weights skip `frac`, and both oracles still refuse a bad list of them
+        for oracle in (mwis_exact, mwis_bipartite):
+            for weights, message in [
+                ([1, float("-inf"), 1, 1], "not a finite rational"),
+                ([1, -1, 1, 1], "nonnegative"),
+                ([1, 1, 1], "3 weights for 4 vertices"),
+                ([1, 1, 1, 1, 1], "5 weights for 4 vertices"),
+            ]:
+                with pytest.raises(ValueError, match=message):
+                    oracle(C4, weights)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_fraction_reference(self, seed):
@@ -560,9 +576,9 @@ class TestDecide:
 
         def lying_solve(lp):
             solve(lp)
-            payoff, _, x, den, y, yden = lp._last
-            lp._last = payoff, F(1), x[:-1] + [den], den, y, yden
-            return payoff, F(1)
+            x, den, y, yden = lp._last
+            lp._last = x[:-1] + [den], den, y, yden
+            return x[:-1] + [den], den
 
         monkeypatch.setattr(graphs.ThresholdLP, "solve", lying_solve)
         with pytest.raises(CertificateError, match="losing coalition more than alpha"):

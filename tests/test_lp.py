@@ -461,8 +461,10 @@ class TestTableau:
                 warm.add_losing(losing[r - 1])
             with monkeypatch.context() as patch:
                 patch.setattr(lp, "_core_solve", lp_reference.core_solve)
-                _, cold = ThresholdLP(n, winning, losing[:r]).solve()
-            assert warm.solve()[1] == cold
+                nums, den = ThresholdLP(n, winning, losing[:r]).solve()
+                cold = F(nums[-1], den)
+            nums, den = warm.solve()
+            assert F(nums[-1], den) == cold
         return cold
 
     def test_isolated_vertex(self, monkeypatch):

@@ -145,3 +145,19 @@ def test_pivot_loop_stays_integer():
     tree = ast.parse((SRC / "lp.py").read_text())
     assert PIVOT_LOOP <= set(function_scopes(tree))
     assert functions_naming(tree, PIVOT_LOOP, "Fraction") == []
+
+
+# the threshold LP's row builder, its solve and cut rows, and the cutting-plane
+# loop that feeds the solve's numerators to the oracle
+THRESHOLD_INTEGER = {
+    "alpha.py": {"ThresholdLP._add_rows", "ThresholdLP.solve", "ThresholdLP.add_losing"},
+    "graphs.py": {"alpha_graph"},
+}
+
+
+def test_threshold_lp_and_cut_loop_stay_integer():
+    # `ThresholdLP.certify` builds the answer's Fractions once, from the last solve
+    for name, qualnames in THRESHOLD_INTEGER.items():
+        tree = ast.parse((SRC / name).read_text())
+        assert qualnames <= set(function_scopes(tree))
+        assert functions_naming(tree, qualnames, "Fraction") == []
