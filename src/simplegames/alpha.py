@@ -13,25 +13,26 @@ case of one class per player.  It is solved exactly, cold while the rows are
 given up front and warm while losing rows arrive one at a time, and `solve`
 returns integer numerators over one denominator, which `graphs.alpha_graph`
 hands to its oracle as they are.  `certify` checks the last optimal pair,
-primal and dual, in one integer pass over the coalitions' masks; that pass
+primal and dual, in integers and in class space: one score per row, the
+dual on the rows as built, and a check that the partition is a symmetry of
+the game, which lifts that dual to one over every coalition.  That check
 certifies every alpha, here and in `graphs`.
 
 alpha is invariant under the game's automorphisms, so `compute_alpha_exact`
 solves the LP over classes of symmetric players (`games.symmetric_classes`),
-a fraction of the rows for weighted games with equal weights, and still
-certifies the answer on every coalition.
+a fraction of the rows for weighted games with equal weights, and
+`graphs.alpha_graph` solves its cutting-plane LP over the graph's twin
+classes.
 
 A payoff is scored in integers, as numerators over one denominator that
-`mask_sum` adds per coalition, so no check does `Fraction` arithmetic per
-coalition.
+`mask_sum` adds per row, so no check does `Fraction` arithmetic per row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from . import budgets
@@ -70,12 +71,23 @@ def mask_sum(nums: Sequence[int], mask: int) -> int:
     return total
 
 
-def _add_share(columns: list[int], mask: int, share: int) -> None:
-    """Add `share` to `columns` at each player of the coalition with this mask."""
-    while mask:
-        low = mask & -mask
-        columns[low.bit_length() - 1] += share
-        mask ^= low
+def _swaps_keep(classes: Sequence[int], masks: list[int]) -> bool:
+    """Whether each transposition of two consecutive players of a class maps
+    the family of `masks` onto itself.  Those transpositions generate every
+    permutation inside the classes.  A swap is one to one on coalitions, so
+    it maps the family onto itself once it maps each member into it, and
+    only a member holding one of the two players moves."""
+    family = set(masks)
+    for c in classes:
+        low, rest = c & -c, c & (c - 1)
+        while rest:
+            high = rest & -rest
+            swap = low | high
+            for m in masks:
+                if 0 < m & swap != swap and m ^ swap not in family:
+                    return False
+            low, rest = high, rest ^ high
+    return True
 
 
 def _class_columns(n: int, classes: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -107,13 +119,13 @@ class ThresholdLP:
     then the threshold t, and one integer row per distinct (winning or
     losing, number of the coalition's players in each class), built from the
     masks; over one class per player each coalition is its own row, in the
-    order given.  When every transposition inside a class maps both
-    coalition families onto themselves, as `games.symmetric_classes` finds
-    them, averaging an optimal payoff over the group they generate keeps it
-    optimal and makes it constant on each class, so the reduced LP has the
-    same optimum, and a reduced row's dual, spread evenly over the
-    coalitions behind it, is a dual of the full LP.  A partition that is not
-    a symmetry, or a wrong answer, fails `certify`.
+    order given.  When every permutation inside the classes maps the
+    winning family onto itself, as for `games.symmetric_classes` and
+    `graphs.twin_classes`, averaging an optimal payoff over those
+    permutations keeps it optimal and makes it constant on each class, so
+    the reduced LP has the same optimum.  `certify` checks that symmetry
+    rather than assuming it, so a partition that is not one, or a wrong
+    answer, fails it.
 
     `solve` returns the optimal p_1..p_n and t as integer numerators over
     one positive denominator.  Until a losing row is added, it is one cold
@@ -121,16 +133,14 @@ class ThresholdLP:
     `lp.TallLP` over the rows so far and adds the new row as a column of
     its dual; its cost e_t is nonnegative, so the `TallLP` starts feasible
     with no phase 1, and each later row costs a few pivots from the last
-    optimal basis.  Rows are added only to the LP with one class per
-    player.  `certify` checks the last solve alone, primal and dual: the
+    optimal basis.  A row is added to any partition, keyed by its class
+    counts.  `certify` checks the last solve alone, primal and dual: the
     rounds before it only feed the oracle.
 
     The first solve stays cold even for a cutting-plane loop, which could
     start warm: the benchmark's tracer counts cut rounds as `solve_lp` spans
     under `graphs.alpha_graph`, and its self-test needs some on graph-cuts.
-    That cold round costs 1043 of the 3110 pivots `alpha_graph` makes on the
-    seed-3 graph-cuts corpus; start warm once the benchmark counts
-    `ThresholdLP` solves.
+    Start warm once the benchmark counts `ThresholdLP` solves.
     """
 
     def __init__(
@@ -143,9 +153,9 @@ class ThresholdLP:
         self.n, self.winning, self.losing = n, list(winning), list(losing)
         self._classes, self._column = _class_columns(n, [1 << i for i in range(n)] if classes is None else classes)
         self._k, self._tall = len(self._classes), None
-        self._last: Optional[tuple] = None  # the last solve's p and t over xden, and its dual over yden
-        # the rows, each row's key, the coalitions per row, and each coalition's row
-        self._rows, self._index, self._sizes, self._group = [], {}, [], []
+        self._last: Optional[tuple] = None  # the last solve's class payoffs and t over xden, its dual over yden
+        # the rows, each row's key, the mask of each row's first coalition, and each coalition's row
+        self._rows, self._index, self._reps, self._group = [], {}, [], []
         self._add_rows(self.winning, 0)
         self._add_rows(self.losing, 1)
 
@@ -154,36 +164,35 @@ class ThresholdLP:
         of t and its class counts, appended when new: the counts, negated for
         a losing one, then t and the right-hand side 1 - t.  Over one class
         per player the mask is the counts, so it keys the row with t."""
-        column, index, rows, sizes, group = self._column, self._index, self._rows, self._sizes, self._group
+        column, index, rows, reps, group = self._column, self._index, self._rows, self._reps, self._group
         per_player, v, blank = self._k == self.n, 1 - 2 * t, [0] * self._k + [t, 1 - t]
         for c in coalitions:
             mask = c.mask
             key = mask << 1 | t if per_player else (t, *[(mask & m).bit_count() for m in self._classes])
             r = index.setdefault(key, len(rows))
-            if r < len(rows):
-                sizes[r] += 1
-            else:
+            if r == len(rows):
+                reps.append(mask)
                 row = blank.copy()
                 while mask:
                     low = mask & -mask
                     row[column[low.bit_length() - 1]] += v
                     mask ^= low
                 rows.append(row)
-                sizes.append(1)
             group.append(r)
 
     def add_losing(self, losing: Coalition) -> None:
-        """Add the row t - p(L) >= 0; from here on every solve is warm.
+        """Add the row t - p(L) >= 0 of L's class counts; from here on every solve is warm.
 
-        An optimum violates none of its own rows, so a coalition the LP
-        already holds means that the last solve was wrong."""
-        if self._k != self.n:
-            raise ValueError("rows are added only to the LP with one column per player")
+        The payoff is constant on each class, so an optimum scores L as it
+        scores every coalition with L's counts, and a row the LP already
+        holds means that the last solve was wrong."""
         if self._tall is None:
-            self._tall = TallLP(self._rows, 1, [0] * self.n + [1], 1)
-        if losing.mask << 1 | 1 in self._index:  # the key of its row
-            raise CertificateError("simplex returned a primal-infeasible point")
+            self._tall = TallLP(self._rows, 1, [0] * self._k + [1], 1)
+        rows = len(self._rows)
         self._add_rows((losing,), 1)
+        if len(self._rows) == rows:
+            self._group.pop()
+            raise CertificateError("simplex returned a primal-infeasible point")
         self._tall.add_row(self._rows[-1])
         self.losing.append(losing)
 
@@ -207,61 +216,72 @@ class ThresholdLP:
             if warm is None:
                 raise CertificateError(f"threshold LP should be feasible and bounded, got {status}")
             x, xden, y, yden = warm
-        x = [x[c] for c in self._column] + [x[k]]
         self._last = x, xden, y, yden
-        return x, xden
+        return [x[c] for c in self._column] + [x[k]], xden
 
     def certify(self, extra_losing: Iterable[Coalition] = ()) -> AlphaCertificate:
-        """Check the last solve's pair on every coalition in one integer pass, and return it.
+        """Check the last solve's pair, primal and dual, in integers, and return it.
 
-        With the payoff and t as numerators over den, each winning coalition
-        must score at least den, each losing one, `extra_losing` included, at
-        most t, and some losing one exactly t.  Each row's dual value, spread
-        evenly over the coalitions behind it, is added to the column sums of
-        their players, + for winning and - for losing ones.  Every column
-        sum must be <= 0 (p's cost), the losing duals must sum to at most 1
-        (t's cost) and the winning duals to t (strong duality).
+        The payoff is the solve's class payoffs given to each player of the
+        class, so every coalition of a row scores as the row's first one,
+        and every coalition reads its row's value.  With the payoff and t as
+        numerators over den, each winning row must score at least den and
+        each losing row, like each of `extra_losing`, at most t, and some
+        losing coalition exactly t.
+
+        The dual y is checked on the rows as built, over the classes: y >= 0,
+        y^T a <= 0 at each class's column (p's cost), the losing duals sum to
+        at most 1 (t's cost) and the winning duals to t (strong duality).
+        Each transposition of consecutive players of a class must map the
+        minimal winning family onto itself, so every permutation inside the
+        classes is an automorphism of the game and maps each row's
+        coalitions to coalitions of the same kind and counts.  Spread over
+        that orbit, y_r / |orbit| per coalition, the dual gives each player
+        of class k the class column over the class's size, so the lifted
+        dual is a dual of the LP over players and the answer is that LP's
+        optimum.  Over one class per player this is the LP's own check.
         """
         assert self._last is not None, "solve before certify"
-        nums, den, y, yden = self._last
-        nw, t = len(self.winning), nums[self.n]
-        if len(y) != len(self._sizes):
+        x, den, y, yden = self._last
+        rows, k, t = self._rows, self._k, x[-1]
+        if len(x) != k + 1 or len(y) != len(rows):
             raise CertificateError("the threshold LP returned a solution of the wrong shape")
-        spread = math.lcm(*self._sizes)  # each coalition's share of its row's dual is over yden * spread
-        per_row = [v * (spread // s) for v, s in zip(y, self._sizes)]
-        share = [per_row[r] for r in self._group]
-        if min(nums) < 0:
+        if min(x) < 0:
             raise CertificateError("simplex returned a negative primal")
-        columns = [0] * self.n  # y^T a at each player's column, over yden * spread
-        binding, tight = [], []
-        for w, s in zip(self.winning, share):
-            v = mask_sum(nums, w.mask)
-            if v < den:
-                raise CertificateError("the payoff gives some minimal winning coalition less than 1")
-            if v == den:
-                binding.append(w)
-            if s:
-                _add_share(columns, w.mask, s)
-        for l, s in zip(chain(self.losing, extra_losing), chain(islice(share, nw, None), repeat(0))):
+        nums = [x[c] for c in self._column]
+        value = [mask_sum(nums, m) for m in self._reps]  # each row's payoff, over den
+        for v, row in zip(value, rows):  # the winning rows come first
+            if row[-1]:
+                if v < den:
+                    raise CertificateError("the payoff gives some minimal winning coalition less than 1")
+            elif v > t:
+                raise CertificateError("the payoff gives some losing coalition more than alpha")
+        group, nw = self._group, len(self.winning)
+        binding = [w for w, r in zip(self.winning, group) if value[r] == den]
+        tight = [l for l, r in zip(self.losing, islice(group, nw, None)) if value[r] == t]
+        for l in extra_losing:
             v = mask_sum(nums, l.mask)
             if v > t:
                 raise CertificateError("the payoff gives some losing coalition more than alpha")
             if v == t:
                 tight.append(l)
-            if s:
-                _add_share(columns, l.mask, -s)
         if not tight:
             raise CertificateError("the optimum must be attained by some losing coalition")
+        if k < self.n and not _swaps_keep(self._classes, [w.mask for w in self.winning]):
+            raise CertificateError("the partition is not a symmetry: a swap inside a class moves a winning coalition")
         if min(y, default=0) < 0:
             raise CertificateError("simplex returned a negative dual")
-        if max(columns, default=0) > 0:
+        columns = [0] * (k + 2)  # y^T a at each class's column, t's and the right-hand side, over yden
+        for row, v in zip(rows, y):
+            if v:
+                columns = [s + v * a for s, a in zip(columns, row)]
+        if max(columns[:k], default=0) > 0:
             raise CertificateError("simplex returned a dual-infeasible vector")
-        won = sum(islice(share, nw))
-        if sum(share) - won > yden * spread:
+        if columns[k] > yden:
             raise CertificateError("the losing duals sum to more than 1")
-        if won * den != t * yden * spread:
+        if columns[k + 1] * den != t * yden:
             raise CertificateError("strong duality failed (primal and dual objectives differ)")
-        payoff = tuple(Fraction(v, den) for v in nums[: self.n])
+        payoff = tuple(Fraction(v, den) for v in nums)
         return AlphaCertificate(Fraction(t, den), payoff, tuple(tight), tuple(binding))
 
 
@@ -269,12 +289,11 @@ def compute_alpha_exact(game: SimpleGame, budget: Optional[int] = None) -> Alpha
     """Solve the threshold LP exactly and return alpha with witnesses.
 
     The LP is solved over `games.symmetric_classes`, which keeps its optimum
-    (see `ThresholdLP`), and `ThresholdLP.certify` checks the expanded
-    payoff and the spread dual in one integer pass over every minimal
-    winning and maximal losing coalition: that pass is the one certificate.
-    A game without symmetric players gets the full LP, its rows and its
-    pivots unchanged; for a game with them the returned payoff is a
-    class-constant optimal vertex, which may differ from the full LP's.
+    (see `ThresholdLP`), and `ThresholdLP.certify` checks the answer in
+    class space, the classes' symmetry included: that check is the one
+    certificate.  A game without symmetric players gets the full LP, its
+    rows and its pivots unchanged; for a game with them the returned payoff
+    is a class-constant optimal vertex, which may differ from the full LP's.
     """
     lp = ThresholdLP(game.n, game.minimal_winning, maximal_losing(game, budget), symmetric_classes(game))
     lp.solve()

@@ -9,12 +9,13 @@ independence number, searches for induced disjoint-edge families, lists
 maximal independent sets by the transversal kernel of `games`, and decides
 "alpha <= a" for a fixed bound a.
 Both threshold computations use the `ThresholdLP` of `alpha`: the
-cutting-plane loop keeps one for all its rounds, so each cut enters as a new
-column of the LP's dual and costs a few pivots, its oracle weighs the
-vertices by the integer numerators that `solve` returns, and only the last
-round's answer is certified, on every row and the oracle's final set; the
-decision solves one over all maximal independent sets, cold, once, and
-certifies it.
+cutting-plane loop keeps one over the graph's twin classes for all its
+rounds, so each cut enters as a new column of the LP's dual and costs a few
+pivots, its oracle weighs every vertex of the whole graph by the integer
+numerators that `solve` returns, and only the last round's answer is
+certified, in class space, on every row, the oracle's final set and the
+twins' symmetry; the decision solves one over all maximal independent sets,
+one column per vertex, cold, once, and certifies it.
 """
 
 from __future__ import annotations
@@ -115,6 +116,35 @@ def _adj_masks(g: Graph) -> tuple[int, ...]:
         adj[u - 1] |= 1 << (v - 1)
         adj[v - 1] |= 1 << (u - 1)
     return tuple(adj)
+
+
+def twin_classes(g: Graph) -> list[int]:
+    """The vertices split into classes of twins, as masks ordered by their least vertex.
+
+    Vertices i and j are twins when N(i) minus j equals N(j) minus i: false
+    twins share their open neighbourhood, true twins their closed one.
+    Swapping twins keeps every edge, so these are the classes of
+    `games.symmetric_classes` for the graphic game, isolated vertices
+    included, found from the neighbourhoods alone.  No vertex has twins of
+    both kinds: a false twin j and a true twin k of i would make j and k
+    adjacent through N(j) = N(i) and not adjacent through N[k] = N[i].
+    """
+    adj = _adj_masks(g)
+    open_, closed = {}, {}  # neighbourhood -> the vertices that have it
+    for i, m in enumerate(adj):
+        b = 1 << i
+        open_[m] = open_.get(m, 0) | b
+        closed[m | b] = closed.get(m | b, 0) | b
+    classes, seen = [], 0
+    for i, m in enumerate(adj):
+        b = 1 << i
+        if not seen & b:
+            c = open_[m]
+            if c == b:
+                c = closed[m | b]
+            classes.append(c)
+            seen |= c
+    return classes
 
 
 def _edge_masks(g: Graph) -> list[Coalition]:
@@ -343,22 +373,26 @@ def alpha_graph(g: Graph, budget: Optional[int] = None) -> AlphaCertificate:
     Start from the edge constraints and minimize the threshold; repeatedly ask
     the MWIS oracle for the worst independent set under the current payoff and
     add its constraint while it is violated.  All rounds solve one
-    `ThresholdLP` on the edges, warm after the first cut.  The oracle gets
-    the payoff's integer numerators and its weight is compared with t's,
-    all over the solve's one denominator: scaling every weight by one
-    positive constant changes neither oracle's set.  Everything is
-    exact, and the final payoff is certified against the edges and every
-    oracle set, so the returned alpha is the true rational optimum.  The
-    certificate's `tight_losing` are the oracle sets that attain alpha; an
-    oracle set leaves out zero-weight vertices, so it need not be maximal.
+    `ThresholdLP` on the edges over `twin_classes`, warm after the first
+    cut: twins are symmetric players of the graphic game, so the LP keeps
+    its optimum with one payoff column per class, and a cut is a row of
+    its set's class counts.  The two-copy gadget pairs every vertex with a
+    twin, so it has at most half the columns.  The oracle runs on the whole graph,
+    weighted by the payoff's integer numerators, and its weight is
+    compared with t's, all over the solve's one denominator: scaling every
+    weight by one positive constant changes neither oracle's set.
+    Everything is exact, and the final payoff is certified against the
+    edges and every oracle set, the classes' symmetry included, so the
+    returned alpha is the true rational optimum.  The certificate's
+    `tight_losing` are the oracle sets that attain alpha; an oracle set
+    leaves out zero-weight vertices, so it need not be maximal.
     """
     if not g.edges:
         raise ValueError("an edgeless graph has no winning coalitions")
     color = bipartition(g)
     if color is None:
         budgets.check("mwis", g.n, budget)
-    edges = _edge_masks(g)
-    cut_lp = ThresholdLP(g.n, edges)
+    cut_lp = ThresholdLP(g.n, _edge_masks(g), classes=twin_classes(g))
     for _ in range(MAX_CUT_ROUNDS):
         nums, _ = cut_lp.solve()  # p_1..p_n, then t
         if color is not None:

@@ -76,12 +76,12 @@ def frac(x: Number) -> Fraction:
     """Exact conversion; floats convert via their binary value.
 
     Raises ValueError for anything that is not a finite rational: a NaN or
-    infinite float, or a string such as "1/0"."""
+    infinite float, or a string such as "1/0" or "abc"."""
     if isinstance(x, Fraction):
         return x
     try:
         return Fraction(x)
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
         raise ValueError(f"{x!r} is not a finite rational") from exc
 
 

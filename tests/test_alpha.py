@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from collections import Counter
 from itertools import combinations
 from fractions import Fraction as F
 from pathlib import Path
@@ -60,9 +61,12 @@ def reference_certify_alpha(payoff, alpha, winning, losing):
 
 def certify_pair(lp, payoff, value):
     """`lp.certify()` with the payoff and threshold of the last solve replaced
-    by `payoff` (one entry per player) and `value`; the dual is kept."""
+    by `payoff` (one entry per player, equal on each class of the LP) and
+    `value`; the dual is kept."""
     *_, y, yden = lp._last
-    lp._last = (*lp_module.common_numerators((*payoff, value)), y, yden)
+    per_class = [payoff[(c & -c).bit_length() - 1] for c in lp._classes]
+    assert [per_class[k] for k in lp._column] == list(payoff), "the payoff must be constant on each class"
+    lp._last = (*lp_module.common_numerators((*per_class, value)), y, yden)
     return lp.certify()
 
 
@@ -83,12 +87,14 @@ def dense_certify(lp):
     spread evenly over the coalitions behind each row, and `lp._certify`
     over those rows.  Raises on a pair that is not optimal for the full LP."""
     n, (x, xden, y, yden) = lp.n, lp._last
+    x = [x[k] for k in lp._column] + [x[-1]]  # the class payoffs, given to each player
     rows = [_incidence_row(n, w.mask, 1, 0, 1) for w in lp.winning]
     rows += [_incidence_row(n, l.mask, -1, 1, 0) for l in lp.losing]
-    if len(y) != len(lp._sizes):
+    if len(y) != len(lp._rows):
         raise CertificateError("the threshold LP returned a solution of the wrong shape")
-    spread = math.lcm(*lp._sizes)
-    full_y = [y[r] * (spread // lp._sizes[r]) for r in lp._group]
+    sizes = Counter(lp._group)  # the coalitions behind each row
+    spread = math.lcm(*sizes.values())
+    full_y = [y[r] * (spread // sizes[r]) for r in lp._group]
     lp_module._certify(rows, 1, [0] * n + [1], 1, x, xden, full_y, yden * spread)
 
 
@@ -212,8 +218,9 @@ alpha.compute_alpha_exact(game)
             ("alpha.solve_lp = fake((F(1, 2), F(1, 2), 1), (0, F(1, 2), F(1, 2)))", "strong duality failed"),
             ("alpha.solve_lp = fake((F(1, 2), F(1, 2), 1), (1, 1, 1))", "the losing duals sum to more than 1"),
             # {2, 3, 4} is no class: swapping 2 and 3 moves the edge {1, 2} off the cycle;
-            # the reduced optimum is alpha, but no vertex of its duals spreads
-            ("alpha.symmetric_classes = lambda game: [0b0001, 0b1110]", "simplex returned a dual-infeasible vector"),
+            # the reduced optimum is alpha, and the symmetry check refuses the partition
+            ("alpha.symmetric_classes = lambda game: [0b0001, 0b1110]",
+             "the partition is not a symmetry: a swap inside a class moves a winning coalition"),
         ],
     )
     def test_reduced_checks_survive_optimize(self, patch, message):
@@ -278,9 +285,10 @@ class TestSymmetricReduction:
     players; the full LP, one column per player, is the reference."""
 
     def test_reduced_matches_full(self, monkeypatch):
-        # one certify per alpha, scoring every coalition of the full LP once
-        scored, certified = [0], []
-        mask_sum, certify = alpha.mask_sum, ThresholdLP.certify
+        # one certify per alpha, scoring each row once, and checking the
+        # partition's symmetry exactly when the LP is reduced
+        scored, swaps, certified = [0], [], []
+        mask_sum, certify, swaps_keep = alpha.mask_sum, ThresholdLP.certify, alpha._swaps_keep
 
         def count(nums, mask):
             scored[0] += 1
@@ -288,27 +296,28 @@ class TestSymmetricReduction:
 
         def spy(lp, *args):
             scored[0] = 0
+            swaps.clear()
             cert = certify(lp, *args)
-            certified.append((lp._k < lp.n, len(lp._rows), scored[0]))
+            certified.append((lp._k < lp.n, len(lp._rows), scored[0], list(swaps)))
             return cert
 
         monkeypatch.setattr(alpha, "mask_sum", count)
+        monkeypatch.setattr(alpha, "_swaps_keep", lambda classes, masks: swaps.append(len(masks)) or swaps_keep(classes, masks))
         monkeypatch.setattr(ThresholdLP, "certify", spy)
         reduced = 0
         for g in reduction_games():
             certified.clear()
             cert = compute_alpha_exact(g)
             full = len(g.minimal_winning) + len(maximal_losing(g))
-            [(was_reduced, rows, coalitions)] = certified
-            assert coalitions == full
+            [(was_reduced, rows, scores, checked)] = certified
+            assert scores == rows <= full
             assert cert.alpha == full_alpha(g)
             classes = symmetric_classes(g)
             for c in classes:
                 assert len({cert.payoff[i - 1] for i in Coalition(c).players()}) == 1
             assert was_reduced == (len(classes) < g.n)
-            if was_reduced:  # the spread dual was checked on every coalition
-                reduced += 1
-                assert rows <= full
+            assert checked == ([len(g.minimal_winning)] if was_reduced else [])
+            reduced += was_reduced
         assert reduced > 100
 
     @staticmethod
@@ -373,10 +382,10 @@ class TestSymmetricReduction:
         families = ((0, g.minimal_winning), (1, losing))
         counts = {(t, *[(c.mask & m).bit_count() for m in classes]) for t, family in families for c in family}
         reduced = ThresholdLP(g.n, g.minimal_winning, losing, classes)
-        assert len(reduced._rows) == len(counts) < coalitions
-        assert sum(reduced._sizes) == len(reduced._group) == coalitions
+        assert len(reduced._rows) == len(reduced._reps) == len(counts) < coalitions
+        assert len(reduced._group) == coalitions
         full = ThresholdLP(g.n, g.minimal_winning, losing)
-        assert len(full._rows) == coalitions and full._sizes == [1] * coalitions
+        assert len(full._rows) == coalitions and full._group == list(range(coalitions))
         dense = [_incidence_row(g.n, c.mask, 1 - 2 * t, t, 1 - t) for t, family in families for c in family]
         assert full._rows == dense
 
@@ -440,11 +449,34 @@ class TestSymmetricReduction:
         lp = ThresholdLP(g.n, g.minimal_winning, losing, classes[::-1])
         assert len(classes) < g.n and lp._rows == reduced._rows and lp.solve() == reduced.solve()
 
-    def test_rows_are_added_only_per_player(self):
+    def test_classed_lp_adds_rows_by_class_counts(self):
+        # cycle_game(4) over {1, 3}, {2, 4}: the cuts {1, 3} and {2, 4} are the
+        # rows L(2, 0) and L(0, 2)
         g = cycle_game(4)
         lp = ThresholdLP(4, g.minimal_winning, (), symmetric_classes(g))
-        with pytest.raises(ValueError, match="one column per player"):
-            lp.add_losing(Coalition.of(1, 3))
+        assert lp._rows == [[1, 1, 0, 1]]
+        lp.solve()
+        for cut, row in ((Coalition.of(1, 3), [-2, 0, 1, 0]), (Coalition.of(2, 4), [0, -2, 1, 0])):
+            lp.add_losing(cut)
+            assert lp._rows[-1] == row
+            lp.solve()
+        assert len(lp._rows) == 3 and lp._group == [0, 0, 0, 0, 1, 2]
+        cert = lp.certify()
+        assert cert.alpha == 1 and cert.payoff == (F(1, 2),) * 4
+        assert cert.tight_losing == (Coalition.of(1, 3), Coalition.of(2, 4))
+        # the warm classed LP and the cold full LP over the same cuts agree
+        full = ThresholdLP(4, g.minimal_winning, [Coalition.of(1, 3), Coalition.of(2, 4)])
+        full.solve()
+        assert full.certify().alpha == cert.alpha
+        # the star on 1 over {1}, {2, 3, 4}: {3, 4} has the counts of the cut {2, 3},
+        # so an optimum that holds that row scores it as {2, 3}, and it is refused
+        star = new_game(4, [[1, 2], [1, 3], [1, 4]])
+        lp = ThresholdLP(4, star.minimal_winning, (), symmetric_classes(star))
+        lp.solve()
+        lp.add_losing(Coalition.of(2, 3))
+        with pytest.raises(CertificateError, match="primal-infeasible"):
+            lp.add_losing(Coalition.of(3, 4))
+        assert lp._rows[-1] == [0, -2, 1, 0] and len(lp._group) == 4 and len(lp.losing) == 1
 
 
 def _outcome(check, *args):
@@ -454,16 +486,16 @@ def _outcome(check, *args):
         return "refused", str(exc)
 
 
-def _mutant(cert):
-    """The optimal payoff with one entry raised by 1/den, den the lcm of its
-    denominators, on a player of a tight losing coalition; None when every
-    tight losing coalition is empty."""
+def _mutant(cert, classes):
+    """The optimal payoff with the entries of one class raised by 1/den, den
+    the lcm of its denominators, on the class of a player of a tight losing
+    coalition; None when every tight losing coalition is empty."""
     members = [c.players() for c in cert.tight_losing if c.mask]
     if not members:
         return None
     den = math.lcm(*(v.denominator for v in cert.payoff))
-    i = members[0][0] - 1
-    return cert.payoff[:i] + (cert.payoff[i] + F(1, den),) + cert.payoff[i + 1 :]
+    [raised] = [c for c in classes if c >> (members[0][0] - 1) & 1]
+    return tuple(v + F(raised >> i & 1, den) for i, v in enumerate(cert.payoff))
 
 
 class TestIntegerCertificate:
@@ -499,7 +531,7 @@ class TestIntegerCertificate:
         mutants = 0
         for g in certificate_games():
             cert = compute_alpha_exact(g)
-            payoff = _mutant(cert)
+            payoff = _mutant(cert, symmetric_classes(g))
             if payoff is None:
                 continue
             mutants += 1
@@ -516,7 +548,7 @@ assert False, "python -O should have stripped this assert"
 mutants = refused = 0
 for g in test_alpha.certificate_games():
     cert = compute_alpha_exact(g)
-    payoff = test_alpha._mutant(cert)
+    payoff = test_alpha._mutant(cert, test_alpha.symmetric_classes(g))
     if payoff is None:
         continue
     mutants += 1
@@ -596,7 +628,7 @@ class TestAlphaOfPayoff:
         with pytest.raises(ValueError):
             alpha_of_payoff(MAJ3, [0, 0, 0])
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, "1/0"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "1/0"])
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(ValueError, match="not a finite rational"):
             alpha_of_payoff(MAJ3, [1, bad, 0])

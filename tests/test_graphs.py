@@ -280,12 +280,16 @@ class TestMwisExact:
             mwis_exact(make_graph(50, [(1, 2)]), [1] * 50)
 
     def test_infinite_weight_rejected(self):
-        with pytest.raises(ValueError, match="not a finite rational"):
-            mwis_exact(C5, [1, float("inf"), 1, 1, 1])
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="not a finite rational"):
+                mwis_exact(C5, [1, bad, 1, 1, 1])
+            with pytest.raises(ValueError, match="not a finite rational"):
+                mwis_bipartite(C4, [1, bad, 1, 1])
         # int weights skip `frac`, and both oracles still refuse a bad list of them
         for oracle in (mwis_exact, mwis_bipartite):
             for weights, message in [
                 ([1, float("-inf"), 1, 1], "not a finite rational"),
+                ([1, float("nan"), 1, 1], "not a finite rational"),
                 ([1, -1, 1, 1], "nonnegative"),
                 ([1, 1, 1], "3 weights for 4 vertices"),
                 ([1, 1, 1, 1, 1], "5 weights for 4 vertices"),
@@ -375,11 +379,15 @@ class TestAlphaGraph:
         monkeypatch.setattr(alpha, "solve_lp", spy_solve_lp)
         monkeypatch.setattr(lp, "_certify", lambda *args: calls.append(where[0]) or certify(*args))
         monkeypatch.setattr(lp.TallLP, "solve", lambda tall: warm.__setitem__(0, warm[0] + 1) or tall_solve(tall))
+        per_graph = []
         for g in (build_gadget(random_graph(6, 7, 3)), random_bipartite_graph(10, 14, 0), C8):
             calls.clear()
+            warm[0] = 0
             alpha_graph(g)
             assert calls == ["cold"]
-        assert warm[0] > 6
+            per_graph.append(warm[0])
+        # every graph runs warm rounds; over its twin classes the gadget needs one cut
+        assert per_graph == [1, 3, 2]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_relabelling_keeps_alpha(self, seed):
@@ -408,6 +416,167 @@ graphs.alpha_graph(graphs.cycle_graph(4))
             "CertificateError: the payoff gives some losing coalition more than alpha"
             in proc.stderr
         )
+
+
+def complete_bipartite(a, b, isolated=0):
+    """K_{a,b} on the sides 1..a and a+1..a+b, then `isolated` isolated vertices."""
+    return make_graph(a + b + isolated, [(u, a + v) for u in range(1, a + 1) for v in range(1, b + 1)])
+
+
+def add_twin(g, v, true):
+    """g with the vertex n+1 a false twin of v (the same neighbours), or a
+    true twin (the same neighbours and v)."""
+    n = g.n + 1
+    edges = list(g.edges) + [(u, n) for u in range(1, n) if (min(u, v), max(u, v)) in g.edges]
+    return make_graph(n, edges + [(v, n)] * true)
+
+
+def twin_graphs():
+    """Graphs with twins of every kind: gadgets, stars, K_{a,b}, graphs with
+    isolated vertices, and random graphs with an added false or true twin."""
+    for seed in range(6):
+        n = 3 + seed % 4
+        yield build_gadget(random_graph(n, min(2 + seed, n * (n - 1) // 2), seed))
+    for b in range(1, 6):
+        yield complete_bipartite(1, b)
+    for a, b in ((2, 2), (2, 3), (3, 3), (2, 5)):
+        yield complete_bipartite(a, b)
+    yield complete_bipartite(2, 3, isolated=2)
+    yield make_graph(7, [(1, 2), (2, 3), (3, 4)])
+    yield K4
+    for seed in range(8):
+        g = random_graph(6, 5 + seed, seed)
+        yield add_twin(g, 1 + seed % 6, seed % 2 == 1)
+
+
+class TestTwinClasses:
+    """`alpha_graph` solves its cut LP over `graphs.twin_classes`; the LP
+    over all independent sets, `compute_alpha_exact(graphic_game(g))`, is the
+    reference, and `games.symmetric_classes` the reference for the classes."""
+
+    def test_matches_symmetric_classes(self):
+        from simplegames.games import symmetric_classes
+
+        rng = random.Random("twins")
+        merged = 0
+        for seed in range(200):
+            n = rng.randint(2, 12)
+            g = random_graph(n, rng.randint(1, n * (n - 1) // 2), seed)
+            classes = graphs.twin_classes(g)
+            assert classes == symmetric_classes(graphic_game(g))
+            merged += len(classes) < n
+        assert merged > 50
+
+    def test_known_classes(self):
+        assert graphs.twin_classes(C4) == [0b0101, 0b1010]  # false twins
+        assert graphs.twin_classes(C5) == [1 << i for i in range(5)]
+        assert graphs.twin_classes(K4) == [0b1111]  # true twins
+        assert graphs.twin_classes(complete_bipartite(1, 3)) == [0b0001, 0b1110]
+        assert graphs.twin_classes(complete_bipartite(2, 3, isolated=2)) == [0b11, 0b11100, 0b1100000]
+        # every vertex of a gadget is a true twin of its copy
+        g = path_graph(3)
+        assert graphs.twin_classes(build_gadget(g)) == [0b001001, 0b010010, 0b100100]
+
+    def test_alpha_matches_enumeration(self, monkeypatch):
+        sizes = []
+        init = graphs.ThresholdLP.__init__
+
+        def spy(lp, *args, **kwargs):
+            init(lp, *args, **kwargs)
+            sizes.append((lp._k, lp.n))
+
+        monkeypatch.setattr(graphs.ThresholdLP, "__init__", spy)
+        for g in twin_graphs():
+            sizes.clear()
+            cert = alpha_graph(g)
+            [(k, n)] = sizes
+            assert k == len(graphs.twin_classes(g)) < n
+            assert cert.alpha == compute_alpha_exact(graphic_game(g)).alpha
+            for c in graphs.twin_classes(g):
+                assert len({cert.payoff[i - 1] for i in Coalition(c).players()}) == 1
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (1, 4), (2, 3), (3, 5), (4, 4)])
+    def test_complete_bipartite_closed_form(self, a, b):
+        # the two sides are the classes, so p = (b, a)/(a + b) and alpha = ab/(a + b);
+        # a false twin on the first side makes it K_{a+1,b}, a true one leaves two classes
+        assert alpha_graph(complete_bipartite(a, b)).alpha == F(a * b, a + b)
+        assert alpha_graph(add_twin(complete_bipartite(a, b), 1, False)).alpha == F((a + 1) * b, a + b + 1)
+        assert alpha_graph(complete_bipartite(a, b, isolated=3)).alpha == F(a * b, a + b)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_relabeling_permutes_the_classes(self, seed):
+        rng = random.Random(f"twin-relabel:{seed}")
+        for g in (build_gadget(random_graph(5, 1 + seed, seed)), add_twin(random_graph(7, 8 + seed, seed), 2, seed % 2)):
+            order = list(range(1, g.n + 1))
+            rng.shuffle(order)
+            relabeled = make_graph(g.n, [(order[u - 1], order[v - 1]) for u, v in g.edges])
+            moved = {sum(1 << (order[i - 1] - 1) for i in Coalition(c).players()) for c in graphs.twin_classes(g)}
+            assert moved == set(graphs.twin_classes(relabeled))
+            cert, other = alpha_graph(g), alpha_graph(relabeled)
+            assert other.alpha == cert.alpha
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_adding_a_twin(self, seed):
+        # the new vertex joins its twin's class; any added vertex keeps alpha in
+        # [alpha, alpha + 1]: restrict a payoff to g, or pay the new vertex 1
+        rng = random.Random(f"add-twin:{seed}")
+        n = rng.randint(3, 9)
+        g = random_graph(n, rng.randint(1, n * (n - 1) // 2), seed)
+        before = alpha_graph(g).alpha
+        v = rng.randint(1, n)
+        for true in (False, True):
+            h = add_twin(g, v, true)
+            [joined] = [c for c in graphs.twin_classes(h) if c >> n & 1]
+            assert joined >> (v - 1) & 1
+            after = alpha_graph(h).alpha
+            assert before <= after <= before + 1
+            assert after == compute_alpha_exact(graphic_game(h)).alpha
+
+    def test_gadget_identity(self):
+        # alpha(gadget(g)) = mwis(g) / 2 on 30 random graphs, each gadget over
+        # at most half of its vertices' columns
+        rng = random.Random("gadget-identity")
+        for seed in range(30):
+            n = rng.randint(2, 9)
+            g = random_graph(n, rng.randint(0, n * (n - 1) // 2), seed)
+            gadget = build_gadget(g)
+            assert len(graphs.twin_classes(gadget)) <= n
+            assert alpha_graph(gadget).alpha == F(mwis_exact(g, [1] * n).weight, 2)
+
+    SYMMETRY = "the partition is not a symmetry: a swap inside a class moves a winning coalition"
+
+    @pytest.mark.parametrize(
+        "graph, patch, message",
+        [
+            # 1 and 2 are adjacent on C5 but no twins, so {1, 2} is no class
+            ("graphs.cycle_graph(5)", "graphs.twin_classes = lambda g: [0b00011, 0b00100, 0b01000, 0b10000]", SYMMETRY),
+            # on the path 1-3-2-4 the swap of 1 and 2 maps the edge {1, 3} onto
+            # {2, 3} but {2, 4} off the path: the check must test both directions
+            ("graphs.make_graph(4, [(1, 3), (2, 3), (2, 4)])", "graphs.twin_classes = lambda g: [0b0011, 0b0100, 0b1000]",
+             SYMMETRY),
+            # C4 over {1, 3}, {2, 4} ends on the rows W(1, 1), L(2, 0), L(0, 2) in some
+            # order, at q = (1/2, 1/2) and t = 1; each dual fails one check and passes the others
+            ("graphs.cycle_graph(4)", "fake_dual((1, 0, 0))", "simplex returned a dual-infeasible vector"),
+            ("graphs.cycle_graph(4)", "fake_dual((0, 1, 1), 2)", "strong duality failed"),
+            ("graphs.cycle_graph(4)", "fake_dual((1, 1, 1))", "the losing duals sum to more than 1"),
+        ],
+    )
+    def test_classed_certificate_survives_optimize(self, graph, patch, message):
+        script = f"""
+from simplegames import graphs, lp
+assert False, "python -O should have stripped this assert"
+solve = lp.TallLP.solve
+def fake_dual(y, yden=1):
+    def fake(tall):
+        status, (x, xden, real, _) = solve(tall)
+        return status, (x, xden, list(y) if len(real) == 3 else real, yden)
+    lp.TallLP.solve = fake
+{patch}
+graphs.alpha_graph({graph})
+"""
+        proc = run_optimized(script)
+        assert proc.returncode == 1, proc.stderr
+        assert f"CertificateError: {message}" in proc.stderr
 
 
 class TestGadget:

@@ -29,6 +29,16 @@ def run_optimized(script):
     )
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "nan", "1/0", "abc"])
+def test_frac_refuses_what_is_not_a_finite_rational(bad):
+    with pytest.raises(ValueError, match="is not a finite rational"):
+        lp.frac(bad)
+
+
+def test_frac_keeps_exact_values():
+    assert [lp.frac(v) for v in (F(1, 3), 2, 0.5, "3/4")] == [F(1, 3), F(2), F(1, 2), F(3, 4)]
+
+
 def test_min_x_geq_3():
     sol = solve_lp(make_lp([1], [([1], GE, 3)]))
     assert sol.status == "optimal"
@@ -661,21 +671,22 @@ class TestSparsePivot:
                 assert len({id(row) for row in rows}) == len(rows)
         assert min(seen.values()) > 20, seen
 
-    # pivots per call at the parent of the sparse pivot, (cold, warm): the
-    # cold ones inside solve_lp, the warm ones inside TallLP.solve.  A "game"
-    # solves the full threshold LP, one column per player; "reduced" is the
-    # same game's LP in compute_alpha_exact, one column per class of
-    # symmetric players (1, 1, 8 and 8 classes)
+    # pivots per call, (cold, warm): the cold ones inside solve_lp, the warm
+    # ones inside TallLP.solve.  alpha_graph solves over the graph's twin
+    # classes; every gadget has twins, and of the bipartite graphs only the
+    # seed-3 one.  A "game" solves the full threshold LP, one column per
+    # player; "reduced" is the same game's LP in compute_alpha_exact, one
+    # column per class of symmetric players (1, 1, 8 and 8 classes)
     PIVOTS = [
-        (("gadget", 6, 7, 3), (9, 21)),
-        (("gadget", 6, 11, 3), (11, 15)),
-        (("gadget", 7, 9, 3), (11, 21)),
-        (("gadget", 7, 15, 3), (12, 17)),
-        (("gadget", 8, 12, 5), (12, 34)),
+        (("gadget", 6, 7, 3), (5, 6)),
+        (("gadget", 6, 11, 3), (5, 8)),
+        (("gadget", 7, 9, 3), (7, 8)),
+        (("gadget", 7, 15, 3), (6, 10)),
+        (("gadget", 8, 12, 5), (7, 8)),
         (("bipartite", 10, 14, 0), (7, 18)),
         (("bipartite", 10, 14, 1), (5, 13)),
         (("bipartite", 10, 14, 2), (6, 13)),
-        (("bipartite", 10, 14, 3), (5, 11)),
+        (("bipartite", 10, 14, 3), (5, 10)),
         (("game", 6, 0), (6, 0)),
         (("game", 7, 1), (7, 0)),
         (("game", 8, 2), (16, 0)),

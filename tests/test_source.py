@@ -5,7 +5,8 @@ an `assert` that `python -O` would strip: the one assert form allowed is
 `assert <expr> is not None`, which only tells a type checker what the code
 above it has already established.  No module builds 2^n-bit subset tables,
 every budget error names a cap that `budgets` documents, and the exact
-simplex's pivot loop works on ints alone.
+simplex's pivot loop, the threshold LP's builder, cut loop and certificate
+checks work on ints alone.
 """
 
 import ast
@@ -147,17 +148,43 @@ def test_pivot_loop_stays_integer():
     assert functions_naming(tree, PIVOT_LOOP, "Fraction") == []
 
 
-# the threshold LP's row builder, its solve and cut rows, and the cutting-plane
-# loop that feeds the solve's numerators to the oracle
+# the threshold LP's row builder, its solve and cut rows, the symmetry check
+# of its certificate, and the cutting-plane loop that feeds the solve's
+# numerators to the oracle over the graph's twin classes
 THRESHOLD_INTEGER = {
-    "alpha.py": {"ThresholdLP._add_rows", "ThresholdLP.solve", "ThresholdLP.add_losing"},
-    "graphs.py": {"alpha_graph"},
+    "alpha.py": {"ThresholdLP._add_rows", "ThresholdLP.solve", "ThresholdLP.add_losing", "_swaps_keep"},
+    "graphs.py": {"alpha_graph", "twin_classes"},
 }
 
 
+def statements_after_checks(node, name):
+    """The indices of the statements of `node`'s body that mention `name`,
+    and the index of its last statement that raises."""
+    def mentions(stmt, wanted):
+        return any(getattr(sub, "id", getattr(sub, "attr", None)) == wanted for sub in ast.walk(stmt))
+
+    naming = [i for i, stmt in enumerate(node.body) if mentions(stmt, name)]
+    raising = [i for i, stmt in enumerate(node.body) if any(isinstance(sub, ast.Raise) for sub in ast.walk(stmt))]
+    return naming, max(raising, default=-1)
+
+
 def test_threshold_lp_and_cut_loop_stay_integer():
-    # `ThresholdLP.certify` builds the answer's Fractions once, from the last solve
     for name, qualnames in THRESHOLD_INTEGER.items():
         tree = ast.parse((SRC / name).read_text())
         assert qualnames <= set(function_scopes(tree))
         assert functions_naming(tree, qualnames, "Fraction") == []
+    # `ThresholdLP.certify` builds the answer's Fractions once, after its last
+    # check, and no dual is spread over coalitions any more
+    tree = ast.parse((SRC / "alpha.py").read_text())
+    naming, last_check = statements_after_checks(function_scopes(tree)["ThresholdLP.certify"], "Fraction")
+    assert naming and min(naming) > last_check
+    spread = {"lcm", "_add_share", "_sizes"}
+    assert {getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(tree)} & spread == set()
+
+
+def test_statements_after_checks_finds_late_fractions():
+    tree = ast.parse("def f(x):\n    if x:\n        raise ValueError\n    y = Fraction(x)\n    return y\n"
+                     "def g(x):\n    y = Fraction(x)\n    if y:\n        raise ValueError\n")
+    scopes = function_scopes(tree)
+    assert statements_after_checks(scopes["f"], "Fraction") == ([1], 0)
+    assert statements_after_checks(scopes["g"], "Fraction") == ([0], 1)
