@@ -55,7 +55,7 @@ from .graphs import (
     mwis_bipartite,
     mwis_exact,
 )
-from .lp import LinearProgram, LPRow, LPSolution, in_convex_hull, make_lp, solve_lp
+from .lp import LinearProgram, LPRow, LPSolution, in_convex_hull, solve_lp
 from .minnorm import (
     MinNormCertificate,
     PayoffVector,
@@ -108,7 +108,6 @@ __all__ = [
     "is_weighted",
     "is_winning",
     "make_graph",
-    "make_lp",
     "maximal_losing",
     "min_norm_point",
     "mwis_bipartite",

@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import budgets
 from .errors import CertificateError, UndefinedRatioError
-from .games import Coalition, SimpleGame, maximal_losing, random_game, symmetric_classes
+from .games import Coalition, SimpleGame, _swap_keeps, maximal_losing, random_game, symmetric_classes
 from .lp import GE, LPRow, LinearProgram, TallLP, common_numerators, frac, rat, solve_lp
 
 
@@ -74,18 +74,14 @@ def mask_sum(nums: Sequence[int], mask: int) -> int:
 def _swaps_keep(classes: Sequence[int], masks: list[int]) -> bool:
     """Whether each transposition of two consecutive players of a class maps
     the family of `masks` onto itself.  Those transpositions generate every
-    permutation inside the classes.  A swap is one to one on coalitions, so
-    it maps the family onto itself once it maps each member into it, and
-    only a member holding one of the two players moves."""
+    permutation inside the classes."""
     family = set(masks)
     for c in classes:
         low, rest = c & -c, c & (c - 1)
         while rest:
             high = rest & -rest
-            swap = low | high
-            for m in masks:
-                if 0 < m & swap != swap and m ^ swap not in family:
-                    return False
+            if not _swap_keeps(masks, family, low | high):
+                return False
             low, rest = high, rest ^ high
     return True
 

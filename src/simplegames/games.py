@@ -299,10 +299,7 @@ def symmetric_classes(game: SimpleGame) -> list[int]:
     winning family onto itself; that is an equivalence, because
     (i r)(j r)(i r) = (i j), so each player is tested against one
     representative per class, and only against those with equal
-    `size_counts`.  Equal counts give as many members holding i but not j
-    as holding j but not i, and the swap maps the first kind one to one
-    into the second, so the swap is an automorphism once it maps every
-    member of the first kind into the family.  Players in no minimal
+    `size_counts`, which symmetric players have.  Players in no minimal
     winning coalition form one class.
     """
     masks = [c.mask for c in game.minimal_winning]
@@ -312,7 +309,7 @@ def symmetric_classes(game: SimpleGame) -> list[int]:
     for i, counts in enumerate(map(tuple, size_counts(game))):
         bi = 1 << i
         for br, k in reps.get(counts, ()):
-            if _swap_keeps(masks, family, bi, bi | br):
+            if _swap_keeps(masks, family, bi | br):
                 classes[k] |= bi
                 break
         else:
@@ -321,11 +318,13 @@ def symmetric_classes(game: SimpleGame) -> list[int]:
     return classes
 
 
-def _swap_keeps(masks: list[int], family: set[int], bi: int, swap: int) -> bool:
-    """Whether swapping the two players of `swap` maps each member holding
-    the one at `bi` but not the other into `family`."""
+def _swap_keeps(masks: list[int], family: set[int], swap: int) -> bool:
+    """Whether swapping the two players of `swap` maps the family of `masks`,
+    whose set is `family`, onto itself.  A swap is one to one on coalitions,
+    so it does once it maps each member into the family, and only a member
+    holding exactly one of the two players moves."""
     for m in masks:
-        if m & swap == bi and m ^ swap not in family:
+        if 0 < m & swap != swap and m ^ swap not in family:
             return False
     return True
 

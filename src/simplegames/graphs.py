@@ -266,17 +266,11 @@ def mwis_bipartite(g: Graph, weights: Sequence) -> WeightedVertexSet:
             v = u
         flow_value += bottleneck
 
-    reachable = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v, c in cap[u].items():
-            if c > 0 and v not in reachable:
-                reachable.add(v)
-                queue.append(v)
+    # the last search found no path to the sink, so it reached every vertex it
+    # could: `parent` holds the source side of a minimum cut
     chosen = 0
     for v in range(1, n + 1):
-        in_cover = (v not in reachable) if color[v - 1] == 0 else (v in reachable)
+        in_cover = (v not in parent) if color[v - 1] == 0 else (v in parent)
         if not in_cover:
             chosen |= 1 << (v - 1)
     adj = _adj_masks(g)
@@ -564,23 +558,29 @@ def graph_from_json(source: Union[str, bytes, dict]) -> Graph:
 
 
 def graph_from_dimacs(text: str) -> Graph:
-    """Lines "p [fmt] <n> <m>" then m lines "e <u> <v>"; comment lines start with c."""
-    n = None
+    """One line "p [fmt] <n> <m>", then m lines "e <u> <v>"; comment lines start with c."""
+    n = m = None
     edges = []
     for line in text.splitlines():
         parts = line.split()
         if not parts or parts[0] == "c":
             continue
         if parts[0] == "p":
+            if n is not None:
+                raise ValueError(f"a second problem line: {line!r}")
             if len(parts) not in (3, 4):
                 raise ValueError(f"problem line must read 'p [fmt] <n> <m>', got {line!r}")
-            n = int(parts[-2])
+            n, m = int(parts[-2]), int(parts[-1])
         elif parts[0] == "e" and len(parts) == 3:
+            if n is None:
+                raise ValueError(f"edge line before the problem line: {line!r}")
             edges.append((int(parts[1]), int(parts[2])))
         else:
             raise ValueError(f"unrecognized graph line: {line!r}")
     if n is None:
         raise ValueError("missing problem line 'p <n> <m>'")
+    if len(edges) != m:
+        raise ValueError(f"problem line declares {m} edges, found {len(edges)}")
     return make_graph(n, edges)
 
 

@@ -81,7 +81,7 @@ def frac(x: Number) -> Fraction:
         return x
     try:
         return Fraction(x)
-    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+    except (OverflowError, ZeroDivisionError, ValueError, TypeError) as exc:
         raise ValueError(f"{x!r} is not a finite rational") from exc
 
 
@@ -103,22 +103,20 @@ class LPRow:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min/max objective over rows of (coeffs, relation, rhs), variables >= lower.
+    """min objective . x over rows of (coeffs, relation, rhs), variables >= lower.
 
-    Lower bounds default to 0 and must be nonnegative; optional upper bounds
-    are materialized as extra rows by the solver.
+    Entries are ints or Fractions.  Lower bounds default to 0 and must be
+    nonnegative; optional upper bounds are materialized as extra rows by the
+    solver.
     """
 
     num_vars: int
     objective: tuple[Rational, ...]
     rows: tuple[LPRow, ...]
-    sense: str = "min"
     lower: Optional[tuple[Fraction, ...]] = None
     upper: Optional[tuple[Optional[Fraction], ...]] = None
 
     def __post_init__(self) -> None:
-        if self.sense not in ("min", "max"):
-            raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
         if len(self.objective) != self.num_vars:
             raise ValueError("objective width does not match num_vars")
         for r in self.rows:
@@ -129,22 +127,6 @@ class LinearProgram:
                 raise ValueError("bounds width does not match num_vars")
         if self.lower is not None and any(lb < 0 for lb in self.lower):
             raise ValueError("negative lower bounds are not supported")
-
-
-def make_lp(
-    objective: Sequence[Number],
-    rows: Sequence[tuple[Sequence[Number], str, Number]],
-    sense: str = "min",
-    lower: Optional[Sequence[Number]] = None,
-    upper: Optional[Sequence[Optional[Number]]] = None,
-) -> LinearProgram:
-    obj = tuple(frac(c) for c in objective)
-    lprows = tuple(
-        LPRow(tuple(frac(a) for a in coeffs), rel, frac(b)) for coeffs, rel, b in rows
-    )
-    lo = None if lower is None else tuple(frac(x) for x in lower)
-    up = None if upper is None else tuple(None if x is None else frac(x) for x in upper)
-    return LinearProgram(len(obj), obj, lprows, sense, lo, up)
 
 
 @dataclass(frozen=True)
@@ -528,19 +510,14 @@ def common_numerators(values: Sequence[Rational]) -> tuple[list[int], int]:
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Solve exactly.  Deterministic for a fixed input.
+    """Minimize exactly.  Deterministic for a fixed input.
 
-    Dual values follow the textbook convention for the stated sense: for a
-    minimization, >= rows have duals >= 0, <= rows have duals <= 0 and
-    equality rows are free; signs flip for a maximization.  Duals of
-    internally generated bound rows are folded away.
+    Dual values follow the textbook convention for a minimization: >= rows
+    have duals >= 0, <= rows have duals <= 0 and equality rows are free.
+    Duals of internally generated bound rows are folded away.  Raises
+    ValueError for an entry that is not an int or a Fraction.
     """
     k = lp.num_vars
-    minimize = lp.sense == "min"
-    c, cden = common_numerators(lp.objective)
-    if not minimize:
-        c = [-v for v in c]
-
     rows: list[tuple[Sequence[Rational], str, Rational]] = [
         (r.coeffs, r.relation, r.rhs) for r in lp.rows
     ]
@@ -556,10 +533,14 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
     # canonical core: all rows as >=, equalities split in two, each row's
     # numerators (right-hand side last) over one common denominator
-    den = math.lcm(
-        *map(_denominator, chain.from_iterable([coeffs for coeffs, _, _ in rows])),
-        *[rhs.denominator for _, _, rhs in rows],
-    )
+    try:
+        c, cden = common_numerators(lp.objective)
+        den = math.lcm(
+            *map(_denominator, chain.from_iterable([coeffs for coeffs, _, _ in rows])),
+            *[rhs.denominator for _, _, rhs in rows],
+        )
+    except AttributeError as exc:  # only ints and Fractions have denominators
+        raise ValueError("LP entries must be ints or Fractions") from exc
     a: list[list[int]] = []
     b: list[int] = []  # each row's right-hand side, over den
     origin: list[tuple[int, int]] = []  # (row index, +1/-1 orientation)
@@ -596,14 +577,10 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     if sum(map(mul, folded, b)) * cden * xden != cx * yden * den:
         raise CertificateError("dual objective mismatch on the extended system")
 
-    duals = folded[:n_user]
-    if not minimize:
-        cx = -cx
-        duals = [-v for v in duals]
     return LPSolution(
         status="optimal",
         primal=tuple(Fraction(v, xden) if v else _ZERO for v in x),
-        dual=tuple(Fraction(v, yden) if v else _ZERO for v in duals),
+        dual=tuple(Fraction(v, yden) if v else _ZERO for v in folded[:n_user]),
         objective=Fraction(cx, cden * xden),
     )
 

@@ -6,7 +6,8 @@ that kernel must make the same pivots and return equal solutions.  It keeps
 an artificial column for every row and reads the duals off them, which
 checks the kernel's reading of the duals off its surplus columns.  Patch
 `core_solve` over `simplegames.lp._core_solve` to route `solve_lp` (and
-through it every exact caller) through this kernel.
+through it every exact caller) through this kernel.  `make_lp` builds the
+tests' LPs from plain numbers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from simplegames.errors import BudgetExceededError
-from simplegames.lp import MAX_PIVOTS, _numerators
+from simplegames.lp import MAX_PIVOTS, LinearProgram, LPRow, _numerators, frac
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -194,3 +195,14 @@ def core_solve(
     xden = math.lcm(*(v.denominator for v in x))
     yden = math.lcm(*(v.denominator for v in y))
     return status, (_numerators(x, xden), xden, _numerators(y, yden), yden)
+
+
+def make_lp(objective, rows, lower=None, upper=None) -> LinearProgram:
+    """min objective . x over (coeffs, relation, rhs) rows, every entry through
+    `frac`.  A test that wants a maximum passes the negated objective and
+    negates the optimum and the duals it reads back."""
+    obj = tuple(map(frac, objective))
+    lprows = tuple(LPRow(tuple(map(frac, coeffs)), rel, frac(b)) for coeffs, rel, b in rows)
+    lo = None if lower is None else tuple(map(frac, lower))
+    up = None if upper is None else tuple(None if x is None else frac(x) for x in upper)
+    return LinearProgram(len(obj), obj, lprows, lo, up)

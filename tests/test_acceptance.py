@@ -31,7 +31,9 @@ from simplegames import (
 )
 from simplegames.complete import greedy_losing_bound, sized_weighted_game
 from simplegames.graphs import random_bipartite_graph, random_graph
-from simplegames.lp import LE, make_lp, solve_lp
+from simplegames.lp import LE, solve_lp
+
+from lp_reference import make_lp
 
 TOL = F(1, 10**6)
 
@@ -239,10 +241,10 @@ def test_criterion_10_greedy_lp_equivalence():
     for n, wvg, cg, rep in weighted_reports():
         k, s = suffix_sizes(cg)
         rows = [([1] * i + [0] * (k - i), LE, s[i - 1] - 1) for i in range(1, k + 1)]
-        sol = solve_lp(make_lp([F(1, si) for si in s], rows, sense="max"))
+        sol = solve_lp(make_lp([F(-1, si) for si in s], rows))  # the maximum, as min of the negation
         assert sol.status == "optimal"
-        assert sol.objective == greedy_losing_bound(s), (n, s)
-        assert sol.objective == rep.greedy_bound
+        assert -sol.objective == greedy_losing_bound(s), (n, s)
+        assert -sol.objective == rep.greedy_bound
     report(
         10,
         True,

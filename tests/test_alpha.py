@@ -628,7 +628,7 @@ class TestAlphaOfPayoff:
         with pytest.raises(ValueError):
             alpha_of_payoff(MAJ3, [0, 0, 0])
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "1/0"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "1/0", None])
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(ValueError, match="not a finite rational"):
             alpha_of_payoff(MAJ3, [1, bad, 0])

@@ -190,6 +190,9 @@ class TestErrors:
             ("graph-alpha", None, {"n": 3, "edges": [[1]]}),
             ("graph-alpha", None, {"n": 3, "edges": [1, 2]}),
             ("graph-alpha", None, "p\ne 1 2\n"),  # DIMACS text, written as is
+            ("graph-alpha", None, "e 1 2\np 3 1\n"),  # an edge before the problem line
+            ("graph-alpha", None, "p 3 1\ne 1 2\np 2 1\n"),  # a second problem line
+            ("graph-alpha", None, "p 3 5\ne 1 2\n"),  # fewer edges than declared
         ],
     )
     def test_malformed_arrays_exit_2(self, capture, tmp_path, verb, flag, payload):

@@ -32,9 +32,10 @@ from simplegames.complete import (
     sized_weighted_game,
 )
 from simplegames.games import game_to_json, maximal_losing, random_game
-from simplegames.lp import LE, make_lp, solve_lp
+from simplegames.lp import LE, solve_lp
 
 import table_reference
+from lp_reference import make_lp
 
 WEIGHTED_2111 = new_game(4, [[1, 2], [1, 3], [1, 4], [2, 3, 4]])  # weights (2,1,1,1), quota 3
 MAJ3 = new_game(3, [[1, 2], [1, 3], [2, 3]])
@@ -474,12 +475,12 @@ class TestGreedyLpEquivalence:
         k, s = suffix_sizes(complete_order(wvg.game))
         objective = [F(1, si) for si in s]
         rows = [([1] * i + [0] * (k - i), LE, s[i - 1] - 1) for i in range(1, k + 1)]
-        sol = solve_lp(make_lp(objective, rows, sense="max"))
+        sol = solve_lp(make_lp([-v for v in objective], rows))  # the maximum, as min of the negation
         assert sol.status == "optimal"
-        assert sol.objective == greedy_losing_bound(s)
+        assert -sol.objective == greedy_losing_bound(s)
         # the stated greedy point is feasible and attains it
         xs = [s[0] - 1] + [s[i] - s[i - 1] for i in range(1, k)]
-        assert sum(F(x, si) for x, si in zip(xs, s)) == sol.objective
+        assert sum(F(x, si) for x, si in zip(xs, s)) == -sol.objective
         for i in range(1, k + 1):
             assert sum(xs[:i]) <= s[i - 1] - 1
 

@@ -20,7 +20,7 @@ from simplegames import (
     new_game,
     random_game,
 )
-from simplegames.games import _minimal_masks, _minimal_transversals, size_counts, symmetric_classes
+from simplegames.games import _minimal_masks, _minimal_transversals, _swap_keeps, size_counts, symmetric_classes
 from simplegames.graphs import random_graph
 
 import table_reference
@@ -520,6 +520,13 @@ class TestSymmetricClasses:
         assert symmetric_classes(cycle_game(4)) == [0b0101, 0b1010]
         assert symmetric_classes(cycle_game(6)) == [1 << i for i in range(6)]
         assert len({tuple(c) for c in size_counts(cycle_game(6))}) == 1
+
+    def test_swap_test_checks_both_directions(self):
+        # (1 2) takes {1, 3} to {2, 3}; no member holds 2 without 1, so a test
+        # from player 2's side alone would pass this swap
+        assert not _swap_keeps([0b101], {0b101}, 0b011)
+        assert _swap_keeps([0b101, 0b110], {0b101, 0b110}, 0b011)
+        assert _swap_keeps([0b111, 0b1000], {0b111, 0b1000}, 0b011)  # no member holds just one
 
     @pytest.mark.parametrize("n, q", [(1, 1), (3, 2), (5, 3), (7, 7), (9, 4)])
     def test_majority_is_one_class(self, n, q):

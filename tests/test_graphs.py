@@ -175,6 +175,20 @@ class TestGraphBasics:
         for bad_edge in ("e 1", "e 1 2 3"):
             with pytest.raises(ValueError):
                 graph_from_dimacs(f"p 4 2\n{bad_edge}\ne 3 4\n")
+        assert graph_from_dimacs("p edge 3 0\n") == make_graph(3, [])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("e 1 2\np 3 1\n", "edge line before the problem line"),
+            ("p 3 1\ne 1 2\np 2 1\n", "a second problem line"),
+            ("p 3 5\ne 1 2\n", "problem line declares 5 edges, found 1"),
+            ("p 3 0\ne 1 2\n", "problem line declares 0 edges, found 1"),
+        ],
+    )
+    def test_dimacs_outside_the_format(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            graph_from_dimacs(text)
 
     def test_bipartition(self):
         assert bipartition(C4) is not None

@@ -12,7 +12,8 @@ import pytest
 
 import lp_reference
 from simplegames import Coalition, compute_alpha_exact, lp
-from simplegames.lp import EQ, GE, LE, in_convex_hull, make_lp, solve_lp
+from lp_reference import make_lp
+from simplegames.lp import EQ, GE, LE, LinearProgram, LPRow, in_convex_hull, solve_lp
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -29,10 +30,24 @@ def run_optimized(script):
     )
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "nan", "1/0", "abc"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "nan", "1/0", "abc", None, 1j, [1]])
 def test_frac_refuses_what_is_not_a_finite_rational(bad):
     with pytest.raises(ValueError, match="is not a finite rational"):
         lp.frac(bad)
+
+
+@pytest.mark.parametrize(
+    "objective, row",
+    [
+        ((1, 1), LPRow((0.5, 1), GE, 1)),  # a float coefficient
+        ((1, 1), LPRow((1, 1), GE, 1.0)),  # a float right-hand side
+        ((1.5, 1), LPRow((1, 1), GE, 1)),  # a float objective entry
+        ((1, 1), LPRow((1, "1"), GE, 1)),  # a string
+    ],
+)
+def test_lp_entries_must_be_ints_or_fractions(objective, row):
+    with pytest.raises(ValueError, match="LP entries must be ints or Fractions"):
+        solve_lp(LinearProgram(2, objective, (row,)))
 
 
 def test_frac_keeps_exact_values():
@@ -54,7 +69,7 @@ def test_infeasible():
 
 
 def test_unbounded():
-    sol = solve_lp(make_lp([1], [([1], GE, 1)], sense="max"))
+    sol = solve_lp(make_lp([-1], [([1], GE, 1)]))  # max x as min -x
     assert sol.status == "unbounded"
 
 
@@ -74,10 +89,10 @@ def test_cycle4_threshold_lp():
 
 
 def test_equality_rows_and_max_sense():
-    # max x + y on the segment x + y = 2, x <= 1
-    sol = solve_lp(make_lp([1, 1], [([1, 1], EQ, 2), ([1, 0], LE, 1)], sense="max"))
+    # max x + y on the segment x + y = 2, x <= 1, as min -x - y
+    sol = solve_lp(make_lp([-1, -1], [([1, 1], EQ, 2), ([1, 0], LE, 1)]))
     assert sol.status == "optimal"
-    assert sol.objective == 2
+    assert sol.objective == -2
 
 
 def test_upper_bounds_materialize():

@@ -14,6 +14,7 @@ import pytest
 
 import lp_reference
 import test_lp
+from lp_reference import make_lp
 from simplegames import lp
 from simplegames.alpha import alpha_of_payoff, compute_alpha_exact
 from simplegames.games import cycle_game, random_game
@@ -25,7 +26,7 @@ from simplegames.graphs import (
     random_bipartite_graph,
     random_graph,
 )
-from simplegames.lp import EQ, GE, LE, make_lp, solve_lp
+from simplegames.lp import EQ, GE, LE, solve_lp
 from simplegames.minnorm import min_norm_point, tightness_check
 
 
@@ -41,6 +42,18 @@ def draw(rng, kind):
     if kind == "rational":
         return F(rng.randint(-6, 6), rng.randint(1, 5))
     return F(round(rng.uniform(-3, 3), rng.randint(0, 3)))  # a float, converted exactly
+
+
+# models whose objective is negated, as a maximization reaches the kernel
+NEGATED = []
+
+
+def drawn_sense(rng, objective, rows, **bounds):
+    """min objective . x, or, on a drawn "max", min of its negation."""
+    if rng.choice(("min", "max")) == "min":
+        return make_lp(objective, rows, **bounds)
+    NEGATED.append(make_lp([-v for v in objective], rows, **bounds))
+    return NEGATED[-1]
 
 
 def random_model(seed):
@@ -65,7 +78,7 @@ def random_model(seed):
         if rng.random() < 0.4
         else None
     )
-    return make_lp(objective, rows, rng.choice(("min", "max")), lower, upper)
+    return drawn_sense(rng, objective, rows, lower=lower, upper=upper)
 
 
 def degenerate_model(seed):
@@ -75,7 +88,7 @@ def degenerate_model(seed):
     rows = [([F(rng.choice((-1, 0, 1))) for _ in range(k)], GE, F(0)) for _ in range(k - 2)]
     rows.append(([F(1)] * k, LE, F(1)))
     objective = [F(rng.randint(-3, 3)) for _ in range(k)]
-    return make_lp(objective, rows, "min")
+    return make_lp(objective, rows)
 
 
 def redundant_model(seed):
@@ -90,7 +103,7 @@ def redundant_model(seed):
         for scale in (1, F(rng.randint(1, 4), rng.randint(1, 3))):
             rows.append(([a * scale for a in coeffs], EQ, rhs * scale))
     objective = [F(rng.randint(0, 4)) for _ in range(k)]
-    return make_lp(objective, rows, rng.choice(("min", "max")), upper=[F(5)] * k)
+    return drawn_sense(rng, objective, rows, upper=[F(5)] * k)
 
 
 BEALE = make_lp(  # Beale's cycling example
@@ -105,7 +118,7 @@ BEALE = make_lp(  # Beale's cycling example
 FIXED = [
     make_lp([1], [([1], GE, 1), ([1], LE, 0)]),  # infeasible, tall
     make_lp([1, 1], [([1, 1], LE, -1)]),  # infeasible, negative rhs, wide
-    make_lp([1], [([1], GE, 1)], sense="max"),  # unbounded, wide
+    make_lp([-1], [([1], GE, 1)]),  # unbounded, wide: max x as min -x
     make_lp([-1], [([1], GE, 1), ([1], GE, 2)]),  # unbounded, tall: transposed path is ambiguous
     BEALE,
 ]
@@ -165,18 +178,18 @@ class PivotSpy:
 
 def test_models_cover_every_case(monkeypatch):
     spy = PivotSpy(monkeypatch)
-    statuses, senses, paths = set(), set(), set()
+    statuses, paths = set(), set()
     kinds = {"negative rhs": False, "equality": False, "lower": False, "upper": False}
     for model in MODELS:
         statuses.add(solve_reference(model, monkeypatch).status)
-        senses.add(model.sense)
         paths.add("tall" if core_rows(model) > model.num_vars else "wide")
         kinds["negative rhs"] |= any(r.rhs < 0 for r in model.rows)
         kinds["equality"] |= any(r.relation == EQ for r in model.rows)
         kinds["lower"] |= model.lower is not None and any(model.lower)
         kinds["upper"] |= model.upper is not None
     assert statuses == {"optimal", "infeasible", "unbounded"}
-    assert senses == {"min", "max"}
+    # negated objectives, the kernel input of a maximization, reach an optimum and a ray
+    assert {solve_reference(model, monkeypatch).status for model in NEGATED} >= {"optimal", "unbounded"}
     assert paths == {"tall", "wide"}
     assert all(kinds.values()), kinds
     assert spy.longest_streak >= 12  # some model makes a long run of degenerate pivots

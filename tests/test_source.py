@@ -149,10 +149,12 @@ def test_pivot_loop_stays_integer():
 
 
 # the threshold LP's row builder, its solve and cut rows, the symmetry check
-# of its certificate, and the cutting-plane loop that feeds the solve's
-# numerators to the oracle over the graph's twin classes
+# of its certificate and the swap test it shares with `symmetric_classes`,
+# and the cutting-plane loop that feeds the solve's numerators to the oracle
+# over the graph's twin classes
 THRESHOLD_INTEGER = {
     "alpha.py": {"ThresholdLP._add_rows", "ThresholdLP.solve", "ThresholdLP.add_losing", "_swaps_keep"},
+    "games.py": {"_swap_keeps"},
     "graphs.py": {"alpha_graph", "twin_classes"},
 }
 
