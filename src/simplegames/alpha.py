@@ -13,10 +13,10 @@ case of one class per player.  It is solved exactly, cold while the rows are
 given up front and warm while losing rows arrive one at a time, and `solve`
 returns integer numerators over one denominator, which `graphs.alpha_graph`
 hands to its oracle as they are.  `certify` checks the last optimal pair,
-primal and dual, in integers and in class space: one score per row, the
-dual on the rows as built, and a check that the partition is a symmetry of
-the game, which lifts that dual to one over every coalition.  That check
-certifies every alpha, here and in `graphs`.
+primal and dual, in integers and in class space: `lp._certify` on the rows
+as built, and a check that the partition is a symmetry of the game, which
+lifts that dual to one over every coalition.  That check certifies every
+alpha, here and in `graphs`.
 
 alpha is invariant under the game's automorphisms, so `compute_alpha_exact`
 solves the LP over classes of symmetric players (`games.symmetric_classes`),
@@ -24,21 +24,20 @@ a fraction of the rows for weighted games with equal weights, and
 `graphs.alpha_graph` solves its cutting-plane LP over the graph's twin
 classes.
 
-A payoff is scored in integers, as numerators over one denominator that
-`mask_sum` adds per row, so no check does `Fraction` arithmetic per row.
+A payoff is scored in integers, as numerators over one denominator, so no
+check does `Fraction` arithmetic per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from . import budgets
 from .errors import CertificateError, UndefinedRatioError
 from .games import Coalition, SimpleGame, _swap_keeps, maximal_losing, random_game, symmetric_classes
-from .lp import GE, LPRow, LinearProgram, TallLP, common_numerators, frac, rat, solve_lp
+from .lp import GE, LPRow, LinearProgram, TallLP, _certify, common_numerators, frac, rat, solve_lp
 
 
 @dataclass(frozen=True)
@@ -150,8 +149,8 @@ class ThresholdLP:
         self._classes, self._column = _class_columns(n, [1 << i for i in range(n)] if classes is None else classes)
         self._k, self._tall = len(self._classes), None
         self._last: Optional[tuple] = None  # the last solve's class payoffs and t over xden, its dual over yden
-        # the rows, each row's key, the mask of each row's first coalition, and each coalition's row
-        self._rows, self._index, self._reps, self._group = [], {}, [], []
+        # the rows, each row's key, and each coalition's row
+        self._rows, self._index, self._group = [], {}, []
         self._add_rows(self.winning, 0)
         self._add_rows(self.losing, 1)
 
@@ -160,14 +159,13 @@ class ThresholdLP:
         of t and its class counts, appended when new: the counts, negated for
         a losing one, then t and the right-hand side 1 - t.  Over one class
         per player the mask is the counts, so it keys the row with t."""
-        column, index, rows, reps, group = self._column, self._index, self._rows, self._reps, self._group
+        column, index, rows, group = self._column, self._index, self._rows, self._group
         per_player, v, blank = self._k == self.n, 1 - 2 * t, [0] * self._k + [t, 1 - t]
         for c in coalitions:
             mask = c.mask
             key = mask << 1 | t if per_player else (t, *[(mask & m).bit_count() for m in self._classes])
             r = index.setdefault(key, len(rows))
             if r == len(rows):
-                reps.append(mask)
                 row = blank.copy()
                 while mask:
                     low = mask & -mask
@@ -188,7 +186,7 @@ class ThresholdLP:
         self._add_rows((losing,), 1)
         if len(self._rows) == rows:
             self._group.pop()
-            raise CertificateError("simplex returned a primal-infeasible point")
+            raise CertificateError("the cut repeats a row of the LP, so the last solve was wrong")
         self._tall.add_row(self._rows[-1])
         self.losing.append(losing)
 
@@ -203,8 +201,6 @@ class ThresholdLP:
             cold = solve_lp(LinearProgram(k + 1, (0,) * k + (1,), rows))
             if cold.status != "optimal":
                 raise CertificateError(f"threshold LP should be feasible and bounded, got {cold.status}")
-            if len(cold.primal) != k + 1:
-                raise CertificateError("the threshold LP returned a solution of the wrong shape")
             x, xden = common_numerators(cold.primal)
             y, yden = common_numerators(cold.dual)
         else:
@@ -218,16 +214,14 @@ class ThresholdLP:
     def certify(self, extra_losing: Iterable[Coalition] = ()) -> AlphaCertificate:
         """Check the last solve's pair, primal and dual, in integers, and return it.
 
-        The payoff is the solve's class payoffs given to each player of the
-        class, so every coalition of a row scores as the row's first one,
-        and every coalition reads its row's value.  With the payoff and t as
-        numerators over den, each winning row must score at least den and
-        each losing row, like each of `extra_losing`, at most t, and some
-        losing coalition exactly t.
+        `lp._certify` checks the pair on the rows as built, over the classes:
+        x >= 0, each row, y >= 0, y^T a <= 0 at each class's column and <= 1
+        at t's, which bounds the losing duals, and strong duality.  Every
+        coalition of a row scores as the row, since the payoff is constant on
+        each class, so a row's slack of 0 marks its coalitions binding or
+        tight.  Each of `extra_losing` must score at most t, and some losing
+        coalition exactly t.
 
-        The dual y is checked on the rows as built, over the classes: y >= 0,
-        y^T a <= 0 at each class's column (p's cost), the losing duals sum to
-        at most 1 (t's cost) and the winning duals to t (strong duality).
         Each transposition of consecutive players of a class must map the
         minimal winning family onto itself, so every permutation inside the
         classes is an automorphism of the game and maps each row's
@@ -239,22 +233,11 @@ class ThresholdLP:
         """
         assert self._last is not None, "solve before certify"
         x, den, y, yden = self._last
-        rows, k, t = self._rows, self._k, x[-1]
-        if len(x) != k + 1 or len(y) != len(rows):
-            raise CertificateError("the threshold LP returned a solution of the wrong shape")
-        if min(x) < 0:
-            raise CertificateError("simplex returned a negative primal")
-        nums = [x[c] for c in self._column]
-        value = [mask_sum(nums, m) for m in self._reps]  # each row's payoff, over den
-        for v, row in zip(value, rows):  # the winning rows come first
-            if row[-1]:
-                if v < den:
-                    raise CertificateError("the payoff gives some minimal winning coalition less than 1")
-            elif v > t:
-                raise CertificateError("the payoff gives some losing coalition more than alpha")
+        slack = _certify(self._rows, 1, [0] * self._k + [1], 1, x, den, y, yden)  # over den
         group, nw = self._group, len(self.winning)
-        binding = [w for w, r in zip(self.winning, group) if value[r] == den]
-        tight = [l for l, r in zip(self.losing, islice(group, nw, None)) if value[r] == t]
+        binding = [w for w, r in zip(self.winning, group) if not slack[r]]
+        tight = [l for l, r in zip(self.losing, group[nw:]) if not slack[r]]
+        nums, t = [x[c] for c in self._column], x[-1]
         for l in extra_losing:
             v = mask_sum(nums, l.mask)
             if v > t:
@@ -263,20 +246,8 @@ class ThresholdLP:
                 tight.append(l)
         if not tight:
             raise CertificateError("the optimum must be attained by some losing coalition")
-        if k < self.n and not _swaps_keep(self._classes, [w.mask for w in self.winning]):
+        if self._k < self.n and not _swaps_keep(self._classes, [w.mask for w in self.winning]):
             raise CertificateError("the partition is not a symmetry: a swap inside a class moves a winning coalition")
-        if min(y, default=0) < 0:
-            raise CertificateError("simplex returned a negative dual")
-        columns = [0] * (k + 2)  # y^T a at each class's column, t's and the right-hand side, over yden
-        for row, v in zip(rows, y):
-            if v:
-                columns = [s + v * a for s, a in zip(columns, row)]
-        if max(columns[:k], default=0) > 0:
-            raise CertificateError("simplex returned a dual-infeasible vector")
-        if columns[k] > yden:
-            raise CertificateError("the losing duals sum to more than 1")
-        if columns[k + 1] * den != t * yden:
-            raise CertificateError("strong duality failed (primal and dual objectives differ)")
         payoff = tuple(Fraction(v, den) for v in nums)
         return AlphaCertificate(Fraction(t, den), payoff, tuple(tight), tuple(binding))
 

@@ -25,22 +25,23 @@ Pricing is Dantzig's rule, with the lexicographic ratio test of Dantzig,
 Orden and Wolfe, which repeats no basis.  Duals are read off the final
 basis through the surplus columns.
 
-Every optimal solve is verified in-solver, in integers against the input
-rows: primal feasibility and signs, dual signs and feasibility, and exact
-equality of the primal and dual objectives.  When a model has many more
-constraints than variables it is solved through its transposed dual, built
-directly from the same integer rows, which produces the same primal/dual
-pair at a fraction of the pivot cost; the pair is certified against the
-input rows either way.
+Every optimal solve is verified in-solver by `_certify`, in integers against
+the input rows: primal feasibility and signs, dual signs and feasibility, and
+exact equality of the primal and dual objectives; `alpha.ThresholdLP.certify`
+calls it too, so the package has one LP optimality check.  A model with more
+constraints than variables is solved as a `TallLP`, through its transposed
+dual built from the same integer rows, which gives the same primal/dual pair
+at a fraction of the pivot cost; when that dual is infeasible, possible only
+with a negative cost, `solve_lp` retries the model directly.
 
 The tableau is a stateful object, `_Tableau`: construction runs phase 1,
 `run` runs phase 2, and `add_column` appends a variable to a solved tableau
 while keeping its basis.  `_core_solve` uses it once and drops it.  `TallLP`
-keeps it for a cutting-plane loop: a new row of a tall LP is a new column of
-the transposed dual, and when the LP's costs are nonnegative that dual is
-feasible at 0, so it needs no phase 1, its basis stays feasible, and the
-next solve only prices the column and pivots on from there.  `TallLP`
-returns each such solve unchecked: its caller certifies the pair it keeps.
+keeps it: a new row of a tall LP is a new column of the dual, which enters
+nonbasic at 0, so the next solve only prices the column and pivots on from
+the last basis.  With nonnegative costs the dual is feasible at 0 and needs
+no phase 1.  `TallLP` returns each solve unchecked: `solve_lp` and the
+cutting-plane loop of `alpha.ThresholdLP` certify the pairs they keep.
 """
 
 from __future__ import annotations
@@ -125,7 +126,9 @@ class LinearProgram:
         for bounds in (self.lower, self.upper):
             if bounds is not None and len(bounds) != self.num_vars:
                 raise ValueError("bounds width does not match num_vars")
-        if self.lower is not None and any(lb < 0 for lb in self.lower):
+        if not all(isinstance(lb, (int, Fraction)) for lb in self.lower or ()):
+            raise ValueError("LP entries must be ints or Fractions")
+        if any(lb < 0 for lb in self.lower or ()):
             raise ValueError("negative lower bounds are not supported")
 
 
@@ -396,25 +399,29 @@ def _certify(
     xden: int,
     y: list[int],
     yden: int,
-) -> None:
+) -> list[int]:
     """Raise unless x and y are optimal for min c.x, a x >= b, x >= 0 and its dual.
 
     `a` and `c` are integer rows as `_core_solve` takes them; x holds
     numerators over `xden` and y over `yden`, all denominators positive.
     Each inequality is cleared of its denominators, so the check is exact in
     integers.  A row's activity a_i.x is one `sum(map(mul, row, x))`, which
-    stops at the end of x, before the right-hand side.
+    stops at the end of x, before the right-hand side.  Returns each row's
+    slack a_i.x - b_i, over den * xden.
     """
     k = len(c)
     if len(x) != k or len(y) != len(a):
         raise CertificateError("simplex returned a solution of the wrong shape")
     if min(x, default=0) < 0:
         raise CertificateError("simplex returned a negative primal")
+    slack = []
     for row, yi in zip(a, y):
-        if sum(map(mul, row, x)) < row[-1] * xden:
+        s = sum(map(mul, row, x)) - row[-1] * xden
+        if s < 0:
             raise CertificateError("simplex returned a primal-infeasible point")
         if yi < 0:
             raise CertificateError("simplex returned a negative dual")
+        slack.append(s)
     ys = [(row, yi) for row, yi in zip(a, y) if yi]
     yta = [0] * k  # y^T a, over yden * den
     for row, yi in ys:
@@ -425,6 +432,7 @@ def _certify(
             raise CertificateError("simplex returned a dual-infeasible vector")
     if sum(map(mul, c, x)) * scale != sum(row[-1] * yi for row, yi in ys) * cden * xden:
         raise CertificateError("strong duality failed (primal and dual objectives differ)")
+    return slack
 
 
 def _transpose(
@@ -443,43 +451,19 @@ def _transpose(
     return at, t, [-v for v in cols[-1]], den
 
 
-def _from_dual(sol: _Solution) -> _Solution:
-    """An optimal pair of the transposed dual as the original program's pair:
-    the dual program's primal is our dual and vice versa."""
-    y, yden, x, xden = sol
-    return x, xden, y, yden
-
-
-def _solve_core_transposed(
-    a: list[list[int]], den: int, c: list[int], cden: int
-) -> tuple[str, Optional[_Solution]]:
-    """Solve min c.x, a x >= b, x >= 0 through its dual max b.y, a^T y <= c."""
-    status, sol = _core_solve(*_transpose(a, den, c, cden))
-    if status == "optimal":
-        assert sol is not None
-        return "optimal", _from_dual(sol)
-    if status == "unbounded":
-        # dual unbounded and feasible: the original program is infeasible
-        return "infeasible", None
-    # dual infeasible: original is unbounded or infeasible; caller retries directly
-    return "ambiguous", None
-
-
 class TallLP:
-    """min c.x  s.t.  a x >= b, x >= 0 with c >= 0, kept warm while rows arrive.
+    """min c.x  s.t.  a x >= b, x >= 0, solved through its transposed dual and kept warm while rows arrive.
 
-    `a` and `c` are integer rows as `_core_solve` takes them.  The program
-    is solved through its transposed dual max b.y, a^T y <= c, which c >= 0
-    makes feasible at y = 0: every dual row has right-hand side -c_j <= 0, so
-    the tableau starts at its slack basis and no phase 1 runs.  A row added
-    later is a new dual column; it enters nonbasic at 0, so the dual basis
+    `a` and `c` are integer rows as `_core_solve` takes them; any cost may
+    be negative.  The dual max b.y, a^T y <= c has right-hand sides -c_j, so
+    when c >= 0, as for every LP of the package, it is feasible at y = 0: its
+    tableau starts at the slack basis and no phase 1 runs.  A row added later
+    is a new dual column; it enters nonbasic at 0, so a feasible dual basis
     stays feasible and `solve` prices the column and pivots on from the last
     optimal basis.  The caller certifies the pair it returns.
     """
 
     def __init__(self, a: list[list[int]], den: int, c: list[int], cden: int) -> None:
-        if min(c, default=0) < 0:
-            raise ValueError("the costs must be nonnegative, so that the dual is feasible at 0")
         self.den = den
         self._tableau = _Tableau(*_transpose(a, den, c, cden))
 
@@ -490,10 +474,14 @@ class TallLP:
         self._tableau.add_column([-v * s for v in row[:-1]], -row[-1])
 
     def solve(self) -> tuple[str, Optional[_Solution]]:
-        """"optimal" with the pair (x, xden, y, yden), unchecked, or "infeasible"."""
+        """"optimal" with the pair (x, xden, y, yden), unchecked; "infeasible" for an
+        unbounded dual; "ambiguous" for an infeasible one (unbounded or infeasible)."""
+        if not self._tableau.feasible:
+            return "ambiguous", None
         if self._tableau.run() == "unbounded":
             return "infeasible", None
-        return "optimal", _from_dual(self._tableau.solution())
+        y, yden, x, xden = self._tableau.solution()  # the dual program's primal is our dual
+        return "optimal", (x, xden, y, yden)
 
 
 def _numerators(values: Sequence[Rational], den: int) -> list[int]:
@@ -557,7 +545,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
             a.append([-v for v in row])
             origin.append((idx, -1))
 
-    status, sol = _solve_core_transposed(a, den, c, cden) if len(a) > k else ("ambiguous", None)
+    status, sol = TallLP(a, den, c, cden).solve() if len(a) > k else ("ambiguous", None)
     if status == "ambiguous":
         status, sol = _core_solve(a, den, c, cden)
 

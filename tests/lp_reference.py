@@ -4,10 +4,13 @@ It takes the rules of the integer-row kernel in `simplegames.lp` (a slack
 start for rows with b <= 0, Dantzig pricing, lexicographic ratio ties), so
 that kernel must make the same pivots and return equal solutions.  It keeps
 an artificial column for every row and reads the duals off them, which
-checks the kernel's reading of the duals off its surplus columns.  Patch
-`core_solve` over `simplegames.lp._core_solve` to route `solve_lp` (and
-through it every exact caller) through this kernel.  `make_lp` builds the
-tests' LPs from plain numbers.
+checks the kernel's reading of the duals off its surplus columns.
+`route(patch)` sends `solve_lp` (and through it every exact caller) to this
+kernel: `core_solve` replaces `simplegames.lp._core_solve`, the direct
+solve, and `TallLP` replaces `simplegames.lp.TallLP`, the transposed solve
+of a tall LP, inside `solve_lp` only.  A warm `TallLP` kept by
+`alpha.ThresholdLP` still runs on the integer kernel.  `make_lp` builds
+the tests' LPs from plain numbers.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ import math
 from fractions import Fraction
 from typing import Optional
 
+from simplegames import lp
 from simplegames.errors import BudgetExceededError
-from simplegames.lp import MAX_PIVOTS, LinearProgram, LPRow, _numerators, frac
+from simplegames.lp import MAX_PIVOTS, LinearProgram, LPRow, _numerators, _transpose, frac
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -195,6 +199,32 @@ def core_solve(
     xden = math.lcm(*(v.denominator for v in x))
     yden = math.lcm(*(v.denominator for v in y))
     return status, (_numerators(x, xden), xden, _numerators(y, yden), yden)
+
+
+class TallLP:
+    """`simplegames.lp.TallLP` for a cold solve: `core_solve` on the
+    transposed dual.  Each solve appends its status to `log`."""
+
+    def __init__(self, a: list[list[int]], den: int, c: list[int], cden: int, log: list[str]) -> None:
+        self.dual, self.log = _transpose(a, den, c, cden), log
+
+    def solve(self) -> tuple[str, Optional[tuple[list[int], int, list[int], int]]]:
+        status, sol = core_solve(*self.dual)
+        self.log.append(status)
+        if status == "optimal":
+            y, yden, x, xden = sol  # the dual program's primal is our dual
+            return status, (x, xden, y, yden)
+        # an unbounded dual: the program is infeasible; an infeasible one: unbounded or infeasible
+        return ("infeasible" if status == "unbounded" else "ambiguous"), None
+
+
+def route(patch) -> list[str]:
+    """Send `solve_lp`'s direct and transposed solves to this kernel, on the
+    monkeypatch `patch`; returns the list that logs the transposed solves."""
+    transposed: list[str] = []
+    patch.setattr(lp, "_core_solve", core_solve)
+    patch.setattr(lp, "TallLP", lambda a, den, c, cden: TallLP(a, den, c, cden, transposed))
+    return transposed
 
 
 def make_lp(objective, rows, lower=None, upper=None) -> LinearProgram:

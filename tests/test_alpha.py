@@ -167,25 +167,34 @@ class TestComputeAlpha:
     # the path 1-2-3-4 has the rows W{1,2}, W{2,3}, W{3,4}, L{1,3}, L{1,4},
     # L{2,4}; its optimum is t = 1, at (0, 1, 1, 0) and at (1/2, 1/2, 1/2, 1/2)
     # among others, with the dual PATH_DUAL.  Each case but the first three
-    # fails one check of `ThresholdLP.certify` and passes all the others
+    # has one fault and passes every other check.  `fault` names it, and
+    # `message` is how `certify` refuses it: `lp._certify` names the LP fact
+    # that fails, so a row below 1 and a row above t are both primal-infeasible,
+    # and the third, feasible but short of the optimum, fails strong duality
     PATH_DUAL = "(F(1, 2), 0, F(1, 2), F(1, 2), 0, F(1, 2))"
+    LOW_WINNING = "the payoff gives some minimal winning coalition less than 1"
+    HIGH_LOSING = "the payoff gives some losing coalition more than alpha"
+    INFEASIBLE = "simplex returned a primal-infeasible point"
 
     @pytest.mark.parametrize(
-        "payoff, alpha, message, dual",
+        "payoff, alpha, fault, message, dual",
         [
-            ("(0, 0, 0, 0)", "0", "the payoff gives some minimal winning coalition less than 1", PATH_DUAL),
-            ("(1, 1, 1, 1)", "1", "the payoff gives some losing coalition more than alpha", PATH_DUAL),
-            ("(1, 1, 1, 1)", "3", "the optimum must be attained by some losing coalition", PATH_DUAL),
-            ("(F(-1, 2), F(3, 2), F(3, 2), F(-1, 2))", "1", "simplex returned a negative primal", PATH_DUAL),
-            ("(0, F(1, 2), 1, 0)", "1", "the payoff gives some minimal winning coalition less than 1", PATH_DUAL),
-            ("(1, 1, 1, 0)", "1", "the payoff gives some losing coalition more than alpha", PATH_DUAL),
-            ("(0, 1, 1, 0)", "1", "the threshold LP returned a solution of the wrong shape", "(F(1, 2),) * 5"),
+            ("(0, 0, 0, 0)", "0", LOW_WINNING, INFEASIBLE, PATH_DUAL),
+            ("(1, 1, 1, 1)", "1", HIGH_LOSING, INFEASIBLE, PATH_DUAL),
+            ("(1, 1, 1, 1)", "3", "the optimum must be attained by some losing coalition", "strong duality failed",
+             PATH_DUAL),
+            ("(F(-1, 2), F(3, 2), F(3, 2), F(-1, 2))", "1", "simplex returned a negative primal",
+             "simplex returned a negative primal", PATH_DUAL),
+            ("(0, F(1, 2), 1, 0)", "1", LOW_WINNING, INFEASIBLE, PATH_DUAL),
+            ("(1, 1, 1, 0)", "1", HIGH_LOSING, INFEASIBLE, PATH_DUAL),
+            ("(0, 1, 1, 0)", "1", "the threshold LP returned a solution of the wrong shape",
+             "simplex returned a solution of the wrong shape", "(F(1, 2),) * 5"),
             # a dual that meets every column, t's cost and strong duality
-            ("(F(1, 2),) * 4", "1", "simplex returned a negative dual",
+            ("(F(1, 2),) * 4", "1", "simplex returned a negative dual", "simplex returned a negative dual",
              "(F(1, 4), F(1, 2), F(1, 4), F(3, 4), F(-1, 2), F(3, 4))"),
         ],
     )
-    def test_certificate_checks_survive_optimize(self, payoff, alpha, message, dual):
+    def test_certificate_checks_survive_optimize(self, payoff, alpha, fault, message, dual):
         # a solver returning a wrong optimum must be caught even under python -O;
         # the path 1-2-3-4 has no symmetric players, so its LP has a column per player
         script = f"""
@@ -210,13 +219,13 @@ alpha.compute_alpha_exact(game)
     @pytest.mark.parametrize(
         "patch, message",
         [
-            ("alpha.solve_lp = fake((1, 1, 1), ())", "the threshold LP returned a solution of the wrong shape"),
-            ("alpha.solve_lp = fake((1, 1, 1, 1, 1), (1, 1, 1))", "the threshold LP returned a solution of the wrong shape"),
-            ("alpha.solve_lp = fake((1, 0, 1), (1, F(1, 2), F(1, 2)))",
-             "the payoff gives some losing coalition more than alpha"),
+            ("alpha.solve_lp = fake((1, 1, 1), ())", "simplex returned a solution of the wrong shape"),
+            ("alpha.solve_lp = fake((1, 1, 1, 1, 1), (1, 1, 1))", "simplex returned a solution of the wrong shape"),
+            ("alpha.solve_lp = fake((1, 0, 1), (1, F(1, 2), F(1, 2)))", "simplex returned a primal-infeasible point"),
             ("alpha.solve_lp = fake((F(1, 2), F(1, 2), 1), (1, 1, 0))", "simplex returned a dual-infeasible vector"),
             ("alpha.solve_lp = fake((F(1, 2), F(1, 2), 1), (0, F(1, 2), F(1, 2)))", "strong duality failed"),
-            ("alpha.solve_lp = fake((F(1, 2), F(1, 2), 1), (1, 1, 1))", "the losing duals sum to more than 1"),
+            # t's column: the losing duals sum to more than its cost 1
+            ("alpha.solve_lp = fake((F(1, 2), F(1, 2), 1), (1, 1, 1))", "simplex returned a dual-infeasible vector"),
             # {2, 3, 4} is no class: swapping 2 and 3 moves the edge {1, 2} off the cycle;
             # the reduced optimum is alpha, and the symmetry check refuses the partition
             ("alpha.symmetric_classes = lambda game: [0b0001, 0b1110]",
@@ -251,7 +260,16 @@ lp.add_losing(Coalition.of(1, 3))
 """
         proc = run_optimized(script)
         assert proc.returncode == 1, proc.stderr
-        assert "CertificateError: simplex returned a primal-infeasible point" in proc.stderr
+        assert "CertificateError: the cut repeats a row of the LP, so the last solve was wrong" in proc.stderr
+
+    def test_unattained_optimum_is_refused(self):
+        # with no losing row, t = 0 is optimal and passes lp._certify, but no
+        # losing coalition attains it unless one is given
+        lp = ThresholdLP(2, [Coalition.of(1, 2)])
+        lp.solve()
+        with pytest.raises(CertificateError, match="the optimum must be attained by some losing coalition"):
+            lp.certify()
+        assert lp.certify((Coalition.of(),)).tight_losing == (Coalition.of(),)
 
 
 def full_alpha(game):
@@ -285,14 +303,14 @@ class TestSymmetricReduction:
     players; the full LP, one column per player, is the reference."""
 
     def test_reduced_matches_full(self, monkeypatch):
-        # one certify per alpha, scoring each row once, and checking the
-        # partition's symmetry exactly when the LP is reduced
+        # one certify per alpha, whose `lp._certify` scores each row once, and
+        # checking the partition's symmetry exactly when the LP is reduced
         scored, swaps, certified = [0], [], []
-        mask_sum, certify, swaps_keep = alpha.mask_sum, ThresholdLP.certify, alpha._swaps_keep
+        lp_certify, certify, swaps_keep = alpha._certify, ThresholdLP.certify, alpha._swaps_keep
 
-        def count(nums, mask):
-            scored[0] += 1
-            return mask_sum(nums, mask)
+        def count(a, *args):
+            scored[0] += len(a)
+            return lp_certify(a, *args)
 
         def spy(lp, *args):
             scored[0] = 0
@@ -301,7 +319,7 @@ class TestSymmetricReduction:
             certified.append((lp._k < lp.n, len(lp._rows), scored[0], list(swaps)))
             return cert
 
-        monkeypatch.setattr(alpha, "mask_sum", count)
+        monkeypatch.setattr(alpha, "_certify", count)
         monkeypatch.setattr(alpha, "_swaps_keep", lambda classes, masks: swaps.append(len(masks)) or swaps_keep(classes, masks))
         monkeypatch.setattr(ThresholdLP, "certify", spy)
         reduced = 0
@@ -382,7 +400,7 @@ class TestSymmetricReduction:
         families = ((0, g.minimal_winning), (1, losing))
         counts = {(t, *[(c.mask & m).bit_count() for m in classes]) for t, family in families for c in family}
         reduced = ThresholdLP(g.n, g.minimal_winning, losing, classes)
-        assert len(reduced._rows) == len(reduced._reps) == len(counts) < coalitions
+        assert len(reduced._rows) == len(counts) < coalitions
         assert len(reduced._group) == coalitions
         full = ThresholdLP(g.n, g.minimal_winning, losing)
         assert len(full._rows) == coalitions and full._group == list(range(coalitions))
@@ -474,9 +492,16 @@ class TestSymmetricReduction:
         lp = ThresholdLP(4, star.minimal_winning, (), symmetric_classes(star))
         lp.solve()
         lp.add_losing(Coalition.of(2, 3))
-        with pytest.raises(CertificateError, match="primal-infeasible"):
+        with pytest.raises(CertificateError, match="the cut repeats a row of the LP"):
             lp.add_losing(Coalition.of(3, 4))
         assert lp._rows[-1] == [0, -2, 1, 0] and len(lp._group) == 4 and len(lp.losing) == 1
+
+
+# the reference's refusals of a payoff that scores some row on the wrong side of 1 or t
+ROW_FAILURES = (
+    "the payoff gives some minimal winning coalition less than 1",
+    "the payoff gives some losing coalition more than alpha",
+)
 
 
 def _outcome(check, *args):
@@ -518,14 +543,17 @@ class TestIntegerCertificate:
             cases += [(tuple(p), top), (tuple(p), top - F(1, 7)), (tuple(v / 2 for v in p), top)]
             for case in cases:
                 got = _outcome(certify_pair, lp, *case)
-                expected = _outcome(reference_certify_alpha, *case, g.minimal_winning, losing)
+                reference = expected = _outcome(reference_certify_alpha, *case, g.minimal_winning, losing)
                 if case[1] < 0:  # t is a column of the LP, so t >= 0 is checked first
                     expected = ("refused", "simplex returned a negative primal")
-                elif expected[0] == "certified" and case[1] != value:
+                elif expected[1] in ROW_FAILURES:  # lp._certify checks winning and losing rows alike
+                    expected = ("refused", "simplex returned a primal-infeasible point")
+                elif case[1] != value:
                     expected = ("refused", "strong duality failed (primal and dual objectives differ)")
                 assert got == expected
-                outcomes.add(got[0] if got[0] == "certified" else got[1])
-        assert len(outcomes) == 5  # certified, and four kinds of refusal
+                outcomes.add(tuple(o[0] if o[0] == "certified" else o[1] for o in (got, reference)))
+        # certified, and four kinds of refusal, each with the reference's outcome
+        assert len(outcomes) == 5
 
     def test_raised_entry_is_refused(self):
         mutants = 0
@@ -535,7 +563,7 @@ class TestIntegerCertificate:
             if payoff is None:
                 continue
             mutants += 1
-            with pytest.raises(CertificateError, match="losing coalition more than alpha"):
+            with pytest.raises(CertificateError, match="simplex returned a primal-infeasible point"):
                 certify_pair(reduced_lp(g), payoff, cert.alpha)
         assert mutants > 30
 

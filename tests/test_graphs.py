@@ -376,8 +376,8 @@ class TestAlphaGraph:
         assert cert.tight_losing
 
     def test_only_the_cold_round_runs_the_lp_certificate(self, monkeypatch):
-        # warm rounds are not certified one by one: `ThresholdLP.certify` checks
-        # the last round, and lp._certify runs only inside the cold solve_lp
+        # warm rounds are not certified one by one: lp._certify runs inside the
+        # cold solve_lp, and once more when `ThresholdLP.certify` checks the last round
         from simplegames import alpha, lp
 
         where, calls, warm = ["warm"], [], [0]
@@ -390,15 +390,20 @@ class TestAlphaGraph:
             finally:
                 where[0] = "warm"
 
+        def spy_tall_solve(tall):
+            warm[0] += where[0] == "warm"  # solve_lp solves a tall LP through a TallLP too
+            return tall_solve(tall)
+
         monkeypatch.setattr(alpha, "solve_lp", spy_solve_lp)
         monkeypatch.setattr(lp, "_certify", lambda *args: calls.append(where[0]) or certify(*args))
-        monkeypatch.setattr(lp.TallLP, "solve", lambda tall: warm.__setitem__(0, warm[0] + 1) or tall_solve(tall))
+        monkeypatch.setattr(alpha, "_certify", lambda *args: calls.append("certify") or certify(*args))
+        monkeypatch.setattr(lp.TallLP, "solve", spy_tall_solve)
         per_graph = []
         for g in (build_gadget(random_graph(6, 7, 3)), random_bipartite_graph(10, 14, 0), C8):
             calls.clear()
             warm[0] = 0
             alpha_graph(g)
-            assert calls == ["cold"]
+            assert calls == ["cold", "certify"]
             per_graph.append(warm[0])
         # every graph runs warm rounds; over its twin classes the gadget needs one cut
         assert per_graph == [1, 3, 2]
@@ -572,7 +577,8 @@ class TestTwinClasses:
             # order, at q = (1/2, 1/2) and t = 1; each dual fails one check and passes the others
             ("graphs.cycle_graph(4)", "fake_dual((1, 0, 0))", "simplex returned a dual-infeasible vector"),
             ("graphs.cycle_graph(4)", "fake_dual((0, 1, 1), 2)", "strong duality failed"),
-            ("graphs.cycle_graph(4)", "fake_dual((1, 1, 1))", "the losing duals sum to more than 1"),
+            # the losing duals sum to more than t's cost 1
+            ("graphs.cycle_graph(4)", "fake_dual((1, 1, 1))", "simplex returned a dual-infeasible vector"),
         ],
     )
     def test_classed_certificate_survives_optimize(self, graph, patch, message):
@@ -764,7 +770,7 @@ class TestDecide:
             return x[:-1] + [den], den
 
         monkeypatch.setattr(graphs.ThresholdLP, "solve", lying_solve)
-        with pytest.raises(CertificateError, match="losing coalition more than alpha"):
+        with pytest.raises(CertificateError, match="simplex returned a primal-infeasible point"):
             decide_alpha_at_most(C8, 1)
 
     def test_threshold_domain(self):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,6 +49,13 @@ def test_frac_refuses_what_is_not_a_finite_rational(bad):
 def test_lp_entries_must_be_ints_or_fractions(objective, row):
     with pytest.raises(ValueError, match="LP entries must be ints or Fractions"):
         solve_lp(LinearProgram(2, objective, (row,)))
+
+
+@pytest.mark.parametrize("bound", ["1", None])
+def test_lower_bounds_must_be_ints_or_fractions(bound):
+    # checked before the bound is compared with 0, as for `upper` and the rows
+    with pytest.raises(ValueError, match="LP entries must be ints or Fractions"):
+        LinearProgram(1, (1,), (LPRow((1,), GE, 0),), lower=(bound,))
 
 
 def test_frac_keeps_exact_values():
@@ -184,11 +192,15 @@ class TestCertificate:
         with pytest.raises(AssertionError, match=message):
             lp._certify(*rows, x, xden, y, yden)
 
+    @staticmethod
+    def transposed_returns(monkeypatch, wrong):
+        """Make `solve_lp`'s `TallLP` return `wrong` from its solve."""
+        monkeypatch.setattr(lp, "TallLP", lambda a, den, c, cden: SimpleNamespace(solve=lambda: wrong))
+
     def test_transposed_negative_primal_is_caught(self, monkeypatch):
         # three rows over two variables go through the dual; its reduced costs
         # give x, so only the certificate's sign check keeps x >= 0
-        wrong = ("optimal", ([-2, -3], 1, [0, 1, 0], 1))
-        monkeypatch.setattr(lp, "_solve_core_transposed", lambda a, den, c, cden: wrong)
+        self.transposed_returns(monkeypatch, ("optimal", ([-2, -3], 1, [0, 1, 0], 1)))
         model = make_lp([1, 1], [([1, -1], GE, 1), ([1, 0], GE, -5), ([1, 1], GE, -10)])
         with pytest.raises(AssertionError, match="simplex returned a negative primal"):
             solve_lp(model)
@@ -196,8 +208,7 @@ class TestCertificate:
     def test_transposed_solve_is_certified_on_the_input_rows(self, monkeypatch):
         # min x1/2 + x2/3 over three rows goes through its dual; a transposition
         # that dropped the objective's denominator would return this pair
-        wrong = ("optimal", ([1, 1], 1, [3, 2, 0], 1))
-        monkeypatch.setattr(lp, "_solve_core_transposed", lambda a, den, c, cden: wrong)
+        self.transposed_returns(monkeypatch, ("optimal", ([1, 1], 1, [3, 2, 0], 1)))
         model = make_lp([F(1, 2), F(1, 3)], [([1, 0], GE, 1), ([0, 1], GE, 1), ([1, 1], GE, 1)])
         with pytest.raises(AssertionError, match="simplex returned a dual-infeasible vector"):
             solve_lp(model)
@@ -363,10 +374,17 @@ class TestTableau:
             steps += 1
         return steps
 
-    def test_negative_cost_is_refused(self):
-        # with a negative cost the dual need not be feasible at 0
-        with pytest.raises(ValueError, match="nonnegative"):
-            lp.TallLP([[1, 1]], 1, [-1], 1)
+    def test_negative_cost_runs_phase_one(self):
+        # a negative cost makes the dual infeasible at 0, so construction runs
+        # phase 1; a cap row x_1 + ... + x_k <= 20 keeps the LP bounded, and
+        # rows added after phase 1 still reach the cold optimum.  Without a
+        # cap, min -x over x >= 1 has an infeasible dual: "ambiguous"
+        for seed in range(12):
+            a, den, c, cden = self.tall_model(seed)
+            c[0] = -c[0] - 1
+            cap = [-den] * len(c) + [-20 * den]
+            assert self.check_steps([cap] + a, den, c, cden, start=1) == len(a) + 1
+        assert lp.TallLP([[1, 1]], 1, [-1], 1).solve() == ("ambiguous", None)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_added_rows_match_cold_solves(self, seed):
@@ -485,7 +503,7 @@ class TestTableau:
             if r:
                 warm.add_losing(losing[r - 1])
             with monkeypatch.context() as patch:
-                patch.setattr(lp, "_core_solve", lp_reference.core_solve)
+                lp_reference.route(patch)
                 nums, den = ThresholdLP(n, winning, losing[:r]).solve()
                 cold = F(nums[-1], den)
             nums, den = warm.solve()
@@ -535,7 +553,7 @@ def drop_reduced_cost(add_column):
         scope = {}
         exec(self.MUTANT, scope)
         monkeypatch.setattr(lp._Tableau, "add_column", scope["drop_reduced_cost"](lp._Tableau.add_column))
-        with pytest.raises(AssertionError, match="simplex returned a primal-infeasible point"):
+        with pytest.raises(AssertionError, match="the cut repeats a row of the LP"):
             alpha_graph(cycle_graph(6))
 
     def test_dropped_reduced_cost_is_caught_optimized(self):
@@ -549,7 +567,7 @@ graphs.alpha_graph(graphs.cycle_graph(6))
 """
         )
         assert proc.returncode == 1
-        assert "CertificateError: simplex returned a primal-infeasible point" in proc.stderr
+        assert "CertificateError: the cut repeats a row of the LP" in proc.stderr
 
     def test_phase_one_does_not_run_per_cut(self, monkeypatch):
         # alpha_graph builds one tableau inside solve_lp for the cold first
@@ -687,11 +705,12 @@ class TestSparsePivot:
         assert min(seen.values()) > 20, seen
 
     # pivots per call, (cold, warm): the cold ones inside solve_lp, the warm
-    # ones inside TallLP.solve.  alpha_graph solves over the graph's twin
-    # classes; every gadget has twins, and of the bipartite graphs only the
-    # seed-3 one.  A "game" solves the full threshold LP, one column per
-    # player; "reduced" is the same game's LP in compute_alpha_exact, one
-    # column per class of symmetric players (1, 1, 8 and 8 classes)
+    # ones outside it, in the cut LP's TallLP.  alpha_graph solves over the
+    # graph's twin classes; every gadget has twins, and of the bipartite
+    # graphs only the seed-3 one.  A "game" solves the full threshold LP, one
+    # column per player; "reduced" is the same game's LP in
+    # compute_alpha_exact, one column per class of symmetric players (1, 1, 8
+    # and 8 classes)
     PIVOTS = [
         (("gadget", 6, 7, 3), (5, 6)),
         (("gadget", 6, 11, 3), (5, 8)),
@@ -714,27 +733,28 @@ class TestSparsePivot:
 
     @pytest.mark.parametrize("case, pivots", PIVOTS)
     def test_pivot_counts_are_pinned(self, case, pivots, monkeypatch):
+        from simplegames import alpha
         from simplegames.alpha import ThresholdLP
         from simplegames.games import maximal_losing, random_game
         from simplegames.graphs import alpha_graph, build_gadget, random_bipartite_graph, random_graph
 
         counts = {"cold": 0, "warm": 0}
-        where = ["cold"]
-        pivot, solve = lp._pivot, lp.TallLP.solve
+        where = ["warm"]
+        pivot, solve_lp = lp._pivot, alpha.solve_lp
 
         def spy_pivot(*args):
             counts[where[0]] += 1
             pivot(*args)
 
-        def spy_solve(self):
-            where[0] = "warm"
+        def spy_solve_lp(model):
+            where[0] = "cold"
             try:
-                return solve(self)
+                return solve_lp(model)
             finally:
-                where[0] = "cold"
+                where[0] = "warm"
 
         monkeypatch.setattr(lp, "_pivot", spy_pivot)
-        monkeypatch.setattr(lp.TallLP, "solve", spy_solve)
+        monkeypatch.setattr(alpha, "solve_lp", spy_solve_lp)
         kind, *args = case
         if kind == "gadget":
             alpha_graph(build_gadget(random_graph(*args)))

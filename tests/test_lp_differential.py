@@ -32,7 +32,7 @@ from simplegames.minnorm import min_norm_point, tightness_check
 
 def solve_reference(model, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(lp, "_core_solve", lp_reference.core_solve)
+        lp_reference.route(patch)
         return solve_lp(model)
 
 
@@ -178,19 +178,23 @@ class PivotSpy:
 
 def test_models_cover_every_case(monkeypatch):
     spy = PivotSpy(monkeypatch)
-    statuses, paths = set(), set()
+    statuses, paths = set(), []
     kinds = {"negative rhs": False, "equality": False, "lower": False, "upper": False}
-    for model in MODELS:
-        statuses.add(solve_reference(model, monkeypatch).status)
-        paths.add("tall" if core_rows(model) > model.num_vars else "wide")
-        kinds["negative rhs"] |= any(r.rhs < 0 for r in model.rows)
-        kinds["equality"] |= any(r.relation == EQ for r in model.rows)
-        kinds["lower"] |= model.lower is not None and any(model.lower)
-        kinds["upper"] |= model.upper is not None
+    with monkeypatch.context() as patch:
+        transposed = lp_reference.route(patch)
+        for model in MODELS:
+            statuses.add(solve_lp(model).status)
+            paths.append("tall" if core_rows(model) > model.num_vars else "wide")
+            kinds["negative rhs"] |= any(r.rhs < 0 for r in model.rows)
+            kinds["equality"] |= any(r.relation == EQ for r in model.rows)
+            kinds["lower"] |= model.lower is not None and any(model.lower)
+            kinds["upper"] |= model.upper is not None
     assert statuses == {"optimal", "infeasible", "unbounded"}
     # negated objectives, the kernel input of a maximization, reach an optimum and a ray
     assert {solve_reference(model, monkeypatch).status for model in NEGATED} >= {"optimal", "unbounded"}
-    assert paths == {"tall", "wide"}
+    assert set(paths) == {"tall", "wide"}
+    # every tall model, and only those, reaches the reference through the transposed dual
+    assert 0 < len(transposed) == paths.count("tall")
     assert all(kinds.values()), kinds
     assert spy.longest_streak >= 12  # some model makes a long run of degenerate pivots
     assert spy.drive_outs > 0  # some model leaves an artificial basic after phase 1
@@ -248,12 +252,13 @@ def test_exact_callers_match_reference(monkeypatch):
 
     new = answers()
     with monkeypatch.context() as patch:
-        patch.setattr(lp, "_core_solve", lp_reference.core_solve)
+        transposed = lp_reference.route(patch)
         old = answers()
         # the patch reaches only alpha_graph's cold first round, not its warm
         # cut LP: hold each alpha to the enumerated LP on the reference kernel
         enumerated = [compute_alpha_exact(graphic_game(g)).alpha for g in graphs]
     assert new == old
+    assert transposed  # the tall LPs reached the reference
     assert [cert.alpha for cert in new[2]] == enumerated
     assert all(alpha_of_payoff(graphic_game(g), cert.payoff) == cert.alpha for g, cert in zip(graphs, new[2]))
     # the decisions solve their threshold LP, through the transposed dual

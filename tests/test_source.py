@@ -4,9 +4,9 @@ The runtime depends on the standard library only, and no check is written as
 an `assert` that `python -O` would strip: the one assert form allowed is
 `assert <expr> is not None`, which only tells a type checker what the code
 above it has already established.  No module builds 2^n-bit subset tables,
-every budget error names a cap that `budgets` documents, and the exact
-simplex's pivot loop, the threshold LP's builder, cut loop and certificate
-checks work on ints alone.
+every budget error names a cap that `budgets` documents, the LP optimality
+check is written once, in `lp`, and the exact simplex's pivot loop, the
+threshold LP's builder, cut loop and certificate checks work on ints alone.
 """
 
 import ast
@@ -71,6 +71,17 @@ def budget_error_names(tree):
     return found
 
 
+def raised_messages(tree):
+    """The string literals passed to the exceptions that `tree` raises."""
+    return [
+        arg.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        for arg in node.exc.args
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+    ]
+
+
 def function_scopes(tree):
     """The module-level functions and methods of `tree`, by "f" or "Class.f"."""
     scopes = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -100,6 +111,7 @@ def test_guards_flag_what_they_forbid():
         "raise BudgetExceededError(name, 1, 0)\nraise ValueError('y')\n"
     )
     assert budget_error_names(tree) == [(1, "losing"), (2, "x")]
+    assert raised_messages(tree) == ["losing", "y"]
     tree = ast.parse(
         "def f(x):\n    return Fraction(x)\ndef g(x):\n    return fractions.Fraction\n"
         "def h(x):\n    return x\nclass T:\n    def m(self) -> 'int':\n        return Fraction(1)\n"
@@ -134,6 +146,22 @@ def test_budget_errors_name_a_documented_cap():
     assert found - set(budgets.CAPS) - ITERATION_CAPS == set()
     assert ITERATION_CAPS <= found
     assert [name for name in sorted(ITERATION_CAPS) if f"``{name}``" not in budgets.__doc__] == []
+
+
+# the LP optimality check's messages: `lp._certify` raises them, and every
+# other check of an LP answer calls it instead of checking the same facts again
+LP_CHECKS = ("negative primal", "primal-infeasible", "negative dual", "dual-infeasible", "strong duality failed")
+
+
+def test_lp_checks_are_raised_only_in_lp():
+    raising = {
+        (check, p.name)
+        for p in MODULES
+        for message in raised_messages(ast.parse(p.read_text()))
+        for check in LP_CHECKS
+        if check in message
+    }
+    assert raising == {(check, "lp.py") for check in LP_CHECKS}
 
 
 # the exact simplex's pivot loop: pricing, ratio test, pivots, row updates and warm columns
