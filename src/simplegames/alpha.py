@@ -9,20 +9,20 @@ monotonicity.  A game is a weighted voting game exactly when alpha < 1.
 The threshold LP is written once, as `ThresholdLP`, with one row builder:
 one column per class of a partition of the players and one row per distinct
 (winning or losing, class-count vector); the LP over the players is the
-case of one class per player.  It is solved exactly, cold while the rows are
-given up front and warm while losing rows arrive one at a time, and `solve`
-returns integer numerators over one denominator, which `graphs.alpha_graph`
-hands to its oracle as they are.  `certify` checks the last optimal pair,
-primal and dual, in integers and in class space: `lp._certify` on the rows
-as built, and a check that the partition is a symmetry of the game, which
-lifts that dual to one over every coalition.  That check certifies every
-alpha, here and in `graphs`.
+case of one class per player.  It takes coalitions as int masks and builds
+`Coalition`s only in the certificate it returns.  It is solved exactly, cold
+while the rows are given up front and warm while losing rows arrive one at
+a time, and `solve` returns integer numerators over one denominator, which
+`graphs.alpha_graph` hands to its oracle as they are.  `certify` checks the
+last optimal pair, primal and dual, in integers and in class space:
+`lp._certify` on the rows as built, and a check that the partition is a
+symmetry of the game, which lifts that dual to one over every coalition.
+That check certifies every alpha, here and in `graphs`.
 
 alpha is invariant under the game's automorphisms, so `compute_alpha_exact`
 solves the LP over classes of symmetric players (`games.symmetric_classes`),
 a fraction of the rows for weighted games with equal weights, and
-`graphs.alpha_graph` solves its cutting-plane LP over the graph's twin
-classes.
+`graphs.alpha_graph` solves its cutting-plane LP over those of the edges.
 
 A payoff is scored in integers, as numerators over one denominator, so no
 check does `Fraction` arithmetic per row.
@@ -46,8 +46,8 @@ class AlphaCertificate:
 
     alpha: Fraction
     payoff: tuple[Fraction, ...]
-    # the checked losing coalitions with payoff == alpha: maximal losing ones for
-    # compute_alpha_exact, the oracle's sets (zero-weight players left out), sorted, for alpha_graph
+    # the checked losing coalitions with payoff == alpha, by player tuple: maximal losing
+    # ones for compute_alpha_exact, the oracle's sets (zero-weight players left out) for alpha_graph
     tight_losing: tuple[Coalition, ...]
     binding_winning: tuple[Coalition, ...]  # minimal winning with payoff == 1
 
@@ -108,15 +108,15 @@ def _class_columns(n: int, classes: Sequence[int]) -> tuple[list[int], list[int]
 class ThresholdLP:
     """min t over p(W) >= 1 per winning and t - p(L) >= 0 per losing coalition, p >= 0.
 
-    `classes`, masks that split the players, makes the LP give every player
-    of a class the same payoff; None is one class per player.  The LP has
-    one payoff column per class, numbered by the classes' least players,
-    then the threshold t, and one integer row per distinct (winning or
-    losing, number of the coalition's players in each class), built from the
-    masks; over one class per player each coalition is its own row, in the
-    order given.  When every permutation inside the classes maps the
-    winning family onto itself, as for `games.symmetric_classes` and
-    `graphs.twin_classes`, averaging an optimal payoff over those
+    The coalitions are int masks (player i is bit i-1), and `classes`,
+    masks that split the players, makes the LP give every player of a class
+    the same payoff; None is one class per player.  The LP has one payoff
+    column per class, numbered by the classes' least players, then the
+    threshold t, and one integer row per distinct (winning or losing, number
+    of the coalition's players in each class); over one class per player
+    each coalition is its own row, in the order given.  When every
+    permutation inside the classes maps the winning family onto itself, as
+    for `games.symmetric_classes`, averaging an optimal payoff over those
     permutations keeps it optimal and makes it constant on each class, so
     the reduced LP has the same optimum.  `certify` checks that symmetry
     rather than assuming it, so a partition that is not one, or a wrong
@@ -141,8 +141,8 @@ class ThresholdLP:
     def __init__(
         self,
         n: int,
-        winning: Iterable[Coalition],
-        losing: Iterable[Coalition] = (),
+        winning: Iterable[int],
+        losing: Iterable[int] = (),
         classes: Optional[Sequence[int]] = None,
     ) -> None:
         self.n, self.winning, self.losing = n, list(winning), list(losing)
@@ -154,15 +154,14 @@ class ThresholdLP:
         self._add_rows(self.winning, 0)
         self._add_rows(self.losing, 1)
 
-    def _add_rows(self, coalitions: Iterable[Coalition], t: int) -> None:
+    def _add_rows(self, masks: Iterable[int], t: int) -> None:
         """Count each coalition, winning at t = 0 and losing at t = 1, to the row
         of t and its class counts, appended when new: the counts, negated for
         a losing one, then t and the right-hand side 1 - t.  Over one class
         per player the mask is the counts, so it keys the row with t."""
         column, index, rows, group = self._column, self._index, self._rows, self._group
         per_player, v, blank = self._k == self.n, 1 - 2 * t, [0] * self._k + [t, 1 - t]
-        for c in coalitions:
-            mask = c.mask
+        for mask in masks:
             key = mask << 1 | t if per_player else (t, *[(mask & m).bit_count() for m in self._classes])
             r = index.setdefault(key, len(rows))
             if r == len(rows):
@@ -174,7 +173,7 @@ class ThresholdLP:
                 rows.append(row)
             group.append(r)
 
-    def add_losing(self, losing: Coalition) -> None:
+    def add_losing(self, losing: int) -> None:
         """Add the row t - p(L) >= 0 of L's class counts; from here on every solve is warm.
 
         The payoff is constant on each class, so an optimum scores L as it
@@ -211,7 +210,7 @@ class ThresholdLP:
         self._last = x, xden, y, yden
         return [x[c] for c in self._column] + [x[k]], xden
 
-    def certify(self, extra_losing: Iterable[Coalition] = ()) -> AlphaCertificate:
+    def certify(self, extra_losing: Iterable[int] = ()) -> AlphaCertificate:
         """Check the last solve's pair, primal and dual, in integers, and return it.
 
         `lp._certify` checks the pair on the rows as built, over the classes:
@@ -239,17 +238,18 @@ class ThresholdLP:
         tight = [l for l, r in zip(self.losing, group[nw:]) if not slack[r]]
         nums, t = [x[c] for c in self._column], x[-1]
         for l in extra_losing:
-            v = mask_sum(nums, l.mask)
+            v = mask_sum(nums, l)
             if v > t:
                 raise CertificateError("the payoff gives some losing coalition more than alpha")
             if v == t:
                 tight.append(l)
         if not tight:
             raise CertificateError("the optimum must be attained by some losing coalition")
-        if self._k < self.n and not _swaps_keep(self._classes, [w.mask for w in self.winning]):
+        if self._k < self.n and not _swaps_keep(self._classes, self.winning):
             raise CertificateError("the partition is not a symmetry: a swap inside a class moves a winning coalition")
         payoff = tuple(Fraction(v, den) for v in nums)
-        return AlphaCertificate(Fraction(t, den), payoff, tuple(tight), tuple(binding))
+        tight_losing = tuple(sorted(map(Coalition, set(tight)), key=Coalition.players))
+        return AlphaCertificate(Fraction(t, den), payoff, tight_losing, tuple(map(Coalition, binding)))
 
 
 def compute_alpha_exact(game: SimpleGame, budget: Optional[int] = None) -> AlphaCertificate:
@@ -262,7 +262,9 @@ def compute_alpha_exact(game: SimpleGame, budget: Optional[int] = None) -> Alpha
     rows and its pivots unchanged; for a game with them the returned payoff
     is a class-constant optimal vertex, which may differ from the full LP's.
     """
-    lp = ThresholdLP(game.n, game.minimal_winning, maximal_losing(game, budget), symmetric_classes(game))
+    winning = [w.mask for w in game.minimal_winning]
+    losing = [l.mask for l in maximal_losing(game, budget)]
+    lp = ThresholdLP(game.n, winning, losing, symmetric_classes(game.n, winning))
     lp.solve()
     return lp.certify()
 

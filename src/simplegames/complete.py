@@ -90,7 +90,7 @@ def complete_order(game: SimpleGame) -> Optional[CompleteGame]:
     size is minimal unless the first size where the counts differ favours i:
     a strictly stronger i has a strictly larger key.  If i ~ j, sigma is an
     automorphism and the keys are equal, so this is the winner-count order."""
-    counts = size_counts(game)
+    counts = size_counts(game.n, [w.mask for w in game.minimal_winning])
     ordering = tuple(sorted(range(1, game.n + 1), key=lambda p: ([-v for v in counts[p - 1]], p)))
     for stronger, weaker in zip(ordering, ordering[1:]):
         if not desirability_ge(game, stronger, weaker):

@@ -15,8 +15,8 @@ shares.  The blocker and, by complement, the maximal losing coalitions come
 from one output-sensitive kernel, `_minimal_transversals`.  An antichain is
 listed in the order of its members' player tuples, which `_antichain_order`
 reads off the masks alone.  `symmetric_classes` splits the players into
-classes that the game cannot tell apart, by swapping two players' bits in
-the masks of the family.
+classes that a family of masks, a game's or a graph's, cannot tell apart,
+by swapping two players' bits in its masks.
 """
 
 from __future__ import annotations
@@ -277,13 +277,14 @@ def blocker(game: SimpleGame) -> list[Coalition]:
     return _antichain_order(game.n, covers)
 
 
-def size_counts(game: SimpleGame) -> list[list[int]]:
-    """Index i-1 -> the number of minimal winning coalitions of each size
-    0..n that hold player i.  An automorphism of the game keeps every
-    coalition's size, so two players it swaps have equal counts."""
-    counts = [[0] * (game.n + 1) for _ in range(game.n)]
-    for c in game.minimal_winning:
-        m, size = c.mask, c.mask.bit_count()
+def size_counts(n: int, masks: list[int]) -> list[list[int]]:
+    """Index i-1 -> the number of members of `masks` of each size 0..s, the
+    largest, that hold player i.  A permutation that maps the family onto
+    itself keeps sizes, so two players it swaps have equal counts."""
+    top = max((m.bit_count() for m in masks), default=0)
+    counts = [[0] * (top + 1) for _ in range(n)]
+    for m in masks:
+        size = m.bit_count()
         while m:
             low = m & -m
             counts[low.bit_length() - 1][size] += 1
@@ -291,22 +292,21 @@ def size_counts(game: SimpleGame) -> list[list[int]]:
     return counts
 
 
-def symmetric_classes(game: SimpleGame) -> list[int]:
-    """The players split into classes of transposition-symmetric players, as
+def symmetric_classes(n: int, masks: list[int]) -> list[int]:
+    """Players 1..n split into classes of transposition-symmetric players, as
     masks ordered by their least player.
 
-    Players i and j are symmetric when swapping them maps the minimal
-    winning family onto itself; that is an equivalence, because
-    (i r)(j r)(i r) = (i j), so each player is tested against one
-    representative per class, and only against those with equal
-    `size_counts`, which symmetric players have.  Players in no minimal
-    winning coalition form one class.
+    Players i and j are symmetric when swapping them maps the family of
+    `masks`, a game's minimal winning coalitions or a graph's edges, onto
+    itself; that is an equivalence, because (i r)(j r)(i r) = (i j), so each
+    player is tested against one representative per class, and only against
+    those with equal `size_counts`, which symmetric players have.  Players
+    in no member form one class.
     """
-    masks = [c.mask for c in game.minimal_winning]
     family = set(masks)
     classes: list[int] = []
     reps: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # counts -> (representative bit, class index)
-    for i, counts in enumerate(map(tuple, size_counts(game))):
+    for i, counts in enumerate(map(tuple, size_counts(n, masks))):
         bi = 1 << i
         for br, k in reps.get(counts, ()):
             if _swap_keeps(masks, family, bi | br):

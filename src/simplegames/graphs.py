@@ -8,14 +8,17 @@ module also builds the two-copy gadget whose threshold is half the
 independence number, searches for induced disjoint-edge families, lists
 maximal independent sets by the transversal kernel of `games`, and decides
 "alpha <= a" for a fixed bound a.
-Both threshold computations use the `ThresholdLP` of `alpha`: the
-cutting-plane loop keeps one over the graph's twin classes for all its
-rounds, so each cut enters as a new column of the LP's dual and costs a few
-pivots, its oracle weighs every vertex of the whole graph by the integer
-numerators that `solve` returns, and only the last round's answer is
-certified, in class space, on every row, the oracle's final set and the
-twins' symmetry; the decision solves one over all maximal independent sets,
-one column per vertex, cold, once, and certifies it.
+Both threshold computations use the `ThresholdLP` of `alpha` on the edges
+as masks (`_edge_masks`), the graphic game's minimal winning family, which
+also feeds the transversal kernel, `graphic_game` and the class finder
+`games.symmetric_classes`; no game is built, so n may pass 64, up to the
+``vertices`` cap.  The cutting-plane loop keeps one LP over the symmetric
+classes for all its rounds, so each cut enters as a new column of the LP's
+dual and costs a few pivots, its oracle weighs every vertex of the whole
+graph by the integer numerators that `solve` returns, and only the last
+round's answer is certified, in class space, on every row, the oracle's
+final set and the classes' symmetry; the decision solves one over all
+maximal independent sets, one column per vertex, cold, once, and certifies it.
 """
 
 from __future__ import annotations
@@ -23,16 +26,18 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import budgets
 from .alpha import AlphaCertificate, ThresholdLP
 from .errors import BudgetExceededError, CertificateError
-from .games import Coalition, SimpleGame, _minimal_transversals, new_game
+from .games import Coalition, SimpleGame, _minimal_transversals, new_game, symmetric_classes
 from .lp import common_numerators, frac, rat
 from .lp import solve_lp  # unused here, but bench/test_bench.py reads graphs.solve_lp
 
@@ -43,7 +48,7 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 1..n, edges canonically sorted."""
+    """Simple undirected graph on vertices 1..n, n within the ``vertices`` cap, edges canonically sorted."""
 
     n: int
     edges: tuple[Edge, ...]
@@ -51,6 +56,7 @@ class Graph:
     def __post_init__(self) -> None:
         if type(self.n) is not int or self.n < 1:
             raise ValueError(f"vertex count must be a positive int, got {self.n!r}")
+        budgets.check("vertices", self.n)
         seen = set()
         for e in self.edges:
             u, v = e
@@ -76,6 +82,7 @@ def make_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
+    budgets.check("vertices", n)
     edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
     return make_graph(n, edges)
 
@@ -83,28 +90,30 @@ def cycle_graph(n: int) -> Graph:
 def path_graph(n: int) -> Graph:
     if n < 2:
         raise ValueError("a path needs at least 2 vertices")
+    budgets.check("vertices", n)
     return make_graph(n, [(i, i + 1) for i in range(1, n)])
 
 
 def random_graph(n: int, m: int, seed: int) -> Graph:
-    all_pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    if m > len(all_pairs):
+    """m edges drawn uniformly from the pairs u < v by their index in
+    lexicographic order: `random.sample`'s draws on the list of pairs,
+    without listing them, so the cost is linear in n and m."""
+    budgets.check("vertices", n)
+    first = list(accumulate(range(n - 1, 0, -1), initial=0))  # first[u-1]: the index of (u, u + 1)
+    if m > first[-1]:
         raise ValueError(f"{m} edges do not fit in a simple graph on {n} vertices")
     rng = random.Random(f"graph:{n}:{m}:{seed}")
-    return make_graph(n, rng.sample(all_pairs, m))
+    picks = ((bisect_right(first, k), k) for k in rng.sample(range(first[-1]), m))
+    return make_graph(n, [(u, u + 1 + k - first[u - 1]) for u, k in picks])
 
 
 def random_bipartite_graph(n: int, m: int, seed: int) -> Graph:
+    budgets.check("vertices", n)
     rng = random.Random(f"bipartite:{n}:{m}:{seed}")
     verts = list(range(1, n + 1))
     rng.shuffle(verts)
     left = set(verts[: max(1, n // 2)])
-    cross = [
-        (min(u, v), max(u, v))
-        for u in sorted(left)
-        for v in sorted(set(verts) - left)
-    ]
-    cross = sorted(set(cross))
+    cross = sorted((min(u, v), max(u, v)) for u in left for v in set(verts) - left)
     m = min(m, len(cross))
     return make_graph(n, rng.sample(cross, m))
 
@@ -118,39 +127,9 @@ def _adj_masks(g: Graph) -> tuple[int, ...]:
     return tuple(adj)
 
 
-def twin_classes(g: Graph) -> list[int]:
-    """The vertices split into classes of twins, as masks ordered by their least vertex.
-
-    Vertices i and j are twins when N(i) minus j equals N(j) minus i: false
-    twins share their open neighbourhood, true twins their closed one.
-    Swapping twins keeps every edge, so these are the classes of
-    `games.symmetric_classes` for the graphic game, isolated vertices
-    included, found from the neighbourhoods alone.  No vertex has twins of
-    both kinds: a false twin j and a true twin k of i would make j and k
-    adjacent through N(j) = N(i) and not adjacent through N[k] = N[i].
-    """
-    adj = _adj_masks(g)
-    open_, closed = {}, {}  # neighbourhood -> the vertices that have it
-    for i, m in enumerate(adj):
-        b = 1 << i
-        open_[m] = open_.get(m, 0) | b
-        closed[m | b] = closed.get(m | b, 0) | b
-    classes, seen = [], 0
-    for i, m in enumerate(adj):
-        b = 1 << i
-        if not seen & b:
-            c = open_[m]
-            if c == b:
-                c = closed[m | b]
-            classes.append(c)
-            seen |= c
-    return classes
-
-
-def _edge_masks(g: Graph) -> list[Coalition]:
-    """The edges as coalitions, built from masks: a graph may have more
-    vertices than a game has players."""
-    return [Coalition(1 << (u - 1) | 1 << (v - 1)) for u, v in g.edges]
+def _edge_masks(g: Graph) -> list[int]:
+    """The edges as masks, in edge order: the minimal winning family of the graphic game."""
+    return [1 << (u - 1) | 1 << (v - 1) for u, v in g.edges]
 
 
 @lru_cache(maxsize=512)
@@ -191,7 +170,7 @@ def graphic_game(g: Graph) -> SimpleGame:
     """The simple game whose minimal winning antichain is the edge set."""
     if not g.edges:
         raise ValueError("an edgeless graph has no winning coalitions")
-    return new_game(g.n, [Coalition.of(u, v) for u, v in g.edges])
+    return new_game(g.n, _edge_masks(g))
 
 
 def _integer_weights(g: Graph, weights: Sequence) -> tuple[list[int], int]:
@@ -367,26 +346,27 @@ def alpha_graph(g: Graph, budget: Optional[int] = None) -> AlphaCertificate:
     Start from the edge constraints and minimize the threshold; repeatedly ask
     the MWIS oracle for the worst independent set under the current payoff and
     add its constraint while it is violated.  All rounds solve one
-    `ThresholdLP` on the edges over `twin_classes`, warm after the first
-    cut: twins are symmetric players of the graphic game, so the LP keeps
-    its optimum with one payoff column per class, and a cut is a row of
-    its set's class counts.  The two-copy gadget pairs every vertex with a
-    twin, so it has at most half the columns.  The oracle runs on the whole graph,
+    `ThresholdLP` on the edges over their `games.symmetric_classes`, warm
+    after the first cut: the LP keeps its optimum with one payoff column per
+    class, and a cut is a row of its set's class counts.  The two-copy
+    gadget pairs every vertex with its copy, whose swap keeps every edge, so
+    it has at most half the columns.  The oracle runs on the whole graph,
     weighted by the payoff's integer numerators, and its weight is
     compared with t's, all over the solve's one denominator: scaling every
     weight by one positive constant changes neither oracle's set.
     Everything is exact, and the final payoff is certified against the
     edges and every oracle set, the classes' symmetry included, so the
     returned alpha is the true rational optimum.  The certificate's
-    `tight_losing` are the oracle sets that attain alpha; an oracle set
-    leaves out zero-weight vertices, so it need not be maximal.
+    `tight_losing` are the oracle sets that attain alpha, by player tuple;
+    an oracle set leaves out zero-weight vertices, so it need not be maximal.
     """
     if not g.edges:
         raise ValueError("an edgeless graph has no winning coalitions")
     color = bipartition(g)
     if color is None:
         budgets.check("mwis", g.n, budget)
-    cut_lp = ThresholdLP(g.n, _edge_masks(g), classes=twin_classes(g))
+    edges = _edge_masks(g)
+    cut_lp = ThresholdLP(g.n, edges, classes=symmetric_classes(g.n, edges))
     for _ in range(MAX_CUT_ROUNDS):
         nums, _ = cut_lp.solve()  # p_1..p_n, then t
         if color is not None:
@@ -395,15 +375,15 @@ def alpha_graph(g: Graph, budget: Optional[int] = None) -> AlphaCertificate:
             sep = mwis_exact(g, nums[:-1], budget)
         if sep.weight <= nums[-1]:
             # the final oracle set attains the maximum; certify checks it
-            cert = cut_lp.certify((sep.vertices,))
-            return replace(cert, tight_losing=tuple(sorted(set(cert.tight_losing), key=Coalition.players)))
-        cut_lp.add_losing(sep.vertices)
+            return cut_lp.certify((sep.vertices.mask,))
+        cut_lp.add_losing(sep.vertices.mask)
     raise BudgetExceededError("cut_rounds", MAX_CUT_ROUNDS + 1, MAX_CUT_ROUNDS)
 
 
 def build_gadget(g: Graph) -> Graph:
     """Two copies of g cross-linked on equal or adjacent indices (2n vertices)."""
     n = g.n
+    budgets.check("vertices", 2 * n)
     edges = set()
     for u, v in g.edges:
         edges.add((u, v))
@@ -457,7 +437,7 @@ def enumerate_mis(g: Graph) -> Iterator[Coalition]:
     of the minimal vertex covers, which the transversal kernel of `games`
     lists from the edges under the ``losing`` cap."""
     full = (1 << g.n) - 1
-    covers = _minimal_transversals(g.n, [1 << (u - 1) | 1 << (v - 1) for u, v in g.edges])
+    covers = _minimal_transversals(g.n, _edge_masks(g))
     for mask in sorted(full ^ c for c in covers):
         yield Coalition(mask)
 
@@ -529,8 +509,7 @@ def decide_alpha_at_most(g: Graph, a, budget: Optional[int] = None) -> AlphaDeci
             kp2_witness=tuple(witness),
             forced_set=_certify_kp2(g, witness, k),
         )
-    edges = _edge_masks(g)
-    lp = ThresholdLP(g.n, edges, enumerate_mis(g))
+    lp = ThresholdLP(g.n, _edge_masks(g), (c.mask for c in enumerate_mis(g)))
     lp.solve()
     alpha = lp.certify().alpha
     return AlphaDecision(answer=alpha <= a, branch="enumeration", alpha=alpha)

@@ -30,8 +30,7 @@ from simplegames.complete import random_weighted_voting_game
 from simplegames.errors import CertificateError
 from simplegames.graphs import alpha_graph, build_gadget, random_graph
 from simplegames.minnorm import is_feasible
-from simplegames.games import symmetric_classes
-from test_games import games_corpus
+from test_games import classes_of, games_corpus, masks
 from test_lp import run_optimized
 
 TESTS = Path(__file__).resolve().parent
@@ -88,8 +87,8 @@ def dense_certify(lp):
     over those rows.  Raises on a pair that is not optimal for the full LP."""
     n, (x, xden, y, yden) = lp.n, lp._last
     x = [x[k] for k in lp._column] + [x[-1]]  # the class payoffs, given to each player
-    rows = [_incidence_row(n, w.mask, 1, 0, 1) for w in lp.winning]
-    rows += [_incidence_row(n, l.mask, -1, 1, 0) for l in lp.losing]
+    rows = [_incidence_row(n, w, 1, 0, 1) for w in lp.winning]
+    rows += [_incidence_row(n, l, -1, 1, 0) for l in lp.losing]
     if len(y) != len(lp._rows):
         raise CertificateError("the threshold LP returned a solution of the wrong shape")
     sizes = Counter(lp._group)  # the coalitions behind each row
@@ -202,7 +201,7 @@ from fractions import Fraction as F
 from simplegames import alpha, lp, new_game
 assert False, "python -O should have stripped this assert"
 game = new_game(4, [[1, 2], [2, 3], [3, 4]])
-print(len(alpha.symmetric_classes(game)))
+print(len(alpha.symmetric_classes(game.n, [w.mask for w in game.minimal_winning])))
 payoff = tuple(F(v) for v in {payoff})
 alpha.solve_lp = lambda model: lp.LPSolution("optimal", payoff + (F({alpha}),), tuple(map(F, {dual})), F({alpha}))
 alpha.compute_alpha_exact(game)
@@ -228,7 +227,7 @@ alpha.compute_alpha_exact(game)
             ("alpha.solve_lp = fake((F(1, 2), F(1, 2), 1), (1, 1, 1))", "simplex returned a dual-infeasible vector"),
             # {2, 3, 4} is no class: swapping 2 and 3 moves the edge {1, 2} off the cycle;
             # the reduced optimum is alpha, and the symmetry check refuses the partition
-            ("alpha.symmetric_classes = lambda game: [0b0001, 0b1110]",
+            ("alpha.symmetric_classes = lambda n, masks: [0b0001, 0b1110]",
              "the partition is not a symmetry: a swap inside a class moves a winning coalition"),
         ],
     )
@@ -250,13 +249,13 @@ alpha.compute_alpha_exact(cycle_game(4))
         # an optimum violates none of its rows, so a cut the LP already holds
         # means a wrong solve, which intermediate rounds no longer certify
         script = """
-from simplegames import Coalition, alpha
+from simplegames import alpha
 assert False, "python -O should have stripped this assert"
-lp = alpha.ThresholdLP(4, [Coalition.of(1, 2), Coalition.of(2, 3), Coalition.of(3, 4)])
+lp = alpha.ThresholdLP(4, [0b0011, 0b0110, 0b1100])
 lp.solve()
-lp.add_losing(Coalition.of(1, 3))
+lp.add_losing(0b0101)
 lp.solve()
-lp.add_losing(Coalition.of(1, 3))
+lp.add_losing(0b0101)
 """
         proc = run_optimized(script)
         assert proc.returncode == 1, proc.stderr
@@ -265,23 +264,23 @@ lp.add_losing(Coalition.of(1, 3))
     def test_unattained_optimum_is_refused(self):
         # with no losing row, t = 0 is optimal and passes lp._certify, but no
         # losing coalition attains it unless one is given
-        lp = ThresholdLP(2, [Coalition.of(1, 2)])
+        lp = ThresholdLP(2, [0b11])
         lp.solve()
         with pytest.raises(CertificateError, match="the optimum must be attained by some losing coalition"):
             lp.certify()
-        assert lp.certify((Coalition.of(),)).tight_losing == (Coalition.of(),)
+        assert lp.certify((0,)).tight_losing == (Coalition.of(),)
 
 
 def full_alpha(game):
     """alpha from the threshold LP with one column per player, certified."""
-    lp = ThresholdLP(game.n, game.minimal_winning, maximal_losing(game))
+    lp = ThresholdLP(game.n, masks(game.minimal_winning), masks(maximal_losing(game)))
     lp.solve()
     return lp.certify().alpha
 
 
 def reduced_lp(game):
     """The threshold LP that `compute_alpha_exact` solves, solved."""
-    lp = ThresholdLP(game.n, game.minimal_winning, maximal_losing(game), symmetric_classes(game))
+    lp = ThresholdLP(game.n, masks(game.minimal_winning), masks(maximal_losing(game)), classes_of(game))
     lp.solve()
     return lp
 
@@ -330,7 +329,7 @@ class TestSymmetricReduction:
             [(was_reduced, rows, scores, checked)] = certified
             assert scores == rows <= full
             assert cert.alpha == full_alpha(g)
-            classes = symmetric_classes(g)
+            classes = classes_of(g)
             for c in classes:
                 assert len({cert.payoff[i - 1] for i in Coalition(c).players()}) == 1
             assert was_reduced == (len(classes) < g.n)
@@ -383,7 +382,7 @@ class TestSymmetricReduction:
         # {2, 3, 4} is no class of cycle_game(4); {1, 2, 3}, {4, 5, 6} is none of cycle_game(6)
         for n, classes in ((4, [0b0001, 0b1110]), (6, [0b000111, 0b111000])):
             g = cycle_game(n)
-            lp = ThresholdLP(n, g.minimal_winning, maximal_losing(g), classes)
+            lp = ThresholdLP(n, masks(g.minimal_winning), masks(maximal_losing(g)), classes)
             lp.solve()
             for check in (ThresholdLP.certify, dense_certify):
                 with pytest.raises(CertificateError):
@@ -393,16 +392,16 @@ class TestSymmetricReduction:
         # one row per distinct (winning or losing, class-count vector), each
         # coalition counted to its row; the LP over the players has one per coalition
         g = random_weighted_voting_game(14, 0).game
-        classes = symmetric_classes(g)
+        classes = classes_of(g)
         assert len(classes) < g.n
         losing = maximal_losing(g)
         coalitions = len(g.minimal_winning) + len(losing)
         families = ((0, g.minimal_winning), (1, losing))
         counts = {(t, *[(c.mask & m).bit_count() for m in classes]) for t, family in families for c in family}
-        reduced = ThresholdLP(g.n, g.minimal_winning, losing, classes)
+        reduced = ThresholdLP(g.n, masks(g.minimal_winning), masks(losing), classes)
         assert len(reduced._rows) == len(counts) < coalitions
         assert len(reduced._group) == coalitions
-        full = ThresholdLP(g.n, g.minimal_winning, losing)
+        full = ThresholdLP(g.n, masks(g.minimal_winning), masks(losing))
         assert len(full._rows) == coalitions and full._group == list(range(coalitions))
         dense = [_incidence_row(g.n, c.mask, 1 - 2 * t, t, 1 - t) for t, family in families for c in family]
         assert full._rows == dense
@@ -416,7 +415,7 @@ class TestSymmetricReduction:
         relabeled = new_game(g.n, [[perm[p - 1] for p in w.players()] for w in g.minimal_winning])
         assert compute_alpha_exact(relabeled).alpha == value
         padded = new_game(g.n + 3, [w.players() for w in g.minimal_winning])
-        assert symmetric_classes(padded)[-1] == 0b111 << g.n  # the dummies are one class
+        assert classes_of(padded)[-1] == 0b111 << g.n  # the dummies are one class
         cert = compute_alpha_exact(padded)
         assert cert.alpha == value and cert.payoff[g.n :] == (0, 0, 0)
 
@@ -428,7 +427,7 @@ class TestSymmetricReduction:
         monkeypatch.setattr(alpha, "solve_lp", lambda model: rows.append(len(model.rows)) or solve(model))
         for q in range(1, n + 1):
             game = new_game(n, combinations(range(1, n + 1), q))
-            assert symmetric_classes(game) == [(1 << n) - 1]
+            assert classes_of(game) == [(1 << n) - 1]
             cert = compute_alpha_exact(game)
             assert cert.alpha == F(q - 1, q) and cert.payoff == (F(1, q),) * n
         assert rows == [2] * n
@@ -441,7 +440,7 @@ class TestSymmetricReduction:
         monkeypatch.setattr(alpha, "solve_lp", lambda model: models.append(model) or solve(model))
         g = random_weighted_voting_game(16, 0).game
         assert (len(g.minimal_winning), len(maximal_losing(g))) == (1649, 2256)
-        assert [c.bit_count() for c in symmetric_classes(g)] == [4, 2, 3, 1, 2, 1, 2, 1]
+        assert [c.bit_count() for c in classes_of(g)] == [4, 2, 3, 1, 2, 1, 2, 1]
         assert compute_alpha_exact(g).alpha == F(46, 47)
         assert [(len(m.rows), m.num_vars) for m in models] == [(291, 9)]
 
@@ -449,32 +448,32 @@ class TestSymmetricReduction:
         g = cycle_game(4)
         for classes in ([0b0011, 0b0110, 0b1000], [0b0011, 0b0100], [0b0011, 0b1100, 0], [0b11111]):
             with pytest.raises(ValueError, match="classes"):
-                ThresholdLP(4, g.minimal_winning, maximal_losing(g), classes)
+                ThresholdLP(4, masks(g.minimal_winning), masks(maximal_losing(g)), classes)
 
     def test_one_player_per_class_is_the_full_lp(self):
         # in any order, singleton classes leave the LP over the players as it is
         g = random_game(6, 5, 7)
-        losing = maximal_losing(g)
-        full = ThresholdLP(6, g.minimal_winning, losing)
+        losing = masks(maximal_losing(g))
+        full = ThresholdLP(6, masks(g.minimal_winning), losing)
         for classes in ([1 << i for i in range(6)], [1 << i for i in reversed(range(6))]):
-            lp = ThresholdLP(6, g.minimal_winning, losing, classes)
+            lp = ThresholdLP(6, masks(g.minimal_winning), losing, classes)
             assert lp._rows == full._rows and lp.solve() == full.solve()
         # the classes are numbered by their least player, so the LP depends only on the partition
         g = random_weighted_voting_game(14, 0).game
-        losing = maximal_losing(g)
-        classes = symmetric_classes(g)
-        reduced = ThresholdLP(g.n, g.minimal_winning, losing, classes)
-        lp = ThresholdLP(g.n, g.minimal_winning, losing, classes[::-1])
+        losing = masks(maximal_losing(g))
+        classes = classes_of(g)
+        reduced = ThresholdLP(g.n, masks(g.minimal_winning), losing, classes)
+        lp = ThresholdLP(g.n, masks(g.minimal_winning), losing, classes[::-1])
         assert len(classes) < g.n and lp._rows == reduced._rows and lp.solve() == reduced.solve()
 
     def test_classed_lp_adds_rows_by_class_counts(self):
         # cycle_game(4) over {1, 3}, {2, 4}: the cuts {1, 3} and {2, 4} are the
         # rows L(2, 0) and L(0, 2)
         g = cycle_game(4)
-        lp = ThresholdLP(4, g.minimal_winning, (), symmetric_classes(g))
+        lp = ThresholdLP(4, masks(g.minimal_winning), (), classes_of(g))
         assert lp._rows == [[1, 1, 0, 1]]
         lp.solve()
-        for cut, row in ((Coalition.of(1, 3), [-2, 0, 1, 0]), (Coalition.of(2, 4), [0, -2, 1, 0])):
+        for cut, row in ((0b0101, [-2, 0, 1, 0]), (0b1010, [0, -2, 1, 0])):
             lp.add_losing(cut)
             assert lp._rows[-1] == row
             lp.solve()
@@ -482,18 +481,20 @@ class TestSymmetricReduction:
         cert = lp.certify()
         assert cert.alpha == 1 and cert.payoff == (F(1, 2),) * 4
         assert cert.tight_losing == (Coalition.of(1, 3), Coalition.of(2, 4))
+        # extra losing sets that repeat the cuts, out of order, are listed once each, by player tuple
+        assert lp.certify((0b1010, 0b0101)).tight_losing == cert.tight_losing
         # the warm classed LP and the cold full LP over the same cuts agree
-        full = ThresholdLP(4, g.minimal_winning, [Coalition.of(1, 3), Coalition.of(2, 4)])
+        full = ThresholdLP(4, masks(g.minimal_winning), [0b0101, 0b1010])
         full.solve()
         assert full.certify().alpha == cert.alpha
         # the star on 1 over {1}, {2, 3, 4}: {3, 4} has the counts of the cut {2, 3},
         # so an optimum that holds that row scores it as {2, 3}, and it is refused
         star = new_game(4, [[1, 2], [1, 3], [1, 4]])
-        lp = ThresholdLP(4, star.minimal_winning, (), symmetric_classes(star))
+        lp = ThresholdLP(4, masks(star.minimal_winning), (), classes_of(star))
         lp.solve()
-        lp.add_losing(Coalition.of(2, 3))
+        lp.add_losing(0b0110)
         with pytest.raises(CertificateError, match="the cut repeats a row of the LP"):
-            lp.add_losing(Coalition.of(3, 4))
+            lp.add_losing(0b1100)
         assert lp._rows[-1] == [0, -2, 1, 0] and len(lp._group) == 4 and len(lp.losing) == 1
 
 
@@ -533,7 +534,7 @@ class TestIntegerCertificate:
         outcomes = set()
         for g in certificate_games():
             losing = maximal_losing(g)
-            lp = ThresholdLP(g.n, g.minimal_winning, losing)
+            lp = ThresholdLP(g.n, masks(g.minimal_winning), masks(losing))
             nums, den = lp.solve()
             payoff, value = tuple(F(v, den) for v in nums[:-1]), F(nums[-1], den)
             cases = [(payoff, value)]
@@ -559,7 +560,7 @@ class TestIntegerCertificate:
         mutants = 0
         for g in certificate_games():
             cert = compute_alpha_exact(g)
-            payoff = _mutant(cert, symmetric_classes(g))
+            payoff = _mutant(cert, classes_of(g))
             if payoff is None:
                 continue
             mutants += 1
@@ -576,7 +577,7 @@ assert False, "python -O should have stripped this assert"
 mutants = refused = 0
 for g in test_alpha.certificate_games():
     cert = compute_alpha_exact(g)
-    payoff = test_alpha._mutant(cert, test_alpha.symmetric_classes(g))
+    payoff = test_alpha._mutant(cert, test_alpha.classes_of(g))
     if payoff is None:
         continue
     mutants += 1

@@ -2,14 +2,20 @@
 
 import json
 import re
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from simplegames import (
     BudgetExceededError,
+    alpha_graph,
     budgets,
+    build_gadget,
     cycle_game,
+    cycle_graph,
+    decide_alpha_at_most,
     enumerate_mis,
     find_induced_kp2,
     make_graph,
@@ -21,6 +27,7 @@ from simplegames import (
     verify_conjecture_corpus,
 )
 from simplegames.cli import run
+from simplegames.graphs import path_graph, random_bipartite_graph, random_graph
 
 SRC = Path(budgets.__file__).resolve().parent
 
@@ -38,6 +45,7 @@ AT_CAP_PLUS_ONE = {
     "mwis": lambda v: mwis_exact(make_graph(v, [(1, 2)]), [1] * v),
     "kp2": lambda v: find_induced_kp2(make_graph(4 * v, [(1, 2)]), v),
     "antichain": lambda v: random_game(8, 0, v),
+    "vertices": lambda v: make_graph(v, [(1, 2)]),
 }
 
 
@@ -55,7 +63,7 @@ def test_default_plus_one_raises_with_its_fields(name):
     "name, override, expected",
     [
         ("losing", 300_000, 200_000), ("losing", 10, 10),
-        ("mwis", 60, 60), ("mwis", 5, 5), ("kp2", 7, 7),
+        ("mwis", 60, 60), ("mwis", 5, 5), ("kp2", 7, 7), ("vertices", 20_000, 10_000),
     ],
 )
 def test_override_lowers_any_cap_and_raises_only_time_caps(name, override, expected):
@@ -131,6 +139,80 @@ def test_cli_negative_budget_exits_2_and_zero_exits_3(budget, code, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("error: ")
+
+
+HUGE = 10**20
+# graph files past the vertices cap, and one within it whose gadget (2n vertices) is not
+GRAPH_FILES = {
+    "huge.json": json.dumps({"n": HUGE, "edges": [[1, 2]]}),
+    "huge.dimacs": f"p edge {HUGE} 1\ne 1 2\n",
+    "half.json": json.dumps({"n": 6000, "edges": [[1, 2]]}),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["graph-alpha", "huge.json"], HUGE),
+        (["graph-decide", "--graph", "huge.json", "--a", "1"], HUGE),
+        (["gadget", "--graph", "huge.json"], HUGE),
+        (["graph-alpha", "huge.dimacs"], HUGE),
+        (["graph-decide", "--graph", "huge.dimacs", "--a", "1"], HUGE),
+        (["gadget", "--graph", "huge.dimacs"], HUGE),
+        (["gadget", "--graph", "half.json"], 12_000),
+        (["gen", "random-graph:100000000:1"], 10**8),
+        (["graph-alpha", "random-graph:100000000:1"], 10**8),
+        (["graph-decide", "--graph", "cycle:100000000", "--a", "1"], 10**8),
+    ],
+)
+def test_cli_graph_past_the_vertices_cap_exits_3(argv, value, tmp_path, monkeypatch, capsys):
+    # refused with one stderr line before anything is sized by n: the run
+    # allocates under 1 MB, where one list of n entries would take gigabytes
+    for name, text in GRAPH_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr() == ("", f"error: vertices budget exceeded: {value} > 10000\n")
+    assert peak < 1 << 20
+
+
+def test_graph_generators_check_the_vertices_cap_first():
+    makers = [
+        lambda: random_graph(HUGE, 1, 0),
+        lambda: random_bipartite_graph(HUGE, 1, 0),
+        lambda: cycle_graph(HUGE),
+        lambda: path_graph(HUGE),
+        lambda: build_gadget(make_graph(5001, [(1, 2)])),
+    ]
+    for make in makers:
+        with pytest.raises(BudgetExceededError, match="vertices budget exceeded"):
+            make()
+
+
+def test_random_graph_at_the_vertices_cap_lists_no_pairs():
+    # n = 10000 has 5 * 10^7 vertex pairs, gigabytes as a list; the generator
+    # draws their indices instead
+    tracemalloc.start()
+    try:
+        g = random_graph(budgets.CAPS["vertices"], 3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.edges) == 3 and peak < 1 << 20
+
+
+def test_one_edge_at_the_vertices_cap_is_solved():
+    # nothing the graph verbs build grows with n squared: at n = 10000, one
+    # edge gives alpha 1/2 by the cut loop and by the enumeration
+    g = make_graph(budgets.CAPS["vertices"], [(1, 2)])
+    assert alpha_graph(g).alpha == Fraction(1, 2)
+    assert decide_alpha_at_most(g, Fraction(1, 2)).alpha == Fraction(1, 2)
 
 
 def test_caps_live_only_in_budgets():

@@ -26,6 +26,16 @@ from simplegames.graphs import random_graph
 import table_reference
 
 
+def masks(family):
+    """The masks of a family of coalitions, for the kernels that take masks."""
+    return [c.mask for c in family]
+
+
+def classes_of(game):
+    """`symmetric_classes` of the game's minimal winning family."""
+    return symmetric_classes(game.n, masks(game.minimal_winning))
+
+
 # Independent oracle: plain frozenset arithmetic, no bit tables.
 
 def brute_is_winning(game, members):
@@ -500,10 +510,10 @@ class TestSymmetricClasses:
     def test_matches_every_transposition(self):
         merged = 0
         for game in class_games():
-            classes = symmetric_classes(game)
+            classes = classes_of(game)
             assert classes == reference_classes(game)
             assert sum(c.bit_count() for c in classes) == game.n
-            counts = size_counts(game)
+            counts = size_counts(game.n, masks(game.minimal_winning))
             for c in classes:
                 members = Coalition(c).players()
                 merged += len(members) > 1
@@ -517,9 +527,9 @@ class TestSymmetricClasses:
 
     def test_equal_counts_need_not_swap(self):
         # a cycle's players all have the same counts; only opposite corners of a square swap
-        assert symmetric_classes(cycle_game(4)) == [0b0101, 0b1010]
-        assert symmetric_classes(cycle_game(6)) == [1 << i for i in range(6)]
-        assert len({tuple(c) for c in size_counts(cycle_game(6))}) == 1
+        assert classes_of(cycle_game(4)) == [0b0101, 0b1010]
+        assert classes_of(cycle_game(6)) == [1 << i for i in range(6)]
+        assert len({tuple(c) for c in size_counts(6, masks(cycle_game(6).minimal_winning))}) == 1
 
     def test_swap_test_checks_both_directions(self):
         # (1 2) takes {1, 3} to {2, 3}; no member holds 2 without 1, so a test
@@ -531,7 +541,7 @@ class TestSymmetricClasses:
     @pytest.mark.parametrize("n, q", [(1, 1), (3, 2), (5, 3), (7, 7), (9, 4)])
     def test_majority_is_one_class(self, n, q):
         game = new_game(n, itertools.combinations(range(1, n + 1), q))
-        assert symmetric_classes(game) == [(1 << n) - 1]
+        assert classes_of(game) == [(1 << n) - 1]
 
     def test_dummies_form_one_class(self):
         for seed in range(10):
@@ -541,7 +551,7 @@ class TestSymmetricClasses:
             for w in game.minimal_winning:
                 held |= w.mask
             # players 7..9, with any of 1..6 in no minimal winning coalition
-            assert padded.full_mask ^ held in symmetric_classes(padded)
+            assert padded.full_mask ^ held in classes_of(padded)
 
     def test_relabeling_permutes_the_classes(self):
         for seed in range(10):
@@ -549,5 +559,5 @@ class TestSymmetricClasses:
             perm = list(range(1, 9))
             random.Random(seed).shuffle(perm)
             relabeled = new_game(8, [[perm[p - 1] for p in w.players()] for w in game.minimal_winning])
-            moved = {sum(1 << (perm[p - 1] - 1) for p in Coalition(c).players()) for c in symmetric_classes(game)}
-            assert moved == set(symmetric_classes(relabeled))
+            moved = {sum(1 << (perm[p - 1] - 1) for p in Coalition(c).players()) for c in classes_of(game)}
+            assert moved == set(classes_of(relabeled))

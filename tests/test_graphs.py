@@ -28,6 +28,7 @@ from simplegames import (
     mwis_exact,
 )
 from simplegames import graphs
+from simplegames.games import symmetric_classes
 from simplegames.graphs import (
     WeightedVertexSet,
     bipartition,
@@ -164,6 +165,24 @@ class TestGraphBasics:
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError):
             graphic_game(make_graph(3, []))
+
+    def test_random_graphs_match_their_listed_pairs(self):
+        # sampling pair indices draws the graph that sampling the listed pairs
+        # drew, and the bipartite generator samples the sorted cross pairs
+        for n in range(2, 26):
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+            for m in sorted({0, 1, len(pairs) // 3, len(pairs)}):
+                for seed in range(3):
+                    drawn = random.Random(f"graph:{n}:{m}:{seed}").sample(pairs, m)
+                    assert random_graph(n, m, seed) == make_graph(n, drawn)
+                    rng = random.Random(f"bipartite:{n}:{m}:{seed}")
+                    verts = list(range(1, n + 1))
+                    rng.shuffle(verts)
+                    left = verts[: max(1, n // 2)]
+                    cross = sorted({(min(u, v), max(u, v)) for u in left for v in verts if v not in left})
+                    assert random_bipartite_graph(n, m, seed) == make_graph(n, rng.sample(cross, min(m, len(cross))))
+        with pytest.raises(ValueError, match="7 edges do not fit"):
+            random_graph(4, 7, 0)
 
     def test_json_round_trip(self):
         g = random_graph(7, 9, 3)
@@ -468,50 +487,49 @@ def twin_graphs():
         yield add_twin(g, 1 + seed % 6, seed % 2 == 1)
 
 
+def edge_classes(g):
+    """The classes `alpha_graph` solves over: `games.symmetric_classes` of the edges."""
+    return symmetric_classes(g.n, graphs._edge_masks(g))
+
+
+def cut_lp_sizes(monkeypatch):
+    """A list that gets (classes, vertices) of each `ThresholdLP` that `graphs` builds."""
+    sizes = []
+    init = graphs.ThresholdLP.__init__
+
+    def spy(lp, *args, **kwargs):
+        init(lp, *args, **kwargs)
+        sizes.append((lp._k, lp.n))
+
+    monkeypatch.setattr(graphs.ThresholdLP, "__init__", spy)
+    return sizes
+
+
 class TestTwinClasses:
-    """`alpha_graph` solves its cut LP over `graphs.twin_classes`; the LP
-    over all independent sets, `compute_alpha_exact(graphic_game(g))`, is the
-    reference, and `games.symmetric_classes` the reference for the classes."""
-
-    def test_matches_symmetric_classes(self):
-        from simplegames.games import symmetric_classes
-
-        rng = random.Random("twins")
-        merged = 0
-        for seed in range(200):
-            n = rng.randint(2, 12)
-            g = random_graph(n, rng.randint(1, n * (n - 1) // 2), seed)
-            classes = graphs.twin_classes(g)
-            assert classes == symmetric_classes(graphic_game(g))
-            merged += len(classes) < n
-        assert merged > 50
+    """`alpha_graph` solves its cut LP over the symmetric classes of the
+    edges, which for a graph are its classes of twins: i and j share a class
+    when N(i) minus j equals N(j) minus i.  The LP over all independent
+    sets, `compute_alpha_exact(graphic_game(g))`, is the reference."""
 
     def test_known_classes(self):
-        assert graphs.twin_classes(C4) == [0b0101, 0b1010]  # false twins
-        assert graphs.twin_classes(C5) == [1 << i for i in range(5)]
-        assert graphs.twin_classes(K4) == [0b1111]  # true twins
-        assert graphs.twin_classes(complete_bipartite(1, 3)) == [0b0001, 0b1110]
-        assert graphs.twin_classes(complete_bipartite(2, 3, isolated=2)) == [0b11, 0b11100, 0b1100000]
+        assert edge_classes(C4) == [0b0101, 0b1010]  # false twins
+        assert edge_classes(C5) == [1 << i for i in range(5)]
+        assert edge_classes(K4) == [0b1111]  # true twins
+        assert edge_classes(complete_bipartite(1, 3)) == [0b0001, 0b1110]
+        assert edge_classes(complete_bipartite(2, 3, isolated=2)) == [0b11, 0b11100, 0b1100000]
         # every vertex of a gadget is a true twin of its copy
         g = path_graph(3)
-        assert graphs.twin_classes(build_gadget(g)) == [0b001001, 0b010010, 0b100100]
+        assert edge_classes(build_gadget(g)) == [0b001001, 0b010010, 0b100100]
 
     def test_alpha_matches_enumeration(self, monkeypatch):
-        sizes = []
-        init = graphs.ThresholdLP.__init__
-
-        def spy(lp, *args, **kwargs):
-            init(lp, *args, **kwargs)
-            sizes.append((lp._k, lp.n))
-
-        monkeypatch.setattr(graphs.ThresholdLP, "__init__", spy)
+        sizes = cut_lp_sizes(monkeypatch)
         for g in twin_graphs():
             sizes.clear()
             cert = alpha_graph(g)
             [(k, n)] = sizes
-            assert k == len(graphs.twin_classes(g)) < n
+            assert k == len(edge_classes(g)) < n
             assert cert.alpha == compute_alpha_exact(graphic_game(g)).alpha
-            for c in graphs.twin_classes(g):
+            for c in edge_classes(g):
                 assert len({cert.payoff[i - 1] for i in Coalition(c).players()}) == 1
 
     @pytest.mark.parametrize("a, b", [(1, 1), (1, 4), (2, 3), (3, 5), (4, 4)])
@@ -529,8 +547,8 @@ class TestTwinClasses:
             order = list(range(1, g.n + 1))
             rng.shuffle(order)
             relabeled = make_graph(g.n, [(order[u - 1], order[v - 1]) for u, v in g.edges])
-            moved = {sum(1 << (order[i - 1] - 1) for i in Coalition(c).players()) for c in graphs.twin_classes(g)}
-            assert moved == set(graphs.twin_classes(relabeled))
+            moved = {sum(1 << (order[i - 1] - 1) for i in Coalition(c).players()) for c in edge_classes(g)}
+            assert moved == set(edge_classes(relabeled))
             cert, other = alpha_graph(g), alpha_graph(relabeled)
             assert other.alpha == cert.alpha
 
@@ -545,11 +563,22 @@ class TestTwinClasses:
         v = rng.randint(1, n)
         for true in (False, True):
             h = add_twin(g, v, true)
-            [joined] = [c for c in graphs.twin_classes(h) if c >> n & 1]
+            [joined] = [c for c in edge_classes(h) if c >> n & 1]
             assert joined >> (v - 1) & 1
             after = alpha_graph(h).alpha
             assert before <= after <= before + 1
             assert after == compute_alpha_exact(graphic_game(h)).alpha
+
+    def test_cut_loop_past_64_vertices(self, monkeypatch):
+        # K_{30,40} plus 2 isolated vertices has 72 vertices, more than a game
+        # has players, so no `SimpleGame` stands for it: the cut loop runs on
+        # the edges over the two sides and the isolated pair, 3 columns
+        g = complete_bipartite(30, 40, isolated=2)
+        with pytest.raises(ValueError, match="player count"):
+            graphic_game(g)
+        sizes = cut_lp_sizes(monkeypatch)
+        assert alpha_graph(g).alpha == F(30 * 40, 70) == F(120, 7)
+        assert sizes == [(3, 72)]
 
     def test_gadget_identity(self):
         # alpha(gadget(g)) = mwis(g) / 2 on 30 random graphs, each gadget over
@@ -559,7 +588,7 @@ class TestTwinClasses:
             n = rng.randint(2, 9)
             g = random_graph(n, rng.randint(0, n * (n - 1) // 2), seed)
             gadget = build_gadget(g)
-            assert len(graphs.twin_classes(gadget)) <= n
+            assert len(edge_classes(gadget)) <= n
             assert alpha_graph(gadget).alpha == F(mwis_exact(g, [1] * n).weight, 2)
 
     SYMMETRY = "the partition is not a symmetry: a swap inside a class moves a winning coalition"
@@ -568,11 +597,12 @@ class TestTwinClasses:
         "graph, patch, message",
         [
             # 1 and 2 are adjacent on C5 but no twins, so {1, 2} is no class
-            ("graphs.cycle_graph(5)", "graphs.twin_classes = lambda g: [0b00011, 0b00100, 0b01000, 0b10000]", SYMMETRY),
+            ("graphs.cycle_graph(5)", "graphs.symmetric_classes = lambda n, masks: [0b00011, 0b00100, 0b01000, 0b10000]",
+             SYMMETRY),
             # on the path 1-3-2-4 the swap of 1 and 2 maps the edge {1, 3} onto
             # {2, 3} but {2, 4} off the path: the check must test both directions
-            ("graphs.make_graph(4, [(1, 3), (2, 3), (2, 4)])", "graphs.twin_classes = lambda g: [0b0011, 0b0100, 0b1000]",
-             SYMMETRY),
+            ("graphs.make_graph(4, [(1, 3), (2, 3), (2, 4)])",
+             "graphs.symmetric_classes = lambda n, masks: [0b0011, 0b0100, 0b1000]", SYMMETRY),
             # C4 over {1, 3}, {2, 4} ends on the rows W(1, 1), L(2, 0), L(0, 2) in some
             # order, at q = (1/2, 1/2) and t = 1; each dual fails one check and passes the others
             ("graphs.cycle_graph(4)", "fake_dual((1, 0, 0))", "simplex returned a dual-infeasible vector"),

@@ -12,8 +12,9 @@ from types import SimpleNamespace
 import pytest
 
 import lp_reference
-from simplegames import Coalition, compute_alpha_exact, lp
+from simplegames import compute_alpha_exact, lp
 from lp_reference import make_lp
+from test_games import masks
 from simplegames.lp import EQ, GE, LE, LinearProgram, LPRow, in_convex_hull, solve_lp
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -487,7 +488,7 @@ class TestTableau:
         monkeypatch.setattr(lp, "_transpose", spy_transpose)
         for seed in range(6):
             game = random_game(7, seed, 5)
-            ThresholdLP(7, game.minimal_winning, maximal_losing(game)).solve()
+            ThresholdLP(7, masks(game.minimal_winning), masks(maximal_losing(game))).solve()
         assert len(transposed) == 6  # each threshold LP went through its dual
         assert pivots["construction"] == 0 and pivots["solve"] > 0
 
@@ -516,8 +517,8 @@ class TestTableau:
         from simplegames.graphs import alpha_graph, enumerate_mis, graphic_game, make_graph
 
         g = make_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-        edges = [Coalition.of(u, v) for u, v in g.edges]
-        assert self.warm_against_cold(g.n, edges, list(enumerate_mis(g)), monkeypatch) == F(1)
+        edges = [1 << (u - 1) | 1 << (v - 1) for u, v in g.edges]
+        assert self.warm_against_cold(g.n, edges, masks(enumerate_mis(g)), monkeypatch) == F(1)
         assert alpha_graph(g).alpha == compute_alpha_exact(graphic_game(g)).alpha == F(1)
 
     @pytest.mark.parametrize("n", range(3, 9))
@@ -532,9 +533,9 @@ class TestTableau:
         for seed in range(3):
             for target in (2, 3):
                 game = random_game(n, seed, target)
-                losing = maximal_losing(game)
+                losing = masks(maximal_losing(game))
                 several += len(losing) > 1
-                last = self.warm_against_cold(n, game.minimal_winning, losing, monkeypatch)
+                last = self.warm_against_cold(n, masks(game.minimal_winning), losing, monkeypatch)
                 assert last == compute_alpha_exact(game).alpha
         assert several > 0
 
@@ -763,7 +764,7 @@ class TestSparsePivot:
         elif kind == "game":
             n, seed = args
             game = random_game(n, seed, n + 2)
-            ThresholdLP(n, game.minimal_winning, maximal_losing(game)).solve()
+            ThresholdLP(n, masks(game.minimal_winning), masks(maximal_losing(game))).solve()
         else:
             n, seed = args
             compute_alpha_exact(random_game(n, seed, n + 2))

@@ -6,7 +6,9 @@ an `assert` that `python -O` would strip: the one assert form allowed is
 above it has already established.  No module builds 2^n-bit subset tables,
 every budget error names a cap that `budgets` documents, the LP optimality
 check is written once, in `lp`, and the exact simplex's pivot loop, the
-threshold LP's builder, cut loop and certificate checks work on ints alone.
+threshold LP's builder, cut loop and certificate checks work on ints alone:
+the threshold LP takes masks and builds `Coalition`s only for the
+certificate it returns.
 """
 
 import ast
@@ -177,13 +179,12 @@ def test_pivot_loop_stays_integer():
 
 
 # the threshold LP's row builder, its solve and cut rows, the symmetry check
-# of its certificate and the swap test it shares with `symmetric_classes`,
-# and the cutting-plane loop that feeds the solve's numerators to the oracle
-# over the graph's twin classes
+# of its certificate, the class finder and the swap test they share, and the
+# cutting-plane loop that feeds the solve's numerators to the oracle
 THRESHOLD_INTEGER = {
     "alpha.py": {"ThresholdLP._add_rows", "ThresholdLP.solve", "ThresholdLP.add_losing", "_swaps_keep"},
-    "games.py": {"_swap_keeps"},
-    "graphs.py": {"alpha_graph", "twin_classes"},
+    "games.py": {"_swap_keeps", "symmetric_classes"},
+    "graphs.py": {"alpha_graph"},
 }
 
 
@@ -210,6 +211,19 @@ def test_threshold_lp_and_cut_loop_stay_integer():
     assert naming and min(naming) > last_check
     spread = {"lcm", "_add_share", "_sizes"}
     assert {getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(tree)} & spread == set()
+
+
+def test_threshold_lp_takes_masks():
+    # masks inside, `Coalition` at the boundary: no `ThresholdLP` scope reads
+    # a `.mask`, and only `certify` names `Coalition`, after its last check
+    tree = ast.parse((SRC / "alpha.py").read_text())
+    scopes = {q: node for q, node in function_scopes(tree).items() if q.startswith("ThresholdLP.")}
+    assert {"ThresholdLP.__init__", "ThresholdLP._add_rows", "ThresholdLP.add_losing", "ThresholdLP.certify"} <= set(scopes)
+    reading = [q for q, node in scopes.items() if any(getattr(sub, "attr", None) == "mask" for sub in ast.walk(node))]
+    assert reading == []
+    assert functions_naming(tree, set(scopes) - {"ThresholdLP.certify"}, "Coalition") == []
+    naming, last_check = statements_after_checks(scopes["ThresholdLP.certify"], "Coalition")
+    assert naming and min(naming) > last_check
 
 
 def test_statements_after_checks_finds_late_fractions():
