@@ -10,10 +10,13 @@ The threshold LP is written once, as `ThresholdLP`, with one row builder:
 one column per class of a partition of the players and one row per distinct
 (winning or losing, class-count vector); the LP over the players is the
 case of one class per player.  It takes coalitions as int masks and builds
-`Coalition`s only in the certificate it returns.  It is solved exactly, cold
-while the rows are given up front and warm while losing rows arrive one at
-a time, and `solve` returns integer numerators over one denominator, which
-`graphs.alpha_graph` hands to its oracle as they are.  `certify` checks the
+`Coalition`s only in the certificate it returns.  It is solved exactly: a
+tall LP, with more rows than columns, by an `lp.TallLP` it keeps, so a
+cutting-plane loop that opens tall is warm from its first round; a wide one
+by `lp.solve_lp` until its first cut.  Losing rows added one at a time are
+solved warm in the kept `TallLP`, and `solve` returns integer numerators
+over one denominator, which `graphs.alpha_graph` hands to its oracle as
+they are.  `certify` checks the
 last optimal pair, primal and dual, in integers and in class space:
 `lp._certify` on the rows as built, and a check that the partition is a
 symmetry of the game, which lifts that dual to one over every coalition.
@@ -32,11 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from . import budgets
 from .errors import CertificateError, UndefinedRatioError
-from .games import Coalition, SimpleGame, _swap_keeps, maximal_losing, random_game, symmetric_classes
+from .games import Coalition, SimpleGame, _holders, _swap_keeps, maximal_losing, random_game, symmetric_classes
 from .lp import GE, LPRow, LinearProgram, TallLP, _certify, common_numerators, frac, rat, solve_lp
 
 
@@ -73,13 +77,16 @@ def mask_sum(nums: Sequence[int], mask: int) -> int:
 def _swaps_keep(classes: Sequence[int], masks: list[int]) -> bool:
     """Whether each transposition of two consecutive players of a class maps
     the family of `masks` onto itself.  Those transpositions generate every
-    permutation inside the classes."""
-    family = set(masks)
+    permutation inside the classes.  Each is tested over the members that
+    hold either player, indexed by player once; the classes cover players
+    1..n, so the largest class is the one that holds player n."""
+    family, holding = set(masks), _holders(max(classes).bit_length(), masks)
     for c in classes:
         low, rest = c & -c, c & (c - 1)
         while rest:
             high = rest & -rest
-            if not _swap_keeps(masks, family, low | high):
+            members = chain(holding[low.bit_length() - 1], holding[high.bit_length() - 1])
+            if not _swap_keeps(members, family, low | high):
                 return False
             low, rest = high, rest ^ high
     return True
@@ -123,19 +130,17 @@ class ThresholdLP:
     answer, fails it.
 
     `solve` returns the optimal p_1..p_n and t as integer numerators over
-    one positive denominator.  Until a losing row is added, it is one cold
-    `solve_lp` call over the rows given.  The first `add_losing` builds an
-    `lp.TallLP` over the rows so far and adds the new row as a column of
-    its dual; its cost e_t is nonnegative, so the `TallLP` starts feasible
-    with no phase 1, and each later row costs a few pivots from the last
-    optimal basis.  A row is added to any partition, keyed by its class
-    counts.  `certify` checks the last solve alone, primal and dual: the
-    rounds before it only feed the oracle.
-
-    The first solve stays cold even for a cutting-plane loop, which could
-    start warm: the benchmark's tracer counts cut rounds as `solve_lp` spans
-    under `graphs.alpha_graph`, and its self-test needs some on graph-cuts.
-    Start warm once the benchmark counts `ThresholdLP` solves.
+    one positive denominator.  A tall LP, with more rows than its k + 1
+    columns, is solved as `lp.solve_lp` would solve it, by an `lp.TallLP`
+    over the rows, but the LP keeps that `TallLP` and skips `solve_lp`'s
+    canonical rows, its certificate and its `Fraction`s: `certify` is the
+    one check.  A wide LP is one cold `solve_lp` call, and its first
+    `add_losing` builds the `TallLP` over the rows so far.  Each
+    `add_losing` adds its row as a column of the `TallLP`'s dual; the cost
+    e_t is nonnegative, so the `TallLP` starts feasible with no phase 1, and
+    each row costs a few pivots from the last optimal basis.  A row is added
+    to any partition, keyed by its class counts.  `certify` checks the last
+    solve alone, primal and dual: the rounds before it only feed the oracle.
     """
 
     def __init__(
@@ -148,6 +153,7 @@ class ThresholdLP:
         self.n, self.winning, self.losing = n, list(winning), list(losing)
         self._classes, self._column = _class_columns(n, [1 << i for i in range(n)] if classes is None else classes)
         self._k, self._tall = len(self._classes), None
+        self._cost = [0] * self._k + [1]  # min t
         self._last: Optional[tuple] = None  # the last solve's class payoffs and t over xden, its dual over yden
         # the rows, each row's key, and each coalition's row
         self._rows, self._index, self._group = [], {}, []
@@ -180,7 +186,7 @@ class ThresholdLP:
         scores every coalition with L's counts, and a row the LP already
         holds means that the last solve was wrong."""
         if self._tall is None:
-            self._tall = TallLP(self._rows, 1, [0] * self._k + [1], 1)
+            self._tall = TallLP(self._rows, 1, self._cost, 1)
         rows = len(self._rows)
         self._add_rows((losing,), 1)
         if len(self._rows) == rows:
@@ -195,18 +201,20 @@ class ThresholdLP:
 
         The pair is not checked here: `certify` checks the last one."""
         k = self._k
+        if self._tall is None and len(self._rows) > k + 1:
+            self._tall = TallLP(self._rows, 1, self._cost, 1)
         if self._tall is None:
             rows = tuple(LPRow(tuple(r[:-1]), GE, r[-1]) for r in self._rows)
-            cold = solve_lp(LinearProgram(k + 1, (0,) * k + (1,), rows))
+            cold = solve_lp(LinearProgram(k + 1, tuple(self._cost), rows))
             if cold.status != "optimal":
                 raise CertificateError(f"threshold LP should be feasible and bounded, got {cold.status}")
             x, xden = common_numerators(cold.primal)
             y, yden = common_numerators(cold.dual)
         else:
-            status, warm = self._tall.solve()
-            if warm is None:
+            status, pair = self._tall.solve()
+            if pair is None:
                 raise CertificateError(f"threshold LP should be feasible and bounded, got {status}")
-            x, xden, y, yden = warm
+            x, xden, y, yden = pair
         self._last = x, xden, y, yden
         return [x[c] for c in self._column] + [x[k]], xden
 
@@ -232,7 +240,7 @@ class ThresholdLP:
         """
         assert self._last is not None, "solve before certify"
         x, den, y, yden = self._last
-        slack = _certify(self._rows, 1, [0] * self._k + [1], 1, x, den, y, yden)  # over den
+        slack = _certify(self._rows, 1, self._cost, 1, x, den, y, yden)  # over den
         group, nw = self._group, len(self.winning)
         binding = [w for w, r in zip(self.winning, group) if not slack[r]]
         tight = [l for l, r in zip(self.losing, group[nw:]) if not slack[r]]

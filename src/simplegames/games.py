@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Union
 
 from . import budgets
@@ -292,6 +293,18 @@ def size_counts(n: int, masks: list[int]) -> list[list[int]]:
     return counts
 
 
+def _holders(n: int, masks: list[int]) -> list[list[int]]:
+    """Index i-1 -> the members of `masks` that hold player i, in order."""
+    holding: list[list[int]] = [[] for _ in range(n)]
+    for m in masks:
+        rest = m
+        while rest:
+            low = rest & -rest
+            holding[low.bit_length() - 1].append(m)
+            rest ^= low
+    return holding
+
+
 def symmetric_classes(n: int, masks: list[int]) -> list[int]:
     """Players 1..n split into classes of transposition-symmetric players, as
     masks ordered by their least player.
@@ -300,30 +313,31 @@ def symmetric_classes(n: int, masks: list[int]) -> list[int]:
     `masks`, a game's minimal winning coalitions or a graph's edges, onto
     itself; that is an equivalence, because (i r)(j r)(i r) = (i j), so each
     player is tested against one representative per class, and only against
-    those with equal `size_counts`, which symmetric players have.  Players
-    in no member form one class.
+    those with equal `size_counts`, which symmetric players have.  A swap is
+    tested over the members that hold either player, indexed by player once.
+    Players in no member form one class.
     """
-    family = set(masks)
+    family, holding = set(masks), _holders(n, masks)
     classes: list[int] = []
-    reps: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # counts -> (representative bit, class index)
+    reps: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # counts -> (representative, class index)
     for i, counts in enumerate(map(tuple, size_counts(n, masks))):
-        bi = 1 << i
-        for br, k in reps.get(counts, ()):
-            if _swap_keeps(masks, family, bi | br):
-                classes[k] |= bi
+        for r, k in reps.get(counts, ()):
+            if _swap_keeps(chain(holding[i], holding[r]), family, 1 << i | 1 << r):
+                classes[k] |= 1 << i
                 break
         else:
-            reps.setdefault(counts, []).append((bi, len(classes)))
-            classes.append(bi)
+            reps.setdefault(counts, []).append((i, len(classes)))
+            classes.append(1 << i)
     return classes
 
 
-def _swap_keeps(masks: list[int], family: set[int], swap: int) -> bool:
-    """Whether swapping the two players of `swap` maps the family of `masks`,
-    whose set is `family`, onto itself.  A swap is one to one on coalitions,
-    so it does once it maps each member into the family, and only a member
-    holding exactly one of the two players moves."""
-    for m in masks:
+def _swap_keeps(members: Iterable[int], family: set[int], swap: int) -> bool:
+    """Whether swapping the two players of `swap` maps the family whose set
+    is `family` onto itself.  `members` must include every member that holds
+    either player and may include others.  A swap is one to one on
+    coalitions, so it does once it maps each member into the family, and
+    only a member holding exactly one of the two players moves."""
+    for m in members:
         if 0 < m & swap != swap and m ^ swap not in family:
             return False
     return True

@@ -14,11 +14,12 @@ also feeds the transversal kernel, `graphic_game` and the class finder
 `games.symmetric_classes`; no game is built, so n may pass 64, up to the
 ``vertices`` cap.  The cutting-plane loop keeps one LP over the symmetric
 classes for all its rounds, so each cut enters as a new column of the LP's
-dual and costs a few pivots, its oracle weighs every vertex of the whole
+dual and costs a few pivots, warm from the first round when the edges give
+the LP more rows than columns, its oracle weighs every vertex of the whole
 graph by the integer numerators that `solve` returns, and only the last
 round's answer is certified, in class space, on every row, the oracle's
 final set and the classes' symmetry; the decision solves one over all
-maximal independent sets, one column per vertex, cold, once, and certifies it.
+maximal independent sets, one column per vertex, once, and certifies it.
 """
 
 from __future__ import annotations
@@ -108,14 +109,23 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
 
 
 def random_bipartite_graph(n: int, m: int, seed: int) -> Graph:
+    """m edges, or every cross pair when there are fewer, between the first
+    max(1, n // 2) vertices of a shuffle and the rest.  The edges are drawn
+    uniformly from the cross pairs u < v by their index in lexicographic
+    order, as `random_graph` draws: `random.sample`'s draws on the list of
+    those pairs, without listing the n^2/4 of them, so the cost is
+    O((n + m) log n)."""
     budgets.check("vertices", n)
     rng = random.Random(f"bipartite:{n}:{m}:{seed}")
     verts = list(range(1, n + 1))
     rng.shuffle(verts)
     left = set(verts[: max(1, n // 2)])
-    cross = sorted((min(u, v), max(u, v)) for u in left for v in set(verts) - left)
-    m = min(m, len(cross))
-    return make_graph(n, rng.sample(cross, m))
+    sides = [sorted(left), sorted(set(verts) - left)]
+    across = [sides[u in left] for u in range(n + 1)]  # u -> the other side, sorted
+    after = [bisect_right(across[u], u) for u in range(n + 1)]  # where its vertices above u start
+    first = list(accumulate((len(across[u]) - after[u] for u in range(1, n + 1)), initial=0))
+    picks = ((bisect_right(first, k), k) for k in rng.sample(range(first[-1]), min(m, first[-1])))
+    return make_graph(n, [(u, across[u][after[u] + k - first[u - 1]]) for u, k in picks])
 
 
 @lru_cache(maxsize=512)
@@ -346,9 +356,10 @@ def alpha_graph(g: Graph, budget: Optional[int] = None) -> AlphaCertificate:
     Start from the edge constraints and minimize the threshold; repeatedly ask
     the MWIS oracle for the worst independent set under the current payoff and
     add its constraint while it is violated.  All rounds solve one
-    `ThresholdLP` on the edges over their `games.symmetric_classes`, warm
-    after the first cut: the LP keeps its optimum with one payoff column per
-    class, and a cut is a row of its set's class counts.  The two-copy
+    `ThresholdLP` on the edges over their `games.symmetric_classes`: warm
+    from the first round when the edge rows outnumber the columns, else
+    after the first cut.  The LP keeps its optimum with one payoff column
+    per class, and a cut is a row of its set's class counts.  The two-copy
     gadget pairs every vertex with its copy, whose swap keeps every edge, so
     it has at most half the columns.  The oracle runs on the whole graph,
     weighted by the payoff's integer numerators, and its weight is

@@ -40,8 +40,10 @@ while keeping its basis.  `_core_solve` uses it once and drops it.  `TallLP`
 keeps it: a new row of a tall LP is a new column of the dual, which enters
 nonbasic at 0, so the next solve only prices the column and pivots on from
 the last basis.  With nonnegative costs the dual is feasible at 0 and needs
-no phase 1.  `TallLP` returns each solve unchecked: `solve_lp` and the
-cutting-plane loop of `alpha.ThresholdLP` certify the pairs they keep.
+no phase 1.  `TallLP` returns each solve unchecked: `solve_lp` and
+`alpha.ThresholdLP.certify` certify the pairs they keep.  `ThresholdLP`
+builds its own `TallLP` for a tall LP, over its integer rows, rather than
+going through `solve_lp`.
 """
 
 from __future__ import annotations

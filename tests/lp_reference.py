@@ -8,9 +8,11 @@ checks the kernel's reading of the duals off its surplus columns.
 `route(patch)` sends `solve_lp` (and through it every exact caller) to this
 kernel: `core_solve` replaces `simplegames.lp._core_solve`, the direct
 solve, and `TallLP` replaces `simplegames.lp.TallLP`, the transposed solve
-of a tall LP, inside `solve_lp` only.  A warm `TallLP` kept by
-`alpha.ThresholdLP` still runs on the integer kernel.  `make_lp` builds
-the tests' LPs from plain numbers.
+of a tall LP, inside `solve_lp` only.  The `TallLP` that
+`alpha.ThresholdLP` keeps, for a tall LP or a cut loop, still runs on the
+integer kernel; `test_alpha` holds its answers to `solve_lp`'s, and
+`threshold_program` gives `solve_lp` the same rows.  `make_lp` builds the
+tests' LPs from plain numbers.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional
 
 from simplegames import lp
 from simplegames.errors import BudgetExceededError
-from simplegames.lp import MAX_PIVOTS, LinearProgram, LPRow, _numerators, _transpose, frac
+from simplegames.lp import GE, MAX_PIVOTS, LinearProgram, LPRow, _numerators, _transpose, frac
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -225,6 +227,15 @@ def route(patch) -> list[str]:
     patch.setattr(lp, "_core_solve", core_solve)
     patch.setattr(lp, "TallLP", lambda a, den, c, cden: TallLP(a, den, c, cden, transposed))
     return transposed
+
+
+def threshold_program(threshold_lp) -> LinearProgram:
+    """min t over the rows of an `alpha.ThresholdLP`, as the `LinearProgram`
+    that `solve_lp` takes; `ThresholdLP` solves a tall one in a `TallLP` of
+    its own, which `route` does not reach."""
+    k = threshold_lp._k
+    rows = tuple(LPRow(tuple(r[:-1]), GE, r[-1]) for r in threshold_lp._rows)
+    return LinearProgram(k + 1, (0,) * k + (1,), rows)
 
 
 def make_lp(objective, rows, lower=None, upper=None) -> LinearProgram:

@@ -28,9 +28,10 @@ from simplegames import lp as lp_module
 from simplegames.alpha import AlphaCertificate, ThresholdLP
 from simplegames.complete import random_weighted_voting_game
 from simplegames.errors import CertificateError
-from simplegames.graphs import alpha_graph, build_gadget, random_graph
+from simplegames.graphs import alpha_graph, build_gadget, enumerate_mis, graph_from_json, random_graph
 from simplegames.minnorm import is_feasible
-from test_games import classes_of, games_corpus, masks
+from lp_reference import threshold_program
+from test_games import bench_corpus, classes_of, games_corpus, masks
 from test_lp import run_optimized
 
 TESTS = Path(__file__).resolve().parent
@@ -195,19 +196,22 @@ class TestComputeAlpha:
     )
     def test_certificate_checks_survive_optimize(self, payoff, alpha, fault, message, dual):
         # a solver returning a wrong optimum must be caught even under python -O;
-        # the path 1-2-3-4 has no symmetric players, so its LP has a column per player
+        # the path 1-2-3-4 has no symmetric players, so its LP has a column per
+        # player, and its 6 rows over 5 columns make it tall: the LP's own
+        # `TallLP` solves it, and `solve_lp` is never called
         script = f"""
 from fractions import Fraction as F
 from simplegames import alpha, lp, new_game
 assert False, "python -O should have stripped this assert"
 game = new_game(4, [[1, 2], [2, 3], [3, 4]])
 print(len(alpha.symmetric_classes(game.n, [w.mask for w in game.minimal_winning])))
-payoff = tuple(F(v) for v in {payoff})
-alpha.solve_lp = lambda model: lp.LPSolution("optimal", payoff + (F({alpha}),), tuple(map(F, {dual})), F({alpha}))
+pair = (*lp.common_numerators(tuple(F(v) for v in {payoff}) + (F({alpha}),)), *lp.common_numerators({dual}))
+lp.TallLP.solve = lambda tall: ("optimal", pair)
+alpha.solve_lp = None
 alpha.compute_alpha_exact(game)
 """
         proc = run_optimized(script)
-        assert proc.returncode == 1 and proc.stdout.split() == ["4"]
+        assert proc.returncode == 1 and proc.stdout.split() == ["4"], proc.stderr
         assert f"CertificateError: {message}" in proc.stderr
 
     # cycle_game(4) has the classes {1, 3} and {2, 4}: its reduced LP has the
@@ -435,14 +439,53 @@ class TestSymmetricReduction:
     def test_reduced_row_count_is_pinned(self, monkeypatch):
         # wvg:16 at seed 0: 1649 minimal winning and 2256 maximal losing
         # coalitions, and 8 classes of sizes 4, 2, 3, 1, 2, 1, 2, 1
+        # (rows, columns) of each LP: a tall one goes straight to the LP's own `TallLP`
         models = []
-        solve = alpha.solve_lp
-        monkeypatch.setattr(alpha, "solve_lp", lambda model: models.append(model) or solve(model))
+        tall = alpha.TallLP
+        monkeypatch.setattr(
+            alpha, "TallLP", lambda a, den, c, cden: models.append((len(a), len(c))) or tall(a, den, c, cden)
+        )
+        monkeypatch.setattr(alpha, "solve_lp", None)
         g = random_weighted_voting_game(16, 0).game
         assert (len(g.minimal_winning), len(maximal_losing(g))) == (1649, 2256)
         assert [c.bit_count() for c in classes_of(g)] == [4, 2, 3, 1, 2, 1, 2, 1]
         assert compute_alpha_exact(g).alpha == F(46, 47)
-        assert [(len(m.rows), m.num_vars) for m in models] == [(291, 9)]
+        assert models == [(291, 9)]
+
+    def test_tall_lps_match_solve_lp(self, monkeypatch):
+        # a one-shot LP with more rows than columns is solved by its own
+        # TallLP, with no solve_lp call and one `_certify`, the one in
+        # `certify`; its payoff, t and dual are solve_lp's on the same rows.
+        # The LPs: compute_alpha_exact's over the reduction corpora, and the
+        # decision LP over every maximal independent set of the benchmark's
+        # seed-3 decision graphs
+        models = [
+            (g.n, masks(g.minimal_winning), masks(maximal_losing(g)), classes_of(g)) for g in self.dense_games()
+        ]
+        decisions = [graph_from_json(inst) for inst in bench_corpus("graph-cuts", 3) if inst["kind"] == "decision"]
+        models += [(g.n, graphs._edge_masks(g), masks(enumerate_mis(g)), None) for g in decisions]
+        calls = []
+        solve_lp, lp_certify = alpha.solve_lp, lp_module._certify
+        monkeypatch.setattr(alpha, "solve_lp", lambda model: calls.append("solve_lp") or solve_lp(model))
+        monkeypatch.setattr(lp_module, "_certify", lambda *args: calls.append("_certify") or lp_certify(*args))
+        monkeypatch.setattr(alpha, "_certify", lambda *args: calls.append("_certify") or lp_certify(*args))
+        tall = []
+        for model in models:
+            lp = ThresholdLP(*model)
+            calls.clear()
+            lp.solve()
+            lp.certify()
+            if len(lp._rows) <= lp._k + 1:
+                assert calls == ["solve_lp", "_certify", "_certify"]
+                continue
+            assert calls == ["_certify"]
+            tall.append(model[-1] is None)
+            expected = solve_lp(threshold_program(lp))
+            x, xden, y, yden = lp._last
+            assert [F(v, xden) for v in x] == list(expected.primal)
+            assert [F(v, yden) for v in y] == list(expected.dual)
+        # 140 of the games' LPs and 86 of the 90 decision LPs are tall
+        assert tall.count(False) > 100 and tall.count(True) > 80
 
     def test_bad_classes_are_refused(self):
         g = cycle_game(4)

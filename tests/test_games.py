@@ -373,14 +373,19 @@ class TestAntichainOrder:
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def games_corpus(seed):
-    """The benchmark's games corpus (n = 6..9) at `seed`, as games."""
+def bench_corpus(workload, seed):
+    """The instances of the benchmark's full `workload` corpus at `seed`, as JSON dicts."""
     sys.path.insert(0, str(BENCH))
     try:
         import workloads
     finally:
         sys.path.remove(str(BENCH))
-    return [game_from_json(inst) for inst in workloads.generate("games", seed, "full")]
+    return workloads.generate(workload, seed, "full")
+
+
+def games_corpus(seed):
+    """The benchmark's games corpus (n = 6..9) at `seed`, as games."""
+    return [game_from_json(inst) for inst in bench_corpus("games", seed)]
 
 
 def perrin(n):
@@ -537,6 +542,61 @@ class TestSymmetricClasses:
         assert not _swap_keeps([0b101], {0b101}, 0b011)
         assert _swap_keeps([0b101, 0b110], {0b101, 0b110}, 0b011)
         assert _swap_keeps([0b111, 0b1000], {0b111, 0b1000}, 0b011)  # no member holds just one
+
+    @staticmethod
+    def full_scan_classes(n, family):
+        """`symmetric_classes` with each swap tested over the whole family,
+        kept as the reference for the test over the members holding either player."""
+        everyone, classes, reps = set(family), [], {}
+        for i, counts in enumerate(map(tuple, size_counts(n, family))):
+            for r, k in reps.get(counts, ()):
+                if _swap_keeps(family, everyone, 1 << i | 1 << r):
+                    classes[k] |= 1 << i
+                    break
+            else:
+                reps.setdefault(counts, []).append((i, len(classes)))
+                classes.append(1 << i)
+        return classes
+
+    @staticmethod
+    def full_scan_swaps_keep(classes, family):
+        """`alpha._swaps_keep` over the whole family: every pair inside a class swaps."""
+        everyone = set(family)
+        return all(
+            _swap_keeps(family, everyone, 1 << (i - 1) | 1 << (j - 1))
+            for c in classes
+            for i, j in itertools.combinations(Coalition(c).players(), 2)
+        )
+
+    def test_swaps_over_holders_match_the_full_scan(self):
+        # random games, gadgets and cycle graphs: the class finder and the
+        # certificate's symmetry check must decide every swap as a scan of the whole family does
+        from simplegames import alpha, graphs
+
+        families = [(g.n, masks(g.minimal_winning)) for g in class_games()]
+        for n in range(2, 13):
+            families += [(n, masks(random_game(n, seed, 3 + seed % n).minimal_winning)) for seed in range(30)]
+        for n in range(3, 8):
+            for m in range(n - 1, n * (n - 1) // 2 + 1, 2):
+                for seed in range(5):
+                    g = graphs.build_gadget(random_graph(n, m, seed))
+                    families.append((g.n, graphs._edge_masks(g)))
+        families += [(n, graphs._edge_masks(graphs.cycle_graph(n))) for n in range(3, 80)]
+        rng = random.Random(62)
+        outcomes = []
+        for n, family in families:
+            classes = symmetric_classes(n, family)
+            assert classes == self.full_scan_classes(n, family)
+            # the classes, a coarser partition (never a symmetry: the first two
+            # classes' least players do not swap) and two random blocks
+            halves = rng.getrandbits(n) | 1
+            partitions = [classes, [classes[0] | classes[1], *classes[2:]] if len(classes) > 1 else classes]
+            partitions.append([halves, (1 << n) - 1 ^ halves] if halves != (1 << n) - 1 else [halves])
+            for partition in partitions:
+                kept = alpha._swaps_keep(partition, family)
+                assert kept == self.full_scan_swaps_keep(partition, family)
+                outcomes.append(kept)
+        assert len(families) > 600 and 100 < outcomes.count(False) < len(outcomes) - 600
 
     @pytest.mark.parametrize("n, q", [(1, 1), (3, 2), (5, 3), (7, 7), (9, 4)])
     def test_majority_is_one_class(self, n, q):

@@ -167,22 +167,39 @@ class TestGraphBasics:
             graphic_game(make_graph(3, []))
 
     def test_random_graphs_match_their_listed_pairs(self):
-        # sampling pair indices draws the graph that sampling the listed pairs
-        # drew, and the bipartite generator samples the sorted cross pairs
+        # sampling pair indices draws the graph that sampling the listed pairs drew
         for n in range(2, 26):
             pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
             for m in sorted({0, 1, len(pairs) // 3, len(pairs)}):
                 for seed in range(3):
                     drawn = random.Random(f"graph:{n}:{m}:{seed}").sample(pairs, m)
                     assert random_graph(n, m, seed) == make_graph(n, drawn)
-                    rng = random.Random(f"bipartite:{n}:{m}:{seed}")
-                    verts = list(range(1, n + 1))
-                    rng.shuffle(verts)
-                    left = verts[: max(1, n // 2)]
-                    cross = sorted({(min(u, v), max(u, v)) for u in left for v in verts if v not in left})
-                    assert random_bipartite_graph(n, m, seed) == make_graph(n, rng.sample(cross, min(m, len(cross))))
         with pytest.raises(ValueError, match="7 edges do not fit"):
             random_graph(4, 7, 0)
+
+    @staticmethod
+    def listed_bipartite(n, m, seed):
+        """`random_bipartite_graph` drawing from the listed, sorted cross pairs, as it once did."""
+        rng = random.Random(f"bipartite:{n}:{m}:{seed}")
+        verts = list(range(1, n + 1))
+        rng.shuffle(verts)
+        left = set(verts[: max(1, n // 2)])
+        cross = sorted((min(u, v), max(u, v)) for u in left for v in set(verts) - left)
+        return make_graph(n, rng.sample(cross, min(m, len(cross))))
+
+    def test_bipartite_sampling_matches_the_listed_cross_pairs(self):
+        # every m from no edge to past the n^2/4 cross pairs, so that both of
+        # `random.sample`'s ways of drawing and the cap at every cross pair are
+        # met; the graph-cuts corpus draws its bipartite graphs from this
+        capped = 0
+        for n in range(1, 22):
+            for m in range(n * n // 4 + 3):
+                for seed in range(3):
+                    g = random_bipartite_graph(n, m, seed)
+                    assert g == self.listed_bipartite(n, m, seed)
+                    assert len(g.edges) == min(m, n * n // 4)
+                    capped += m > n * n // 4
+        assert capped > 100
 
     def test_json_round_trip(self):
         g = random_graph(7, 9, 3)
@@ -395,11 +412,14 @@ class TestAlphaGraph:
         assert cert.tight_losing
 
     def test_only_the_cold_round_runs_the_lp_certificate(self, monkeypatch):
-        # warm rounds are not certified one by one: lp._certify runs inside the
-        # cold solve_lp, and once more when `ThresholdLP.certify` checks the last round
+        # rounds are not certified one by one: lp._certify runs inside a cold
+        # solve_lp, which only a wide opening LP makes, and once more when
+        # `ThresholdLP.certify` checks the last round.  A tall opening is
+        # solved by the LP's own TallLP, so every round of its loop is a
+        # TallLP solve outside solve_lp and `certify` is the one check
         from simplegames import alpha, lp
 
-        where, calls, warm = ["warm"], [], [0]
+        where, calls, tall = ["tall"], [], [0]
         solve_lp, certify, tall_solve = alpha.solve_lp, lp._certify, lp.TallLP.solve
 
         def spy_solve_lp(model):
@@ -407,11 +427,11 @@ class TestAlphaGraph:
             try:
                 return solve_lp(model)
             finally:
-                where[0] = "warm"
+                where[0] = "tall"
 
-        def spy_tall_solve(tall):
-            warm[0] += where[0] == "warm"  # solve_lp solves a tall LP through a TallLP too
-            return tall_solve(tall)
+        def spy_tall_solve(lp_):
+            tall[0] += where[0] == "tall"  # solve_lp solves a tall LP through a TallLP too
+            return tall_solve(lp_)
 
         monkeypatch.setattr(alpha, "solve_lp", spy_solve_lp)
         monkeypatch.setattr(lp, "_certify", lambda *args: calls.append(where[0]) or certify(*args))
@@ -420,12 +440,14 @@ class TestAlphaGraph:
         per_graph = []
         for g in (build_gadget(random_graph(6, 7, 3)), random_bipartite_graph(10, 14, 0), C8):
             calls.clear()
-            warm[0] = 0
+            tall[0] = 0
             alpha_graph(g)
-            assert calls == ["cold", "certify"]
-            per_graph.append(warm[0])
-        # every graph runs warm rounds; over its twin classes the gadget needs one cut
-        assert per_graph == [1, 3, 2]
+            per_graph.append((calls.copy(), tall[0]))
+        # the gadget (5 classes, 9 edge rows) and the bipartite graph (10
+        # classes, 14 edge rows) open tall, with more rows than the classes
+        # and t have columns: 2 and 4 rounds, all in the TallLP.  C8 (8
+        # classes, 8 edge rows) opens wide in solve_lp, then cuts once
+        assert per_graph == [(["certify"], 2), (["certify"], 4), (["cold", "certify"], 2)]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_relabelling_keeps_alpha(self, seed):

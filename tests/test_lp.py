@@ -505,8 +505,7 @@ class TestTableau:
                 warm.add_losing(losing[r - 1])
             with monkeypatch.context() as patch:
                 lp_reference.route(patch)
-                nums, den = ThresholdLP(n, winning, losing[:r]).solve()
-                cold = F(nums[-1], den)
+                cold = solve_lp(lp_reference.threshold_program(ThresholdLP(n, winning, losing[:r]))).objective
             nums, den = warm.solve()
             assert F(nums[-1], den) == cold
         return cold
@@ -571,12 +570,13 @@ graphs.alpha_graph(graphs.cycle_graph(6))
         assert "CertificateError: the cut repeats a row of the LP" in proc.stderr
 
     def test_phase_one_does_not_run_per_cut(self, monkeypatch):
-        # alpha_graph builds one tableau inside solve_lp for the cold first
-        # round and one for the warm cut LP, whatever the number of cuts; each
-        # cut is one add_column.  An alpha over all maximal losing coalitions,
-        # of a game or by enumeration, is one cold tableau and no warm one.
+        # (tableaus inside solve_lp, tableaus kept by the ThresholdLP) per call,
+        # whatever the number of cuts; each cut is one add_column.  A tall
+        # opening LP, of a cut loop or of an alpha over all maximal losing
+        # coalitions, is one kept tableau.  A wide one is one solve_lp
+        # tableau, and a cut loop builds its kept tableau at the first cut.
         from simplegames import alpha
-        from simplegames.games import random_game
+        from simplegames.games import cycle_game, random_game
         from simplegames.graphs import (
             alpha_graph,
             build_gadget,
@@ -614,9 +614,11 @@ graphs.alpha_graph(graphs.cycle_graph(6))
         monkeypatch.setattr(lp._Tableau, "add_column", spy_add)
         graphs_ = [build_gadget(random_graph(6, 7 + s, s)) for s in range(3)]
         graphs_ += [random_bipartite_graph(10, 14, s) for s in range(3)]
-        cases = [(alpha_graph, g, (1, 1)) for g in graphs_]
-        cases += [(compute_alpha_exact, random_game(7, s, 5), (1, 0)) for s in range(3)]
-        cases += [(enumeration, cycle_graph(n), (1, 0)) for n in (5, 7)]
+        cases = [(alpha_graph, g, (0, 1)) for g in graphs_]
+        cases += [(alpha_graph, cycle_graph(n), (1, 1)) for n in (6, 8)]
+        cases += [(compute_alpha_exact, random_game(7, s, 5), (0, 1)) for s in range(3)]
+        cases += [(compute_alpha_exact, cycle_game(4), (1, 0))]
+        cases += [(enumeration, cycle_graph(n), (0, 1)) for n in (5, 7)]
         cuts = set()
         for solve, model, tableaus in cases:
             counts.update(cold=0, warm=0, columns=0)
@@ -705,31 +707,35 @@ class TestSparsePivot:
                 assert len({id(row) for row in rows}) == len(rows)
         assert min(seen.values()) > 20, seen
 
-    # pivots per call, (cold, warm): the cold ones inside solve_lp, the warm
-    # ones outside it, in the cut LP's TallLP.  alpha_graph solves over the
-    # graph's twin classes; every gadget has twins, and of the bipartite
-    # graphs only the seed-3 one.  A "game" solves the full threshold LP, one
-    # column per player; "reduced" is the same game's LP in
-    # compute_alpha_exact, one column per class of symmetric players (1, 1, 8
-    # and 8 classes)
+    # pivots per call, (in solve_lp, in the ThresholdLP's own TallLP).
+    # alpha_graph solves over the graph's twin classes; every gadget has
+    # twins, and of the bipartite graphs only the seed-3 one.  Every cut loop
+    # here opens tall, so all its rounds pivot in one TallLP, from the last
+    # basis; at the two bipartite graphs with 26 and 22 pivots, that path is
+    # longer than a cold opening followed by a TallLP at the first cut (25
+    # and 18).  A "game" solves the full threshold LP, one column per
+    # player; "reduced" is the same game's LP in compute_alpha_exact, one
+    # column per class of symmetric players (1, 1, 8 and 8 classes).  A
+    # wide LP goes through solve_lp, a tall one through the TallLP, with the
+    # pivots solve_lp would make
     PIVOTS = [
-        (("gadget", 6, 7, 3), (5, 6)),
-        (("gadget", 6, 11, 3), (5, 8)),
-        (("gadget", 7, 9, 3), (7, 8)),
-        (("gadget", 7, 15, 3), (6, 10)),
-        (("gadget", 8, 12, 5), (7, 8)),
-        (("bipartite", 10, 14, 0), (7, 18)),
-        (("bipartite", 10, 14, 1), (5, 13)),
-        (("bipartite", 10, 14, 2), (6, 13)),
-        (("bipartite", 10, 14, 3), (5, 10)),
+        (("gadget", 6, 7, 3), (0, 6)),
+        (("gadget", 6, 11, 3), (0, 9)),
+        (("gadget", 7, 9, 3), (0, 11)),
+        (("gadget", 7, 15, 3), (0, 11)),
+        (("gadget", 8, 12, 5), (0, 8)),
+        (("bipartite", 10, 14, 0), (0, 26)),
+        (("bipartite", 10, 14, 1), (0, 22)),
+        (("bipartite", 10, 14, 2), (0, 13)),
+        (("bipartite", 10, 14, 3), (0, 14)),
         (("game", 6, 0), (6, 0)),
         (("game", 7, 1), (7, 0)),
-        (("game", 8, 2), (16, 0)),
-        (("game", 9, 3), (12, 0)),
+        (("game", 8, 2), (0, 16)),
+        (("game", 9, 3), (0, 12)),
         (("reduced", 6, 0), (1, 0)),
         (("reduced", 7, 1), (1, 0)),
-        (("reduced", 8, 2), (16, 0)),
-        (("reduced", 9, 3), (11, 0)),
+        (("reduced", 8, 2), (0, 16)),
+        (("reduced", 9, 3), (0, 11)),
     ]
 
     @pytest.mark.parametrize("case, pivots", PIVOTS)
@@ -739,8 +745,8 @@ class TestSparsePivot:
         from simplegames.games import maximal_losing, random_game
         from simplegames.graphs import alpha_graph, build_gadget, random_bipartite_graph, random_graph
 
-        counts = {"cold": 0, "warm": 0}
-        where = ["warm"]
+        counts = {"solve_lp": 0, "tall": 0}
+        where = ["tall"]
         pivot, solve_lp = lp._pivot, alpha.solve_lp
 
         def spy_pivot(*args):
@@ -748,11 +754,11 @@ class TestSparsePivot:
             pivot(*args)
 
         def spy_solve_lp(model):
-            where[0] = "cold"
+            where[0] = "solve_lp"
             try:
                 return solve_lp(model)
             finally:
-                where[0] = "warm"
+                where[0] = "tall"
 
         monkeypatch.setattr(lp, "_pivot", spy_pivot)
         monkeypatch.setattr(alpha, "solve_lp", spy_solve_lp)
@@ -768,7 +774,7 @@ class TestSparsePivot:
         else:
             n, seed = args
             compute_alpha_exact(random_game(n, seed, n + 2))
-        assert (counts["cold"], counts["warm"]) == pivots
+        assert (counts["solve_lp"], counts["tall"]) == pivots
 
 
 ELIMINATE = lp._eliminate

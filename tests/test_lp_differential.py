@@ -16,8 +16,8 @@ import lp_reference
 import test_lp
 from lp_reference import make_lp
 from simplegames import lp
-from simplegames.alpha import alpha_of_payoff, compute_alpha_exact
-from simplegames.games import cycle_game, random_game
+from simplegames.alpha import ThresholdLP, alpha_of_payoff, compute_alpha_exact
+from simplegames.games import cycle_game, maximal_losing, random_game
 from simplegames.graphs import (
     alpha_graph,
     build_gadget,
@@ -28,6 +28,12 @@ from simplegames.graphs import (
 )
 from simplegames.lp import EQ, GE, LE, solve_lp
 from simplegames.minnorm import min_norm_point, tightness_check
+
+
+def threshold_model(game):
+    """The threshold LP over the players of `game`, for `solve_lp`."""
+    winning, losing = [w.mask for w in game.minimal_winning], [l.mask for l in maximal_losing(game)]
+    return lp_reference.threshold_program(ThresholdLP(game.n, winning, losing))
 
 
 def solve_reference(model, monkeypatch):
@@ -254,14 +260,15 @@ def test_exact_callers_match_reference(monkeypatch):
     with monkeypatch.context() as patch:
         transposed = lp_reference.route(patch)
         old = answers()
-        # the patch reaches only alpha_graph's cold first round, not its warm
-        # cut LP: hold each alpha to the enumerated LP on the reference kernel
-        enumerated = [compute_alpha_exact(graphic_game(g)).alpha for g in graphs]
+        # the patch reaches solve_lp only: a wide opening round, not a
+        # ThresholdLP's own TallLP.  Hold each alpha to the enumerated LP,
+        # solved by solve_lp on the reference kernel
+        enumerated = [solve_lp(threshold_model(graphic_game(g))).objective for g in graphs]
     assert new == old
     assert transposed  # the tall LPs reached the reference
     assert [cert.alpha for cert in new[2]] == enumerated
     assert all(alpha_of_payoff(graphic_game(g), cert.payoff) == cert.alpha for g, cert in zip(graphs, new[2]))
-    # the decisions solve their threshold LP, through the transposed dual
+    # the decisions solve their threshold LP, in the LP's own TallLP
     assert all(d.branch == "enumeration" for d in new[3])
     assert any(tight for tight, _ in new[4])  # some hull LPs are feasible
 
