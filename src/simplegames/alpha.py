@@ -74,13 +74,12 @@ def mask_sum(nums: Sequence[int], mask: int) -> int:
     return total
 
 
-def _swaps_keep(classes: Sequence[int], masks: list[int]) -> bool:
+def _swaps_keep(n: int, classes: Sequence[int], masks: list[int]) -> bool:
     """Whether each transposition of two consecutive players of a class maps
-    the family of `masks` onto itself.  Those transpositions generate every
-    permutation inside the classes.  Each is tested over the members that
-    hold either player, indexed by player once; the classes cover players
-    1..n, so the largest class is the one that holds player n."""
-    family, holding = set(masks), _holders(max(classes).bit_length(), masks)
+    the family of `masks` over players 1..n onto itself.  Those
+    transpositions generate every permutation inside the classes.  Each is
+    tested over the members that hold either player, indexed by player once."""
+    family, holding = set(masks), _holders(n, masks)
     for c in classes:
         low, rest = c & -c, c & (c - 1)
         while rest:
@@ -253,7 +252,7 @@ class ThresholdLP:
                 tight.append(l)
         if not tight:
             raise CertificateError("the optimum must be attained by some losing coalition")
-        if self._k < self.n and not _swaps_keep(self._classes, self.winning):
+        if self._k < self.n and not _swaps_keep(self.n, self._classes, self.winning):
             raise CertificateError("the partition is not a symmetry: a swap inside a class moves a winning coalition")
         payoff = tuple(Fraction(v, den) for v in nums)
         tight_losing = tuple(sorted(map(Coalition, set(tight)), key=Coalition.players))

@@ -95,26 +95,32 @@ def path_graph(n: int) -> Graph:
     return make_graph(n, [(i, i + 1) for i in range(1, n)])
 
 
+def _sample_rows(rng: random.Random, counts: Iterable[int], m: int) -> Iterator[tuple[int, int]]:
+    """m distinct pairs drawn uniformly by their index in the concatenation of
+    rows 1, 2, ... of `counts` pairs each, as (row, offset in the row):
+    `random.sample`'s draws on the list of pairs, without listing them."""
+    first = list(accumulate(counts, initial=0))  # first[u-1]: the index of row u's first pair
+    for k in rng.sample(range(first[-1]), m):
+        u = bisect_right(first, k)
+        yield u, k - first[u - 1]
+
+
 def random_graph(n: int, m: int, seed: int) -> Graph:
     """m edges drawn uniformly from the pairs u < v by their index in
-    lexicographic order: `random.sample`'s draws on the list of pairs,
-    without listing them, so the cost is linear in n and m."""
+    lexicographic order (`_sample_rows`), so the cost is linear in n and m."""
     budgets.check("vertices", n)
-    first = list(accumulate(range(n - 1, 0, -1), initial=0))  # first[u-1]: the index of (u, u + 1)
-    if m > first[-1]:
+    if m > n * (n - 1) // 2:
         raise ValueError(f"{m} edges do not fit in a simple graph on {n} vertices")
     rng = random.Random(f"graph:{n}:{m}:{seed}")
-    picks = ((bisect_right(first, k), k) for k in rng.sample(range(first[-1]), m))
-    return make_graph(n, [(u, u + 1 + k - first[u - 1]) for u, k in picks])
+    return make_graph(n, [(u, u + 1 + k) for u, k in _sample_rows(rng, range(n - 1, 0, -1), m)])
 
 
 def random_bipartite_graph(n: int, m: int, seed: int) -> Graph:
     """m edges, or every cross pair when there are fewer, between the first
     max(1, n // 2) vertices of a shuffle and the rest.  The edges are drawn
     uniformly from the cross pairs u < v by their index in lexicographic
-    order, as `random_graph` draws: `random.sample`'s draws on the list of
-    those pairs, without listing the n^2/4 of them, so the cost is
-    O((n + m) log n)."""
+    order (`_sample_rows`), without listing the n^2/4 of them, so the cost
+    is O((n + m) log n)."""
     budgets.check("vertices", n)
     rng = random.Random(f"bipartite:{n}:{m}:{seed}")
     verts = list(range(1, n + 1))
@@ -123,9 +129,9 @@ def random_bipartite_graph(n: int, m: int, seed: int) -> Graph:
     sides = [sorted(left), sorted(set(verts) - left)]
     across = [sides[u in left] for u in range(n + 1)]  # u -> the other side, sorted
     after = [bisect_right(across[u], u) for u in range(n + 1)]  # where its vertices above u start
-    first = list(accumulate((len(across[u]) - after[u] for u in range(1, n + 1)), initial=0))
-    picks = ((bisect_right(first, k), k) for k in rng.sample(range(first[-1]), min(m, first[-1])))
-    return make_graph(n, [(u, across[u][after[u] + k - first[u - 1]]) for u, k in picks])
+    counts = [len(across[u]) - after[u] for u in range(1, n + 1)]
+    picks = _sample_rows(rng, counts, min(m, sum(counts)))
+    return make_graph(n, [(u, across[u][after[u] + k]) for u, k in picks])
 
 
 @lru_cache(maxsize=512)

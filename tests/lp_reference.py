@@ -5,14 +5,14 @@ start for rows with b <= 0, Dantzig pricing, lexicographic ratio ties), so
 that kernel must make the same pivots and return equal solutions.  It keeps
 an artificial column for every row and reads the duals off them, which
 checks the kernel's reading of the duals off its surplus columns.
-`route(patch)` sends `solve_lp` (and through it every exact caller) to this
-kernel: `core_solve` replaces `simplegames.lp._core_solve`, the direct
-solve, and `TallLP` replaces `simplegames.lp.TallLP`, the transposed solve
-of a tall LP, inside `solve_lp` only.  The `TallLP` that
-`alpha.ThresholdLP` keeps, for a tall LP or a cut loop, still runs on the
-integer kernel; `test_alpha` holds its answers to `solve_lp`'s, and
-`threshold_program` gives `solve_lp` the same rows.  `make_lp` builds the
-tests' LPs from plain numbers.
+`route(patch)` sends every exact caller to this kernel: `core_solve`
+replaces `simplegames.lp._core_solve`, the direct solve, and `TallLP`
+replaces the transposed solve of a tall LP, both `simplegames.lp.TallLP`
+inside `solve_lp` and the one that `alpha.ThresholdLP` keeps for a tall LP
+or a cut loop.  The stand-in solves cold every time, so a cut loop on it
+re-solves all its rows each round.  `threshold_program` gives `solve_lp`
+the rows of a `ThresholdLP`.  `make_lp` builds the tests' LPs from plain
+numbers.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from simplegames import lp
+from simplegames import alpha, lp
 from simplegames.errors import BudgetExceededError
 from simplegames.lp import GE, MAX_PIVOTS, LinearProgram, LPRow, _numerators, _transpose, frac
 
@@ -204,14 +204,18 @@ def core_solve(
 
 
 class TallLP:
-    """`simplegames.lp.TallLP` for a cold solve: `core_solve` on the
-    transposed dual.  Each solve appends its status to `log`."""
+    """`simplegames.lp.TallLP` solved cold: each solve runs `core_solve` on
+    the transposed dual of the rows so far and appends its status to `log`.
+    `add_row` appends a row to a copy of the rows it was given."""
 
     def __init__(self, a: list[list[int]], den: int, c: list[int], cden: int, log: list[str]) -> None:
-        self.dual, self.log = _transpose(a, den, c, cden), log
+        self.a, self.den, self.c, self.cden, self.log = list(a), den, c, cden, log
+
+    def add_row(self, row: list[int]) -> None:
+        self.a.append(row)
 
     def solve(self) -> tuple[str, Optional[tuple[list[int], int, list[int], int]]]:
-        status, sol = core_solve(*self.dual)
+        status, sol = core_solve(*_transpose(self.a, self.den, self.c, self.cden))
         self.log.append(status)
         if status == "optimal":
             y, yden, x, xden = sol  # the dual program's primal is our dual
@@ -220,19 +224,21 @@ class TallLP:
         return ("infeasible" if status == "unbounded" else "ambiguous"), None
 
 
-def route(patch) -> list[str]:
-    """Send `solve_lp`'s direct and transposed solves to this kernel, on the
-    monkeypatch `patch`; returns the list that logs the transposed solves."""
+def route(patch) -> tuple[list[str], list[str]]:
+    """Send `solve_lp`'s direct and transposed solves and `alpha.ThresholdLP`'s
+    kept `TallLP` to this kernel, on the monkeypatch `patch`; returns the
+    lists that log the transposed solves of `solve_lp` and of `ThresholdLP`."""
     transposed: list[str] = []
+    kept: list[str] = []
     patch.setattr(lp, "_core_solve", core_solve)
     patch.setattr(lp, "TallLP", lambda a, den, c, cden: TallLP(a, den, c, cden, transposed))
-    return transposed
+    patch.setattr(alpha, "TallLP", lambda a, den, c, cden: TallLP(a, den, c, cden, kept))
+    return transposed, kept
 
 
 def threshold_program(threshold_lp) -> LinearProgram:
     """min t over the rows of an `alpha.ThresholdLP`, as the `LinearProgram`
-    that `solve_lp` takes; `ThresholdLP` solves a tall one in a `TallLP` of
-    its own, which `route` does not reach."""
+    that `solve_lp` takes."""
     k = threshold_lp._k
     rows = tuple(LPRow(tuple(r[:-1]), GE, r[-1]) for r in threshold_lp._rows)
     return LinearProgram(k + 1, (0,) * k + (1,), rows)

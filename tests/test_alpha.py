@@ -323,7 +323,7 @@ class TestSymmetricReduction:
             return cert
 
         monkeypatch.setattr(alpha, "_certify", count)
-        monkeypatch.setattr(alpha, "_swaps_keep", lambda classes, masks: swaps.append(len(masks)) or swaps_keep(classes, masks))
+        monkeypatch.setattr(alpha, "_swaps_keep", lambda n, classes, masks: swaps.append(len(masks)) or swaps_keep(n, classes, masks))
         monkeypatch.setattr(ThresholdLP, "certify", spy)
         reduced = 0
         for g in reduction_games():

@@ -593,7 +593,7 @@ class TestSymmetricClasses:
             partitions = [classes, [classes[0] | classes[1], *classes[2:]] if len(classes) > 1 else classes]
             partitions.append([halves, (1 << n) - 1 ^ halves] if halves != (1 << n) - 1 else [halves])
             for partition in partitions:
-                kept = alpha._swaps_keep(partition, family)
+                kept = alpha._swaps_keep(n, partition, family)
                 assert kept == self.full_scan_swaps_keep(partition, family)
                 outcomes.append(kept)
         assert len(families) > 600 and 100 < outcomes.count(False) < len(outcomes) - 600

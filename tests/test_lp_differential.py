@@ -187,7 +187,7 @@ def test_models_cover_every_case(monkeypatch):
     statuses, paths = set(), []
     kinds = {"negative rhs": False, "equality": False, "lower": False, "upper": False}
     with monkeypatch.context() as patch:
-        transposed = lp_reference.route(patch)
+        transposed, _ = lp_reference.route(patch)
         for model in MODELS:
             statuses.add(solve_lp(model).status)
             paths.append("tall" if core_rows(model) > model.num_vars else "wide")
@@ -258,14 +258,15 @@ def test_exact_callers_match_reference(monkeypatch):
 
     new = answers()
     with monkeypatch.context() as patch:
-        transposed = lp_reference.route(patch)
+        transposed, kept = lp_reference.route(patch)
         old = answers()
-        # the patch reaches solve_lp only: a wide opening round, not a
-        # ThresholdLP's own TallLP.  Hold each alpha to the enumerated LP,
-        # solved by solve_lp on the reference kernel
+        # hold each alpha to the enumerated LP as well, solved by solve_lp on the reference kernel
         enumerated = [solve_lp(threshold_model(graphic_game(g))).objective for g in graphs]
-    assert new == old
-    assert transposed  # the tall LPs reached the reference
+    # a cut loop on the reference re-solves each round cold, so it may reach
+    # another optimal vertex and take other cuts: alpha_graph keeps alpha only
+    assert [cert.alpha for cert in new[2]] == [cert.alpha for cert in old[2]]
+    assert new[:2] + new[3:] == old[:2] + old[3:]
+    assert transposed and kept  # the tall LPs reached the reference, in solve_lp and in ThresholdLP
     assert [cert.alpha for cert in new[2]] == enumerated
     assert all(alpha_of_payoff(graphic_game(g), cert.payoff) == cert.alpha for g, cert in zip(graphs, new[2]))
     # the decisions solve their threshold LP, in the LP's own TallLP
