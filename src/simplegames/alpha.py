@@ -129,15 +129,15 @@ class ThresholdLP:
     answer, fails it.
 
     `solve` returns the optimal p_1..p_n and t as integer numerators over
-    one positive denominator.  A tall LP, with more rows than its k + 1
-    columns, is solved as `lp.solve_lp` would solve it, by an `lp.TallLP`
-    over the rows, but the LP keeps that `TallLP` and skips `solve_lp`'s
-    canonical rows, its certificate and its `Fraction`s: `certify` is the
-    one check.  A wide LP is one cold `solve_lp` call, and its first
-    `add_losing` builds the `TallLP` over the rows so far.  Each
-    `add_losing` adds its row as a column of the `TallLP`'s dual; the cost
-    e_t is nonnegative, so the `TallLP` starts feasible with no phase 1, and
-    each row costs a few pivots from the last optimal basis.  A row is added
+    one positive denominator.  The LP is solved as `lp.solve_lp` solves
+    every LP, by an `lp.TallLP` over the rows, whose transposed dual starts
+    feasible at the slack basis since the cost e_t is nonnegative.  A tall
+    LP, with more rows than its k + 1 columns, keeps that `TallLP` and skips
+    `solve_lp`'s canonical rows, its certificate and its `Fraction`s:
+    `certify` is the one check.  A wide LP is one cold `solve_lp` call, and
+    its first `add_losing` builds the `TallLP` over the rows so far.  Each
+    `add_losing` adds its row as a column of the `TallLP`'s dual, and each
+    row costs a few pivots from the last optimal basis.  A row is added
     to any partition, keyed by its class counts.  `certify` checks the last
     solve alone, primal and dual: the rounds before it only feed the oracle.
     """

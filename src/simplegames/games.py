@@ -79,12 +79,6 @@ class Coalition:
     def issubset(self, other: "Coalition") -> bool:
         return self.mask & ~other.mask == 0
 
-    def __or__(self, other: "Coalition") -> "Coalition":
-        return Coalition(self.mask | other.mask)
-
-    def __and__(self, other: "Coalition") -> "Coalition":
-        return Coalition(self.mask & other.mask)
-
     def complement(self, n: int) -> "Coalition":
         return Coalition(((1 << n) - 1) & ~self.mask)
 

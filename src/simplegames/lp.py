@@ -1,49 +1,52 @@
 """Exact rational linear programming.
 
-Two-phase primal simplex on a dense tableau of Python ints: each row, the
-objective row included, holds integer numerators over one positive
-denominator of its own, so a pivot costs integer multiplications and one gcd
-per updated row instead of a `fractions.Fraction` per entry.  Pivot rows are
-sparse, so a pivot lists the pivot row's nonzero entries once.  When the
-pivot row's denominator divides the entry being eliminated, the common case,
-the updated row keeps its denominator and is updated in place at those
-entries only; otherwise it is rescaled and rebuilt over its full width.
-`solve_lp` turns the input into integer rows once, on entry: every row in
-`>=` form, right-hand side included, over one common denominator, and the
-objective over another; when that denominator is 1, the usual case for 0/1
-coalition rows, the numerators are read off directly.  The tableau rows
-start over that shared denominator and are reduced lazily: a pivot row is
-made primitive, and any other row is gcd-reduced only when a rescale takes
-its denominator past `_DEN_BOUND`.  A row scaled by a positive integer has
-the same signs, argmin and ratio order, so the pivots, bases and returned
-rationals are those of a kernel that reduces every row on every update;
-only the integers that represent them differ.  `Fraction`s reappear only in
-the returned primal, dual and objective.  A row whose right-hand
-side is <= 0 starts with its surplus basic, so phase 1 runs only for the
-others.
-Pricing is Dantzig's rule, with the lexicographic ratio test of Dantzig,
-Orden and Wolfe, which repeats no basis.  Duals are read off the final
-basis through the surplus columns.
+Every LP here minimizes a nonnegative cost c.x over `>=` rows with x >= 0,
+so c.x >= 0 wherever the rows hold: the LP is optimal or infeasible, never
+unbounded.  It is solved through its transposed dual,
+max b.y, a^T y <= c, y >= 0, whose right-hand sides c >= 0 make y = 0
+feasible: the dual's tableau starts at its slack basis and the primal
+simplex runs from there, with no phase 1.  An unbounded dual is the
+certificate that the LP is infeasible.
+
+The tableau is dense, of Python ints: each row, the objective row included,
+holds integer numerators over one positive denominator of its own, so a
+pivot costs integer multiplications and one gcd per updated row instead of
+a `fractions.Fraction` per entry.  Pivot rows are sparse, so a pivot lists
+the pivot row's nonzero entries once.  When the pivot row's denominator
+divides the entry being eliminated, the common case, the updated row keeps
+its denominator and is updated in place at those entries only; otherwise it
+is rescaled and rebuilt over its full width.  `solve_lp` turns the input
+into integer rows once, on entry: every row in `>=` form, right-hand side
+included, over one common denominator, and the objective over another; when
+that denominator is 1, the usual case for 0/1 coalition rows, the
+numerators are read off directly.  The tableau rows start over that shared
+denominator and are reduced lazily: a pivot row is made primitive, and any
+other row is gcd-reduced only when a rescale takes its denominator past
+`_DEN_BOUND`.  A row scaled by a positive integer has the same signs,
+argmin and ratio order, so the pivots, bases and returned rationals are
+those of a kernel that reduces every row on every update; only the integers
+that represent them differ.  `Fraction`s reappear only in the returned
+primal, dual and objective.  Pricing is Dantzig's rule, with the
+lexicographic ratio test of Dantzig, Orden and Wolfe, which repeats no
+basis.  The dual's optimal basis gives the primal through its surplus
+columns.
 
 Every optimal solve is verified in-solver by `_certify`, in integers against
 the input rows: primal feasibility and signs, dual signs and feasibility, and
 exact equality of the primal and dual objectives; `alpha.ThresholdLP.certify`
-calls it too, so the package has one LP optimality check.  A model with more
-constraints than variables is solved as a `TallLP`, through its transposed
-dual built from the same integer rows, which gives the same primal/dual pair
-at a fraction of the pivot cost; when that dual is infeasible, possible only
-with a negative cost, `solve_lp` retries the model directly.
+calls it too, so the package has one LP optimality check.
 
-The tableau is a stateful object, `_Tableau`: construction runs phase 1,
-`run` runs phase 2, and `add_column` appends a variable to a solved tableau
-while keeping its basis.  `_core_solve` uses it once and drops it.  `TallLP`
-keeps it: a new row of a tall LP is a new column of the dual, which enters
-nonbasic at 0, so the next solve only prices the column and pivots on from
-the last basis.  With nonnegative costs the dual is feasible at 0 and needs
-no phase 1.  `TallLP` returns each solve unchecked: `solve_lp` and
-`alpha.ThresholdLP.certify` certify the pairs they keep.  `ThresholdLP`
-builds its own `TallLP` for a tall LP, over its integer rows, rather than
-going through `solve_lp`.
+The tableau is a stateful object, `_Tableau`: construction sets up the
+slack basis, `run` pivots to the end, and `add_column` appends a variable
+while keeping its basis.  `TallLP` owns one, over the transposed dual: a
+new row of the LP is a new column of the dual, which enters nonbasic at 0,
+so the next solve only prices the column and pivots on from the last basis.
+The dual's tableau has a row per column of the LP, so an LP with fewer rows
+than columns keeps its own tableau instead, of m rows rather than k, and
+`_run_dual_simplex` makes the dual's pivots on it, as the dual simplex.
+`solve_lp` builds a `TallLP`, solves it once and certifies its pair;
+`alpha.ThresholdLP` keeps its own for a tall LP or a cut loop and
+certifies the last pair itself.
 """
 
 from __future__ import annotations
@@ -108,9 +111,9 @@ class LPRow:
 class LinearProgram:
     """min objective . x over rows of (coeffs, relation, rhs), variables >= lower.
 
-    Entries are ints or Fractions.  Lower bounds default to 0 and must be
-    nonnegative; optional upper bounds are materialized as extra rows by the
-    solver.
+    Entries are ints or Fractions, and the objective's are nonnegative, as
+    `solve_lp` requires.  Lower bounds default to 0 and must be nonnegative;
+    optional upper bounds are materialized as extra rows by the solver.
     """
 
     num_vars: int
@@ -136,7 +139,7 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LPSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible"
     primal: Optional[tuple[Fraction, ...]] = None
     dual: Optional[tuple[Fraction, ...]] = None  # one entry per input row
     objective: Optional[Fraction] = None
@@ -206,11 +209,11 @@ def _pivot(rows: list[list[int]], dens: list[int], basis: list[int], r: int, col
             rows[i], dens[i] = _eliminate(row, dens[i], prow, support, pden, col)
 
 
-def _run_simplex(rows: list[list[int]], dens: list[int], basis: list[int], allowed: int) -> str:
+def _run_simplex(rows: list[list[int]], dens: list[int], basis: list[int]) -> str:
     """Pivot to optimality on the objective row `rows[-1]`.
 
-    `allowed` is the number of admissible entering columns.  Denominators
-    are positive, so signs, the pricing argmin and the ratio order are read
+    Every column but the right-hand side may enter.  Denominators are
+    positive, so signs, the pricing argmin and the ratio order are read
     from the integer numerators alone.  A ratio tie goes to the row whose
     entries in the entry basis's columns, over its entering entry, are
     lexicographically least.  Those columns start as a positive diagonal, so
@@ -221,7 +224,7 @@ def _run_simplex(rows: list[list[int]], dens: list[int], basis: list[int], allow
     lex = list(basis)
     for _ in range(MAX_PIVOTS):
         z = rows[-1]
-        best = min(z[:allowed], default=0)
+        best = min(z[:-1], default=0)
         if best >= 0:
             return "optimal"
         enter = z.index(best)
@@ -248,16 +251,67 @@ def _run_simplex(rows: list[list[int]], dens: list[int], basis: list[int], allow
     raise BudgetExceededError("pivots", MAX_PIVOTS + 1, MAX_PIVOTS)
 
 
-def _price_out(
-    rows: list[list[int]], dens: list[int], basis: list[int], z: list[int], zden: int
-) -> None:
-    """Append the objective row z/zden reduced against the current basis."""
-    for i, bi in enumerate(basis):
-        # basic columns are unit columns: this leaves z's other basic entries alone
-        if z[bi]:
-            z, zden = _eliminate(z, zden, rows[i], _support(rows[i]), dens[i], bi)
-    rows.append(z)
-    dens.append(zden)
+def _run_dual_simplex(
+    rows: list[list[int]], dens: list[int], basis: list[int], k: int, slot: dict[int, int]
+) -> str:
+    """`_run_simplex` on the transposed dual, made on the LP's own tableau: the same pivots.
+
+    `rows` is the LP's own tableau, whose objective row is nonnegative.
+    The dual's reduced costs are this tableau's basic values, its
+    right-hand sides this tableau's reduced costs, and its entries the
+    negated transpose of this tableau's, so each of its pivots is a dual
+    simplex pivot here.  The leaving row holds the most negative basic
+    value, ranked on a tie as the dual ranks columns (surplus i as i,
+    column j as m + j), and the entering column passes the dual's ratio
+    test.  Its lexicographic ties read the dual's entry basis from `slot`,
+    which maps each nonbasic column to the dual row that holds its partner
+    and is kept across runs.  Returns "optimal", or "infeasible" when the
+    leaving row has no negative entry.
+    """
+    m = len(basis)
+    lex = [k] * (len(rows[0]) - 1)  # each column's dual row on entry, k for none
+    for j, rho in slot.items():
+        lex[j] = rho
+    for _ in range(MAX_PIVOTS):
+        r, val, vden, key = -1, 0, 1, 0
+        for i, bi in enumerate(basis):
+            v = rows[i][-1]
+            if v < 0:
+                d = v * vden - val * dens[i]
+                ki = bi - k if bi >= k else m + bi
+                if d < 0 or not d and ki < key:
+                    r, val, vden, key = i, v, dens[i], ki
+        if r < 0:
+            return "optimal"
+        prow, z = rows[r], rows[-1]
+        # the entry rows' columns that are basic now, in dual row order; any other is a unit column
+        order = sorted((lex[bi], i) for i, bi in enumerate(basis) if lex[bi] < k)
+        enter = -1
+        for j in compress(range(len(prow) - 1), prow[:-1]):
+            a = -prow[j]
+            if a <= 0:
+                continue
+            if enter < 0:
+                enter, at = j, a
+                continue
+            d = z[j] * at - z[enter] * a
+            if not d:
+                stop = min(lex[j], lex[enter])
+                for rho, i in order:
+                    if rho > stop:
+                        break
+                    d = rows[i][enter] * a - rows[i][j] * at
+                    if d:
+                        break
+                if not d:  # the first unit column of either: 1 over its entry, against 0
+                    d = 1 if lex[j] < lex[enter] else -1
+            if d < 0:
+                enter, at = j, a
+        if enter < 0:
+            return "infeasible"
+        slot[basis[r]] = slot.pop(enter)
+        _pivot(rows, dens, basis, r, enter)
+    raise BudgetExceededError("pivots", MAX_PIVOTS + 1, MAX_PIVOTS)
 
 
 # an optimal pair (x, xden, y, yden): integer numerators over positive denominators
@@ -271,78 +325,42 @@ class _Tableau:
     coefficients, then the right-hand side b.  `c` holds numerators over
     `cden`.  The tableau's columns are the k structural ones, the m surplus
     ones and the right-hand side; its rows are the m constraint rows and the
-    objective row, kept last.  A row with b <= 0 enters negated, its surplus
-    basic at -b.  A row with b > 0 gets an artificial column, basic at b,
-    for phase 1 only.
-
-    Construction runs phase 1 when there are artificials, drives basic ones
-    out, deletes their columns and prices the phase-2 objective; `feasible`
-    tells whether phase 1 reached 0.  `run` pivots phase 2 to the end.
-    `add_column` appends a structural column to a feasible tableau without
-    leaving its basis, so `run` continues from there.
+    objective row, kept last.  Every row enters negated, its surplus basic
+    at -b, and the surplus columns cost 0, so the objective row is c as
+    given: the slack basis is feasible when b <= 0, and dual feasible when
+    c >= 0.  `run` pivots from a feasible basis to the end.  `add_column`
+    appends a structural column without leaving the basis, and `add_row` a
+    row with its surplus basic, so the next run continues from there.
     """
 
     def __init__(self, a: list[list[int]], den: int, c: list[int], cden: int) -> None:
         m = len(a)
         k = len(c)
-        positive = [i for i, ai in enumerate(a) if ai[-1] > 0]
         rows: list[list[int]] = []
         for i, ai in enumerate(a):
-            s = 1 if ai[-1] > 0 else -1
-            row = [s * v for v in ai]
-            row[k:k] = [0] * (m + len(positive))  # surplus | artificial
-            row[k + i] = -s * den
+            row = [-v for v in ai]
+            row[k:k] = [0] * m
+            row[k + i] = den
             rows.append(row)
-        basis = list(range(k, k + m))
-        for t, i in enumerate(positive):
-            rows[i][k + m + t] = den
-            basis[i] = k + m + t
-        dens = [den] * m
-        self.rows, self.dens, self.basis = rows, dens, basis
+        rows.append(c + [0] * (m + 1))
+        self.rows, self.dens, self.basis = rows, [den] * m + [cden], list(range(k, k + m))
         self.k, self.m, self.den, self.cden = k, m, den, cden
-        self.feasible = True
-
-        if positive:
-            # phase 1: minimize the artificial total
-            _price_out(rows, dens, basis, [0] * (k + m) + [1] * len(positive) + [0], 1)
-            _run_simplex(rows, dens, basis, k + m)
-            self.feasible = not rows[-1][-1]
-            if not self.feasible:
-                return
-            rows.pop()  # the phase-1 objective is spent; drive-out pivots skip it
-            dens.pop()
-
-            # drive basic artificials out: each row has a surplus column of its
-            # own, so no row of the tableau is zero outside the artificials and all go
-            for i in range(m):
-                if basis[i] >= k + m:
-                    row = rows[i]
-                    for j in range(k + m):
-                        if row[j]:
-                            _pivot(rows, dens, basis, i, j)
-                            break
-            for row in rows:
-                del row[k + m : -1]
-
-        # the phase-2 objective
-        _price_out(rows, dens, basis, c + [0] * (m + 1), cden)
 
     def run(self) -> str:
-        """Phase 2 from the current basis: "optimal" or "unbounded"."""
-        return _run_simplex(self.rows, self.dens, self.basis, self.k + self.m)
+        """Pivot from the current basis: "optimal" or "unbounded"."""
+        return _run_simplex(self.rows, self.dens, self.basis)
 
     def add_column(self, col: list[int], cost: int) -> None:
         """Append a structural column: entries `col` over `den`, one per row, and `cost` over `cden`.
 
         The column goes in at index k, after the structural ones, so the
-        surplus columns shift by one.  In every row, the objective row
-        included, an artificial column of row i would equal row i's surplus
-        column negated if the row entered as is, and the surplus column itself
-        if it entered negated.  So the column's tableau entries, B^-1 applied
-        to col with the rows' signs, are -sum_i col_i (surplus column i), in
-        integers, and the same sum on the objective row gives its reduced cost
-        cost - pi.col.  The new variable is nonbasic at 0, so the basis and
-        its values stay as they are and remain feasible.
+        surplus columns shift by one.  Row i entered negated with its surplus
+        column the unit column, so the surplus columns hold B^-1 of the
+        negated rows, and the column's tableau entries are -sum_i col_i
+        (surplus column i), in integers; the same sum on the objective row
+        gives its reduced cost cost - pi.col.  The new variable is nonbasic
+        at 0, so the basis and its values stay as they are and remain
+        feasible.
         """
         k, m, rows, dens = self.k, self.m, self.rows, self.dens
         nonzero = [(k + i, v) for i, v in enumerate(col) if v]
@@ -364,6 +382,26 @@ class _Tableau:
         self.basis = [b + (b >= k) for b in self.basis]
         self.k = k + 1
 
+    def add_row(self, row: list[int]) -> None:
+        """Append the row `row` (numerators over `den`, right-hand side last) with its surplus basic.
+
+        The row enters negated, as at construction, its surplus column goes
+        in after the others, and each basic structural column is eliminated
+        from it, so its surplus is basic at a value of either sign.  The
+        objective row is unchanged: the basis stays dual feasible.
+        """
+        k, m, rows, dens, basis = self.k, self.m, self.rows, self.dens, self.basis
+        for r in rows:
+            r.insert(k + m, 0)
+        new, nden = [-v for v in row[:-1]] + [0] * m + [self.den, -row[-1]], self.den
+        for i, bi in enumerate(basis):
+            if bi < k and new[bi]:
+                new, nden = _eliminate(new, nden, rows[i], _support(rows[i]), dens[i], bi)
+        rows.insert(m, new)
+        dens.insert(m, nden)
+        basis.append(k + m)
+        self.m = m + 1
+
     def solution(self) -> _Solution:
         """The basic solution x and the duals y, read off the objective row's surplus entries."""
         rows, dens, basis, k = self.rows, self.dens, self.basis, self.k
@@ -373,23 +411,6 @@ class _Tableau:
             if bi < k:
                 x[bi] = rows[i][-1] * (xden // dens[i])
         return x, xden, rows[-1][k : k + self.m], dens[-1]
-
-
-def _core_solve(
-    a: list[list[int]], den: int, c: list[int], cden: int
-) -> tuple[str, Optional[_Solution]]:
-    """min c.x  s.t.  a x >= b, x >= 0, from a fresh `_Tableau`.
-
-    Returns the status and, when optimal, the basic solution x with the dual
-    y read off the final basis (y >= 0, y^T a <= c, y.b == c.x); `_certify`
-    checks them.
-    """
-    tableau = _Tableau(a, den, c, cden)
-    if not tableau.feasible:
-        return "infeasible", None
-    if tableau.run() == "unbounded":
-        return "unbounded", None
-    return "optimal", tableau.solution()
 
 
 def _certify(
@@ -404,7 +425,7 @@ def _certify(
 ) -> list[int]:
     """Raise unless x and y are optimal for min c.x, a x >= b, x >= 0 and its dual.
 
-    `a` and `c` are integer rows as `_core_solve` takes them; x holds
+    `a` and `c` are integer rows as `TallLP` takes them; x holds
     numerators over `xden` and y over `yden`, all denominators positive.
     Each inequality is cleared of its denominators, so the check is exact in
     integers.  A row's activity a_i.x is one `sum(map(mul, row, x))`, which
@@ -448,7 +469,8 @@ def _transpose(
     """
     t = math.lcm(den, cden)
     sa, sc = t // den, t // cden
-    cols = list(zip(*a))  # the columns of the coefficients, then b
+    # the columns of the coefficients, then b; with no rows, k + 1 empty ones
+    cols = list(zip(*a)) or [()] * (len(c) + 1)
     at = [[-v * sa for v in col] + [-cj * sc] for col, cj in zip(cols, c)]
     return at, t, [-v for v in cols[-1]], den
 
@@ -456,33 +478,50 @@ def _transpose(
 class TallLP:
     """min c.x  s.t.  a x >= b, x >= 0, solved through its transposed dual and kept warm while rows arrive.
 
-    `a` and `c` are integer rows as `_core_solve` takes them; any cost may
-    be negative.  The dual max b.y, a^T y <= c has right-hand sides -c_j, so
-    when c >= 0, as for every LP of the package, it is feasible at y = 0: its
-    tableau starts at the slack basis and no phase 1 runs.  A row added later
-    is a new dual column; it enters nonbasic at 0, so a feasible dual basis
-    stays feasible and `solve` prices the column and pivots on from the last
+    Each row of `a` holds integer numerators over `den`, the right-hand side
+    last; `c` holds numerators over `cden`, all nonnegative.  The dual
+    max b.y, a^T y <= c has right-hand sides c_j >= 0, so it is feasible at
+    y = 0: its simplex starts at the slack basis.  A row added later is a
+    new dual column; it enters nonbasic at 0, so the dual basis stays
+    feasible and `solve` prices the column and pivots on from the last
     optimal basis.  The caller certifies the pair it returns.
+
+    The dual's tableau has a row per column of `a` and the LP's a row per
+    row, each as wide as both counts together, so an LP that opens with
+    fewer rows than columns keeps its own tableau for good, makes the
+    dual's pivots on it (`_run_dual_simplex`) and takes later rows as
+    tableau rows.
     """
 
     def __init__(self, a: list[list[int]], den: int, c: list[int], cden: int) -> None:
+        if min(c, default=0) < 0:
+            raise ValueError("costs must be nonnegative")
         self.den = den
-        self._tableau = _Tableau(*_transpose(a, den, c, cden))
+        wide = len(a) < len(c)
+        # each column's dual row, while the LP keeps its own tableau
+        self._slot = {j: j for j in range(len(c))} if wide else None
+        self._tableau = _Tableau(*((a, den, c, cden) if wide else _transpose(a, den, c, cden)))
 
     def add_row(self, row: list[int]) -> None:
-        """Add the row `row` (numerators over `den`, right-hand side last) as a dual column."""
+        """Add the row `row` (numerators over `den`, right-hand side last)."""
+        if self._slot is not None:
+            self._tableau.add_row(row)
+            return
         # the dual's rows are over lcm(den, cden) and its costs over den (see _transpose)
         s = self._tableau.den // self.den
         self._tableau.add_column([-v * s for v in row[:-1]], -row[-1])
 
     def solve(self) -> tuple[str, Optional[_Solution]]:
-        """"optimal" with the pair (x, xden, y, yden), unchecked; "infeasible" for an
-        unbounded dual; "ambiguous" for an infeasible one (unbounded or infeasible)."""
-        if not self._tableau.feasible:
-            return "ambiguous", None
-        if self._tableau.run() == "unbounded":
+        """"optimal" with the pair (x, xden, y, yden), unchecked, or "infeasible"
+        with None: the dual is unbounded."""
+        t = self._tableau
+        if self._slot is not None:
+            if _run_dual_simplex(t.rows, t.dens, t.basis, t.k, self._slot) == "infeasible":
+                return "infeasible", None
+            return "optimal", t.solution()
+        if t.run() == "unbounded":
             return "infeasible", None
-        y, yden, x, xden = self._tableau.solution()  # the dual program's primal is our dual
+        y, yden, x, xden = t.solution()  # the dual program's primal is our dual
         return "optimal", (x, xden, y, yden)
 
 
@@ -504,8 +543,10 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
     Dual values follow the textbook convention for a minimization: >= rows
     have duals >= 0, <= rows have duals <= 0 and equality rows are free.
-    Duals of internally generated bound rows are folded away.  Raises
-    ValueError for an entry that is not an int or a Fraction.
+    Duals of internally generated bound rows are folded away.  The status
+    is "optimal" or "infeasible": a nonnegative cost is bounded below by 0.
+    Raises ValueError for an entry that is not an int or a Fraction, and
+    for a negative cost.
     """
     k = lp.num_vars
     rows: list[tuple[Sequence[Rational], str, Rational]] = [
@@ -547,15 +588,11 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
             a.append([-v for v in row])
             origin.append((idx, -1))
 
-    status, sol = TallLP(a, den, c, cden).solve() if len(a) > k else ("ambiguous", None)
-    if status == "ambiguous":
-        status, sol = _core_solve(a, den, c, cden)
-
-    if status != "optimal":
+    status, sol = TallLP(a, den, c, cden).solve()
+    if sol is None:
         return LPSolution(status=status)
-    assert sol is not None
     x, xden, y, yden = sol
-    # the certificate is checked against these rows whichever program was pivoted
+    # the pair is checked against these rows, not the dual that was pivoted
     _certify(a, den, c, cden, x, xden, y, yden)
     cx = sum(map(mul, c, x))  # the objective, over cden * xden
 

@@ -4,12 +4,16 @@ It takes the rules of the integer-row kernel in `simplegames.lp` (a slack
 start for rows with b <= 0, Dantzig pricing, lexicographic ratio ties), so
 that kernel must make the same pivots and return equal solutions.  It keeps
 an artificial column for every row and reads the duals off them, which
-checks the kernel's reading of the duals off its surplus columns.
-`route(patch)` sends every exact caller to this kernel: `core_solve`
-replaces `simplegames.lp._core_solve`, the direct solve, and `TallLP`
-replaces the transposed solve of a tall LP, both `simplegames.lp.TallLP`
-inside `solve_lp` and the one that `alpha.ThresholdLP` keeps for a tall LP
-or a cut loop.  The stand-in solves cold every time, so a cut loop on it
+checks the kernel's reading of the duals off its surplus columns.  Its
+phase 1 is general, so `core_solve` also solves a model directly, as the
+tests' cold reference.  `route(patch)` sends every exact caller to this
+kernel: `TallLP` replaces the transposed solve, both `simplegames.lp.TallLP`
+inside `solve_lp`, which solves every LP through it, and the one that
+`alpha.ThresholdLP` keeps for a tall LP or a cut loop.  A wide LP keeps
+its own tableau there and makes the transposed dual's pivots on it, so the
+reference's transposed solve covers it too.  The transposed dual of a
+nonnegative cost starts at its slack basis, so phase 1 makes no pivot
+there.  The stand-in solves cold every time, so a cut loop on it
 re-solves all its rows each round.  `threshold_program` gives `solve_lp`
 the rows of a `ThresholdLP`.  `make_lp` builds the tests' LPs from plain
 numbers.
@@ -184,12 +188,12 @@ def _core_solve(
 def core_solve(
     a: list[list[int]], den: int, c: list[int], cden: int
 ) -> tuple[str, Optional[tuple[list[int], int, list[int], int]]]:
-    """`_core_solve` on the integer rows that `simplegames.lp` hands its kernel.
+    """`_core_solve` on integer rows as `simplegames.lp.TallLP` takes them.
 
     Rebuilds the `Fraction` rows (coefficients, then the right-hand side, over
     `den`) and the objective (over `cden`), calls the reference kernel, and
     returns its x and y as integer numerators over a common denominator each,
-    as `simplegames.lp._core_solve` does.
+    the pair that `simplegames.lp.TallLP.solve` returns.
     """
     status, x, y, _ = _core_solve(
         [[Fraction(v, den) for v in row[:-1]] for row in a],
@@ -209,6 +213,8 @@ class TallLP:
     `add_row` appends a row to a copy of the rows it was given."""
 
     def __init__(self, a: list[list[int]], den: int, c: list[int], cden: int, log: list[str]) -> None:
+        if min(c, default=0) < 0:
+            raise ValueError("costs must be nonnegative")
         self.a, self.den, self.c, self.cden, self.log = list(a), den, c, cden, log
 
     def add_row(self, row: list[int]) -> None:
@@ -220,17 +226,17 @@ class TallLP:
         if status == "optimal":
             y, yden, x, xden = sol  # the dual program's primal is our dual
             return status, (x, xden, y, yden)
-        # an unbounded dual: the program is infeasible; an infeasible one: unbounded or infeasible
-        return ("infeasible" if status == "unbounded" else "ambiguous"), None
+        # a nonnegative cost makes the dual feasible at 0: an unbounded dual, an infeasible program
+        assert status == "unbounded", status
+        return "infeasible", None
 
 
 def route(patch) -> tuple[list[str], list[str]]:
-    """Send `solve_lp`'s direct and transposed solves and `alpha.ThresholdLP`'s
-    kept `TallLP` to this kernel, on the monkeypatch `patch`; returns the
-    lists that log the transposed solves of `solve_lp` and of `ThresholdLP`."""
+    """Send `solve_lp`'s transposed solve and `alpha.ThresholdLP`'s kept
+    `TallLP` to this kernel, on the monkeypatch `patch`; returns the lists
+    that log the transposed solves of `solve_lp` and of `ThresholdLP`."""
     transposed: list[str] = []
     kept: list[str] = []
-    patch.setattr(lp, "_core_solve", core_solve)
     patch.setattr(lp, "TallLP", lambda a, den, c, cden: TallLP(a, den, c, cden, transposed))
     patch.setattr(alpha, "TallLP", lambda a, den, c, cden: TallLP(a, den, c, cden, kept))
     return transposed, kept
@@ -246,8 +252,8 @@ def threshold_program(threshold_lp) -> LinearProgram:
 
 def make_lp(objective, rows, lower=None, upper=None) -> LinearProgram:
     """min objective . x over (coeffs, relation, rhs) rows, every entry through
-    `frac`.  A test that wants a maximum passes the negated objective and
-    negates the optimum and the duals it reads back."""
+    `frac`.  A test that wants a maximum solves its dual, whose costs are the
+    maximum's right-hand sides."""
     obj = tuple(map(frac, objective))
     lprows = tuple(LPRow(tuple(map(frac, coeffs)), rel, frac(b)) for coeffs, rel, b in rows)
     lo = None if lower is None else tuple(map(frac, lower))

@@ -31,7 +31,7 @@ from simplegames import (
 )
 from simplegames.complete import greedy_losing_bound, sized_weighted_game
 from simplegames.graphs import random_bipartite_graph, random_graph
-from simplegames.lp import LE, solve_lp
+from simplegames.lp import GE, solve_lp
 
 from lp_reference import make_lp
 
@@ -240,11 +240,12 @@ def test_criterion_09_complete_game_bound():
 def test_criterion_10_greedy_lp_equivalence():
     for n, wvg, cg, rep in weighted_reports():
         k, s = suffix_sizes(cg)
-        rows = [([1] * i + [0] * (k - i), LE, s[i - 1] - 1) for i in range(1, k + 1)]
-        sol = solve_lp(make_lp([F(-1, si) for si in s], rows))  # the maximum, as min of the negation
+        # the dual of max sum x_i/s_i, sum_{i<=j} x_i <= s_j - 1, x >= 0
+        rows = [([0] * (j - 1) + [1] * (k - j + 1), GE, F(1, s[j - 1])) for j in range(1, k + 1)]
+        sol = solve_lp(make_lp([si - 1 for si in s], rows))
         assert sol.status == "optimal"
-        assert -sol.objective == greedy_losing_bound(s), (n, s)
-        assert -sol.objective == rep.greedy_bound
+        assert sol.objective == greedy_losing_bound(s), (n, s)
+        assert sol.objective == rep.greedy_bound
     report(
         10,
         True,

@@ -32,7 +32,7 @@ from simplegames.complete import (
     sized_weighted_game,
 )
 from simplegames.games import game_to_json, maximal_losing, random_game
-from simplegames.lp import LE, solve_lp
+from simplegames.lp import GE, solve_lp
 
 import table_reference
 from lp_reference import make_lp
@@ -473,14 +473,15 @@ class TestGreedyLpEquivalence:
     def test_prefix_lp_optimum_matches_greedy(self, seed):
         wvg = random_weighted_voting_game(4 + seed % 9, seed)
         k, s = suffix_sizes(complete_order(wvg.game))
-        objective = [F(1, si) for si in s]
-        rows = [([1] * i + [0] * (k - i), LE, s[i - 1] - 1) for i in range(1, k + 1)]
-        sol = solve_lp(make_lp([-v for v in objective], rows))  # the maximum, as min of the negation
+        # the prefix LP max sum x_i/s_i, sum_{i<=j} x_i <= s_j - 1, x >= 0, as
+        # its dual min sum (s_i - 1) y_i, sum_{i>=j} y_i >= 1/s_j, y >= 0
+        rows = [([0] * (j - 1) + [1] * (k - j + 1), GE, F(1, s[j - 1])) for j in range(1, k + 1)]
+        sol = solve_lp(make_lp([si - 1 for si in s], rows))
         assert sol.status == "optimal"
-        assert -sol.objective == greedy_losing_bound(s)
-        # the stated greedy point is feasible and attains it
+        assert sol.objective == greedy_losing_bound(s)
+        # the stated greedy point is feasible for the prefix LP and attains it
         xs = [s[0] - 1] + [s[i] - s[i - 1] for i in range(1, k)]
-        assert sum(F(x, si) for x, si in zip(xs, s)) == -sol.objective
+        assert sum(F(x, si) for x, si in zip(xs, s)) == sol.objective
         for i in range(1, k + 1):
             assert sum(xs[:i]) <= s[i - 1] - 1
 

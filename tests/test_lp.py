@@ -77,11 +77,6 @@ def test_infeasible():
     assert sol.primal is None
 
 
-def test_unbounded():
-    sol = solve_lp(make_lp([-1], [([1], GE, 1)]))  # max x as min -x
-    assert sol.status == "unbounded"
-
-
 def test_cycle4_threshold_lp():
     # payoffs p1..p4 and threshold a; edge constraints and two losing rows
     rows = [
@@ -98,16 +93,31 @@ def test_cycle4_threshold_lp():
 
 
 def test_equality_rows_and_max_sense():
-    # max x + y on the segment x + y = 2, x <= 1, as min -x - y
-    sol = solve_lp(make_lp([-1, -1], [([1, 1], EQ, 2), ([1, 0], LE, 1)]))
+    # min x + 2y on the segment x + y = 2, x <= 1
+    sol = solve_lp(make_lp([1, 2], [([1, 1], EQ, 2), ([1, 0], LE, 1)]))
     assert sol.status == "optimal"
-    assert sol.objective == -2
+    assert sol.objective == 3
+    assert sol.primal == (F(1), F(1))
+    # max x + y on the same segment, as its dual: min 2u + v over a row per
+    # column, u + v >= 1 and u >= 1, which bounds the equality's free dual u
+    sol = solve_lp(make_lp([2, 1], [([1, 1], GE, 1), ([1, 0], GE, 1)]))
+    assert sol.status == "optimal"
+    assert sol.objective == 2
+
+
+@pytest.mark.parametrize("model", [make_lp([1, -1], [([1, 1], GE, 1)]), make_lp([-1], [])])
+def test_negative_cost_is_refused(model):
+    with pytest.raises(ValueError, match="costs must be nonnegative"):
+        solve_lp(model)
+    with pytest.raises(ValueError, match="costs must be nonnegative"):
+        lp.TallLP([[1] * model.num_vars + [1]], 1, list(model.objective), 1)
 
 
 def test_upper_bounds_materialize():
-    sol = solve_lp(make_lp([-1, -1], [([1, 1], GE, 0)], upper=[2, F(3, 2)]))
+    # both bound rows bind at the optimum
+    sol = solve_lp(make_lp([1, 2], [([1, 1], GE, F(7, 2))], upper=[2, F(3, 2)]))
     assert sol.status == "optimal"
-    assert sol.objective == F(-7, 2)
+    assert sol.objective == 5
     assert sol.primal == (F(2), F(3, 2))
     assert len(sol.dual) == 1  # bound rows are internal
 
@@ -119,22 +129,18 @@ def test_lower_bounds():
 
 
 def test_beale_degenerate_instance_terminates():
-    # classic cycling example for naive pivoting; optimum is -1/20
+    # the classic cycling example for naive pivoting, max 3/4 x1 - 150 x2 +
+    # 1/50 x3 - 6 x4 over three <= rows, whose optimum is 1/20, as its dual
+    # min u3 over a row per column of the maximum
     rows = [
-        ([F(1, 4), -60, F(-1, 25), 9], LE, 0),
-        ([F(1, 2), -90, F(-1, 50), 3], LE, 0),
-        ([0, 0, 1, 0], LE, 1),
+        ([F(1, 4), F(1, 2), 0], GE, F(3, 4)),
+        ([-60, -90, 0], GE, -150),
+        ([F(-1, 25), F(-1, 50), 1], GE, F(1, 50)),
+        ([9, 3, 0], GE, -6),
     ]
-    sol = solve_lp(make_lp([F(-3, 4), 150, F(-1, 50), 6], rows))
+    sol = solve_lp(make_lp([0, 0, 1], rows))
     assert sol.status == "optimal"
-    assert sol.objective == F(-1, 20)
-
-
-def test_transposed_unbounded_falls_back_to_direct_solve():
-    # more rows than variables routes through the dual, whose infeasibility
-    # is ambiguous; the direct retry must still report unbounded
-    sol = solve_lp(make_lp([-1], [([1], GE, 1), ([1], GE, 2)]))
-    assert sol.status == "unbounded"
+    assert sol.objective == F(1, 20)
 
 
 def test_duals_certify_strong_duality():
@@ -199,16 +205,16 @@ class TestCertificate:
         monkeypatch.setattr(lp, "TallLP", lambda a, den, c, cden: SimpleNamespace(solve=lambda: wrong))
 
     def test_transposed_negative_primal_is_caught(self, monkeypatch):
-        # three rows over two variables go through the dual; its reduced costs
-        # give x, so only the certificate's sign check keeps x >= 0
+        # every LP goes through its dual, whose reduced costs give x, so only
+        # the certificate's sign check keeps x >= 0
         self.transposed_returns(monkeypatch, ("optimal", ([-2, -3], 1, [0, 1, 0], 1)))
         model = make_lp([1, 1], [([1, -1], GE, 1), ([1, 0], GE, -5), ([1, 1], GE, -10)])
         with pytest.raises(AssertionError, match="simplex returned a negative primal"):
             solve_lp(model)
 
     def test_transposed_solve_is_certified_on_the_input_rows(self, monkeypatch):
-        # min x1/2 + x2/3 over three rows goes through its dual; a transposition
-        # that dropped the objective's denominator would return this pair
+        # min x1/2 + x2/3 goes through its dual; a transposition that
+        # dropped the objective's denominator would return this pair
         self.transposed_returns(monkeypatch, ("optimal", ([1, 1], 1, [3, 2, 0], 1)))
         model = make_lp([F(1, 2), F(1, 3)], [([1, 0], GE, 1), ([0, 1], GE, 1), ([1, 1], GE, 1)])
         with pytest.raises(AssertionError, match="simplex returned a dual-infeasible vector"):
@@ -229,7 +235,7 @@ class TestCertificate:
         ]
         monkeypatch.setattr(lp, "_certify", lambda *args: None)
         for model, wrong in cases:
-            monkeypatch.setattr(lp, "_core_solve", lambda a, den, c, cden: ("optimal", wrong))
+            self.transposed_returns(monkeypatch, ("optimal", wrong))
             with pytest.raises(AssertionError, match="dual objective mismatch on the extended system"):
                 solve_lp(model)
 
@@ -324,7 +330,9 @@ lp.in_convex_hull([F(1, 2), F(1, 2)], [(1, 0), (0, 1)])
 
 
 class TestTableau:
-    """`_Tableau` kept warm: rows of a tall LP added one at a time as dual columns.
+    """`_Tableau` kept warm: rows of an LP added one at a time, as dual columns
+    when the LP opens with as many rows as columns or more, and as rows of
+    its own tableau when it opens with fewer.
 
     Each model is min c.x, a x >= b, x >= 0 with c >= 0, so its transposed
     dual is feasible at 0, and feasible at a known point, so every prefix of
@@ -354,8 +362,8 @@ class TestTableau:
 
     @staticmethod
     def warm_steps(a, den, c, cden, start):
-        """Solve a[:start] in a `TallLP`, then add each later row as a dual
-        column; yield the LP's tableau, the rows so far and the pair after every solve."""
+        """Solve a[:start] in a `TallLP`, then add each later row; yield the
+        LP's tableau, the rows so far and the pair after every solve."""
         tall = lp.TallLP(a[:start], den, c, cden)
         for r in range(start, len(a) + 1):
             if r > start:
@@ -375,18 +383,6 @@ class TestTableau:
             steps += 1
         return steps
 
-    def test_negative_cost_runs_phase_one(self):
-        # a negative cost makes the dual infeasible at 0, so construction runs
-        # phase 1; a cap row x_1 + ... + x_k <= 20 keeps the LP bounded, and
-        # rows added after phase 1 still reach the cold optimum.  Without a
-        # cap, min -x over x >= 1 has an infeasible dual: "ambiguous"
-        for seed in range(12):
-            a, den, c, cden = self.tall_model(seed)
-            c[0] = -c[0] - 1
-            cap = [-den] * len(c) + [-20 * den]
-            assert self.check_steps([cap] + a, den, c, cden, start=1) == len(a) + 1
-        assert lp.TallLP([[1, 1]], 1, [-1], 1).solve() == ("ambiguous", None)
-
     @pytest.mark.parametrize("seed", range(40))
     def test_added_rows_match_cold_solves(self, seed):
         a, den, c, cden = self.tall_model(seed)
@@ -396,7 +392,8 @@ class TestTableau:
         rescaled = []
         for seed in range(1, 40, 2):
             a, den, c, cden = self.tall_model(seed)
-            steps = self.warm_steps(a, den, c, cden, start=1)
+            # from k rows on the LP is not wide, so each later row is a dual column
+            steps = self.warm_steps(a, den, c, cden, start=len(c))
             tableau, _, _ = next(steps)
             add = tableau.add_column
 
@@ -410,52 +407,69 @@ class TestTableau:
                 pass
         assert any(rescaled) and not all(rescaled)
 
-    def test_dependent_rows(self, monkeypatch):
-        # every row with b > 0 repeated: two equal rows with artificials, so
-        # phase 1 ends with artificials basic, and the drive-out still removes
-        # every one, each row having a surplus column of its own; columns
-        # added after the artificial columns are gone must reach the cold optimum
-        ended_with_artificials = []
-        run = lp._run_simplex
+    @staticmethod
+    def on_dual_tableau(a, den, c, cden):
+        """A `TallLP` that keeps the transposed dual's tableau, as one that opens tall does."""
+        tall = lp.TallLP.__new__(lp.TallLP)
+        tall.den, tall._slot, tall._tableau = den, None, lp._Tableau(*lp._transpose(a, den, c, cden))
+        return tall
 
-        def spy(rows, dens, basis, allowed):
-            status = run(rows, dens, basis, allowed)
-            ended_with_artificials.append(max(basis) >= allowed)
-            return status
+    def test_own_tableau_makes_the_dual_pivots(self, monkeypatch):
+        # an LP that opens wide pivots on its own tableau; after every added
+        # row it must make the pivots of the dual's tableau and reach its pair
+        counts = []
+        pivot = lp._pivot
 
-        monkeypatch.setattr(lp, "_run_simplex", spy)
-        cost_of = lambda v, vden: F(sum(cj * vj for cj, vj in zip(c, v)), vden)
-        phase_one_left_one = 0
-        for seed in range(12):
+        def spy_pivot(*args):
+            counts[-1] += 1
+            pivot(*args)
+
+        monkeypatch.setattr(lp, "_pivot", spy_pivot)
+        for seed in range(40):
             a, den, c, cden = self.tall_model(seed)
-            a += [row for row in a if row[-1] > 0]
-            ended_with_artificials.clear()
-            tableau = lp._Tableau(a, den, c, cden)
-            phase_one_left_one += any(ended_with_artificials)
-            assert all(b < tableau.k + tableau.m for b in tableau.basis)
-            assert all(len(row) == tableau.k + tableau.m + 1 for row in tableau.rows)
-            rng = random.Random(seed)
-            for step in range(4):
-                if step:  # a new variable with a nonnegative cost keeps the optimum finite
-                    col, cost = [rng.randint(-3, 3) for _ in a], rng.randint(0, 3)
-                    tableau.add_column(col, cost)
-                    a = [row[:-1] + [v] + row[-1:] for row, v in zip(a, col)]
-                    c = c + [cost]
-                assert tableau.run() == "optimal"
-                x, xden, y, yden = tableau.solution()
-                lp._certify(a, den, c, cden, x, xden, y, yden)
-                status, (rx, rxden, _, _) = lp_reference.core_solve(a, den, c, cden)
-                assert status == "optimal"
-                assert cost_of(x, xden) == cost_of(rx, rxden)
-        assert phase_one_left_one > 0
+            if seed % 4 == 0:  # every cost 0, as in the hull LPs: every ratio ties
+                c = [0] * len(c)
+            start = 1 + seed % (len(c) - 1)
+            steps = []
+            for tall in (lp.TallLP(a[:start], den, c, cden), self.on_dual_tableau(a[:start], den, c, cden)):
+                assert (tall._slot is None) == bool(steps)  # its own tableau first, then the dual's
+                pairs = []
+                for r in range(start, len(a) + 1):
+                    if r > start:
+                        tall.add_row(a[r - 1])
+                    counts.append(0)
+                    status, (x, xden, y, yden) = tall.solve()
+                    pairs.append((counts[-1], [F(v, xden) for v in x], [F(v, yden) for v in y]))
+                steps.append(pairs)
+            assert steps[0] == steps[1], seed
+        assert sum(counts) > 100
+
+    def test_tableau_is_the_smaller_one(self, monkeypatch):
+        # cycle_game(28) has 2627 maximal losing coalitions: the losing hull
+        # LP has 30 rows over 2627 columns, whose dual's tableau would hold
+        # 2627 rows of 2658 entries; every tableau has at most as many rows
+        # as structural columns
+        from simplegames.games import cycle_game
+        from simplegames.minnorm import tightness_check
+
+        shapes = []
+        init = lp._Tableau.__init__
+
+        def spy_init(self, a, den, c, cden):
+            shapes.append((len(a), len(c)))
+            init(self, a, den, c, cden)
+
+        monkeypatch.setattr(lp._Tableau, "__init__", spy_init)
+        tight, _ = tightness_check(cycle_game(28))
+        assert tight
+        assert (30, 2627) in shapes
+        assert all(rows <= cols for rows, cols in shapes)
 
     def test_slack_start_skips_phase_one(self, monkeypatch):
         # a TallLP's dual and the transposed dual of a threshold LP have every
         # right-hand side <= 0: the tableau starts at its slack basis, so
-        # construction makes no pivot, neither phase 1 nor drive-out.  The
-        # threshold LPs are the full ones, one column per player, which are
-        # all tall; one over classes of symmetric players can be small
-        # enough to be solved directly, with phase 1
+        # construction makes no pivot.  The threshold LPs are the full ones,
+        # one column per player, which are all tall and kept by the LP
         from simplegames.alpha import ThresholdLP
         from simplegames.games import maximal_losing, random_game
 
@@ -538,6 +552,8 @@ class TestTableau:
                 assert last == compute_alpha_exact(game).alpha
         assert several > 0
 
+    # a cut loop that opens tall adds its cuts as dual columns, one that
+    # opens wide (a cycle: one row of class counts over two columns) as rows
     MUTANT = """
 def drop_reduced_cost(add_column):
     # the mutant inserts the column but leaves its reduced cost at 0
@@ -545,33 +561,55 @@ def drop_reduced_cost(add_column):
         add_column(self, col, cost)
         self.rows[-1][self.k - 1] = 0
     return mutated
-"""
 
-    def test_dropped_reduced_cost_is_caught(self, monkeypatch):
-        from simplegames.graphs import alpha_graph, cycle_graph
+def drop_violation(add_row):
+    # the mutant inserts the row but leaves its surplus at 0, as if it held
+    def mutated(self, row):
+        add_row(self, row)
+        self.rows[self.m - 1][-1] = 0
+    return mutated
+"""
+    def check_mutant(self, method, mutant, graph, monkeypatch):
+        from simplegames import graphs
 
         scope = {}
         exec(self.MUTANT, scope)
-        monkeypatch.setattr(lp._Tableau, "add_column", scope["drop_reduced_cost"](lp._Tableau.add_column))
+        monkeypatch.setattr(lp._Tableau, method, scope[mutant](getattr(lp._Tableau, method)))
         with pytest.raises(AssertionError, match="the cut repeats a row of the LP"):
-            alpha_graph(cycle_graph(6))
+            graphs.alpha_graph(eval("graphs." + graph))
 
-    def test_dropped_reduced_cost_is_caught_optimized(self):
+    def check_mutant_optimized(self, method, mutant, graph):
         proc = run_optimized(
             self.MUTANT
-            + """
+            + f"""
 from simplegames import graphs, lp
 assert False, "python -O should have stripped this assert"
-lp._Tableau.add_column = drop_reduced_cost(lp._Tableau.add_column)
-graphs.alpha_graph(graphs.cycle_graph(6))
+lp._Tableau.{method} = {mutant}(lp._Tableau.{method})
+graphs.alpha_graph(graphs.{graph})
 """
         )
         assert proc.returncode == 1
         assert "CertificateError: the cut repeats a row of the LP" in proc.stderr
 
+    TALL_CUTS = "add_column", "drop_reduced_cost", "build_gadget(graphs.random_graph(6, 7, 0))"
+    WIDE_CUTS = "add_row", "drop_violation", "cycle_graph(6)"
+
+    def test_dropped_reduced_cost_is_caught(self, monkeypatch):
+        self.check_mutant(*self.TALL_CUTS, monkeypatch)
+
+    def test_dropped_reduced_cost_is_caught_optimized(self):
+        self.check_mutant_optimized(*self.TALL_CUTS)
+
+    def test_dropped_row_violation_is_caught(self, monkeypatch):
+        self.check_mutant(*self.WIDE_CUTS, monkeypatch)
+
+    def test_dropped_row_violation_is_caught_optimized(self):
+        self.check_mutant_optimized(*self.WIDE_CUTS)
+
     def test_phase_one_does_not_run_per_cut(self, monkeypatch):
         # (tableaus inside solve_lp, tableaus kept by the ThresholdLP) per call,
-        # whatever the number of cuts; each cut is one add_column.  A tall
+        # whatever the number of cuts; each cut is one add_column, or one
+        # add_row where the kept LP is wide and keeps its own tableau.  A tall
         # opening LP, of a cut loop or of an alpha over all maximal losing
         # coalitions, is one kept tableau.  A wide one is one solve_lp
         # tableau, and a cut loop builds its kept tableau at the first cut.
@@ -588,7 +626,8 @@ graphs.alpha_graph(graphs.cycle_graph(6))
 
         counts = {"cold": 0, "warm": 0, "columns": 0}
         in_solve_lp = [False]
-        solve_lp, init, add = alpha.solve_lp, lp._Tableau.__init__, lp._Tableau.add_column
+        solve_lp, init = alpha.solve_lp, lp._Tableau.__init__
+        add_column, add_row = lp._Tableau.add_column, lp._Tableau.add_row
 
         def spy_solve_lp(model):
             in_solve_lp[0] = True
@@ -601,9 +640,12 @@ graphs.alpha_graph(graphs.cycle_graph(6))
             counts["cold" if in_solve_lp[0] else "warm"] += 1
             init(self, *args)
 
-        def spy_add(self, *args):
-            counts["columns"] += 1
-            add(self, *args)
+        def spy_add(add):
+            def spy(self, *args):
+                counts["columns"] += 1
+                add(self, *args)
+
+            return spy
 
         def enumeration(g):
             decision = decide_alpha_at_most(g, 1)
@@ -611,7 +653,8 @@ graphs.alpha_graph(graphs.cycle_graph(6))
 
         monkeypatch.setattr(alpha, "solve_lp", spy_solve_lp)
         monkeypatch.setattr(lp._Tableau, "__init__", spy_init)
-        monkeypatch.setattr(lp._Tableau, "add_column", spy_add)
+        monkeypatch.setattr(lp._Tableau, "add_column", spy_add(add_column))
+        monkeypatch.setattr(lp._Tableau, "add_row", spy_add(add_row))
         graphs_ = [build_gadget(random_graph(6, 7 + s, s)) for s in range(3)]
         graphs_ += [random_bipartite_graph(10, 14, s) for s in range(3)]
         cases = [(alpha_graph, g, (0, 1)) for g in graphs_]

@@ -26,7 +26,7 @@ from simplegames.graphs import (
     random_bipartite_graph,
     random_graph,
 )
-from simplegames.lp import EQ, GE, LE, solve_lp
+from simplegames.lp import EQ, GE, LE, LinearProgram, LPRow, solve_lp
 from simplegames.minnorm import min_norm_point, tightness_check
 
 
@@ -50,18 +50,6 @@ def draw(rng, kind):
     return F(round(rng.uniform(-3, 3), rng.randint(0, 3)))  # a float, converted exactly
 
 
-# models whose objective is negated, as a maximization reaches the kernel
-NEGATED = []
-
-
-def drawn_sense(rng, objective, rows, **bounds):
-    """min objective . x, or, on a drawn "max", min of its negation."""
-    if rng.choice(("min", "max")) == "min":
-        return make_lp(objective, rows, **bounds)
-    NEGATED.append(make_lp([-v for v in objective], rows, **bounds))
-    return NEGATED[-1]
-
-
 def random_model(seed):
     """A seeded LP; the seed picks the data kind, the shape and the row mix."""
     rng = random.Random(seed)
@@ -77,28 +65,31 @@ def random_model(seed):
         slack = draw(rng, kind) if rng.random() < 0.8 else -abs(draw(rng, kind)) - 1
         rhs = lhs if rel == EQ else lhs - slack if rel == GE else lhs + slack
         rows.append((coeffs, rel, rhs))
-    objective = [draw(rng, kind) for _ in range(k)]
+    objective = [abs(draw(rng, kind)) for _ in range(k)]
     lower = [F(rng.randint(0, 1)) for _ in range(k)] if rng.random() < 0.3 else None
     upper = (
         [F(rng.randint(2, 5)) if rng.random() < 0.5 else None for _ in range(k)]
         if rng.random() < 0.4
         else None
     )
-    return drawn_sense(rng, objective, rows, lower=lower, upper=upper)
+    return make_lp(objective, rows, lower=lower, upper=upper)
 
 
 def degenerate_model(seed):
-    """Homogeneous cuts and one cap row: long runs of zero-ratio pivots."""
+    """Homogeneous cuts and one covering row: long runs of zero-ratio pivots.
+
+    The dual has a row per variable with the variable's cost on its right;
+    a third of the costs are 0, so a third of those rows start degenerate."""
     rng = random.Random(seed)
     k = rng.randint(14, 18)
     rows = [([F(rng.choice((-1, 0, 1))) for _ in range(k)], GE, F(0)) for _ in range(k - 2)]
-    rows.append(([F(1)] * k, LE, F(1)))
-    objective = [F(rng.randint(-3, 3)) for _ in range(k)]
+    rows.append(([F(1)] * k, GE, F(1)))
+    objective = [F(rng.randint(0, 2)) for _ in range(k)]
     return make_lp(objective, rows)
 
 
 def redundant_model(seed):
-    """Equalities repeated with multiples, so an artificial stays basic after phase 1."""
+    """Equalities repeated with multiples: dependent rows, whose duals are not unique."""
     rng = random.Random(seed)
     k = rng.randint(2, 5)
     x0 = [F(rng.randint(0, 3)) for _ in range(k)]
@@ -109,24 +100,28 @@ def redundant_model(seed):
         for scale in (1, F(rng.randint(1, 4), rng.randint(1, 3))):
             rows.append(([a * scale for a in coeffs], EQ, rhs * scale))
     objective = [F(rng.randint(0, 4)) for _ in range(k)]
-    return drawn_sense(rng, objective, rows, upper=[F(5)] * k)
+    return make_lp(objective, rows, upper=[F(5)] * k)
 
 
-BEALE = make_lp(  # Beale's cycling example
-    [F(-3, 4), 150, F(-1, 50), 6],
+# Beale's cycling example, max 3/4 x1 - 150 x2 + 1/50 x3 - 6 x4 over three
+# <= rows, as its dual: one row per column of the maximum, costs (0, 0, 1)
+BEALE = make_lp(
+    [0, 0, 1],
     [
-        ([F(1, 4), -60, F(-1, 25), 9], LE, 0),
-        ([F(1, 2), -90, F(-1, 50), 3], LE, 0),
-        ([0, 0, 1, 0], LE, 1),
+        ([F(1, 4), F(1, 2), 0], GE, F(3, 4)),
+        ([-60, -90, 0], GE, -150),
+        ([F(-1, 25), F(-1, 50), 1], GE, F(1, 50)),
+        ([9, 3, 0], GE, -6),
     ],
 )
 
 FIXED = [
     make_lp([1], [([1], GE, 1), ([1], LE, 0)]),  # infeasible, tall
     make_lp([1, 1], [([1, 1], LE, -1)]),  # infeasible, negative rhs, wide
-    make_lp([-1], [([1], GE, 1)]),  # unbounded, wide: max x as min -x
-    make_lp([-1], [([1], GE, 1), ([1], GE, 2)]),  # unbounded, tall: transposed path is ambiguous
     BEALE,
+    LinearProgram(2, (1, 1), ()),  # no rows: optimal at x = 0
+    LinearProgram(0, (), ()),  # no rows and no variables
+    LinearProgram(0, (), (LPRow((), GE, 1),)),  # no variables: 0 >= 1 is infeasible
 ]
 
 MODELS = (
@@ -151,15 +146,14 @@ def core_rows(model):
 
 
 class PivotSpy:
-    """Counts the reference kernel's pivots: degenerate streaks inside the
-    simplex loop, and drive-out pivots between the phases."""
+    """Counts the reference kernel's pivots: the longest streak of
+    degenerate ones in one simplex run, and every pivot made outside a run."""
 
     def __init__(self, monkeypatch):
         self.inside = False
         self.streak = 0
         self.longest_streak = 0
-        self.drive_outs = 0
-        self.negative_drive_outs = 0
+        self.outside = 0
         pivot, run = lp_reference._pivot, lp_reference._run_simplex
 
         def spy_pivot(rows, z, basis, r, col):
@@ -167,8 +161,7 @@ class PivotSpy:
                 self.streak = self.streak + 1 if rows[r][-1] == 0 else 0
                 self.longest_streak = max(self.longest_streak, self.streak)
             else:
-                self.drive_outs += 1
-                self.negative_drive_outs += rows[r][col] < 0
+                self.outside += 1
             return pivot(rows, z, basis, r, col)
 
         def spy_run(*args):
@@ -184,60 +177,86 @@ class PivotSpy:
 
 def test_models_cover_every_case(monkeypatch):
     spy = PivotSpy(monkeypatch)
-    statuses, paths = set(), []
+    statuses, shapes = set(), set()
     kinds = {"negative rhs": False, "equality": False, "lower": False, "upper": False}
     with monkeypatch.context() as patch:
         transposed, _ = lp_reference.route(patch)
         for model in MODELS:
             statuses.add(solve_lp(model).status)
-            paths.append("tall" if core_rows(model) > model.num_vars else "wide")
+            rows, k = core_rows(model), model.num_vars
+            shapes.add("no rows" if not rows else "no variables" if not k else "tall" if rows > k else "wide")
             kinds["negative rhs"] |= any(r.rhs < 0 for r in model.rows)
             kinds["equality"] |= any(r.relation == EQ for r in model.rows)
             kinds["lower"] |= model.lower is not None and any(model.lower)
             kinds["upper"] |= model.upper is not None
-    assert statuses == {"optimal", "infeasible", "unbounded"}
-    # negated objectives, the kernel input of a maximization, reach an optimum and a ray
-    assert {solve_reference(model, monkeypatch).status for model in NEGATED} >= {"optimal", "unbounded"}
-    assert set(paths) == {"tall", "wide"}
-    # every tall model, and only those, reaches the reference through the transposed dual
-    assert 0 < len(transposed) == paths.count("tall")
+    assert statuses == {"optimal", "infeasible"}
+    assert shapes == {"tall", "wide", "no rows", "no variables"}
+    # every model, of either shape, reaches the reference through the transposed dual
+    assert len(transposed) == len(MODELS)
     assert all(kinds.values()), kinds
     assert spy.longest_streak >= 12  # some model makes a long run of degenerate pivots
-    assert spy.drive_outs > 0  # some model leaves an artificial basic after phase 1
-    assert spy.negative_drive_outs > 0  # and drives it out on a negative entry
+    assert spy.outside == 0  # the dual starts at its slack basis: phase 1 makes no pivot
+
+
+def test_pivot_counts_match_reference(monkeypatch):
+    # a wide LP pivots on its own tableau and a tall one on its dual's, and
+    # both make the pivots of the reference's transposed solve
+    counts = {"kernel": 0, "reference": 0}
+    shapes = set()
+    pivot, ref_pivot = lp._pivot, lp_reference._pivot
+
+    def spy(name, inner):
+        def counted(*args):
+            counts[name] += 1
+            return inner(*args)
+
+        return counted
+
+    monkeypatch.setattr(lp, "_pivot", spy("kernel", pivot))
+    monkeypatch.setattr(lp_reference, "_pivot", spy("reference", ref_pivot))
+    for model in MODELS:
+        counts.update(kernel=0, reference=0)
+        solve_lp(model)
+        kernel = counts["kernel"]
+        solve_reference(model, monkeypatch)
+        assert kernel == counts["reference"]
+        shapes.add("wide" if core_rows(model) < model.num_vars else "tall")
+    assert shapes == {"wide", "tall"}
 
 
 def test_no_basis_repeats(monkeypatch):
     # the lexicographic ratio test: within one simplex run every basis is new,
     # through long degenerate runs, Beale's cycling example and the cut LPs
     # of graphic-game gadgets
-    runs, degenerate = [], [0]
-    pivot, run = lp._pivot, lp._run_simplex
+    # on its own tableau, a wide LP's pivot is degenerate in the dual when
+    # the entering column's reduced cost is 0
+    runs, degenerate, own = [], [0], [False]
+    pivot, run, run_dual = lp._pivot, lp._run_simplex, lp._run_dual_simplex
 
     def spy_pivot(rows, dens, basis, r, col):
-        if runs and runs[-1] is not None:
-            degenerate[0] += rows[r][-1] == 0
-            pivot(rows, dens, basis, r, col)
-            runs[-1].append(frozenset(basis))
-        else:
-            pivot(rows, dens, basis, r, col)
+        degenerate[0] += (rows[-1][col] if own[0] else rows[r][-1]) == 0
+        pivot(rows, dens, basis, r, col)
+        runs[-1].append(frozenset(basis))
 
-    def spy_run(rows, dens, basis, allowed):
+    def spy_run(rows, dens, basis):
         runs.append([frozenset(basis)])
-        try:
-            return run(rows, dens, basis, allowed)
-        finally:
-            runs.append(None)  # drive-out pivots fall between runs
+        own[0] = False
+        return run(rows, dens, basis)
+
+    def spy_run_dual(rows, dens, basis, k, slot):
+        runs.append([frozenset(basis)])
+        own[0] = True
+        return run_dual(rows, dens, basis, k, slot)
 
     monkeypatch.setattr(lp, "_pivot", spy_pivot)
     monkeypatch.setattr(lp, "_run_simplex", spy_run)
+    monkeypatch.setattr(lp, "_run_dual_simplex", spy_run_dual)
     for model in [degenerate_model(seed) for seed in range(12)] + [BEALE]:
         solve_lp(model)
     for n, m in ((6, 7), (6, 11), (7, 9), (7, 15)):
         alpha_graph(build_gadget(random_graph(n, m, 3)))
-    bases = [r for r in runs if r is not None]
-    assert all(len(set(r)) == len(r) for r in bases)
-    assert max(map(len, bases)) > 12 and degenerate[0] > 12
+    assert all(len(set(r)) == len(r) for r in runs)
+    assert max(map(len, runs)) > 12 and degenerate[0] > 12
 
 
 def test_exact_callers_match_reference(monkeypatch):

@@ -5,7 +5,8 @@ an `assert` that `python -O` would strip: the one assert form allowed is
 `assert <expr> is not None`, which only tells a type checker what the code
 above it has already established.  No module builds 2^n-bit subset tables,
 every budget error names a cap that `budgets` documents, the LP optimality
-check is written once, in `lp`, and the exact simplex's pivot loop, the
+check is written once, in `lp`, the simplex has one path, a `TallLP`
+pivoting on its transposed dual, and the exact simplex's pivot loop, the
 threshold LP's builder, cut loop and certificate checks work on ints alone:
 the threshold LP takes masks and builds `Coalition`s only for the
 certificate it returns.
@@ -101,6 +102,15 @@ def functions_naming(tree, qualnames, name):
     ]
 
 
+def calls_to(node, name):
+    """The calls under `node` of a function named `name`, bare or as an attribute."""
+    return [
+        sub
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and getattr(sub.func, "id", getattr(sub.func, "attr", None)) == name
+    ]
+
+
 def test_guards_flag_what_they_forbid():
     tree = ast.parse(
         "import json, numpy.linalg\nfrom scipy import optimize\nfrom . import lp\n"
@@ -119,6 +129,8 @@ def test_guards_flag_what_they_forbid():
         "def h(x):\n    return x\nclass T:\n    def m(self) -> 'int':\n        return Fraction(1)\n"
     )
     assert functions_naming(tree, {"f", "g", "h", "T.m"}, "Fraction") == ["f", "g", "T.m"]
+    tree = ast.parse("_Tableau(a)\nlp._Tableau(a)\nx = _Tableau\nf(_Tableau)\n")
+    assert [call.lineno for call in calls_to(tree, "_Tableau")] == [1, 2]
 
 
 def test_imports_are_standard_library_only():
@@ -166,8 +178,17 @@ def test_lp_checks_are_raised_only_in_lp():
     assert raising == {(check, "lp.py") for check in LP_CHECKS}
 
 
-# the exact simplex's pivot loop: pricing, ratio test, pivots, row updates and warm columns
-PIVOT_LOOP = {"_eliminate", "_bounded", "_pivot", "_run_simplex", "_price_out", "_Tableau.add_column"}
+# the exact simplex's pivot loop, on either tableau: pricing, ratio test,
+# pivots, row updates and warm columns and rows
+PIVOT_LOOP = {
+    "_eliminate",
+    "_bounded",
+    "_pivot",
+    "_run_simplex",
+    "_run_dual_simplex",
+    "_Tableau.add_column",
+    "_Tableau.add_row",
+}
 
 
 def test_pivot_loop_stays_integer():
@@ -176,6 +197,19 @@ def test_pivot_loop_stays_integer():
     tree = ast.parse((SRC / "lp.py").read_text())
     assert PIVOT_LOOP <= set(function_scopes(tree))
     assert functions_naming(tree, PIVOT_LOOP, "Fraction") == []
+
+
+def test_one_simplex_path():
+    # every LP makes its transposed dual's pivots from the slack basis: only
+    # `TallLP` builds a tableau, and no direct solve or phase-1 pricing is left
+    built, outside = [], 0
+    for p in MODULES:
+        tree = ast.parse(p.read_text())
+        calls = {q: len(calls_to(node, "_Tableau")) for q, node in function_scopes(tree).items()}
+        built += [(p.name, q) for q, n in calls.items() for _ in range(n)]
+        outside += len(calls_to(tree, "_Tableau")) - sum(calls.values())
+    assert built == [("lp.py", "TallLP.__init__")] and outside == 0
+    assert {"_core_solve", "_price_out"}.isdisjoint(function_scopes(ast.parse((SRC / "lp.py").read_text())))
 
 
 # the threshold LP's row builder, its solve and cut rows, the symmetry check
